@@ -10,9 +10,10 @@ Run: python3 demos/clock_scheme.py
 """
 import numpy as np
 
-from forcelink.chansim import WaveformConfig, equivalent_doppler_velocity
+from forcelink.chansim import (WaveformConfig, equivalent_doppler_velocity,
+                               nyquist_check)
 from forcelink.clocks import make_scheme, verify_disjoint
-from forcelink.decoder import auto_group_size, nyquist_check
+from forcelink.decoder import auto_group_size
 
 scheme = make_scheme(1000.0)
 wf = WaveformConfig()

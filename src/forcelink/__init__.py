@@ -11,16 +11,16 @@ from .calib import (CalibrationDataset, Estimate, Sample, SensorModel,
                     fit_model, generate_sweep, invert, model_forward)
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, NyquistError,
                       Path, TouchTimeline, WaveformConfig, add_second_sensor,
-                      equivalent_doppler_velocity, quantize, synthesize)
+                      equivalent_doppler_velocity, nyquist_check, quantize,
+                      synthesize)
 from .clocks import (ClockScheme, DisjointReport, SwitchClock, make_scheme,
                      verify_disjoint)
 from .config import ConfigError, ExperimentConfig, default_config_dict, \
     load_config, parse_config
 from .decoder import (GroupingSpec, PhaseSeries, anchor, auto_group_size,
-                      group_phases, noise_power, nyquist_check,
-                      project_harmonic, read_sensor_snr)
-from .traceio import (read_dataset, read_model, read_trace, write_dataset,
-                      write_model, write_phase_csv, write_trace)
+                      decode_blocks, group_phases, noise_power, read_sensor_snr)
+from .traceio import (open_trace, read_dataset, read_model, read_trace,
+                      write_dataset, write_model, write_phase_csv, write_trace)
 from .transducer import (MechanicalParams, PortPhases, SensorGeometry,
                          ShortingState, TouchEvent, impedance, phase_per_mm,
                          port_phases, propagation_constant, shorting_segment,
@@ -33,15 +33,14 @@ __all__ = [
     "fit_model", "generate_sweep", "invert", "model_forward",
     "ChannelTrace", "MultipathProfile", "NoiseSpec", "NyquistError", "Path",
     "TouchTimeline", "WaveformConfig", "add_second_sensor",
-    "equivalent_doppler_velocity", "quantize", "synthesize",
+    "equivalent_doppler_velocity", "nyquist_check", "quantize", "synthesize",
     "ClockScheme", "DisjointReport", "SwitchClock", "make_scheme",
     "verify_disjoint",
     "ConfigError", "ExperimentConfig", "default_config_dict", "load_config",
     "parse_config",
     "GroupingSpec", "PhaseSeries", "anchor", "auto_group_size",
-    "group_phases", "noise_power", "nyquist_check", "project_harmonic",
-    "read_sensor_snr",
-    "read_dataset", "read_model", "read_trace", "write_dataset",
+    "decode_blocks", "group_phases", "noise_power", "read_sensor_snr",
+    "open_trace", "read_dataset", "read_model", "read_trace", "write_dataset",
     "write_model", "write_phase_csv", "write_trace",
     "MechanicalParams", "PortPhases", "SensorGeometry", "ShortingState",
     "TouchEvent", "impedance", "phase_per_mm", "port_phases",

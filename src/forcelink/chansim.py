@@ -143,14 +143,21 @@ class NyquistError(ValueError):
     """A scheme's read tones exceed what the snapshot rate can represent."""
 
 
-def _check_nyquist(config: WaveformConfig, scheme: ClockScheme) -> None:
-    limit = config.nyquist_hz
-    top = max(scheme.read_freqs)
-    if top > limit:
-        raise NyquistError(
-            f"read frequency {top:.1f} Hz exceeds the Nyquist bound "
-            f"{limit:.1f} Hz set by the {config.frame_period_s*1e6:.1f} us "
-            f"frame period")
+@dataclass(frozen=True)
+class NyquistReport:
+    ok: bool
+    limit_hz: float
+    max_read_hz: float
+
+
+def nyquist_check(config: WaveformConfig, scheme: ClockScheme,
+                  error: type[Exception] | None = None) -> NyquistReport:
+    """Whether the read tones are observable; raises error if given and not."""
+    limit, top = config.nyquist_hz, max(scheme.read_freqs)
+    if error is not None and top > limit:
+        raise error(f"read frequency {top:.1f} Hz exceeds the Nyquist bound {limit:.1f} "
+                    f"Hz set by the {config.frame_period_s*1e6:.1f} us frame period")
+    return NyquistReport(ok=top <= limit, limit_hz=limit, max_read_hz=top)
 
 
 def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
@@ -180,7 +187,6 @@ def _sensor_term(config: WaveformConfig, scheme: ClockScheme,
                  timeline: TouchTimeline, sensor_path: Path,
                  geom: SensorGeometry, mech: MechanicalParams) -> np.ndarray:
     """The sensor's contribution to H: (K, N) complex."""
-    _check_nyquist(config, scheme)
     n = np.arange(config.n_snapshots)
     t = n * config.frame_period_s
     s1, s2 = scheme.switch_states(t)
@@ -223,7 +229,7 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed.
     """
-    _check_nyquist(config, scheme)
+    nyquist_check(config, scheme, NyquistError)
     K, N = config.n_subcarriers, config.n_snapshots
     H = np.zeros((K, N), dtype=np.complex128)
     for path in multipath.paths:
@@ -255,7 +261,7 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     The new sensor must stay under the Nyquist bound and must not reuse any
     read frequency already present in the trace.
     """
-    _check_nyquist(trace.config, scheme2)
+    nyquist_check(trace.config, scheme2, NyquistError)
     existing = {f for s in trace.schemes for f in s.read_freqs}
     clash = existing.intersection(scheme2.read_freqs)
     if clash:

@@ -14,32 +14,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from dataclasses import replace
 
 from . import calib, sweeps, traceio
-from .config import ConfigError, parse_config
-from .decoder import (GroupingSpec, anchor, auto_group_size, group_phases,
-                      read_sensor_snr)
+from .config import (ConfigError, ExperimentConfig, parse_config,
+                     read_config_doc)
+from .decoder import GroupingSpec, anchor, auto_group_size, decode_blocks
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
 ENV_SEED = "FORCELINK_SEED"
 
 
-def _load(path) -> tuple[dict, object]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+def _load(path) -> tuple[dict, ExperimentConfig]:
+    doc = read_config_doc(path)
     return doc, parse_config(doc)
 
 
@@ -75,7 +66,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    trace = traceio.read_trace(args.trace)
+    trace = traceio.open_trace(args.trace)
     if not trace.schemes:
         raise ValueError(f"{args.trace} lists no modulation schemes")
     if not 0 <= args.scheme_index < len(trace.schemes):
@@ -83,26 +74,21 @@ def cmd_decode(args) -> int:
             f"--scheme-index {args.scheme_index} out of range, trace has "
             f"{len(trace.schemes)} scheme(s)")
     scheme = trace.schemes[args.scheme_index]
-    if args.group_size is not None:
-        Ng = args.group_size
-    else:
-        Ng = auto_group_size(trace.config, trace.schemes)
-    spec = GroupingSpec(Ng)
-    series = group_phases(trace, scheme, spec)
-    anchored = False
-    if trace.geometry is not None and not args.no_anchor:
-        quiet = port_phases(ShortingState.open(), trace.geometry,
-                            trace.config.carrier_hz)
-        series = anchor(series, quiet)
-        anchored = True
-    snr1 = read_sensor_snr(trace, scheme.read_freqs[0], spec)
-    snr2 = read_sensor_snr(trace, scheme.read_freqs[1], spec)
+    anchored = trace.geometry is not None and not args.no_anchor
+    if args.model is not None and not anchored:
+        raise ConfigError(
+            "inversion needs anchored phases; the trace must carry sensor "
+            "geometry and --no-anchor must not be set")
+    Ng = (args.group_size if args.group_size is not None
+          else auto_group_size(trace.config, trace.schemes))
+    dec = decode_blocks(trace.blocks(Ng), trace.config, GroupingSpec(Ng), scheme)
+    series = dec.series
+    if anchored:
+        series = anchor(series, port_phases(ShortingState.open(), trace.geometry,
+                                            trace.config.carrier_hz))
+    snr1, snr2 = dec.snr_db
     extra = None
     if args.model is not None:
-        if not anchored:
-            raise ConfigError(
-                "inversion needs anchored phases; the trace must carry sensor "
-                "geometry and --no-anchor must not be set")
         model = traceio.read_model(args.model)
         ests = [calib.invert(model, float(p1), float(p2))
                 for p1, p2 in zip(series.phi1, series.phi2)]

@@ -10,9 +10,8 @@ import json
 from dataclasses import dataclass, field
 
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
-                      WaveformConfig)
+                      WaveformConfig, nyquist_check)
 from .clocks import ClockScheme, SwitchClock, make_scheme
-from .decoder import nyquist_check
 from .transducer import MechanicalParams, SensorGeometry, TouchEvent
 
 
@@ -240,12 +239,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    rep = nyquist_check(cfg.waveform, cfg.scheme)
-    if not rep.ok:
-        raise ConfigError(
-            f"read frequency {rep.max_read_hz:.1f} Hz exceeds the Nyquist "
-            f"bound {rep.limit_hz:.1f} Hz for frame period "
-            f"{cfg.waveform.frame_period_s * 1e6:.1f} us")
+    nyquist_check(cfg.waveform, cfg.scheme, ConfigError)
     L = cfg.geometry.length_mm
     for _, touch in cfg.timeline.entries:
         if touch is not None and not 0.0 <= touch.location_mm <= L:
@@ -253,12 +247,16 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"touch location {touch.location_mm} mm outside line [0, {L}] mm")
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config_doc(path) -> dict:
+    """The raw JSON document of a config file; unreadable files are ConfigErrors."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            return json.load(f)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    return parse_config(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config_doc(path))

@@ -7,6 +7,11 @@ frequency isolates one port; conjugate-multiplying consecutive group
 projections and averaging across subcarriers yields the group-to-group phase
 change with static multipath cancelled exactly when groups hold an integer
 number of modulation cycles.
+
+decode_blocks computes every figure of a decode in one pass over snapshot-
+major blocks of whole groups, carrying only a block's last group to the next,
+so memory follows the block size, not the trace length, and a trace file
+streams through it (traceio.TraceFile.blocks) as an in-memory trace does.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ GROUP_SIZE_CAP = 100_000
 SLEW_SUSPECT_LIMIT = 0.9 * math.pi
 SNR_CAP_DB = 200.0
 SNR_FLOOR_DB = 0.0
+NOISE_SUBCARRIERS = 8  # the noise floor is read from the first few only
 
 
 @dataclass(frozen=True)
@@ -37,20 +43,6 @@ class GroupingSpec:
     def __post_init__(self):
         if self.group_size < 1:
             raise ValueError("group size must be >= 1")
-
-
-@dataclass(frozen=True)
-class NyquistReport:
-    ok: bool
-    limit_hz: float
-    max_read_hz: float
-
-
-def nyquist_check(config: WaveformConfig, scheme: ClockScheme) -> NyquistReport:
-    """Whether the scheme's read tones are observable at the snapshot rate."""
-    limit = config.nyquist_hz
-    top = max(scheme.read_freqs)
-    return NyquistReport(ok=top <= limit, limit_hz=limit, max_read_hz=top)
 
 
 def auto_group_size(config: WaveformConfig,
@@ -110,68 +102,16 @@ class PhaseSeries:
         return np.arange(self.n_groups) * self.group_duration_s
 
 
-def project_harmonic(trace: ChannelTrace, read_freq: float, group: int,
-                     spec: GroupingSpec) -> np.ndarray:
-    """Project one group of snapshots onto a read tone, per subcarrier.
-
-    P[k] = (1/N_g) * sum_{n in group} H[k, n] e^{-j 2 pi f n T} with n the
-    absolute snapshot index.  With an integer number of tone cycles per group
-    any constant-in-n term sums to exactly zero.
-    """
-    Ng = spec.group_size
-    n_groups = trace.config.n_snapshots // Ng
-    if not 0 <= group < n_groups:
-        raise ValueError(f"group {group} out of range (trace holds {n_groups})")
-    n = np.arange(group * Ng, (group + 1) * Ng)
-    w = np.exp(-2j * np.pi * read_freq * n * trace.config.frame_period_s)
-    return (trace.data[:, group * Ng:(group + 1) * Ng] * w).sum(axis=1) / Ng
-
-
-def _projection_matrix(trace: ChannelTrace, read_freq: float,
-                       spec: GroupingSpec) -> np.ndarray:
-    """All groups at once: (K, G) projections."""
-    Ng = spec.group_size
-    G = trace.config.n_snapshots // Ng
-    T = trace.config.frame_period_s
-    n = np.arange(G * Ng)
-    w = np.exp(-2j * np.pi * read_freq * n * T)
-    prod = trace.data[:, :G * Ng] * w
-    return prod.reshape(trace.data.shape[0], G, Ng).sum(axis=2) / Ng
-
-
 def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
                  spec: GroupingSpec | None = None) -> PhaseSeries:
-    """Decode both ports' group-to-group phase changes.
-
-    For each consecutive pair of groups, P~[k] = P[k, g+1] conj(P[k, g]) is
-    averaged over subcarriers and its angle taken, so subcarriers vote
-    coherently and the projection magnitudes drop out of the estimate.
-    """
+    """Both ports' group-to-group phase changes; defaults: first scheme, auto size."""
     if scheme is None:
         if not trace.schemes:
             raise ValueError("trace carries no scheme; pass one explicitly")
         scheme = trace.schemes[0]
     if spec is None:
         spec = GroupingSpec(auto_group_size(trace.config, trace.schemes or scheme))
-    G = trace.config.n_snapshots // spec.group_size
-    if G < 2:
-        raise ValueError(
-            f"need at least 2 groups, trace holds {G} at size {spec.group_size}")
-    f1, f2 = scheme.read_freqs
-    out = []
-    for f in (f1, f2):
-        P = _projection_matrix(trace, f, spec)
-        pair = P[:, 1:] * np.conj(P[:, :-1])
-        out.append(np.angle(pair.mean(axis=0)))
-    dphi1, dphi2 = out
-    return PhaseSeries(
-        read_freqs=(f1, f2),
-        group_size=spec.group_size,
-        group_duration_s=spec.group_size * trace.config.frame_period_s,
-        dphi1=dphi1, dphi2=dphi2,
-        suspect1=np.abs(dphi1) > SLEW_SUSPECT_LIMIT,
-        suspect2=np.abs(dphi2) > SLEW_SUSPECT_LIMIT,
-    )
+    return decode_blocks([trace.data.T], trace.config, spec, scheme).series
 
 
 def anchor(series: PhaseSeries, no_touch: PortPhases) -> PhaseSeries:
@@ -186,82 +126,135 @@ def anchor(series: PhaseSeries, no_touch: PortPhases) -> PhaseSeries:
     return replace(series, phi1=phi1, phi2=phi2)
 
 
-def _probe_bins(n_win: int, count: int = 97) -> np.ndarray:
-    # odd bins of a two-group window: every scheme's sampled gate repeats
-    # each group exactly, so its lines land only on even bins
-    odd = np.arange(1, n_win, 2)
-    if len(odd) <= count:
-        return odd
-    idx = np.linspace(0, len(odd) - 1, count)
-    return odd[np.unique(idx.astype(int))]
+def project_groups(block: np.ndarray, n0: int, read_freqs: Sequence[float],
+                   frame_period_s: float, group_size: int) -> np.ndarray:
+    """Project each whole group of a snapshot-major (n, K) block on each tone.
+
+    With n0 the block's absolute first snapshot, P[g, t, k] = (1/N_g) *
+    sum_{n in group g} H[n, k] e^{-j 2 pi f_t n T}.  With an integer number
+    of tone cycles per group any constant-in-n term sums to exactly zero.
+    """
+    Ng = group_size
+    g = len(block) // Ng
+    n = np.arange(n0, n0 + g * Ng).reshape(g, 1, Ng)
+    f = np.asarray(read_freqs, dtype=float)[:, None]
+    w = np.exp(-2j * np.pi * f * n * frame_period_s)
+    return w @ np.asarray(block[:g * Ng], np.complex128).reshape(g, Ng, -1) / Ng
+
+
+def _spread(n: int, count: int = 97) -> np.ndarray:
+    """At most count distinct indices spread evenly over range(n)."""
+    return np.linspace(0, n - 1, min(n, count)).astype(int)
+
+
+@dataclass(frozen=True)
+class TraceDecode:
+    """What one decode pass yields.
+
+    steps[g, t] is the phase change at read tone t from group g to g + 1,
+    signal[t] the tone's median group projection energy, sigma2 the
+    per-sample noise power.
+    """
+
+    scheme: ClockScheme | None
+    group_size: int
+    group_duration_s: float
+    steps: np.ndarray
+    signal: np.ndarray
+    sigma2: float
+
+    @property
+    def series(self) -> PhaseSeries:
+        """Both ports' steps with their wrap-suspect flags."""
+        if len(self.steps) < 1:
+            raise ValueError("need at least 2 groups, trace holds 1 at size "
+                             f"{self.group_size}")
+        d1, d2 = self.steps.T
+        return PhaseSeries(self.scheme.read_freqs, self.group_size,
+                           self.group_duration_s, d1, d2,
+                           np.abs(d1) > SLEW_SUSPECT_LIMIT,
+                           np.abs(d2) > SLEW_SUSPECT_LIMIT)
+
+    @property
+    def snr_db(self) -> tuple[float, ...]:
+        """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
+        if self.sigma2 <= 0.0:
+            return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
+        gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
+        alpha2 = np.maximum(self.signal - self.sigma2 / self.group_size, 0.0)
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(alpha2 / (gain ** 2 * self.sigma2))
+        return tuple(float(x) for x in np.clip(db, SNR_FLOOR_DB, SNR_CAP_DB))
+
+
+def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
+                  spec: GroupingSpec, scheme: ClockScheme | None = None) -> TraceDecode:
+    """Decode a trace in one pass over consecutive snapshot-major blocks.
+
+    Blocks hold whole groups; snapshots past the last whole group are
+    ignored.  A step is the angle of P[g+1, k] conj(P[g, k]) averaged over
+    subcarriers, so the projection magnitudes drop out; a tone's signal is
+    the median group energy, which a mid-group step cannot drag down.
+    sigma^2 is the minimum over group pairs (a step-free pair sees pure
+    noise) of the median energy at odd bins (robust to a step inside it),
+    unbiased by ln 2; one group falls back to its own odd bins, where
+    residual clock lines can bias it upward.  Without a scheme only sigma^2
+    is computed.
+    """
+    Ng = spec.group_size
+    G = config.n_snapshots // Ng
+    if G < 1:
+        raise ValueError("trace shorter than one group")
+    freqs = scheme.read_freqs if scheme is not None else ()
+    m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
+    half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]
+    n0, last = 0, None  # last: the previous group's projections, noise rows
+    steps, energy, pair_noise = [], [], []
+    for block in blocks:
+        if n0 % Ng or n0 + len(block) > config.n_snapshots:
+            raise ValueError("blocks must hold whole groups within the trace")
+        g, start, n0 = len(block) // Ng, n0, n0 + len(block)
+        if not g:
+            continue
+        P = project_groups(block, start, freqs, config.frame_period_s, Ng)
+        rows = np.asarray(block[:g * Ng, :NOISE_SUBCARRIERS],
+                          dtype=np.complex128).reshape(g, Ng, -1)
+        energy.append(np.mean(np.abs(P) ** 2, axis=-1))
+        if last is not None:
+            P, rows = np.concatenate((last[0], P)), np.concatenate((last[1], rows))
+        steps.append(np.angle((P[1:] * P[:-1].conj()).mean(axis=-1)))
+        if len(rows) > 1:
+            # clock lines repeat each group exactly, so they land only on
+            # even bins of a two-group window; odd bin 2m + 1 is bin m of
+            # the groups' difference turned by e^{-j pi n / N_g}
+            odd = np.fft.fft((rows[:-1] - rows[1:]) * half_turn, axis=1)[:, m]
+            pair_noise.append(np.median(np.abs(odd / (2 * Ng)) ** 2, axis=(1, 2)))
+        last = P[-1:], rows[-1:]
+    if n0 < G * Ng:
+        raise ValueError(f"blocks end at snapshot {n0} of {config.n_snapshots}")
+    if pair_noise:
+        n_win, per_bin = 2 * Ng, float(np.concatenate(pair_noise).min())
+    else:
+        n_win = Ng
+        own = np.fft.fft(last[1][0], axis=0)[1 + 2 * _spread(Ng // 2)]
+        per_bin = float(np.median(np.abs(own / Ng) ** 2))
+    # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
+    return TraceDecode(scheme, Ng, Ng * config.frame_period_s,
+                       np.concatenate(steps),
+                       np.median(np.concatenate(energy), axis=0),
+                       per_bin / math.log(2.0) * n_win)
 
 
 def noise_power(trace: ChannelTrace, spec: GroupingSpec) -> float:
-    """Per-sample noise power sigma^2 estimated from the trace itself.
-
-    Projects adjacent-group windows onto their odd DFT bins, where no
-    integer-cycle clock harmonic of any scheme can land; takes the median
-    energy per window pair (robust against a step inside the pair), the
-    minimum over pairs (a step-free pair sees pure noise), and unbiases the
-    exponential median by ln 2.  With a single group the probe falls back to
-    that group's own bins, where residual clock lines can bias it upward.
-    """
-    Ng = spec.group_size
-    G = trace.config.n_snapshots // Ng
-    if G < 1:
-        raise ValueError("trace shorter than one group")
-    rows = trace.data[:min(8, trace.data.shape[0]), :G * Ng]
-    if G >= 2:
-        n_win = 2 * Ng
-        bins = _probe_bins(n_win)
-        n = np.arange(n_win)
-        probes = np.exp(-2j * np.pi * np.outer(n, bins) / n_win)
-        meds = []
-        for g in range(G - 1):
-            seg = rows[:, g * Ng:(g + 2) * Ng]
-            meds.append(float(np.median(np.abs(seg @ probes / n_win) ** 2)))
-        per_bin = min(meds)
-    else:
-        n_win = Ng
-        bins = _probe_bins(n_win)
-        n = np.arange(n_win)
-        probes = np.exp(-2j * np.pi * np.outer(n, bins) / n_win)
-        per_bin = float(np.median(np.abs(rows @ probes / n_win) ** 2))
-    # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
-    return per_bin / math.log(2.0) * n_win
+    """Per-sample noise power sigma^2 estimated from the trace itself."""
+    return decode_blocks([trace.data.T], trace.config, spec).sigma2
 
 
 def read_sensor_snr(trace: ChannelTrace, read_freq: float,
                     spec: GroupingSpec) -> float:
-    """Estimate the per-sample sensor SNR (dB) from the trace itself.
-
-    Signal energy comes from the per-group projections at the read tone
-    (median over groups, so a step mid-group cannot drag it down); the noise
-    power comes from noise_power.  The ratio is corrected by the projection
-    gain |a_p|^2 so the estimate is comparable to the synthesis-time snr_db,
-    then clamped to [0, 200] dB.
-    """
-    scheme = None
-    for s in trace.schemes:
-        try:
-            s.clock_for_read(read_freq)
-            scheme = s
-            break
-        except ValueError:
-            continue
-    if scheme is None:
-        raise ValueError(f"no scheme in trace reads {read_freq} Hz")
-    gain = scheme.projection_gain(read_freq)
-
-    Ng = spec.group_size
-    P = _projection_matrix(trace, read_freq, spec)
-    sig = float(np.median(np.mean(np.abs(P) ** 2, axis=0)))
-    sigma2 = noise_power(trace, spec)
-
-    if sigma2 <= 0.0:
-        return SNR_CAP_DB if sig > 0.0 else SNR_FLOOR_DB
-    alpha2 = max(sig - sigma2 / Ng, 0.0)
-    snr_lin = alpha2 / (gain ** 2 * sigma2)
-    if snr_lin <= 0.0:
-        return SNR_FLOOR_DB
-    return float(min(max(10.0 * math.log10(snr_lin), SNR_FLOOR_DB), SNR_CAP_DB))
+    """Per-sample sensor SNR (dB) at one read tone, from the trace itself."""
+    for scheme in trace.schemes:
+        if read_freq in scheme.read_freqs:
+            snr = decode_blocks([trace.data.T], trace.config, spec, scheme).snr_db
+            return snr[scheme.read_freqs.index(read_freq)]
+    raise ValueError(f"no scheme in trace reads {read_freq} Hz")

@@ -2,12 +2,18 @@
 
 Trace file layout: 8-byte magic "WFTRACE1", one newline-terminated UTF-8 JSON
 header line, then little-endian float32 (re, im) pairs, snapshot-major (n
-outer, k inner).
+outer, k inner), so a group of snapshots is one contiguous byte range.
+open_trace maps the payload unread and TraceFile.blocks streams it in chunks
+of whole groups, so a decode holds about CHUNK_BYTES of any trace in memory.
 """
 from __future__ import annotations
 
 import json
+import mmap
+import os
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .transducer import SensorGeometry
 
 MAGIC = b"WFTRACE1"
 _PAYLOAD_DTYPE = np.dtype("<c8")  # pairs of little-endian float32
+CHUNK_BYTES = 16 * 2 ** 20  # payload per streamed decode step
 
 PHASE_CSV_COLUMNS = ("group_index", "t_seconds", "dphi1_deg", "dphi2_deg",
                      "phi1_deg", "phi2_deg", "snr1_db", "snr2_db")
@@ -39,30 +46,11 @@ def scheme_from_dict(d: dict) -> ClockScheme:
     return ClockScheme(clock_a=clock(d["clock_a"]), clock_b=clock(d["clock_b"]))
 
 
-def _geometry_to_dict(geom: SensorGeometry) -> dict:
-    return {"length_mm": geom.length_mm,
-            "signal_width_mm": geom.signal_width_mm,
-            "ground_width_mm": geom.ground_width_mm,
-            "height_mm": geom.height_mm,
-            "eps_eff": geom.eps_eff}
-
-
-def _geometry_from_dict(d: dict) -> SensorGeometry:
-    return SensorGeometry(**d)
-
-
 def write_trace(trace: ChannelTrace, path) -> None:
-    cfg = trace.config
     header = {
-        "waveform": {
-            "n_subcarriers": cfg.n_subcarriers,
-            "subcarrier_spacing_hz": cfg.subcarrier_spacing_hz,
-            "frame_period_s": cfg.frame_period_s,
-            "carrier_hz": cfg.carrier_hz,
-            "n_snapshots": cfg.n_snapshots,
-        },
+        "waveform": asdict(trace.config),
         "schemes": [scheme_to_dict(s) for s in trace.schemes],
-        "geometry": _geometry_to_dict(trace.geometry) if trace.geometry else None,
+        "geometry": asdict(trace.geometry) if trace.geometry else None,
         "provenance": trace.provenance,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -75,7 +63,31 @@ def write_trace(trace: ChannelTrace, path) -> None:
         f.write(payload.tobytes())
 
 
-def read_trace(path) -> ChannelTrace:
+@dataclass(frozen=True)
+class TraceFile:
+    """A trace file opened for streaming: its header fields and payload."""
+
+    config: WaveformConfig
+    data: np.memmap  # read-only (N, K) '<c8', snapshot-major
+    schemes: tuple[ClockScheme, ...] = ()
+    geometry: SensorGeometry | None = None
+    provenance: dict = field(default_factory=dict)
+
+    def blocks(self, group_size: int) -> Iterator[np.ndarray]:
+        """The payload in whole-group chunks of about CHUNK_BYTES, checked finite."""
+        per_group = group_size * self.config.n_subcarriers * self.data.itemsize
+        step = group_size * max(1, CHUNK_BYTES // per_group)
+        for start in range(0, len(self.data), step):
+            block = self.data[start:start + step]
+            if not np.isfinite(block.view(np.float32)).all():
+                raise ValueError("trace entries must all be finite")
+            yield block
+            if hasattr(mmap, "MADV_DONTNEED"):  # unmap the pages read so far
+                self.data._mmap.madvise(mmap.MADV_DONTNEED)
+
+
+def open_trace(path) -> TraceFile:
+    """Check a trace file's magic, header and payload size; map the payload."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -83,32 +95,31 @@ def read_trace(path) -> ChannelTrace:
         line = f.readline()
         if not line.endswith(b"\n"):
             raise ValueError("truncated header")
-        header = json.loads(line.decode("utf-8"))
-        wf = header["waveform"]
-        cfg = WaveformConfig(
-            n_subcarriers=wf["n_subcarriers"],
-            subcarrier_spacing_hz=wf["subcarrier_spacing_hz"],
-            frame_period_s=wf["frame_period_s"],
-            carrier_hz=wf["carrier_hz"],
-            n_snapshots=wf["n_snapshots"],
-        )
-        expected = cfg.n_subcarriers * cfg.n_snapshots * _PAYLOAD_DTYPE.itemsize
-        payload = f.read(expected + 1)
-        if len(payload) < expected:
-            raise ValueError(
-                f"truncated payload: {len(payload)} bytes, expected {expected}")
-        if len(payload) > expected:
-            raise ValueError("trailing bytes after payload")
-    data = np.frombuffer(payload, dtype=_PAYLOAD_DTYPE)
-    data = data.reshape(cfg.n_snapshots, cfg.n_subcarriers).T
-    schemes = tuple(scheme_from_dict(d) for d in header.get("schemes", []))
+        offset = f.tell()
+        size = os.fstat(f.fileno()).st_size - offset
+    header = json.loads(line.decode("utf-8"))
+    wf = header["waveform"]
+    cfg = WaveformConfig(**{fd.name: wf[fd.name] for fd in fields(WaveformConfig)})
+    expected = cfg.n_subcarriers * cfg.n_snapshots * _PAYLOAD_DTYPE.itemsize
+    if size < expected:
+        raise ValueError(f"truncated payload: {size} bytes, expected {expected}")
+    if size > expected:
+        raise ValueError("trailing bytes after payload")
     geom = header.get("geometry")
-    return ChannelTrace(
-        config=cfg, data=data.astype(np.complex128),
-        schemes=schemes,
-        geometry=_geometry_from_dict(geom) if geom else None,
-        provenance=header.get("provenance", {}),
-    )
+    return TraceFile(
+        config=cfg,
+        data=np.memmap(path, dtype=_PAYLOAD_DTYPE, mode="r", offset=offset,
+                       shape=(cfg.n_snapshots, cfg.n_subcarriers)),
+        schemes=tuple(scheme_from_dict(d) for d in header.get("schemes", [])),
+        geometry=SensorGeometry(**geom) if geom else None,
+        provenance=header.get("provenance", {}))
+
+
+def read_trace(path) -> ChannelTrace:
+    """Load a whole trace file (every entry checked finite)."""
+    tf = open_trace(path)
+    return ChannelTrace(config=tf.config, data=tf.data.T, schemes=tf.schemes,
+                        geometry=tf.geometry, provenance=tf.provenance)
 
 
 def write_model(model: SensorModel, path) -> None:

@@ -18,10 +18,10 @@ from scipy.stats import spearmanr
 
 from forcelink import cli
 from forcelink.calib import fit_model, generate_sweep, model_forward
-from forcelink.chansim import ChannelTrace, WaveformConfig
+from forcelink.chansim import ChannelTrace, WaveformConfig, nyquist_check
 from forcelink.clocks import SwitchClock, make_scheme, verify_disjoint
 from forcelink.config import ConfigError, default_config_dict, parse_config
-from forcelink.decoder import GroupingSpec, group_phases, nyquist_check
+from forcelink.decoder import GroupingSpec, group_phases
 from forcelink.sweeps import (measure_step_errors, run_crosstalk,
                               run_force_sweep, run_snr_sweep,
                               snr_meeting_threshold)

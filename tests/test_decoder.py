@@ -5,11 +5,11 @@ import pytest
 
 from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                Path, TouchTimeline, WaveformConfig,
-                               synthesize)
+                               nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.decoder import (GroupingSpec, anchor, auto_group_size,
-                               group_phases, noise_power, nyquist_check,
-                               project_harmonic, read_sensor_snr)
+                               decode_blocks, group_phases, noise_power,
+                               project_groups, read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -82,12 +82,24 @@ def test_projection_single_group_matches_matrix_slice():
     mp = MultipathProfile(paths=(Path(3.0 + 0.0j, 0.0),),
                           sensor_path=Path(1.0, 1.0))
     trace = synthesize(wf, SCHEME, timeline, mp, NoiseSpec(None), GEOM, MECH)
-    spec = GroupingSpec(NG)
+    rows, T = trace.data.T, wf.frame_period_s
+    whole = project_groups(rows, 0, SCHEME.read_freqs, T, NG)
+    assert whole.shape == (3, 2, 4)
     for g in range(3):
-        P = project_harmonic(trace, 1000.0, g, spec)
-        assert P.shape == (4,)
-    with pytest.raises(ValueError):
-        project_harmonic(trace, 1000.0, 3, spec)
+        # one group on its own, at its absolute snapshot index
+        P = project_groups(rows[g * NG:(g + 1) * NG], g * NG,
+                           SCHEME.read_freqs, T, NG)
+        assert P.shape == (1, 2, 4)
+        np.testing.assert_array_equal(P[0], whole[g])
+        n = np.arange(g * NG, (g + 1) * NG)
+        for t, f in enumerate(SCHEME.read_freqs):
+            want = (trace.data[:, n] * np.exp(-2j * np.pi * f * n * T)).sum(
+                axis=1) / NG
+            np.testing.assert_allclose(P[0, t], want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):  # a fourth group runs past the trace
+        decode_blocks([rows, rows[:NG]], wf, GroupingSpec(NG), SCHEME)
+    with pytest.raises(ValueError):  # the blocks stop after two groups
+        decode_blocks([rows[:2 * NG]], wf, GroupingSpec(NG), SCHEME)
 
 
 def full_sim_staircase(n_groups=3, snr_db=None, seed=0):
