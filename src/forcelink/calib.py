@@ -5,18 +5,22 @@ handful of contact locations.  Each location gets a cubic-in-force least
 squares fit per port; between locations the cubic coefficients interpolate
 linearly.  Inversion runs a coarse grid search over the calibrated box
 followed by a derivative-free coordinate-shrinking refinement on the wrapped
-squared residual.
+squared residual.  The grid and its model phases are built once per
+SensorModel and cached on it; the refinement evaluates the model in plain
+floats.  Grid pitch, refinement moves and tolerances are fixed constants.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .transducer import (MechanicalParams, SensorGeometry, TouchEvent,
-                         port_phases, shorting_segment)
+                         port_phases, shorting_segment, wrap_phase)
 
 # inversion defaults: coarse grid pitch, refinement tolerance, and the
 # residual above which an estimate is not trusted, (3 deg)^2 over both ports
@@ -82,6 +86,23 @@ class SensorModel:
     def locations(self) -> list[float]:
         return [f.location_mm for f in self.fits]
 
+    @cached_property
+    def _knots(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """Locations and each one's eight cubic coefficients, as plain floats."""
+        return (tuple(self.locations()),
+                tuple(tuple(map(float, f.c_port1 + f.c_port2)) for f in self.fits))
+
+    @cached_property
+    def _search_grid(self) -> tuple[np.ndarray, ...]:
+        """The coarse inversion grid F, l and its model phases m1, m2 (l, F)."""
+        f_lo, f_hi = self.force_range_n
+        locs = self.locations()
+        nF = max(2, int(round((f_hi - f_lo) / FORCE_GRID_N)) + 1)
+        nL = max(2, int(round((locs[-1] - locs[0]) / LOCATION_GRID_MM)) + 1)
+        F = np.linspace(f_lo, f_hi, nF)
+        l = np.linspace(locs[0], locs[-1], nL)
+        return (F, l, *_model_grid(self, F, l))
+
 
 @dataclass(frozen=True)
 class ForwardPhases:
@@ -138,25 +159,22 @@ def fit_model(data: CalibrationDataset) -> SensorModel:
                        force_range_n=(min(forces_all), max(forces_all)))
 
 
-def _coeffs_at(model: SensorModel, location_mm: float) -> tuple[np.ndarray, np.ndarray]:
-    locs = model.locations()
-    if not locs[0] <= location_mm <= locs[-1]:
-        raise ValueError(
-            f"location {location_mm} mm outside calibrated span "
-            f"[{locs[0]}, {locs[-1]}] mm")
-    hi = int(np.searchsorted(locs, location_mm))
-    if hi == 0:
-        f = model.fits[0]
-        return np.array(f.c_port1), np.array(f.c_port2)
-    if locs[hi - 1] == location_mm:
-        f = model.fits[hi - 1]
-        return np.array(f.c_port1), np.array(f.c_port2)
-    lo = hi - 1
-    t = (location_mm - locs[lo]) / (locs[hi] - locs[lo])
-    a, b = model.fits[lo], model.fits[hi]
-    c1 = (1 - t) * np.array(a.c_port1) + t * np.array(b.c_port1)
-    c2 = (1 - t) * np.array(a.c_port2) + t * np.array(b.c_port2)
-    return c1, c2
+def _phases(model: SensorModel, force_n: float,
+            location_mm: float) -> tuple[float, float]:
+    """Both ports' model phases in plain floats; location must be in span."""
+    locs, coeffs = model._knots
+    hi = bisect_left(locs, location_mm)
+    lo = max(hi - 1, 0)
+    t = (location_mm - locs[lo]) / (locs[hi] - locs[lo]) if hi else 0.0
+    s = 1.0 - t
+    a0, a1, a2, a3, a4, a5, a6, a7 = coeffs[lo]
+    b0, b1, b2, b3, b4, b5, b6, b7 = coeffs[hi]
+    F, F2 = force_n, force_n * force_n
+    F3 = F2 * F
+    return ((s * a0 + t * b0) + (s * a1 + t * b1) * F
+            + (s * a2 + t * b2) * F2 + (s * a3 + t * b3) * F3,
+            (s * a4 + t * b4) + (s * a5 + t * b5) * F
+            + (s * a6 + t * b6) * F2 + (s * a7 + t * b7) * F3)
 
 
 def model_forward(model: SensorModel, force_n: float,
@@ -166,15 +184,15 @@ def model_forward(model: SensorModel, force_n: float,
     Locations outside the calibrated span raise; forces outside the
     calibrated range still evaluate but come back flagged.
     """
-    c1, c2 = _coeffs_at(model, location_mm)
-    powers = force_n ** np.arange(4)
+    locs = model._knots[0]
+    if not locs[0] <= location_mm <= locs[-1]:
+        raise ValueError(
+            f"location {location_mm} mm outside calibrated span "
+            f"[{locs[0]}, {locs[-1]}] mm")
+    phi1, phi2 = _phases(model, force_n, location_mm)
     lo, hi = model.force_range_n
-    return ForwardPhases(phi1=float(c1 @ powers), phi2=float(c2 @ powers),
+    return ForwardPhases(phi1=float(phi1), phi2=float(phi2),
                          in_range=lo <= force_n <= hi)
-
-
-def _wrap(x):
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def _model_grid(model: SensorModel, F: np.ndarray, l: np.ndarray):
@@ -193,11 +211,6 @@ def _model_grid(model: SensorModel, F: np.ndarray, l: np.ndarray):
     return phi1, phi2
 
 
-def _cost(model: SensorModel, phi1: float, phi2: float, F: float, l: float) -> float:
-    fw = model_forward(model, F, l)
-    return float(_wrap(fw.phi1 - phi1) ** 2 + _wrap(fw.phi2 - phi2) ** 2)
-
-
 def invert(model: SensorModel, phi1: float, phi2: float,
            residual_threshold_rad2: float = RESIDUAL_THRESHOLD_RAD2) -> Estimate:
     """Recover (force, location) from a pair of measured phases.
@@ -207,18 +220,19 @@ def invert(model: SensorModel, phi1: float, phi2: float,
     halves its steps until both fall below 1e-3.  Wrapped residuals make the
     estimate immune to whole-turn offsets in the measured phases.
     """
-    f_lo, f_hi = model.force_range_n
-    locs = model.locations()
-    l_lo, l_hi = locs[0], locs[-1]
-    nF = max(2, int(round((f_hi - f_lo) / FORCE_GRID_N)) + 1)
-    nL = max(2, int(round((l_hi - l_lo) / LOCATION_GRID_MM)) + 1)
-    F = np.linspace(f_lo, f_hi, nF)
-    l = np.linspace(l_lo, l_hi, nL)
-    m1, m2 = _model_grid(model, F, l)
-    cost = _wrap(m1 - phi1) ** 2 + _wrap(m2 - phi2) ** 2
+    F, l, m1, m2 = model._search_grid
+    cost, u, k = np.zeros_like(m1), np.empty_like(m1), np.empty_like(m1)
+    for m, phi in ((m1, phi1), (m2, phi2)):
+        # the package's one array wrap: u - 2 pi rint(u / 2 pi), in place
+        np.subtract(m, phi, out=u)
+        np.rint(np.multiply(u, 1.0 / math.tau, out=k), out=k)
+        u -= np.multiply(k, math.tau, out=k)
+        cost += np.square(u, out=u)
     il, iF = np.unravel_index(np.argmin(cost), cost.shape)
     best_F, best_l = float(F[iF]), float(l[il])
     best = float(cost[il, iF])
+    f_lo, f_hi = model.force_range_n
+    l_lo, l_hi = model._knots[0][0], model._knots[0][-1]
 
     step_F, step_l = FORCE_GRID_N / 2.0, LOCATION_GRID_MM / 2.0
     while step_F >= REFINE_TOL or step_l >= REFINE_TOL:
@@ -229,7 +243,8 @@ def invert(model: SensorModel, phi1: float, phi2: float,
                        (-step_F, step_l), (-step_F, -step_l)):
             cF = min(max(best_F + dF, f_lo), f_hi)
             cl = min(max(best_l + dl, l_lo), l_hi)
-            c = _cost(model, phi1, phi2, cF, cl)
+            p1, p2 = _phases(model, cF, cl)
+            c = wrap_phase(p1 - phi1) ** 2 + wrap_phase(p2 - phi2) ** 2
             if c < best:
                 best, best_F, best_l = c, cF, cl
                 moved = True

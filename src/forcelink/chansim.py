@@ -231,10 +231,11 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     """
     nyquist_check(config, scheme, NyquistError)
     K, N = config.n_subcarriers, config.n_snapshots
-    H = np.zeros((K, N), dtype=np.complex128)
+    static = np.zeros(K, dtype=np.complex128)
     for path in multipath.paths:
-        H += _subcarrier_phasor(config, path)[:, None]
-    H += _sensor_term(config, scheme, timeline, multipath.sensor_path, geom, mech)
+        static += _subcarrier_phasor(config, path)
+    H = _sensor_term(config, scheme, timeline, multipath.sensor_path, geom, mech)
+    H += static[:, None]
     if noise.snr_db is not None:
         alpha = abs(multipath.sensor_path.amplitude)
         if alpha == 0.0:
@@ -242,8 +243,12 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                              "its amplitude must be nonzero when noise is on")
         sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
         rng = np.random.default_rng(noise.seed)
-        H += math.sqrt(sigma2 / 2.0) * (rng.standard_normal((K, N))
-                                        + 1j * rng.standard_normal((K, N)))
+        # re and im take the first and second (K, N) draws, in that order
+        draw = np.empty((K, N))
+        for part in (H.real, H.imag):
+            rng.standard_normal(out=draw)
+            draw *= math.sqrt(sigma2 / 2.0)
+            part += draw
     if noise.quantize_bits is not None:
         H = quantize(H, noise.quantize_bits)
     prov = {"seed": noise.seed,

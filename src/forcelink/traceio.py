@@ -4,7 +4,8 @@ Trace file layout: 8-byte magic "WFTRACE1", one newline-terminated UTF-8 JSON
 header line, then little-endian float32 (re, im) pairs, snapshot-major (n
 outer, k inner), so a group of snapshots is one contiguous byte range.
 open_trace maps the payload unread and TraceFile.blocks streams it in chunks
-of whole groups, so a decode holds about CHUNK_BYTES of any trace in memory.
+of whole groups, so a decode holds about CHUNK_BYTES of any trace in memory;
+write_trace converts and writes the payload in chunks of the same size.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .transducer import SensorGeometry
 
 MAGIC = b"WFTRACE1"
 _PAYLOAD_DTYPE = np.dtype("<c8")  # pairs of little-endian float32
-CHUNK_BYTES = 16 * 2 ** 20  # payload per streamed decode step
+CHUNK_BYTES = 16 * 2 ** 20  # payload per streamed write or decode step
 
 PHASE_CSV_COLUMNS = ("group_index", "t_seconds", "dphi1_deg", "dphi2_deg",
                      "phi1_deg", "phi2_deg", "snr1_db", "snr2_db")
@@ -54,13 +55,16 @@ def write_trace(trace: ChannelTrace, path) -> None:
         "provenance": trace.provenance,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    # snapshot-major payload: iterate n, then k
-    payload = np.ascontiguousarray(trace.data.T).astype(_PAYLOAD_DTYPE)
+    K, N = trace.data.shape
+    step = max(1, CHUNK_BYTES // (K * _PAYLOAD_DTYPE.itemsize))
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         f.write(b"\n")
-        f.write(payload.tobytes())
+        # snapshot-major payload (n outer, k inner), converted a chunk at a time
+        for start in range(0, N, step):
+            f.write(trace.data[:, start:start + step].T.astype(_PAYLOAD_DTYPE,
+                                                               order="C"))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Calibration fitting and phase-to-press inversion."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forcelink.calib import (RESIDUAL_THRESHOLD_RAD2, CalibrationDataset,
-                             Sample, fit_model, generate_sweep, invert,
-                             model_forward)
+from forcelink.calib import (REFINE_TOL, RESIDUAL_THRESHOLD_RAD2,
+                             CalibrationDataset, Sample, fit_model,
+                             generate_sweep, invert, model_forward)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   TouchEvent, port_phases, shorting_segment)
 
@@ -121,13 +124,42 @@ def test_invert_roundtrip_random_presses(model):
     assert worst_l < 0.05
 
 
+@settings(max_examples=60, deadline=None)
+@given(F=st.floats(min(FORCES), max(FORCES)),
+       loc=st.floats(min(LOCATIONS), max(LOCATIONS)))
+def test_invert_roundtrips_model_phases(model, F, loc):
+    fw = model_forward(model, F, loc)
+    est = invert(model, fw.phi1, fw.phi2)
+    assert abs(est.force_n - F) < 0.05
+    assert abs(est.location_mm - loc) < 0.05
+    assert est.reliable
+
+
 def test_invert_ignores_whole_turn_phase_offsets(model):
-    pp = exact_phases(3.5, 35.0)
-    base = invert(model, pp.phi1, pp.phi2)
-    off = invert(model, pp.phi1 + 2.0 * math.pi, pp.phi2 - 4.0 * math.pi)
-    assert abs(off.force_n - base.force_n) < 0.01
-    assert abs(off.location_mm - base.location_mm) < 0.01
-    assert off.reliable
+    for press in ((3.5, 35.0), (1.2, 58.0), (7.6, 22.5)):
+        pp = exact_phases(*press)
+        base = invert(model, pp.phi1, pp.phi2)
+        for k1 in range(-3, 4):
+            for k2 in range(-3, 4):
+                off = invert(model, pp.phi1 + 2.0 * math.pi * k1,
+                             pp.phi2 + 2.0 * math.pi * k2)
+                key = (press, k1, k2)
+                assert abs(off.force_n - base.force_n) < REFINE_TOL, key
+                assert abs(off.location_mm - base.location_mm) < REFINE_TOL, key
+                assert off.reliable, key
+
+
+def test_invert_grid_cache_is_per_model(model):
+    # another force range, span and carrier: a different search grid
+    other = fit_model(generate_sweep((10.0, 35.0, 70.0), FORCES[2:], GEOM,
+                                     MECH, 2.0e9))
+    for m, (F, loc) in ((model, (3.5, 35.0)), (other, (2.5, 12.0)),
+                        (model, (6.2, 52.0)), (other, (7.5, 66.0))):
+        fw = model_forward(m, F, loc)
+        est = invert(m, fw.phi1, fw.phi2)
+        # an equal model whose caches are still empty
+        assert est == invert(replace(m), fw.phi1, fw.phi2)
+        assert abs(est.force_n - F) < 0.05 and abs(est.location_mm - loc) < 0.05
 
 
 def test_invert_reliable_flag_follows_threshold(model):

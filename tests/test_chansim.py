@@ -128,6 +128,27 @@ def test_quantize_applied_by_synthesize():
     assert not np.array_equal(coarse.data, exact.data)
 
 
+@pytest.mark.parametrize("bits", [None, 10])
+def test_noise_layout_is_two_seeded_draws(bits):
+    # pins the seeded noise: re takes default_rng(seed)'s first (K, N)
+    # standard_normal draw, im the second, both scaled by sqrt(sigma^2 / 2)
+    wf = WaveformConfig(n_subcarriers=8, n_snapshots=300)
+    timeline = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
+    snr_db, seed = 17.0, 12345
+    quiet = synthesize(wf, SCHEME, timeline, MP, QUIET, GEOM, MECH)
+    noisy = synthesize(wf, SCHEME, timeline, MP,
+                       NoiseSpec(snr_db=snr_db, seed=seed, quantize_bits=bits),
+                       GEOM, MECH)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 300))
+    b = rng.standard_normal((8, 300))
+    sigma2 = abs(MP.sensor_path.amplitude) ** 2 * 10.0 ** (-snr_db / 10.0)
+    want = quiet.data + math.sqrt(sigma2 / 2.0) * (a + 1j * b)
+    if bits is not None:
+        want = quantize(want, bits)
+    assert noisy.data.tobytes() == want.tobytes()  # bit for bit
+
+
 def test_add_second_sensor_superposes_exactly():
     held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
     ramp = TouchTimeline(entries=((0, TouchEvent(1.0, 30.0)),
