@@ -6,6 +6,12 @@ period T.  Static multipath contributes constant-in-n phasors; the sensor
 contributes its reflection gated by the two exact 0/1 switch states sampled
 at t = n T, so every switching harmonic and its aliases are present, not a
 truncated approximation.
+
+Memory: synthesize allocates H once, one (K, N) complex128 array, and fills,
+perturbs and quantizes it in row blocks of about BLOCK_FLOATS entries, so
+beyond H it holds only (N,)-sized vectors and one fixed block buffer.
+add_second_sensor, quantize and ChannelTrace's finiteness check work in the
+same blocks.
 """
 from __future__ import annotations
 
@@ -19,6 +25,17 @@ import numpy as np
 from .clocks import ClockScheme
 from .transducer import (SPEED_OF_LIGHT, MechanicalParams, SensorGeometry,
                          TouchEvent, port_phases, shorting_segment)
+
+BLOCK_FLOATS = 2 ** 16  # entries per row block (512 KB of float64 noise)
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Row slices of an (n_rows, n_cols) array, each about BLOCK_FLOATS entries.
+
+    A row longer than BLOCK_FLOATS is a block of its own.
+    """
+    step = max(1, BLOCK_FLOATS // n_cols)
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -133,8 +150,9 @@ class ChannelTrace:
             raise ValueError(
                 f"data shape {arr.shape} does not match config "
                 f"({self.config.n_subcarriers}, {self.config.n_snapshots})")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("trace entries must all be finite")
+        for b in _row_blocks(*arr.shape):
+            if not np.isfinite(arr[b]).all():
+                raise ValueError("trace entries must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -183,19 +201,32 @@ def port_phase_arrays(timeline: TouchTimeline, geom: SensorGeometry,
     return phi1, phi2
 
 
-def _sensor_term(config: WaveformConfig, scheme: ClockScheme,
-                 timeline: TouchTimeline, sensor_path: Path,
-                 geom: SensorGeometry, mech: MechanicalParams) -> np.ndarray:
-    """The sensor's contribution to H: (K, N) complex."""
-    n = np.arange(config.n_snapshots)
-    t = n * config.frame_period_s
+def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
+          geom: SensorGeometry, mech: MechanicalParams) -> np.ndarray:
+    """The sensor's (N,) gated reflection: switch states times e^{j phi}."""
+    t = np.arange(config.n_snapshots) * config.frame_period_s
     s1, s2 = scheme.switch_states(t)
     phi1, phi2 = port_phase_arrays(timeline, geom, mech, config.carrier_hz,
                                    config.n_snapshots)
     # reflection factor e^{+j phi}: phi is the phase OF the reflection
     # coefficient (port_phases convention), already negative with distance
-    gate = s1 * np.exp(1j * phi1) + s2 * np.exp(1j * phi2)
-    return _subcarrier_phasor(config, sensor_path)[:, None] * gate[None, :]
+    return s1 * np.exp(1j * phi1) + s2 * np.exp(1j * phi2)
+
+
+def _write_reflection(H: np.ndarray, base: np.ndarray, config: WaveformConfig,
+                      scheme: ClockScheme, timeline: TouchTimeline,
+                      sensor_path: Path, geom: SensorGeometry,
+                      mech: MechanicalParams) -> np.ndarray:
+    """H = sensor phasor x gate + base, written one row block at a time.
+
+    base is the (K, 1) static multipath or an existing (K, N) trace.
+    """
+    gate = _gate(config, scheme, timeline, geom, mech)
+    phasor = _subcarrier_phasor(config, sensor_path)
+    for b in _row_blocks(*H.shape):
+        np.multiply(phasor[b, None], gate, out=H[b])
+        H[b] += base[b]
+    return H
 
 
 def _digest(*parts) -> str:
@@ -203,20 +234,32 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _quantize_rows(H: np.ndarray, bits: int) -> None:
+    """Quantize a 2-D complex128 array in place, one row block at a time."""
+    blocks = _row_blocks(*H.shape)
+    full_scale = max(float(np.max(np.abs(H[b].view(float)))) for b in blocks)
+    if full_scale == 0.0:
+        return
+    step = 2.0 * full_scale / (2 ** bits)
+    for b in blocks:
+        v = H[b].view(float)
+        v /= step
+        np.round(v, out=v)
+        v *= step
+        np.clip(v, -full_scale, full_scale, out=v)
+
+
 def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     """Uniform re/im quantization to 2^bits levels over the trace full scale.
 
-    Max elementwise deviation is full_scale / 2^bits.
+    Max elementwise deviation is full_scale / 2^bits.  Returns a new
+    complex128 array; beyond it only one row block is held at a time.
     """
     if not 4 <= bits <= 24:
         raise ValueError("quantize_bits must lie in [4, 24]")
-    view = data.view(float)
-    full_scale = float(np.max(np.abs(view)))
-    if full_scale == 0.0:
-        return data.copy()
-    step = 2.0 * full_scale / (2 ** bits)
-    q = np.clip(np.round(view / step) * step, -full_scale, full_scale)
-    return q.view(complex).reshape(data.shape)
+    out = np.array(data, dtype=np.complex128, order="C")
+    _quantize_rows(out.reshape(-1, out.shape[-1]), bits)
+    return out
 
 
 def synthesize(config: WaveformConfig, scheme: ClockScheme,
@@ -234,23 +277,29 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     static = np.zeros(K, dtype=np.complex128)
     for path in multipath.paths:
         static += _subcarrier_phasor(config, path)
-    H = _sensor_term(config, scheme, timeline, multipath.sensor_path, geom, mech)
-    H += static[:, None]
+    H = _write_reflection(np.empty((K, N), dtype=np.complex128),
+                          static[:, None], config, scheme, timeline,
+                          multipath.sensor_path, geom, mech)
     if noise.snr_db is not None:
         alpha = abs(multipath.sensor_path.amplitude)
         if alpha == 0.0:
             raise ValueError("snr_db is defined against the sensor path; "
                              "its amplitude must be nonzero when noise is on")
         sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
+        scale = math.sqrt(sigma2 / 2.0)
         rng = np.random.default_rng(noise.seed)
-        # re and im take the first and second (K, N) draws, in that order
-        draw = np.empty((K, N))
+        blocks = _row_blocks(K, N)
+        buf = np.empty((blocks[0].stop, N))
+        # re and im take the first and second (K, N) draws, in that order;
+        # drawing them block by block consumes the stream in the same order
         for part in (H.real, H.imag):
-            rng.standard_normal(out=draw)
-            draw *= math.sqrt(sigma2 / 2.0)
-            part += draw
+            for b in blocks:
+                draw = buf[:b.stop - b.start]
+                rng.standard_normal(out=draw)
+                draw *= scale
+                part[b] += draw
     if noise.quantize_bits is not None:
-        H = quantize(H, noise.quantize_bits)
+        _quantize_rows(H, noise.quantize_bits)
     prov = {"seed": noise.seed,
             "config_digest": _digest(config, scheme, multipath, noise,
                                      timeline, geom, mech)}
@@ -271,11 +320,12 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     clash = existing.intersection(scheme2.read_freqs)
     if clash:
         raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
-    extra = _sensor_term(trace.config, scheme2, timeline2, sensor_path2,
-                         geom2, mech2)
+    data = _write_reflection(np.empty_like(trace.data), trace.data,
+                             trace.config, scheme2, timeline2, sensor_path2,
+                             geom2, mech2)
     prov = dict(trace.provenance)
     prov["sensors"] = len(trace.schemes) + 1
-    return ChannelTrace(config=trace.config, data=trace.data + extra,
+    return ChannelTrace(config=trace.config, data=data,
                         schemes=trace.schemes + (scheme2,),
                         geometry=trace.geometry, provenance=prov)
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
+from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
+                               NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, add_second_sensor,
                                equivalent_doppler_velocity, quantize,
@@ -128,11 +130,21 @@ def test_quantize_applied_by_synthesize():
     assert not np.array_equal(coarse.data, exact.data)
 
 
-@pytest.mark.parametrize("bits", [None, 10])
-def test_noise_layout_is_two_seeded_draws(bits):
+# (K, N) shapes for the layout test, keyed by a test-id suffix: one block;
+# BLOCK_FLOATS // 5 snapshots give 5 rows per block, so 12 rows split 5 + 5 + 2;
+# a row just longer than a block is a block of its own
+LAYOUT_SHAPES = {"": (8, 300),
+                 "-uneven_blocks": (12, BLOCK_FLOATS // 5),
+                 "-row_blocks": (3, BLOCK_FLOATS + 1)}
+
+
+@pytest.mark.parametrize("bits, shape", [
+    pytest.param(bits, shape, id=f"{bits}{tag}")
+    for tag, shape in LAYOUT_SHAPES.items() for bits in (None, 10)])
+def test_noise_layout_is_two_seeded_draws(bits, shape):
     # pins the seeded noise: re takes default_rng(seed)'s first (K, N)
     # standard_normal draw, im the second, both scaled by sqrt(sigma^2 / 2)
-    wf = WaveformConfig(n_subcarriers=8, n_snapshots=300)
+    wf = WaveformConfig(n_subcarriers=shape[0], n_snapshots=shape[1])
     timeline = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
     snr_db, seed = 17.0, 12345
     quiet = synthesize(wf, SCHEME, timeline, MP, QUIET, GEOM, MECH)
@@ -140,13 +152,41 @@ def test_noise_layout_is_two_seeded_draws(bits):
                        NoiseSpec(snr_db=snr_db, seed=seed, quantize_bits=bits),
                        GEOM, MECH)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((8, 300))
-    b = rng.standard_normal((8, 300))
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
     sigma2 = abs(MP.sensor_path.amplitude) ** 2 * 10.0 ** (-snr_db / 10.0)
     want = quiet.data + math.sqrt(sigma2 / 2.0) * (a + 1j * b)
     if bits is not None:
         want = quantize(want, bits)
     assert noisy.data.tobytes() == want.tobytes()  # bit for bit
+
+
+def _traced_peak(fn):
+    """fn's result and the most memory it held above what it started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_holds_one_array_plus_a_block():
+    # H is allocated once and filled, perturbed and quantized in row blocks;
+    # a whole-array noise draw or isfinite temporary would exceed this bound
+    wf = WaveformConfig(n_subcarriers=64, n_snapshots=20000)
+    timeline = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
+    noisy = NoiseSpec(snr_db=20.0, seed=3)
+    trace, peak = _traced_peak(lambda: synthesize(
+        wf, SCHEME, timeline, MP, noisy, GEOM, MECH))
+    bound = 1.15 * trace.data.nbytes + 2 ** 20
+    assert peak <= bound
+    pair, peak = _traced_peak(lambda: add_second_sensor(
+        trace, make_scheme(1400.0), timeline, Path(0.5 - 0.3j, 1.7), GEOM, MECH))
+    assert peak <= bound
+    _, peak = _traced_peak(lambda: quantize(pair.data, 8))
+    assert peak <= bound
 
 
 def test_add_second_sensor_superposes_exactly():
@@ -161,7 +201,7 @@ def test_add_second_sensor_superposes_exactly():
     solo2 = synthesize(WF_SMALL, scheme2, ramp,
                        MultipathProfile(paths=(), sensor_path=path2),
                        QUIET, GEOM, MECH)
-    assert np.max(np.abs((pair.data - base.data) - solo2.data)) < 1e-12
+    assert np.array_equal(pair.data, base.data + solo2.data)
     assert len(pair.schemes) == 2
     assert pair.provenance["sensors"] == 2
 
@@ -203,6 +243,21 @@ def test_trace_is_frozen_and_validated():
     bad[1, 3] = np.nan
     with pytest.raises(ValueError):
         ChannelTrace(config=WF_SMALL, data=bad)
+
+
+@pytest.mark.parametrize("where, value", [
+    pytest.param((11, -1), complex(np.nan, 0.0), id="nan_in_last_block"),
+    pytest.param((6, 7), complex(1.0, np.inf), id="inf_imag_only"),
+    pytest.param((0, 0), complex(-np.inf, 2.0), id="inf_real_only")])
+def test_trace_rejects_non_finite_in_any_block(where, value):
+    # 12 rows of BLOCK_FLOATS // 5 snapshots check in blocks of 5 + 5 + 2 rows:
+    # a NaN in the last block and an inf in only the imaginary part must fail
+    wf = WaveformConfig(n_subcarriers=12, n_snapshots=BLOCK_FLOATS // 5)
+    data = np.ones((12, BLOCK_FLOATS // 5), dtype=complex)
+    ChannelTrace(config=wf, data=data.copy())
+    data[where] = value
+    with pytest.raises(ValueError, match="trace entries must all be finite"):
+        ChannelTrace(config=wf, data=data)
 
 
 def test_equivalent_doppler_velocity():
