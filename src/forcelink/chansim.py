@@ -145,7 +145,8 @@ class ChannelTrace:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        # a view, so freezing it leaves the caller's array writeable
+        arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
         if arr.shape != (self.config.n_subcarriers, self.config.n_snapshots):
             raise ValueError(
                 f"data shape {arr.shape} does not match config "

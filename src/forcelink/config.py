@@ -1,13 +1,21 @@
 """Experiment configuration: one JSON document describing a whole run.
 
 Sections: waveform, clocks, geometry, mechanics, multipath, noise, timeline,
-plus optional grouping, calibration, sweep, and second_sensor blocks.  Keys
-are validated strictly; unknown keys are rejected rather than ignored.
+plus optional grouping, calibration and sweep blocks.  A section's keys are
+the fields of the dataclass it builds (clocks use freq/duty/offset) and keys
+it omits take the reference defaults.  read_section is the one JSON ->
+dataclass step: unknown keys and missing or malformed values are ConfigErrors
+naming the section (CLI exit 2).  traceio reads trace headers and datasets
+with it too and re-raises its errors as ValueErrors naming the file (exit 1).
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import numbers
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
@@ -19,10 +27,72 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 2."""
 
 
-def _take(d: dict, section: str, known: set[str]) -> None:
+_type_hints = functools.cache(typing.get_type_hints)  # once per dataclass
+
+
+def _take(d, section: str, known: set[str]) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(
+            f"'{section}' must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+
+
+def _convert(tp, v, name: str, keys: dict | None = None):
+    """v as a value of type annotation tp, or a ConfigError naming it."""
+    if tp in (float, int, str):
+        if tp is str:
+            ok = isinstance(v, str)
+        else:  # a number but not true/false, and a whole one for an int
+            ok = (isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+                  and (tp is float or isinstance(v, (int, numbers.Integral))
+                       or float(v).is_integer()))
+        if not ok:
+            raise ConfigError(f"bad {name}: expected {tp.__name__}, got {v!r}")
+        return tp(v)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if v is None else _convert(args[0], v, name, keys)
+    if tp is complex:  # [re, im]
+        return complex(*_convert(tuple[float, float], v, name))
+    if origin is tuple:  # tuple[X, ...] or tuple[X, X, ...] of fixed length
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(v, (list, tuple)) or n not in (None, len(v)):
+            raise ConfigError(f"bad {name}: expected a list of "
+                              f"{f'{n} ' if n else ''}values, got {v!r}")
+        return tuple(_convert(args[0], x, f"{name}[{i}]", keys)
+                     for i, x in enumerate(v))
+    return read_section(tp, v, name, {}, keys)  # a nested dataclass
+
+
+def _build(cls, section: str, *args, **kwargs):
+    """cls(*args, **kwargs), its own ValueErrors raised as ConfigErrors."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"bad {section}: {e}") from e
+
+
+def read_section(cls, doc, section: str, defaults: dict, keys: dict | None = None):
+    """Build dataclass cls from the JSON object doc merged over defaults.
+
+    keys maps JSON keys to field names where they differ, here and in nested
+    dataclasses.  Unknown or (after the merge) missing keys, values that do
+    not convert to their field's type and the dataclass's own checks all
+    raise a ConfigError naming the section.
+    """
+    field_key = {f: k for k, f in (keys or {}).items()}
+    names = {field_key.get(f.name, f.name): f.name for f in fields(cls)}
+    _take(doc, section, set(names))
+    merged = {**defaults, **doc}
+    missing = sorted(set(names) - set(merged))
+    if missing:
+        raise ConfigError(f"missing keys in '{section}': {missing}")
+    hints = _type_hints(cls)
+    return _build(cls, section, **{
+        names[k]: _convert(hints[names[k]], v, f"{section}.{k}", keys)
+        for k, v in merged.items()})
 
 
 @dataclass(frozen=True)
@@ -57,14 +127,10 @@ class ExperimentConfig:
 def default_config_dict() -> dict:
     """The reference desk-scale setup, serializable and editable."""
     return {
-        "waveform": {"n_subcarriers": 64, "subcarrier_spacing_hz": 195312.5,
-                     "frame_period_s": 720.0 / 12.5e6, "carrier_hz": 2.4e9,
-                     "n_snapshots": 1875},
+        "waveform": asdict(WaveformConfig()),
         "clocks": {"f_s_hz": 1000.0},
-        "geometry": {"length_mm": 80.0, "signal_width_mm": 2.5,
-                     "ground_width_mm": 6.0, "height_mm": 0.63, "eps_eff": 1.0},
-        "mechanics": {"contact_threshold_n": 0.5, "force_scale_n": 4.0,
-                      "max_halfwidth_mm": 13.0, "asymmetry_exponent": 1.0},
+        "geometry": asdict(SensorGeometry()),
+        "mechanics": asdict(MechanicalParams()),
         "multipath": {
             "paths": [{"amplitude": [100.0, 0.0], "distance_m": 0.0},
                       {"amplitude": [0.4, 0.3], "distance_m": 3.2},
@@ -78,162 +144,83 @@ def default_config_dict() -> dict:
     }
 
 
-def _parse_clock(d: dict, name: str) -> SwitchClock:
-    _take(d, name, {"freq", "duty", "offset"})
-    try:
-        return SwitchClock(frequency=float(d["freq"]), duty=float(d["duty"]),
-                           phase_offset=float(d.get("offset", 0.0)))
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad {name}: {e}") from e
-
-
-def _parse_scheme(d: dict) -> ClockScheme:
-    _take(d, "clocks", {"f_s_hz", "clock_a", "clock_b"})
+def parse_scheme(d, section: str = "clocks") -> ClockScheme:
+    """A clock scheme from f_s_hz alone or from explicit clock_a and clock_b."""
+    _take(d, section, {"f_s_hz", "clock_a", "clock_b"})
     if "clock_a" in d or "clock_b" in d:
         if not ("clock_a" in d and "clock_b" in d):
-            raise ConfigError("clocks needs both clock_a and clock_b, or just f_s_hz")
-        try:
-            return ClockScheme(clock_a=_parse_clock(d["clock_a"], "clock_a"),
-                               clock_b=_parse_clock(d["clock_b"], "clock_b"))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+            raise ConfigError(
+                f"{section} needs both clock_a and clock_b, or just f_s_hz")
+        return _build(ClockScheme, section, *(
+            read_section(SwitchClock, d[name], f"{section}.{name}", {"offset": 0.0},
+                         {"freq": "frequency", "offset": "phase_offset"})
+            for name in ("clock_a", "clock_b")))
     if "f_s_hz" not in d:
-        raise ConfigError("clocks needs f_s_hz or explicit clock_a/clock_b")
-    return make_scheme(float(d["f_s_hz"]))
+        raise ConfigError(f"{section} needs f_s_hz or explicit clock_a/clock_b")
+    return _build(make_scheme, section,
+                  _convert(float, d["f_s_hz"], f"{section}.f_s_hz"))
 
 
-def _parse_path(d: dict, name: str) -> Path:
-    _take(d, name, {"amplitude", "distance_m"})
-    try:
-        re, im = d["amplitude"]
-        return Path(amplitude=complex(float(re), float(im)),
-                    distance_m=float(d["distance_m"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad path '{name}': {e}") from e
-
-
-def _parse_timeline(rows: list) -> TouchTimeline:
+def _parse_timeline(rows) -> TouchTimeline:
+    if not isinstance(rows, list):
+        raise ConfigError(f"'timeline' must be a JSON list, got {type(rows).__name__}")
     entries = []
     for i, row in enumerate(rows):
-        _take(row, f"timeline[{i}]", {"start_snapshot", "touch"})
-        touch = row.get("touch")
-        if touch is not None:
-            _take(touch, f"timeline[{i}].touch", {"force_n", "location_mm"})
-            touch = TouchEvent(force_n=float(touch["force_n"]),
-                               location_mm=float(touch["location_mm"]))
-        entries.append((int(row["start_snapshot"]), touch))
-    try:
-        return TouchTimeline(entries=tuple(entries))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        name = f"timeline[{i}]"
+        _take(row, name, {"start_snapshot", "touch"})
+        entries.append((
+            _convert(int, row.get("start_snapshot"), f"{name}.start_snapshot"),
+            _convert(TouchEvent | None, row.get("touch"), f"{name}.touch")))
+    return _build(TouchTimeline, "timeline", entries=tuple(entries))
+
+
+def _force_range(spec) -> list[float]:
+    """The forces of a calibration.forces_n {start, stop, step} range spec."""
+    _take(spec, "calibration.forces_n", {"start", "stop", "step"})
+    start, stop, step = (_convert(float, spec.get(k), f"calibration.forces_n.{k}")
+                         for k in ("start", "stop", "step"))
+    if not (step > 0.0 and stop >= start):
+        raise ConfigError("calibration.forces_n needs step > 0 and stop >= start")
+    return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document and build the typed experiment description."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     _take(doc, "config", {"waveform", "clocks", "geometry", "mechanics",
                           "multipath", "noise", "timeline", "grouping",
                           "calibration", "sweep"})
     base = default_config_dict()
 
-    wf = {**base["waveform"], **doc.get("waveform", {})}
-    _take(wf, "waveform", {"n_subcarriers", "subcarrier_spacing_hz",
-                           "frame_period_s", "carrier_hz", "n_snapshots"})
-    try:
-        waveform = WaveformConfig(
-            n_subcarriers=int(wf["n_subcarriers"]),
-            subcarrier_spacing_hz=float(wf["subcarrier_spacing_hz"]),
-            frame_period_s=float(wf["frame_period_s"]),
-            carrier_hz=float(wf["carrier_hz"]),
-            n_snapshots=int(wf["n_snapshots"]))
-    except ValueError as e:
-        raise ConfigError(f"bad waveform: {e}") from e
+    def section(cls, name, defaults):
+        return read_section(cls, doc.get(name, {}), name, defaults)
 
-    scheme = _parse_scheme(doc.get("clocks", base["clocks"]))
+    grouping = doc.get("grouping", {})
+    _take(grouping, "grouping", {"group_size"})
+    gs = grouping.get("group_size", "auto")
+    group_size = None if gs == "auto" else _convert(int, gs, "grouping.group_size")
+    if group_size is not None and group_size < 1:
+        raise ConfigError("group_size must be >= 1 or 'auto'")
 
-    geo = {**base["geometry"], **doc.get("geometry", {})}
-    _take(geo, "geometry", {"length_mm", "signal_width_mm", "ground_width_mm",
-                            "height_mm", "eps_eff"})
-    try:
-        geometry = SensorGeometry(**{k: float(v) for k, v in geo.items()})
-    except ValueError as e:
-        raise ConfigError(f"bad geometry: {e}") from e
+    calibration = doc.get("calibration", {})
+    if isinstance(calibration, dict) and isinstance(calibration.get("forces_n"), dict):
+        calibration = {**calibration,
+                       "forces_n": _force_range(calibration["forces_n"])}
 
-    mech_d = {**base["mechanics"], **doc.get("mechanics", {})}
-    _take(mech_d, "mechanics", {"contact_threshold_n", "force_scale_n",
-                                "max_halfwidth_mm", "asymmetry_exponent"})
-    try:
-        mechanics = MechanicalParams(**{k: float(v) for k, v in mech_d.items()})
-    except ValueError as e:
-        raise ConfigError(f"bad mechanics: {e}") from e
-
-    mp_d = doc.get("multipath", base["multipath"])
-    _take(mp_d, "multipath", {"paths", "sensor_path"})
-    multipath = MultipathProfile(
-        paths=tuple(_parse_path(p, f"paths[{i}]")
-                    for i, p in enumerate(mp_d.get("paths", []))),
-        sensor_path=_parse_path(
-            mp_d.get("sensor_path", base["multipath"]["sensor_path"]),
-            "sensor_path"))
-
-    noise_d = {**base["noise"], **doc.get("noise", {})}
-    _take(noise_d, "noise", {"snr_db", "seed", "quantize_bits"})
-    try:
-        noise = NoiseSpec(
-            snr_db=None if noise_d["snr_db"] is None else float(noise_d["snr_db"]),
-            seed=int(noise_d["seed"]),
-            quantize_bits=(None if noise_d["quantize_bits"] is None
-                           else int(noise_d["quantize_bits"])))
-    except ValueError as e:
-        raise ConfigError(f"bad noise: {e}") from e
-
-    timeline = _parse_timeline(doc.get("timeline", base["timeline"]))
-
-    group_size = None
-    if "grouping" in doc:
-        _take(doc["grouping"], "grouping", {"group_size"})
-        gs = doc["grouping"].get("group_size", "auto")
-        if gs != "auto":
-            group_size = int(gs)
-            if group_size < 1:
-                raise ConfigError("group_size must be >= 1 or 'auto'")
-
-    calibration = CalibrationSettings()
-    if "calibration" in doc:
-        _take(doc["calibration"], "calibration", {"locations_mm", "forces_n"})
-        c = doc["calibration"]
-        locs = tuple(float(x) for x in c.get("locations_mm",
-                                             calibration.locations_mm))
-        forces = c.get("forces_n", list(calibration.forces_n))
-        if isinstance(forces, dict):
-            _take(forces, "calibration.forces_n", {"start", "stop", "step"})
-            start, stop, step = (float(forces["start"]), float(forces["stop"]),
-                                 float(forces["step"]))
-            n = int(round((stop - start) / step)) + 1
-            forces = [start + i * step for i in range(n)]
-        calibration = CalibrationSettings(locations_mm=locs,
-                                          forces_n=tuple(float(f) for f in forces))
-
-    sweep = SweepSettings()
-    if "sweep" in doc:
-        _take(doc["sweep"], "sweep", {"test_locations_mm", "force_range_n",
-                                      "trials", "snr_grid_db", "second_f_s_hz"})
-        s = doc["sweep"]
-        sweep = SweepSettings(
-            test_locations_mm=tuple(float(x) for x in s.get(
-                "test_locations_mm", sweep.test_locations_mm)),
-            force_range_n=tuple(float(x) for x in s.get(
-                "force_range_n", sweep.force_range_n)),
-            trials=int(s.get("trials", sweep.trials)),
-            snr_grid_db=tuple(float(x) for x in s.get(
-                "snr_grid_db", sweep.snr_grid_db)),
-            second_f_s_hz=float(s.get("second_f_s_hz", sweep.second_f_s_hz)))
-
-    cfg = ExperimentConfig(waveform=waveform, scheme=scheme, geometry=geometry,
-                           mechanics=mechanics, multipath=multipath, noise=noise,
-                           timeline=timeline, group_size=group_size,
-                           calibration=calibration, sweep=sweep)
+    cfg = ExperimentConfig(
+        waveform=section(WaveformConfig, "waveform", base["waveform"]),
+        scheme=parse_scheme(doc.get("clocks", base["clocks"])),
+        geometry=section(SensorGeometry, "geometry", base["geometry"]),
+        mechanics=section(MechanicalParams, "mechanics", base["mechanics"]),
+        multipath=read_section(
+            MultipathProfile, doc.get("multipath", base["multipath"]),
+            "multipath", {"paths": [],
+                          "sensor_path": base["multipath"]["sensor_path"]}),
+        noise=section(NoiseSpec, "noise", base["noise"]),
+        timeline=_parse_timeline(doc.get("timeline", base["timeline"])),
+        group_size=group_size,
+        calibration=read_section(CalibrationSettings, calibration, "calibration",
+                                 asdict(CalibrationSettings())),
+        sweep=section(SweepSettings, "sweep", asdict(SweepSettings())))
     validate(cfg)
     return cfg
 

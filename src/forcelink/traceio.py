@@ -6,21 +6,25 @@ outer, k inner), so a group of snapshots is one contiguous byte range.
 open_trace maps the payload unread and TraceFile.blocks streams it in chunks
 of whole groups, so a decode holds about CHUNK_BYTES of any trace in memory;
 write_trace converts and writes the payload in chunks of the same size.
+A malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
 
 import json
 import mmap
 import os
-from dataclasses import asdict, dataclass, field, fields
+import pathlib
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator
 
 import numpy as np
 
-from .calib import CalibrationDataset, LocationFit, Sample, SensorModel
+from .calib import CalibrationDataset, LocationFit, SensorModel
 from .chansim import ChannelTrace, WaveformConfig
 from .clocks import ClockScheme, SwitchClock
+from .config import parse_scheme, read_section
 from .decoder import PhaseSeries
 from .transducer import SensorGeometry
 
@@ -40,11 +44,19 @@ def scheme_to_dict(scheme: ClockScheme) -> dict:
             "clock_b": clock(scheme.clock_b)}
 
 
-def scheme_from_dict(d: dict) -> ClockScheme:
-    def clock(cd: dict) -> SwitchClock:
-        return SwitchClock(frequency=cd["freq"], duty=cd["duty"],
-                           phase_offset=cd["offset"])
-    return ClockScheme(clock_a=clock(d["clock_a"]), clock_b=clock(d["clock_b"]))
+@contextmanager
+def _json_object(what: str, path, raw: bytes) -> Iterator[dict]:
+    """Yield the JSON object in raw; what reading it raises (KeyError,
+    TypeError, ValueError, ConfigError) becomes one ValueError naming path."""
+    try:
+        doc = json.loads(raw)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        yield doc
+    except KeyError as e:
+        raise ValueError(f"bad {what} in {path}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"bad {what} in {path}: {e}") from None
 
 
 def write_trace(trace: ChannelTrace, path) -> None:
@@ -101,21 +113,23 @@ def open_trace(path) -> TraceFile:
             raise ValueError("truncated header")
         offset = f.tell()
         size = os.fstat(f.fileno()).st_size - offset
-    header = json.loads(line.decode("utf-8"))
-    wf = header["waveform"]
-    cfg = WaveformConfig(**{fd.name: wf[fd.name] for fd in fields(WaveformConfig)})
+    with _json_object("trace header", path, line) as header:
+        cfg = read_section(WaveformConfig, header.get("waveform"), "waveform", {})
+        schemes = tuple(parse_scheme(d, f"schemes[{i}]")
+                        for i, d in enumerate(header.get("schemes", [])))
+        geometry = header.get("geometry")
+        if geometry is not None:
+            geometry = read_section(SensorGeometry, geometry, "geometry", {})
     expected = cfg.n_subcarriers * cfg.n_snapshots * _PAYLOAD_DTYPE.itemsize
     if size < expected:
         raise ValueError(f"truncated payload: {size} bytes, expected {expected}")
     if size > expected:
         raise ValueError("trailing bytes after payload")
-    geom = header.get("geometry")
     return TraceFile(
         config=cfg,
         data=np.memmap(path, dtype=_PAYLOAD_DTYPE, mode="r", offset=offset,
                        shape=(cfg.n_snapshots, cfg.n_subcarriers)),
-        schemes=tuple(scheme_from_dict(d) for d in header.get("schemes", [])),
-        geometry=SensorGeometry(**geom) if geom else None,
+        schemes=schemes, geometry=geometry,
         provenance=header.get("provenance", {}))
 
 
@@ -146,18 +160,19 @@ def write_model(model: SensorModel, path) -> None:
 
 
 def read_model(path) -> SensorModel:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    fits = []
-    for loc, row in zip(doc["locations_mm"], doc["per_location"]):
-        fits.append(LocationFit(
-            location_mm=loc,
-            c_port1=tuple(row[f"c{i}_port1"] for i in range(4)),
-            c_port2=tuple(row[f"c{i}_port2"] for i in range(4)),
-            rms_rad=float(np.radians(row["rms_deg"])),
-        ))
-    return SensorModel(carrier_hz=doc["carrier_hz"], fits=tuple(fits),
-                       force_range_n=tuple(doc["force_range_n"]))
+    with _json_object("model", path, pathlib.Path(path).read_bytes()) as doc:
+        fits = tuple(
+            LocationFit(location_mm=float(loc),
+                        c_port1=tuple(float(row[f"c{i}_port1"]) for i in range(4)),
+                        c_port2=tuple(float(row[f"c{i}_port2"]) for i in range(4)),
+                        rms_rad=float(np.radians(row["rms_deg"])))
+            for loc, row in zip(doc["locations_mm"], doc["per_location"],
+                                strict=True))
+        if len(fits) < 2:
+            raise ValueError(f"needs at least 2 locations, got {len(fits)}")
+        f_lo, f_hi = doc["force_range_n"]
+        return SensorModel(carrier_hz=float(doc["carrier_hz"]), fits=fits,
+                           force_range_n=(float(f_lo), float(f_hi)))
 
 
 def write_dataset(data: CalibrationDataset, path) -> None:
@@ -171,13 +186,9 @@ def write_dataset(data: CalibrationDataset, path) -> None:
 
 
 def read_dataset(path) -> CalibrationDataset:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    samples = tuple(Sample(force_n=r["force_n"], location_mm=r["location_mm"],
-                           phi1=r["phi1_rad"], phi2=r["phi2_rad"])
-                    for r in doc["samples"])
-    return CalibrationDataset(samples=samples, carrier_hz=doc["carrier_hz"],
-                              source=doc.get("source", "imported"))
+    with _json_object("dataset", path, pathlib.Path(path).read_bytes()) as doc:
+        return read_section(CalibrationDataset, doc, "dataset", {"source": "imported"},
+                            {"phi1_rad": "phi1", "phi2_rad": "phi2"})
 
 
 def write_phase_csv(series: PhaseSeries, path, snr_db=(None, None),

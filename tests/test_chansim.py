@@ -245,6 +245,15 @@ def test_trace_is_frozen_and_validated():
         ChannelTrace(config=WF_SMALL, data=bad)
 
 
+def test_trace_freezes_a_view_not_the_callers_array():
+    d = np.ones((4, 50), dtype=complex)  # already complex128 and C-contiguous
+    trace = ChannelTrace(config=WF_SMALL, data=d)
+    d[0, 0] = 5
+    assert trace.data.flags.writeable is False
+    with pytest.raises(ValueError, match="read-only"):
+        trace.data[0, 0] = 7
+
+
 @pytest.mark.parametrize("where, value", [
     pytest.param((11, -1), complex(np.nan, 0.0), id="nan_in_last_block"),
     pytest.param((6, 7), complex(1.0, np.inf), id="inf_imag_only"),

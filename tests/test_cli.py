@@ -97,6 +97,23 @@ def test_calibrate_writes_model_and_dataset(tmp_path):
     assert read_model(model2_path).fits == model.fits
 
 
+@pytest.mark.parametrize("dataset", [
+    {"carrier_hz": 2.4e9, "source": "imported"},
+    "samples",
+    {"carrier_hz": 2.4e9, "samples": [{"force_n": 1.0, "location_mm": 20.0,
+                                       "phi1_rad": 0.1}]},
+    {"carrier_hz": 2.4e9, "samples": [{"force_n": "1", "location_mm": 20.0,
+                                       "phi1_rad": 0.1, "phi2_rad": 0.2}]},
+], ids=["no-samples", "string-root", "sample-no-phi2", "string-force"])
+def test_malformed_dataset_fails_calibrate(tmp_path, capsys, dataset):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(dataset))
+    assert cli.main(["calibrate", "--from-dataset", str(path),
+                     "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad dataset in {path}")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_calibrate_requires_a_source(tmp_path):
     assert cli.main(["calibrate", "--out", str(tmp_path / "m.json")]) == 2
 

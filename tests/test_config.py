@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from forcelink import cli
 from forcelink.config import (ConfigError, default_config_dict, load_config,
                               parse_config)
 
@@ -157,3 +158,74 @@ def test_load_config_file_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(default_config_dict()))
     assert load_config(good).scheme.f_s == 1000.0
+
+
+def forces_range(start, stop, step):
+    return {"calibration": {"forces_n": {"start": start, "stop": stop,
+                                         "step": step}}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"geometry": {"length_mm": None}},
+    {"waveform": [1]},
+    {"noise": "loud"},
+    {"timeline": [{"touch": None}]},
+    {"timeline": {"start_snapshot": 0}},
+    forces_range(1.0, 8.0, 0),
+    forces_range(1.0, 8.0, -0.5),
+    forces_range(8.0, 1.0, 0.5),
+    {"calibration": {"forces_n": {"start": 1.0, "stop": 8.0}}},
+    {"sweep": {"trials": "x"}},
+    {"sweep": {"trials": 2.5}},
+    {"sweep": {"force_range_n": [1]}},
+    {"grouping": {"group_size": "x"}},
+    {"grouping": {"group_size": None}},
+    {"clocks": {"f_s_hz": -1000.0}},
+    {"clocks": {"clock_a": {"freq": 1000.0},
+                "clock_b": {"freq": 2000.0, "duty": 0.25}}},
+    {"multipath": {"paths": 5}},
+    {"noise": {"seed": True}},
+], ids=["null-float", "section-list", "section-string", "row-no-start",
+        "timeline-object", "step-zero", "step-negative", "stop-below-start",
+        "range-no-step", "trials-string", "trials-fraction", "range-one-value",
+        "group-size-string", "group-size-null", "negative-f_s", "clock-no-duty",
+        "paths-number", "seed-bool"])
+def test_malformed_config_is_a_config_error(doc, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(path), "--mode", "force",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_section_errors_name_the_section():
+    with pytest.raises(ConfigError, match=r"sweep\.trials"):
+        parse_config({"sweep": {"trials": "x"}})
+    with pytest.raises(ConfigError, match=r"missing keys in 'timeline\[0\]\.touch'"):
+        parse_config({"timeline": [{"start_snapshot": 0,
+                                    "touch": {"force_n": 1.0}}]})
+    with pytest.raises(ConfigError, match=r"bad geometry: eps_eff"):
+        parse_config({"geometry": {"eps_eff": 0.5}})
+
+
+def test_default_document_bytes_are_pinned():
+    # its waveform, geometry and mechanics sections come from the dataclass
+    # defaults, so changing one of those must show here
+    assert json.dumps(default_config_dict()) == (
+        '{"waveform": {"n_subcarriers": 64, "subcarrier_spacing_hz": 195312.5, '
+        '"frame_period_s": 5.76e-05, "carrier_hz": 2400000000.0, '
+        '"n_snapshots": 1875}, "clocks": {"f_s_hz": 1000.0}, '
+        '"geometry": {"length_mm": 80.0, "signal_width_mm": 2.5, '
+        '"ground_width_mm": 6.0, "height_mm": 0.63, "eps_eff": 1.0}, '
+        '"mechanics": {"contact_threshold_n": 0.5, "force_scale_n": 4.0, '
+        '"max_halfwidth_mm": 13.0, "asymmetry_exponent": 1.0}, '
+        '"multipath": {"paths": [{"amplitude": [100.0, 0.0], "distance_m": 0.0}, '
+        '{"amplitude": [0.4, 0.3], "distance_m": 3.2}, '
+        '{"amplitude": [-0.2, 0.1], "distance_m": 7.4}], '
+        '"sensor_path": {"amplitude": [1.0, 0.0], "distance_m": 1.0}}, '
+        '"noise": {"snr_db": 25.0, "seed": 1, "quantize_bits": null}, '
+        '"timeline": [{"start_snapshot": 0, "touch": null}, '
+        '{"start_snapshot": 625, "touch": {"force_n": 4.0, "location_mm": 40.0}}]}')

@@ -108,3 +108,60 @@ def test_damaged_trace_fails_decode(trace_path, tmp_path, edit):
     with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(2)):
         assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def header_edit(change):
+    """An edit replacing the trace's JSON header line with change(header)."""
+    def edit(raw):
+        start = len(traceio.MAGIC)
+        end = raw.index(b"\n", start)
+        header = change(json.loads(raw[start:end]))
+        return raw[:start] + json.dumps(header).encode() + raw[end:]
+    return edit
+
+
+def drop(section, key):
+    def change(header):
+        part = header[section]
+        del (part[0] if isinstance(part, list) else part)[key]
+        return header
+    return change
+
+
+def extra_geometry_key(header):
+    header["geometry"]["width_mm"] = 1.0
+    return header
+
+
+@pytest.mark.parametrize("change, says", [
+    (drop("schemes", "clock_b"),
+     "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
+    (drop("waveform", "carrier_hz"), "missing keys in 'waveform': ['carrier_hz']"),
+    (extra_geometry_key, "unknown keys in 'geometry': ['width_mm']"),
+    (lambda header: [header], "expected a JSON object, got list"),
+], ids=["no-clock_b", "no-carrier", "extra-geometry-key", "list-header"])
+def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, says):
+    bad = damaged_copy(trace_path, tmp_path / "bad.trace", header_edit(change))
+    out = tmp_path / "phases.csv"
+    assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: bad trace header in {bad}: {says}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [
+    {"carrier_hz": 2.4e9, "locations_mm": [20.0, 60.0], "force_range_n": [1, 8]},
+    [1, 2],
+    {"carrier_hz": 2.4e9, "locations_mm": [20.0], "force_range_n": [1, 8],
+     "per_location": [{f"c{i}_port{p}": "x" for i in range(4) for p in (1, 2)}
+                      | {"rms_deg": 0.1}]},
+    {"carrier_hz": 2.4e9, "locations_mm": [], "force_range_n": [1, 8],
+     "per_location": []},
+], ids=["no-per_location", "list-root", "string-coefficient", "no-locations"])
+def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "phases.csv"
+    assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
+                     "--model", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad model in {path}")
+    assert not out.exists()
