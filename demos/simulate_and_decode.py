@@ -3,7 +3,8 @@
 Synthesizes the wideband channel a reader would measure while a finger
 presses the line progressively harder, then recovers the per-group port
 phases using only the trace: project each snapshot group onto the read
-tones, difference the groups, anchor to the known no-touch phase.
+tones, difference each group against the first, anchor to the known
+no-touch phase.
 
 Run: python3 demos/simulate_and_decode.py
 """
@@ -13,8 +14,7 @@ import numpy as np
 
 from forcelink.chansim import TouchTimeline, synthesize
 from forcelink.config import default_config_dict, parse_config
-from forcelink.decoder import (GroupingSpec, anchor, auto_group_size,
-                               group_phases, read_sensor_snr)
+from forcelink.decoder import GroupingSpec, anchor, auto_group_size, group_phases
 from forcelink.sweeps import no_touch_phase
 from forcelink.transducer import (TouchEvent, port_phases, shorting_segment,
                                   wrap_phase)
@@ -35,10 +35,9 @@ print(f"trace: {trace.data.shape[0]} subcarriers x {trace.data.shape[1]} "
       f"snapshots at {cfg.noise.snr_db:.0f} dB SNR, seed "
       f"{trace.provenance['seed']}")
 
-spec = GroupingSpec(Ng)
-series = anchor(group_phases(trace, cfg.scheme, spec), no_touch_phase(cfg))
-snr1 = read_sensor_snr(trace, cfg.scheme.read_freqs[0], spec)
-snr2 = read_sensor_snr(trace, cfg.scheme.read_freqs[1], spec)
+series = group_phases(trace, cfg.scheme, GroupingSpec(Ng))
+phases = anchor(series, no_touch_phase(cfg))
+snr1, snr2 = series.snr_db
 print(f"estimated SNR from the trace itself: {snr1:.1f} / {snr2:.1f} dB\n")
 
 print("group  press   decoded phi1/phi2 (rad)    transducer truth (rad)")
@@ -47,8 +46,7 @@ for g, F in enumerate(forces):
     touch = None if F is None else TouchEvent(F, 30.0)
     truth = port_phases(shorting_segment(touch, cfg.mechanics, cfg.geometry),
                         cfg.geometry, wf.carrier_hz)
-    p1 = wrap_phase(float(series.phi1[g]))
-    p2 = wrap_phase(float(series.phi2[g]))
+    p1, p2 = (wrap_phase(float(p)) for p in phases[g])
     worst = max(worst, abs(wrap_phase(p1 - truth.phi1_wrapped)),
                 abs(wrap_phase(p2 - truth.phi2_wrapped)))
     label = "open " if F is None else f"{F:.0f} N  "

@@ -79,27 +79,24 @@ def cmd_decode(args) -> int:
         raise ConfigError(
             "inversion needs anchored phases; the trace must carry sensor "
             "geometry and --no-anchor must not be set")
+    model = traceio.read_model(args.model) if args.model is not None else None
     Ng = (args.group_size if args.group_size is not None
           else auto_group_size(trace.config, trace.schemes))
-    dec = decode_blocks(trace.blocks(Ng), trace.config, GroupingSpec(Ng), scheme)
-    series = dec.series
+    series = decode_blocks(trace.blocks(Ng), trace.config, GroupingSpec(Ng), scheme)
+    phases = extra = None
     if anchored:
-        series = anchor(series, port_phases(ShortingState.open(), trace.geometry,
+        phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
                                             trace.config.carrier_hz))
-    snr1, snr2 = dec.snr_db
-    extra = None
-    if args.model is not None:
-        model = traceio.read_model(args.model)
-        ests = [calib.invert(model, float(p1), float(p2))
-                for p1, p2 in zip(series.phi1, series.phi2)]
+    if model is not None:
+        ests = [calib.invert(model, float(p1), float(p2)) for p1, p2 in phases]
         extra = {
             "est_force_n": [e.force_n for e in ests],
             "est_location_mm": [e.location_mm for e in ests],
             "residual_rad2": [e.residual_rad2 for e in ests],
             "reliable": [int(e.reliable) for e in ests],
         }
-    traceio.write_phase_csv(series, args.out, snr_db=(snr1, snr2),
-                            extra_columns=extra)
+    traceio.write_phase_csv(series, args.out, phases, extra_columns=extra)
+    snr1, snr2 = series.snr_db
     _info(f"wrote {args.out}: {series.n_groups} groups of {Ng} snapshots, "
           f"snr {snr1:.1f}/{snr2:.1f} dB")
     return 0
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--model", default=None,
                      help="sensor model JSON; adds inversion columns")
     dec.add_argument("--no-anchor", action="store_true",
-                     help="emit raw steps only, skip cumulative phases")
+                     help="emit raw steps only, skip anchored phases")
     dec.set_defaults(func=cmd_decode)
 
     cal = sub.add_parser("calibrate", help="fit and write the sensor model")

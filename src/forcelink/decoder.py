@@ -3,20 +3,23 @@
 The switch imprints an artificial modulation tone on the sensor's reflection,
 so in slow time each subcarrier's channel estimate carries that tone with the
 port's reflection phase.  Projecting each group of snapshots onto a read
-frequency isolates one port; conjugate-multiplying consecutive group
-projections and averaging across subcarriers yields the group-to-group phase
-change with static multipath cancelled exactly when groups hold an integer
-number of modulation cycles.
+frequency isolates one port; conjugate-multiplying two groups' projections
+and averaging across subcarriers yields the phase change between them, with
+static multipath cancelled exactly when groups hold an integer number of
+modulation cycles.  Steps pair consecutive groups; phases pair each group
+with group 0, so anchoring them to the no-touch phase adds no error along
+the trace.
 
 decode_blocks computes every figure of a decode in one pass over snapshot-
-major blocks of whole groups, carrying only a block's last group to the next,
-so memory follows the block size, not the trace length, and a trace file
-streams through it (traceio.TraceFile.blocks) as an in-memory trace does.
+major blocks of whole groups, carrying only group 0's and a block's last
+group's projections to the next, so memory follows the block size, not the
+trace length, and a trace file streams through it (traceio.TraceFile.blocks)
+as an in-memory trace does.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -76,54 +79,70 @@ def auto_group_size(config: WaveformConfig,
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Decoded per-group phase changes for both ports, plus anchored phases.
+    """What one decode pass yields.
 
-    dphi arrays have length n_groups - 1: dphi[g] is the change from group g
-    to group g + 1.  phi arrays (length n_groups) appear after anchoring.
-    suspect flags mark steps close enough to +-pi to be wrap aliases.
+    Column t of steps and phases belongs to read tone t, i.e. port t + 1.
+    steps[g, t] is the phase change from group g to g + 1 and phases[g, t]
+    group g's phase relative to group 0 (phases[0] is 0), both in [-pi, pi].
+    signal[t] is the tone's median group projection energy, sigma2 the
+    per-sample noise power.  Without a scheme the phase arrays have no
+    columns.
     """
 
-    read_freqs: tuple[float, float]
+    scheme: ClockScheme | None
     group_size: int
     group_duration_s: float
-    dphi1: np.ndarray
-    dphi2: np.ndarray
-    suspect1: np.ndarray
-    suspect2: np.ndarray
-    phi1: np.ndarray | None = None
-    phi2: np.ndarray | None = None
+    steps: np.ndarray
+    phases: np.ndarray
+    signal: np.ndarray
+    sigma2: float
 
     @property
     def n_groups(self) -> int:
-        return len(self.dphi1) + 1
+        return len(self.phases)
 
     def group_times(self) -> np.ndarray:
         """Start time of each group, seconds."""
         return np.arange(self.n_groups) * self.group_duration_s
 
+    @property
+    def suspect(self) -> np.ndarray:
+        """Flags the steps close enough to +-pi to be wrap aliases."""
+        return np.abs(self.steps) > SLEW_SUSPECT_LIMIT
+
+    @property
+    def snr_db(self) -> tuple[float, ...]:
+        """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
+        if self.sigma2 <= 0.0:
+            return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
+        gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
+        alpha2 = np.maximum(self.signal - self.sigma2 / self.group_size, 0.0)
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(alpha2 / (gain ** 2 * self.sigma2))
+        return tuple(float(x) for x in np.clip(db, SNR_FLOOR_DB, SNR_CAP_DB))
+
+
 
 def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
                  spec: GroupingSpec | None = None) -> PhaseSeries:
-    """Both ports' group-to-group phase changes; defaults: first scheme, auto size."""
+    """Decode both ports of an in-memory trace; defaults: first scheme, auto size."""
     if scheme is None:
         if not trace.schemes:
             raise ValueError("trace carries no scheme; pass one explicitly")
         scheme = trace.schemes[0]
     if spec is None:
         spec = GroupingSpec(auto_group_size(trace.config, trace.schemes or scheme))
-    return decode_blocks([trace.data.T], trace.config, spec, scheme).series
+    return decode_blocks([trace.data.T], trace.config, spec, scheme)
 
 
-def anchor(series: PhaseSeries, no_touch: PortPhases) -> PhaseSeries:
-    """Attach absolute phases by accumulating steps from the no-touch phase.
+def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
+    """Absolute (n_groups, 2) port phases, taking group 0 as untouched.
 
-    phi[0] is the known open-line phase; phi[g] = phi[g-1] + dphi[g-1].  Any
-    step that truly exceeded +-pi between groups was wrapped by the decoder,
-    so anchored phases are exact modulo 2 pi (see suspect flags).
+    Each group's phase relative to group 0 plus the known open-line phase,
+    so a group's error is its own and group 0's, however far it lies from
+    group 0; anchored phases are exact modulo 2 pi.
     """
-    phi1 = no_touch.phi1 + np.concatenate(([0.0], np.cumsum(series.dphi1)))
-    phi2 = no_touch.phi2 + np.concatenate(([0.0], np.cumsum(series.dphi2)))
-    return replace(series, phi1=phi1, phi2=phi2)
+    return series.phases + (no_touch.phi1, no_touch.phi2)
 
 
 def project_groups(block: np.ndarray, n0: int, read_freqs: Sequence[float],
@@ -147,54 +166,16 @@ def _spread(n: int, count: int = 97) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, count)).astype(int)
 
 
-@dataclass(frozen=True)
-class TraceDecode:
-    """What one decode pass yields.
-
-    steps[g, t] is the phase change at read tone t from group g to g + 1,
-    signal[t] the tone's median group projection energy, sigma2 the
-    per-sample noise power.
-    """
-
-    scheme: ClockScheme | None
-    group_size: int
-    group_duration_s: float
-    steps: np.ndarray
-    signal: np.ndarray
-    sigma2: float
-
-    @property
-    def series(self) -> PhaseSeries:
-        """Both ports' steps with their wrap-suspect flags."""
-        if len(self.steps) < 1:
-            raise ValueError("need at least 2 groups, trace holds 1 at size "
-                             f"{self.group_size}")
-        d1, d2 = self.steps.T
-        return PhaseSeries(self.scheme.read_freqs, self.group_size,
-                           self.group_duration_s, d1, d2,
-                           np.abs(d1) > SLEW_SUSPECT_LIMIT,
-                           np.abs(d2) > SLEW_SUSPECT_LIMIT)
-
-    @property
-    def snr_db(self) -> tuple[float, ...]:
-        """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
-        if self.sigma2 <= 0.0:
-            return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
-        gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
-        alpha2 = np.maximum(self.signal - self.sigma2 / self.group_size, 0.0)
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(alpha2 / (gain ** 2 * self.sigma2))
-        return tuple(float(x) for x in np.clip(db, SNR_FLOOR_DB, SNR_CAP_DB))
-
-
 def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
-                  spec: GroupingSpec, scheme: ClockScheme | None = None) -> TraceDecode:
+                  spec: GroupingSpec, scheme: ClockScheme | None = None) -> PhaseSeries:
     """Decode a trace in one pass over consecutive snapshot-major blocks.
 
     Blocks hold whole groups; snapshots past the last whole group are
     ignored.  A step is the angle of P[g+1, k] conj(P[g, k]) averaged over
-    subcarriers, so the projection magnitudes drop out; a tone's signal is
-    the median group energy, which a mid-group step cannot drag down.
+    subcarriers, so the projection magnitudes drop out, and a phase that of
+    P[g, k] conj(P[0, k]); with a scheme the trace needs 2 groups.  A tone's
+    signal is the median group energy, which a mid-group step cannot drag
+    down.
     sigma^2 is the minimum over group pairs (a step-free pair sees pure
     noise) of the median energy at odd bins (robust to a step inside it),
     unbiased by ln 2; one group falls back to its own odd bins, where
@@ -205,11 +186,15 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
     G = config.n_snapshots // Ng
     if G < 1:
         raise ValueError("trace shorter than one group")
+    if scheme is not None and G < 2:
+        raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
     freqs = scheme.read_freqs if scheme is not None else ()
     m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
     half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]
-    n0, last = 0, None  # last: the previous group's projections, noise rows
-    steps, energy, pair_noise = [], [], []
+    # P0: group 0's conjugate projections; last: the previous group's
+    # projections and noise rows
+    n0, P0, last = 0, None, None
+    steps, phases, energy, pair_noise = [], [], [], []
     for block in blocks:
         if n0 % Ng or n0 + len(block) > config.n_snapshots:
             raise ValueError("blocks must hold whole groups within the trace")
@@ -220,6 +205,9 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
         rows = np.asarray(block[:g * Ng, :NOISE_SUBCARRIERS],
                           dtype=np.complex128).reshape(g, Ng, -1)
         energy.append(np.mean(np.abs(P) ** 2, axis=-1))
+        if P0 is None:
+            P0 = P[0].conj()
+        phases.append(np.angle((P * P0).mean(axis=-1)))
         if last is not None:
             P, rows = np.concatenate((last[0], P)), np.concatenate((last[1], rows))
         steps.append(np.angle((P[1:] * P[:-1].conj()).mean(axis=-1)))
@@ -239,8 +227,8 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
         own = np.fft.fft(last[1][0], axis=0)[1 + 2 * _spread(Ng // 2)]
         per_bin = float(np.median(np.abs(own / Ng) ** 2))
     # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
-    return TraceDecode(scheme, Ng, Ng * config.frame_period_s,
-                       np.concatenate(steps),
+    return PhaseSeries(scheme, Ng, Ng * config.frame_period_s,
+                       np.concatenate(steps), np.concatenate(phases),
                        np.median(np.concatenate(energy), axis=0),
                        per_bin / math.log(2.0) * n_win)
 

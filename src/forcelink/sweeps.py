@@ -53,9 +53,9 @@ def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
     noise = replace(cfg.noise, seed=int(seed))
     trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
                        cfg.geometry, cfg.mechanics)
-    series = anchor(group_phases(trace, cfg.scheme, GroupingSpec(Ng)),
-                    no_touch_phase(cfg))
-    est = calib.invert(model, float(series.phi1[-1]), float(series.phi2[-1]))
+    phi1, phi2 = anchor(group_phases(trace, cfg.scheme, GroupingSpec(Ng)),
+                        no_touch_phase(cfg))[-1]
+    est = calib.invert(model, float(phi1), float(phi2))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             "est_force_n": est.force_n, "est_location_mm": est.location_mm,
             "force_err_n": abs(est.force_n - force_n),
@@ -104,8 +104,8 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
                       quantize_bits=cfg.noise.quantize_bits)
     trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
                        cfg.geometry, cfg.mechanics)
-    series = group_phases(trace, cfg.scheme, GroupingSpec(Ng))
-    return float(series.dphi1[0]), float(series.dphi2[0])
+    d1, d2 = group_phases(trace, cfg.scheme, GroupingSpec(Ng)).steps[0]
+    return float(d1), float(d2)
 
 
 def run_snr_sweep(cfg: ExperimentConfig, snr_grid_db=None,
@@ -185,15 +185,12 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
             pair = add_second_sensor(solo, scheme1, held,
                                      cfg.multipath.sensor_path,
                                      cfg.geometry, cfg.mechanics)
-        ref = group_phases(solo, v_scheme, spec)
-        dirty = group_phases(pair, v_scheme, spec)
-        for g in range(ref.n_groups - 1):
-            for port, d_ref, d_dirty in ((1, ref.dphi1, dirty.dphi1),
-                                         (2, ref.dphi2, dirty.dphi2)):
-                rows.append({"kind": "trial", "victim_sensor": victim,
-                             "port": port, "group": g,
-                             "crosstalk_deg": math.degrees(
-                                 abs(d_dirty[g] - d_ref[g]))})
+        leak = (group_phases(pair, v_scheme, spec).steps
+                - group_phases(solo, v_scheme, spec).steps)
+        for (g, t), d in np.ndenumerate(leak):
+            rows.append({"kind": "trial", "victim_sensor": victim,
+                         "port": t + 1, "group": g,
+                         "crosstalk_deg": math.degrees(abs(d))})
     aggregates = []
     for victim in (1, 2):
         vals = np.array([r["crosstalk_deg"] for r in rows

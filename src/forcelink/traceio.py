@@ -191,31 +191,26 @@ def read_dataset(path) -> CalibrationDataset:
                             {"phi1_rad": "phi1", "phi2_rad": "phi2"})
 
 
-def write_phase_csv(series: PhaseSeries, path, snr_db=(None, None),
+def write_phase_csv(series: PhaseSeries, path, phases: np.ndarray | None = None,
                     extra_columns: dict | None = None) -> None:
-    """Per-group CSV; '.' decimal, LF newlines.
+    """Per-group CSV of one decode; '.' decimal, LF newlines.
 
-    Row g carries the step into group g (0 for the first group), anchored
-    phases when present, and the per-port SNR estimates if supplied.
-    extra_columns maps name -> sequence of len n_groups (e.g. inversion
-    output).
+    Row g carries the step into group g (0 for the first group), the
+    anchored phases (anchor's (n_groups, 2) output; blank cells when phases
+    is None) and the decode's per-port SNR estimates.  extra_columns maps
+    name -> sequence of len n_groups (e.g. inversion output).
     """
-    deg = np.degrees
-    G = series.n_groups
-    d1 = np.concatenate(([0.0], deg(series.dphi1)))
-    d2 = np.concatenate(([0.0], deg(series.dphi2)))
+    steps = np.degrees(np.concatenate((np.zeros((1, 2)), series.steps)))
+    phi = np.degrees(phases) if phases is not None else None
+    snr = [repr(s) for s in series.snr_db]
     t = series.group_times()
-    cols = list(PHASE_CSV_COLUMNS)
     extra = extra_columns or {}
-    cols += list(extra.keys())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for g in range(G):
-            row = [str(g), repr(float(t[g])), repr(float(d1[g])), repr(float(d2[g]))]
-            for phi in (series.phi1, series.phi2):
-                row.append(repr(float(deg(phi[g]))) if phi is not None else "")
-            for s in snr_db:
-                row.append(repr(float(s)) if s is not None else "")
-            for name in extra:
-                row.append(repr(float(extra[name][g])))
+        f.write(",".join(PHASE_CSV_COLUMNS + tuple(extra)) + "\n")
+        for g in range(series.n_groups):
+            row = [str(g), repr(float(t[g]))]
+            row += [repr(float(x)) for x in steps[g]]
+            row += [repr(float(x)) for x in phi[g]] if phi is not None else ["", ""]
+            row += snr
+            row += [repr(float(extra[name][g])) for name in extra]
             f.write(",".join(row) + "\n")

@@ -90,10 +90,9 @@ def test_03_decoder_exactness():
             (phi1 if port == 1 else phi2)[n >= ng] += delta
             series = group_phases(tone_trace(wf, scheme, phi1, phi2),
                                   scheme, spec)
-            moved, still = ((series.dphi1, series.dphi2) if port == 1
-                            else (series.dphi2, series.dphi1))
-            worst_step = max(worst_step, abs(float(moved[0]) - delta),
-                             abs(float(still[0])))
+            moved, still = series.steps[0, port - 1], series.steps[0, 2 - port]
+            worst_step = max(worst_step, abs(float(moved) - delta),
+                             abs(float(still)))
 
     # static reflections up to 40 dB above the sensor return project to zero
     phi1 = np.full(wf.n_snapshots, 0.3)
@@ -104,8 +103,7 @@ def test_03_decoder_exactness():
                * np.exp(2j * np.pi * rng.random((10, wf.n_subcarriers))))
     dirty = group_phases(tone_trace(wf, scheme, phi1, phi2,
                                     static_offsets=offsets), scheme, spec)
-    worst_mp = max(abs(float(dirty.dphi1[0] - clean.dphi1[0])),
-                   abs(float(dirty.dphi2[0] - clean.dphi2[0])))
+    worst_mp = float(np.abs(dirty.steps[0] - clean.steps[0]).max())
     dt = time.perf_counter() - t0
     ok = worst_step < 1e-9 and worst_mp < 1e-6 and dt < 10.0
     report(3, ok, f"injected-step error {worst_step:.2e} rad, 10 static "

@@ -43,11 +43,12 @@ def in_memory_csv(trace_path, tmp_path_factory):
     """What decode writes, computed from read_trace's in-memory trace."""
     trace = read_trace(trace_path)
     scheme = trace.schemes[0]
-    dec = decode_blocks([trace.data.T], trace.config, GroupingSpec(NG), scheme)
+    series = decode_blocks([trace.data.T], trace.config, GroupingSpec(NG),
+                           scheme)
     quiet = port_phases(ShortingState.open(), trace.geometry,
                         trace.config.carrier_hz)
     out = tmp_path_factory.mktemp("mem") / "phases.csv"
-    write_phase_csv(anchor(dec.series, quiet), out, snr_db=dec.snr_db)
+    write_phase_csv(series, out, anchor(series, quiet))
     return out.read_bytes()
 
 
@@ -164,4 +165,16 @@ def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, model):
     assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
                      "--model", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: bad model in {path}")
+    assert not out.exists()
+
+
+def test_model_is_read_before_the_trace_streams(trace_path, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "phases.csv"
+    stub = mock.Mock(side_effect=AssertionError("decoded before reading --model"))
+    with mock.patch.object(cli, "decode_blocks", stub):
+        assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
+                         "--model", str(path)]) == 1
+    stub.assert_not_called()
     assert not out.exists()

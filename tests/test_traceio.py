@@ -149,20 +149,21 @@ def test_dataset_missing_source_defaults_to_imported(tmp_path):
     assert read_dataset(path).source == "imported"
 
 
-def phase_series(with_phi=True):
-    dphi1 = np.array([0.1, -0.2])
-    dphi2 = np.array([0.05, 0.3])
-    phi1 = np.array([1.0, 1.1, 0.9]) if with_phi else None
-    phi2 = np.array([-1.0, -0.95, -0.65]) if with_phi else None
-    return PhaseSeries(read_freqs=(1000.0, 4000.0), group_size=625,
-                       group_duration_s=0.036, dphi1=dphi1, dphi2=dphi2,
-                       suspect1=np.zeros(2, bool), suspect2=np.zeros(2, bool),
-                       phi1=phi1, phi2=phi2)
+def phase_series():
+    return PhaseSeries(scheme=make_scheme(1000.0), group_size=625,
+                       group_duration_s=0.036,
+                       steps=np.array([[0.1, 0.05], [-0.2, 0.3]]),
+                       phases=np.array([[0.0, 0.0], [0.1, 0.05], [-0.1, 0.35]]),
+                       signal=np.array([1.0, 0.25]), sigma2=0.01)
+
+
+ANCHORED = np.array([[1.0, -1.0], [1.1, -0.95], [0.9, -0.65]])
 
 
 def test_phase_csv_layout(tmp_path):
     path = tmp_path / "phases.csv"
-    write_phase_csv(phase_series(), path, snr_db=(24.5, 18.25),
+    series = phase_series()
+    write_phase_csv(series, path, ANCHORED,
                     extra_columns={"est_force_n": [0.0, 3.5, 4.0]})
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == ",".join(PHASE_CSV_COLUMNS) + ",est_force_n"
@@ -175,15 +176,19 @@ def test_phase_csv_layout(tmp_path):
     assert float(rows[2][3]) == pytest.approx(math.degrees(0.3))
     assert float(rows[1][1]) == pytest.approx(0.036)
     assert float(rows[0][4]) == pytest.approx(math.degrees(1.0))
-    assert float(rows[0][6]) == 24.5 and float(rows[0][7]) == 18.25
+    assert float(rows[2][5]) == pytest.approx(math.degrees(-0.65))
+    # SNR comes from the decode itself, the same on every row
+    snr1, snr2 = series.snr_db
+    assert snr1 != snr2
+    assert all(float(r[6]) == snr1 and float(r[7]) == snr2 for r in rows)
     assert [r[8] for r in rows] == ["0.0", "3.5", "4.0"]
 
 
-def test_phase_csv_blank_cells_without_anchor_or_snr(tmp_path):
+def test_phase_csv_blank_cells_without_anchor(tmp_path):
     path = tmp_path / "phases.csv"
-    write_phase_csv(phase_series(with_phi=False), path)
+    write_phase_csv(phase_series(), path)
     rows = [line.split(",") for line in
             path.read_text(encoding="utf-8").strip().split("\n")[1:]]
+    assert len(rows) == 3
     for r in rows:
         assert r[4] == "" and r[5] == ""  # no anchored phases
-        assert r[6] == "" and r[7] == ""  # no SNR estimates
