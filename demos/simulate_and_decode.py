@@ -31,8 +31,8 @@ timeline = TouchTimeline(entries=tuple(
 
 trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, cfg.noise,
                    cfg.geometry, cfg.mechanics)
-print(f"trace: {trace.data.shape[0]} subcarriers x {trace.data.shape[1]} "
-      f"snapshots at {cfg.noise.snr_db:.0f} dB SNR, seed "
+print(f"trace: {trace.data.shape[0]} snapshots x {trace.data.shape[1]} "
+      f"subcarriers at {cfg.noise.snr_db:.0f} dB SNR, seed "
       f"{trace.provenance['seed']}")
 
 series = group_phases(trace, cfg.scheme, GroupingSpec(Ng))

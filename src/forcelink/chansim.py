@@ -1,17 +1,17 @@
 """Wideband channel synthesis for a switched backscatter sensor.
 
-Produces the complex channel estimate matrix H[k, n] a reader would observe:
-k indexes OFDM subcarriers, n indexes channel snapshots taken every frame
-period T.  Static multipath contributes constant-in-n phasors; the sensor
-contributes its reflection gated by the two exact 0/1 switch states sampled
-at t = n T, so every switching harmonic and its aliases are present, not a
-truncated approximation.
+Produces the complex channel estimate matrix H[n, k] a reader would observe,
+snapshot-major as a reader emits it: n indexes snapshots taken every frame
+period T, k OFDM subcarriers.  Static multipath contributes constant-in-n
+phasors; the sensor contributes its reflection gated by the two exact 0/1
+switch states sampled at t = n T, so every switching harmonic and its
+aliases are present, not a truncated approximation.
 
-Memory: synthesize allocates H once, one (K, N) complex128 array, and fills,
-perturbs and quantizes it in row blocks of about BLOCK_FLOATS entries, so
-beyond H it holds only (N,)-sized vectors and one fixed block buffer.
-add_second_sensor, quantize and ChannelTrace's finiteness check work in the
-same blocks.
+Memory: synthesize allocates H once, one (N, K) complex128 array, and fills,
+perturbs and quantizes it in blocks of whole snapshots, at most about
+BLOCK_FLOATS entries each; its seeded noise is one (N, K, 2) standard_normal
+stream drawn into those blocks, whatever their size.  add_second_sensor,
+quantize and ChannelTrace's finiteness check work in such blocks too.
 """
 from __future__ import annotations
 
@@ -26,15 +26,12 @@ from .clocks import ClockScheme
 from .transducer import (SPEED_OF_LIGHT, MechanicalParams, SensorGeometry,
                          TouchEvent, port_phases, shorting_segment)
 
-BLOCK_FLOATS = 2 ** 16  # entries per row block (512 KB of float64 noise)
+BLOCK_FLOATS = 2 ** 16  # entries per row block (1 MB of complex128)
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Row slices of an (n_rows, n_cols) array, each about BLOCK_FLOATS entries.
-
-    A row longer than BLOCK_FLOATS is a block of its own.
-    """
-    step = max(1, BLOCK_FLOATS // n_cols)
+def _row_blocks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
+    """Row slices of an (n_rows, n_cols) array: ~size (BLOCK_FLOATS) entries, >= 1 row."""
+    step = max(1, (BLOCK_FLOATS if size is None else size) // n_cols)
     return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
@@ -139,7 +136,7 @@ class ChannelTrace:
     """A synthesized (or loaded) channel matrix with its describing metadata."""
 
     config: WaveformConfig
-    data: np.ndarray  # complex, shape (K, N)
+    data: np.ndarray  # complex, shape (N, K): one row per snapshot
     schemes: tuple[ClockScheme, ...] = ()
     geometry: SensorGeometry | None = None
     provenance: dict = field(default_factory=dict)
@@ -147,10 +144,10 @@ class ChannelTrace:
     def __post_init__(self):
         # a view, so freezing it leaves the caller's array writeable
         arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
-        if arr.shape != (self.config.n_subcarriers, self.config.n_snapshots):
+        if arr.shape != (self.config.n_snapshots, self.config.n_subcarriers):
             raise ValueError(
                 f"data shape {arr.shape} does not match config "
-                f"({self.config.n_subcarriers}, {self.config.n_snapshots})")
+                f"({self.config.n_snapshots}, {self.config.n_subcarriers})")
         for b in _row_blocks(*arr.shape):
             if not np.isfinite(arr[b]).all():
                 raise ValueError("trace entries must all be finite")
@@ -186,47 +183,46 @@ def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
         / SPEED_OF_LIGHT)
 
 
-def port_phase_arrays(timeline: TouchTimeline, geom: SensorGeometry,
-                      mech: MechanicalParams, carrier_hz: float,
-                      n_snapshots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot unwrapped port phases implied by the timeline."""
-    phi1 = np.empty(n_snapshots)
-    phi2 = np.empty(n_snapshots)
-    starts = [s for s, _ in timeline.entries] + [n_snapshots]
-    for (start, touch), end in zip(timeline.entries, starts[1:]):
-        if start >= n_snapshots:
-            break
-        pp = port_phases(shorting_segment(touch, mech, geom), geom, carrier_hz)
-        phi1[start:end] = pp.phi1
-        phi2[start:end] = pp.phi2
-    return phi1, phi2
-
-
 def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
           geom: SensorGeometry, mech: MechanicalParams) -> np.ndarray:
     """The sensor's (N,) gated reflection: switch states times e^{j phi}."""
-    t = np.arange(config.n_snapshots) * config.frame_period_s
-    s1, s2 = scheme.switch_states(t)
-    phi1, phi2 = port_phase_arrays(timeline, geom, mech, config.carrier_hz,
-                                   config.n_snapshots)
+    N = config.n_snapshots
+    phi = np.empty((2, N))  # per-snapshot port phases held by the timeline
+    starts = [s for s, _ in timeline.entries] + [N]
+    for (start, touch), end in zip(timeline.entries, starts[1:]):
+        if start >= N:
+            break
+        pp = port_phases(shorting_segment(touch, mech, geom), geom, config.carrier_hz)
+        phi[:, start:end] = ((pp.phi1,), (pp.phi2,))
+    s1, s2 = scheme.switch_states(np.arange(N) * config.frame_period_s)
     # reflection factor e^{+j phi}: phi is the phase OF the reflection
     # coefficient (port_phases convention), already negative with distance
-    return s1 * np.exp(1j * phi1) + s2 * np.exp(1j * phi2)
+    return s1 * np.exp(1j * phi[0]) + s2 * np.exp(1j * phi[1])
 
 
 def _write_reflection(H: np.ndarray, base: np.ndarray, config: WaveformConfig,
                       scheme: ClockScheme, timeline: TouchTimeline,
-                      sensor_path: Path, geom: SensorGeometry,
-                      mech: MechanicalParams) -> np.ndarray:
-    """H = sensor phasor x gate + base, written one row block at a time.
+                      sensor_path: Path, geom: SensorGeometry, mech: MechanicalParams,
+                      noise: tuple | None = None) -> np.ndarray:
+    """H = sensor phasor x gate + base, one block of snapshots at a time.
 
-    base is the (K, 1) static multipath or an existing (K, N) trace.
+    base is an (N, K) view: broadcast static multipath or an existing trace.
+    noise = (rng, scale) first fills each block with the next rows of rng's
+    (N, K, 2) standard_normal stream, times scale, then gets the reflection
+    added from a temporary of BLOCK_FLOATS // 8 entries: malloc reuses its
+    128 KB, where 1 MB temporaries cost 600 page faults per 64 x 1250 trace.
+    The phasor goes first: numpy's complex multiply is not bitwise symmetric.
     """
     gate = _gate(config, scheme, timeline, geom, mech)
     phasor = _subcarrier_phasor(config, sensor_path)
-    for b in _row_blocks(*H.shape):
-        np.multiply(phasor[b, None], gate, out=H[b])
-        H[b] += base[b]
+    for b in _row_blocks(*H.shape, BLOCK_FLOATS // 8):
+        if noise is None:
+            np.multiply(phasor, gate[b, None], out=H[b])
+            H[b] += base[b]
+        else:
+            v = noise[0].standard_normal(out=H[b].view(float))
+            v *= noise[1]
+            H[b] += phasor * gate[b, None] + base[b]
     return H
 
 
@@ -267,7 +263,7 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                timeline: TouchTimeline, multipath: MultipathProfile,
                noise: NoiseSpec, geom: SensorGeometry,
                mech: MechanicalParams) -> ChannelTrace:
-    """Synthesize the full channel matrix H[k, n].
+    """Synthesize the full channel matrix H[n, k].
 
     H = static multipath + sensor reflection gated by the exact switch states,
     plus circular complex AWGN whose per-entry power sits snr_db below the
@@ -278,27 +274,17 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     static = np.zeros(K, dtype=np.complex128)
     for path in multipath.paths:
         static += _subcarrier_phasor(config, path)
-    H = _write_reflection(np.empty((K, N), dtype=np.complex128),
-                          static[:, None], config, scheme, timeline,
-                          multipath.sensor_path, geom, mech)
+    draw = None
     if noise.snr_db is not None:
         alpha = abs(multipath.sensor_path.amplitude)
         if alpha == 0.0:
             raise ValueError("snr_db is defined against the sensor path; "
                              "its amplitude must be nonzero when noise is on")
         sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
-        scale = math.sqrt(sigma2 / 2.0)
-        rng = np.random.default_rng(noise.seed)
-        blocks = _row_blocks(K, N)
-        buf = np.empty((blocks[0].stop, N))
-        # re and im take the first and second (K, N) draws, in that order;
-        # drawing them block by block consumes the stream in the same order
-        for part in (H.real, H.imag):
-            for b in blocks:
-                draw = buf[:b.stop - b.start]
-                rng.standard_normal(out=draw)
-                draw *= scale
-                part[b] += draw
+        draw = np.random.default_rng(noise.seed), math.sqrt(sigma2 / 2.0)
+    H = _write_reflection(np.empty((N, K), dtype=np.complex128),
+                          np.broadcast_to(static, (N, K)), config, scheme,
+                          timeline, multipath.sensor_path, geom, mech, draw)
     if noise.quantize_bits is not None:
         _quantize_rows(H, noise.quantize_bits)
     prov = {"seed": noise.seed,

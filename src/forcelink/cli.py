@@ -22,7 +22,7 @@ from dataclasses import replace
 from . import calib, sweeps, traceio
 from .config import (ConfigError, ExperimentConfig, parse_config,
                      read_config_doc)
-from .decoder import GroupingSpec, anchor, auto_group_size, decode_blocks
+from .decoder import GroupingSpec, anchor, decode_blocks, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
@@ -60,7 +60,7 @@ def cmd_simulate(args) -> int:
     cfg = replace(cfg, noise=replace(cfg.noise, seed=seed))
     trace = sweeps.simulate_from_config(cfg)
     traceio.write_trace(trace, args.out)
-    K, N = trace.data.shape
+    N, K = trace.data.shape
     _info(f"wrote {args.out}: {K} subcarriers x {N} snapshots, seed {seed}")
     return 0
 
@@ -74,14 +74,14 @@ def cmd_decode(args) -> int:
             f"--scheme-index {args.scheme_index} out of range, trace has "
             f"{len(trace.schemes)} scheme(s)")
     scheme = trace.schemes[args.scheme_index]
+    Ng = resolve_group_size(trace.config, trace.schemes, args.group_size,
+                            ConfigError)
     anchored = trace.geometry is not None and not args.no_anchor
     if args.model is not None and not anchored:
         raise ConfigError(
             "inversion needs anchored phases; the trace must carry sensor "
             "geometry and --no-anchor must not be set")
     model = traceio.read_model(args.model) if args.model is not None else None
-    Ng = (args.group_size if args.group_size is not None
-          else auto_group_size(trace.config, trace.schemes))
     series = decode_blocks(trace.blocks(Ng), trace.config, GroupingSpec(Ng), scheme)
     phases = extra = None
     if anchored:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
 from .clocks import ClockScheme, SwitchClock, make_scheme
+from .decoder import resolve_group_size
 from .transducer import MechanicalParams, SensorGeometry, TouchEvent
 
 
@@ -198,8 +199,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _take(grouping, "grouping", {"group_size"})
     gs = grouping.get("group_size", "auto")
     group_size = None if gs == "auto" else _convert(int, gs, "grouping.group_size")
-    if group_size is not None and group_size < 1:
-        raise ConfigError("group_size must be >= 1 or 'auto'")
 
     calibration = doc.get("calibration", {})
     if isinstance(calibration, dict) and isinstance(calibration.get("forces_n"), dict):
@@ -227,6 +226,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> None:
     nyquist_check(cfg.waveform, cfg.scheme, ConfigError)
+    if cfg.group_size is not None:
+        _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
     L = cfg.geometry.length_mm
     for _, touch in cfg.timeline.entries:
         if touch is not None and not 0.0 <= touch.location_mm <= L:

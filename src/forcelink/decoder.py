@@ -77,6 +77,19 @@ def auto_group_size(config: WaveformConfig,
     return size
 
 
+def resolve_group_size(config: WaveformConfig,
+                       schemes: Iterable[ClockScheme] | ClockScheme,
+                       size: int | None = None,
+                       error: type[Exception] = ValueError) -> int:
+    """size, or the auto size for None; raises error unless size is a positive
+    multiple of the auto size, i.e. holds whole cycles of every read tone."""
+    auto = auto_group_size(config, schemes)
+    if size is not None and (size < 1 or size % auto):
+        raise error(f"group size {size} is not a positive multiple of {auto}, "
+                    "the smallest holding whole cycles of every read tone")
+    return size or auto
+
+
 @dataclass(frozen=True)
 class PhaseSeries:
     """What one decode pass yields.
@@ -132,7 +145,7 @@ def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
         scheme = trace.schemes[0]
     if spec is None:
         spec = GroupingSpec(auto_group_size(trace.config, trace.schemes or scheme))
-    return decode_blocks([trace.data.T], trace.config, spec, scheme)
+    return decode_blocks([trace.data], trace.config, spec, scheme)
 
 
 def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
@@ -235,7 +248,7 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
 
 def noise_power(trace: ChannelTrace, spec: GroupingSpec) -> float:
     """Per-sample noise power sigma^2 estimated from the trace itself."""
-    return decode_blocks([trace.data.T], trace.config, spec).sigma2
+    return decode_blocks([trace.data], trace.config, spec).sigma2
 
 
 def read_sensor_snr(trace: ChannelTrace, read_freq: float,
@@ -243,6 +256,6 @@ def read_sensor_snr(trace: ChannelTrace, read_freq: float,
     """Per-sample sensor SNR (dB) at one read tone, from the trace itself."""
     for scheme in trace.schemes:
         if read_freq in scheme.read_freqs:
-            snr = decode_blocks([trace.data.T], trace.config, spec, scheme).snr_db
+            snr = decode_blocks([trace.data], trace.config, spec, scheme).snr_db
             return snr[scheme.read_freqs.index(read_freq)]
     raise ValueError(f"no scheme in trace reads {read_freq} Hz")

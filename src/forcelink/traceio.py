@@ -2,10 +2,11 @@
 
 Trace file layout: 8-byte magic "WFTRACE1", one newline-terminated UTF-8 JSON
 header line, then little-endian float32 (re, im) pairs, snapshot-major (n
-outer, k inner), so a group of snapshots is one contiguous byte range.
-open_trace maps the payload unread and TraceFile.blocks streams it in chunks
-of whole groups, so a decode holds about CHUNK_BYTES of any trace in memory;
-write_trace converts and writes the payload in chunks of the same size.
+outer, k inner) as ChannelTrace stores them, so write_trace writes the data
+as stored, in float32 chunks of about CHUNK_BYTES, and a group of snapshots
+is one contiguous byte range.  open_trace maps the payload unread and
+TraceFile.blocks streams it in chunks of whole groups, so a decode holds
+about CHUNK_BYTES of any trace in memory.
 A malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
@@ -67,16 +68,14 @@ def write_trace(trace: ChannelTrace, path) -> None:
         "provenance": trace.provenance,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    K, N = trace.data.shape
+    N, K = trace.data.shape
     step = max(1, CHUNK_BYTES // (K * _PAYLOAD_DTYPE.itemsize))
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         f.write(b"\n")
-        # snapshot-major payload (n outer, k inner), converted a chunk at a time
-        for start in range(0, N, step):
-            f.write(trace.data[:, start:start + step].T.astype(_PAYLOAD_DTYPE,
-                                                               order="C"))
+        for start in range(0, N, step):  # converted a chunk at a time
+            f.write(trace.data[start:start + step].astype(_PAYLOAD_DTYPE))
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def open_trace(path) -> TraceFile:
 def read_trace(path) -> ChannelTrace:
     """Load a whole trace file (every entry checked finite)."""
     tf = open_trace(path)
-    return ChannelTrace(config=tf.config, data=tf.data.T, schemes=tf.schemes,
+    return ChannelTrace(config=tf.config, data=tf.data, schemes=tf.schemes,
                         geometry=tf.geometry, provenance=tf.provenance)
 
 

@@ -28,7 +28,7 @@ def tone_trace(wf: WaveformConfig, scheme: ClockScheme,
     t = np.arange(wf.n_snapshots) * wf.frame_period_s
     tone = (g1 * np.exp(1j * (phi1_per_snapshot + 2.0 * np.pi * f1 * t))
             + g2 * np.exp(1j * (phi2_per_snapshot + 2.0 * np.pi * f2 * t)))
-    H = np.repeat(tone[None, :], wf.n_subcarriers, axis=0).astype(complex)
+    H = np.repeat(tone[:, None], wf.n_subcarriers, axis=1).astype(complex)
     for off in static_offsets:
-        H += np.asarray(off, dtype=complex)[:, None]
+        H += np.asarray(off, dtype=complex)[None, :]
     return ChannelTrace(config=wf, data=H, schemes=(scheme,))

@@ -254,9 +254,9 @@ def test_11_bit_exact_persistence(tmp_path):
     for trial in range(100):
         k = int(rng.integers(1, 7))
         n = int(rng.integers(2, 50))
-        c8 = np.empty((k, n), dtype="<c8")
-        c8.real = rng.normal(scale=1e3, size=(k, n)).astype(np.float32)
-        c8.imag = rng.normal(scale=1e-3, size=(k, n)).astype(np.float32)
+        c8 = np.empty((n, k), dtype="<c8")
+        c8.real = rng.normal(scale=1e3, size=(n, k)).astype(np.float32)
+        c8.imag = rng.normal(scale=1e-3, size=(n, k)).astype(np.float32)
         flat = c8.reshape(-1)
         idx = rng.choice(flat.size, size=min(len(specials), flat.size),
                          replace=False)

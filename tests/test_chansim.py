@@ -1,9 +1,14 @@
+import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forcelink import chansim
 from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
@@ -29,11 +34,11 @@ QUIET = NoiseSpec(snr_db=None)
 def loop_oracle(wf, scheme, timeline, mp, geom, mech):
     """Element-by-element resynthesis with explicit loops, no vectorization."""
     K, N = wf.n_subcarriers, wf.n_snapshots
-    H = np.zeros((K, N), dtype=complex)
-    for k in range(K):
-        for n in range(N):
+    H = np.zeros((N, K), dtype=complex)
+    for n in range(N):
+        for k in range(K):
             for p in mp.paths:
-                H[k, n] += p.amplitude * np.exp(
+                H[n, k] += p.amplitude * np.exp(
                     -2j * np.pi * k * wf.subcarrier_spacing_hz
                     * p.distance_m / SPEED_OF_LIGHT)
             t = n * wf.frame_period_s
@@ -43,7 +48,7 @@ def loop_oracle(wf, scheme, timeline, mp, geom, mech):
                              geom, wf.carrier_hz)
             gate = (float(s1) * np.exp(1j * pp.phi1)
                     + float(s2) * np.exp(1j * pp.phi2))
-            H[k, n] += mp.sensor_path.amplitude * np.exp(
+            H[n, k] += mp.sensor_path.amplitude * np.exp(
                 -2j * np.pi * k * wf.subcarrier_spacing_hz
                 * mp.sensor_path.distance_m / SPEED_OF_LIGHT) * gate
     return H
@@ -130,35 +135,65 @@ def test_quantize_applied_by_synthesize():
     assert not np.array_equal(coarse.data, exact.data)
 
 
-# (K, N) shapes for the layout test, keyed by a test-id suffix: one block;
-# BLOCK_FLOATS // 5 snapshots give 5 rows per block, so 12 rows split 5 + 5 + 2;
-# a row just longer than a block is a block of its own
-LAYOUT_SHAPES = {"": (8, 300),
+# (N, K) shapes for the layout test, keyed by a test-id suffix: one block;
+# BLOCK_FLOATS // 5 subcarriers give 5 snapshots per quantization block, so
+# 12 snapshots split 5 + 5 + 2, and one per noise block (BLOCK_FLOATS // 8
+# entries); a snapshot just longer than a block is a block of its own
+LAYOUT_SHAPES = {"": (300, 8),
                  "-uneven_blocks": (12, BLOCK_FLOATS // 5),
                  "-row_blocks": (3, BLOCK_FLOATS + 1)}
+LAYOUT_TIMELINE = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
+
+
+def layout_waveform(shape):
+    return WaveformConfig(n_subcarriers=shape[1], n_snapshots=shape[0])
 
 
 @pytest.mark.parametrize("bits, shape", [
     pytest.param(bits, shape, id=f"{bits}{tag}")
     for tag, shape in LAYOUT_SHAPES.items() for bits in (None, 10)])
 def test_noise_layout_is_two_seeded_draws(bits, shape):
-    # pins the seeded noise: re takes default_rng(seed)'s first (K, N)
-    # standard_normal draw, im the second, both scaled by sqrt(sigma^2 / 2)
-    wf = WaveformConfig(n_subcarriers=shape[0], n_snapshots=shape[1])
-    timeline = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
+    # pins the seeded noise (the name is kept for stable test ids): one
+    # (N, K, 2) standard_normal draw of default_rng(seed), re and im of each
+    # entry innermost, scaled by sqrt(sigma^2 / 2)
+    wf = layout_waveform(shape)
     snr_db, seed = 17.0, 12345
-    quiet = synthesize(wf, SCHEME, timeline, MP, QUIET, GEOM, MECH)
-    noisy = synthesize(wf, SCHEME, timeline, MP,
+    quiet = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP, QUIET, GEOM, MECH)
+    noisy = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP,
                        NoiseSpec(snr_db=snr_db, seed=seed, quantize_bits=bits),
                        GEOM, MECH)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(shape)
-    b = rng.standard_normal(shape)
+    d = np.random.default_rng(seed).standard_normal(shape + (2,))
     sigma2 = abs(MP.sensor_path.amplitude) ** 2 * 10.0 ** (-snr_db / 10.0)
-    want = quiet.data + math.sqrt(sigma2 / 2.0) * (a + 1j * b)
+    want = quiet.data + math.sqrt(sigma2 / 2.0) * (d[..., 0] + 1j * d[..., 1])
     if bits is not None:
         want = quantize(want, bits)
     assert noisy.data.tobytes() == want.tobytes()  # bit for bit
+
+
+def block_size_traces():
+    """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS."""
+    wf = layout_waveform(LAYOUT_SHAPES[""])
+    noisy, quantized = (
+        synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP,
+                   NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits),
+                   GEOM, MECH) for bits in (None, 10))
+    pair = add_second_sensor(noisy, make_scheme(1400.0), LAYOUT_TIMELINE,
+                             Path(0.5 - 0.3j, 1.7), GEOM, MECH)
+    return [t.data.tobytes() for t in (noisy, quantized, pair)]
+
+
+default_block_traces = functools.cache(block_size_traces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(min_value=1,
+                         max_value=2 * math.prod(LAYOUT_SHAPES[""]) + 3))
+def test_traces_do_not_depend_on_the_block_size(block):
+    # from one snapshot per block up; at the default size one block holds
+    # this whole trace
+    with mock.patch.object(chansim, "BLOCK_FLOATS", block):
+        got = block_size_traces()
+    assert got == default_block_traces()
 
 
 def _traced_peak(fn):
@@ -239,14 +274,14 @@ def test_trace_is_frozen_and_validated():
     assert trace.data.flags.writeable is False
     with pytest.raises(ValueError):
         ChannelTrace(config=WF_SMALL, data=np.zeros((2, 2), dtype=complex))
-    bad = np.zeros((4, 50), dtype=complex)
-    bad[1, 3] = np.nan
+    bad = np.zeros((50, 4), dtype=complex)
+    bad[3, 1] = np.nan
     with pytest.raises(ValueError):
         ChannelTrace(config=WF_SMALL, data=bad)
 
 
 def test_trace_freezes_a_view_not_the_callers_array():
-    d = np.ones((4, 50), dtype=complex)  # already complex128 and C-contiguous
+    d = np.ones((50, 4), dtype=complex)  # already complex128 and C-contiguous
     trace = ChannelTrace(config=WF_SMALL, data=d)
     d[0, 0] = 5
     assert trace.data.flags.writeable is False
@@ -259,9 +294,10 @@ def test_trace_freezes_a_view_not_the_callers_array():
     pytest.param((6, 7), complex(1.0, np.inf), id="inf_imag_only"),
     pytest.param((0, 0), complex(-np.inf, 2.0), id="inf_real_only")])
 def test_trace_rejects_non_finite_in_any_block(where, value):
-    # 12 rows of BLOCK_FLOATS // 5 snapshots check in blocks of 5 + 5 + 2 rows:
-    # a NaN in the last block and an inf in only the imaginary part must fail
-    wf = WaveformConfig(n_subcarriers=12, n_snapshots=BLOCK_FLOATS // 5)
+    # 12 snapshots of BLOCK_FLOATS // 5 subcarriers check in blocks of
+    # 5 + 5 + 2 snapshots: a NaN in the last block and an inf in only the
+    # imaginary part must fail
+    wf = WaveformConfig(n_subcarriers=BLOCK_FLOATS // 5, n_snapshots=12)
     data = np.ones((12, BLOCK_FLOATS // 5), dtype=complex)
     ChannelTrace(config=wf, data=data.copy())
     data[where] = value

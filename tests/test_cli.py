@@ -34,7 +34,7 @@ def test_simulate_then_decode_pipeline(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", trace_path]) == 0
     trace = read_trace(trace_path)
     assert trace.provenance["seed"] == 1  # config noise.seed
-    assert trace.data.shape == (64, 1875)
+    assert trace.data.shape == (1875, 64)
 
     assert cli.main(["decode", "--trace", trace_path, "--out", csv_path]) == 0
     rows = read_csv(csv_path)

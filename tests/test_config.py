@@ -122,6 +122,16 @@ def test_grouping_explicit_and_auto():
     assert parse_config({"grouping": {"group_size": "auto"}}).group_size is None
     with pytest.raises(ConfigError):
         parse_config({"grouping": {"group_size": 0}})
+    # a size must hold whole cycles of every read tone: a multiple of 625
+    # for the 1 kHz scheme, of 3125 for a 1.4 kHz one
+    assert parse_config({"grouping": {"group_size": 3 * 625}}).group_size == 1875
+    fast = {"clocks": {"f_s_hz": 1400.0}}
+    assert parse_config({"grouping": {"group_size": 3125}, **fast}).group_size == 3125
+    for doc in ({"grouping": {"group_size": 600}},
+                {"grouping": {"group_size": -625}},
+                {"grouping": {"group_size": 625}, **fast}):
+        with pytest.raises(ConfigError, match="not a positive multiple of"):
+            parse_config(doc)
 
 
 def test_noiseless_and_quantized_noise_settings():

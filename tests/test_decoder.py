@@ -82,7 +82,7 @@ def test_projection_single_group_matches_matrix_slice():
     mp = MultipathProfile(paths=(Path(3.0 + 0.0j, 0.0),),
                           sensor_path=Path(1.0, 1.0))
     trace = synthesize(wf, SCHEME, timeline, mp, NoiseSpec(None), GEOM, MECH)
-    rows, T = trace.data.T, wf.frame_period_s
+    rows, T = trace.data, wf.frame_period_s
     whole = project_groups(rows, 0, SCHEME.read_freqs, T, NG)
     assert whole.shape == (3, 2, 4)
     for g in range(3):
@@ -93,8 +93,8 @@ def test_projection_single_group_matches_matrix_slice():
         np.testing.assert_array_equal(P[0], whole[g])
         n = np.arange(g * NG, (g + 1) * NG)
         for t, f in enumerate(SCHEME.read_freqs):
-            want = (trace.data[:, n] * np.exp(-2j * np.pi * f * n * T)).sum(
-                axis=1) / NG
+            want = (trace.data[n] * np.exp(-2j * np.pi * f * n * T)[:, None]
+                    ).sum(axis=0) / NG
             np.testing.assert_allclose(P[0, t], want, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):  # a fourth group runs past the trace
         decode_blocks([rows, rows[:NG]], wf, GroupingSpec(NG), SCHEME)

@@ -43,7 +43,7 @@ def in_memory_csv(trace_path, tmp_path_factory):
     """What decode writes, computed from read_trace's in-memory trace."""
     trace = read_trace(trace_path)
     scheme = trace.schemes[0]
-    series = decode_blocks([trace.data.T], trace.config, GroupingSpec(NG),
+    series = decode_blocks([trace.data], trace.config, GroupingSpec(NG),
                            scheme)
     quiet = port_phases(ShortingState.open(), trace.geometry,
                         trace.config.carrier_hz)
@@ -79,8 +79,8 @@ def test_blocks_hold_whole_groups_within_the_chunk_size(trace_path):
     with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(3)):
         sizes = [len(b) for b in tf.blocks(NG)]
     assert sizes == [3 * NG] * 3 + [2 * NG + TAIL]
-    assert read_trace(trace_path).data.tobytes() == np.ascontiguousarray(
-        tf.data.T).astype(np.complex128).tobytes()
+    assert read_trace(trace_path).data.tobytes() == tf.data.astype(
+        np.complex128).tobytes()
 
 
 def damaged_copy(src, dst, edit):
@@ -178,3 +178,26 @@ def test_model_is_read_before_the_trace_streams(trace_path, tmp_path):
                          "--model", str(path)]) == 1
     stub.assert_not_called()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-625", "600"])
+def test_group_size_must_hold_whole_tone_cycles(trace_path, tmp_path, capsys, size):
+    # 625 snapshots hold whole cycles of both read tones; 600 holds 34.56
+    # cycles of the 1 kHz tone, so static multipath would not cancel
+    out = tmp_path / "phases.csv"
+    stub = mock.Mock(side_effect=AssertionError("decoded with a bad group size"))
+    with mock.patch.object(cli, "decode_blocks", stub):
+        assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
+                         "--group-size", size]) == 2
+    stub.assert_not_called()
+    assert not out.exists()
+    assert "not a positive multiple of 625" in capsys.readouterr().err
+
+
+def test_group_size_may_be_any_multiple_of_the_auto_size(trace_path, tmp_path):
+    out = tmp_path / "phases.csv"
+    assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
+                     "--group-size", str(2 * NG)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == (GROUPS * NG + TAIL) // (2 * NG)
+    assert float(rows[1].split(",")[1]) == pytest.approx(2 * NG * 720.0 / 12.5e6)

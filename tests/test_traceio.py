@@ -21,9 +21,9 @@ def small_config(k=3, n=7):
 
 def random_float32_trace(rng, k=3, n=7):
     """Trace whose payload exercises awkward float32 values."""
-    c8 = np.empty((k, n), dtype="<c8")
-    c8.real = rng.normal(scale=10.0, size=(k, n)).astype(np.float32)
-    c8.imag = rng.normal(scale=10.0, size=(k, n)).astype(np.float32)
+    c8 = np.empty((n, k), dtype="<c8")
+    c8.real = rng.normal(scale=10.0, size=(n, k)).astype(np.float32)
+    c8.imag = rng.normal(scale=10.0, size=(n, k)).astype(np.float32)
     specials = np.array([0.0, -0.0, 1e-45, -1e-45, 1.2e-38, -1.2e-38,
                          3.0e38, -3.0e38, 1.0], dtype=np.float32)
     flat = c8.reshape(-1)
@@ -55,7 +55,8 @@ def test_trace_payload_is_snapshot_major_float32(tmp_path):
     assert raw.startswith(MAGIC)
     header_end = raw.index(b"\n", len(MAGIC))
     payload = raw[header_end + 1:]
-    want = np.ascontiguousarray(trace.data.T).astype("<c8").tobytes()
+    # snapshot n's K pairs follow snapshot n - 1's: the (N, K) data as stored
+    want = trace.data.astype("<c8").tobytes()
     assert payload == want
 
 
