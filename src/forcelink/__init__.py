@@ -12,7 +12,7 @@ from .calib import (CalibrationDataset, Estimate, Sample, SensorModel,
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, NyquistError,
                       Path, TouchTimeline, WaveformConfig, add_second_sensor,
                       equivalent_doppler_velocity, nyquist_check, quantize,
-                      synthesize)
+                      synthesis_blocks, synthesize)
 from .clocks import (ClockScheme, DisjointReport, SwitchClock, make_scheme,
                      verify_disjoint)
 from .config import ConfigError, ExperimentConfig, default_config_dict, \
@@ -20,7 +20,8 @@ from .config import ConfigError, ExperimentConfig, default_config_dict, \
 from .decoder import (GroupingSpec, PhaseSeries, anchor, auto_group_size,
                       decode_blocks, group_phases, noise_power, read_sensor_snr)
 from .traceio import (open_trace, read_dataset, read_model, read_trace,
-                      write_dataset, write_model, write_phase_csv, write_trace)
+                      write_dataset, write_model, write_phase_csv, write_trace,
+                      write_trace_blocks)
 from .transducer import (MechanicalParams, PortPhases, SensorGeometry,
                          ShortingState, TouchEvent, impedance, phase_per_mm,
                          port_phases, propagation_constant, shorting_segment,
@@ -33,7 +34,8 @@ __all__ = [
     "fit_model", "generate_sweep", "invert", "model_forward",
     "ChannelTrace", "MultipathProfile", "NoiseSpec", "NyquistError", "Path",
     "TouchTimeline", "WaveformConfig", "add_second_sensor",
-    "equivalent_doppler_velocity", "nyquist_check", "quantize", "synthesize",
+    "equivalent_doppler_velocity", "nyquist_check", "quantize",
+    "synthesis_blocks", "synthesize",
     "ClockScheme", "DisjointReport", "SwitchClock", "make_scheme",
     "verify_disjoint",
     "ConfigError", "ExperimentConfig", "default_config_dict", "load_config",
@@ -41,7 +43,7 @@ __all__ = [
     "GroupingSpec", "PhaseSeries", "anchor", "auto_group_size",
     "decode_blocks", "group_phases", "noise_power", "read_sensor_snr",
     "open_trace", "read_dataset", "read_model", "read_trace", "write_dataset",
-    "write_model", "write_phase_csv", "write_trace",
+    "write_model", "write_phase_csv", "write_trace", "write_trace_blocks",
     "MechanicalParams", "PortPhases", "SensorGeometry", "ShortingState",
     "TouchEvent", "impedance", "phase_per_mm", "port_phases",
     "propagation_constant", "shorting_segment", "solve_width_ratio",

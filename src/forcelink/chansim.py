@@ -7,11 +7,15 @@ phasors; the sensor contributes its reflection gated by the two exact 0/1
 switch states sampled at t = n T, so every switching harmonic and its
 aliases are present, not a truncated approximation.
 
-Memory: synthesize allocates H once, one (N, K) complex128 array, and fills,
-perturbs and quantizes it in blocks of whole snapshots, at most about
-BLOCK_FLOATS entries each; its seeded noise is one (N, K, 2) standard_normal
-stream drawn into those blocks, whatever their size.  add_second_sensor,
-quantize and ChannelTrace's finiteness check work in such blocks too.
+Memory: one block generator makes every trace, snapshot-major blocks of
+whole snapshots (BLOCK_FLOATS // 8 entries; the gate is computed for at most
+BLOCK_FLOATS snapshots at a time), and its seeded noise is one (N, K, 2)
+standard_normal stream drawn into those blocks, whatever their size.
+synthesize and add_second_sensor let it fill one (N, K) complex128 array;
+synthesis_blocks streams it through one reused block, so a caller writing
+each block out (cli simulate) holds memory independent of the trace length.
+A quantized trace's full scale comes from a first pass over the same
+stream.  quantize and ChannelTrace's finiteness check also work in blocks.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -184,46 +189,59 @@ def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
 
 
 def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
-          geom: SensorGeometry, mech: MechanicalParams) -> np.ndarray:
-    """The sensor's (N,) gated reflection: switch states times e^{j phi}."""
-    N = config.n_snapshots
-    phi = np.empty((2, N))  # per-snapshot port phases held by the timeline
-    starts = [s for s, _ in timeline.entries] + [N]
+          geom: SensorGeometry, mech: MechanicalParams, rows: slice) -> np.ndarray:
+    """The sensor's gated reflection over snapshots rows: switch states times e^{j phi}."""
+    first, stop = rows.start, rows.stop
+    phi = np.empty((2, stop - first))  # per-snapshot port phases held by the timeline
+    starts = [s for s, _ in timeline.entries] + [config.n_snapshots]
     for (start, touch), end in zip(timeline.entries, starts[1:]):
-        if start >= N:
-            break
-        pp = port_phases(shorting_segment(touch, mech, geom), geom, config.carrier_hz)
-        phi[:, start:end] = ((pp.phi1,), (pp.phi2,))
-    s1, s2 = scheme.switch_states(np.arange(N) * config.frame_period_s)
+        a, b = max(start, first), min(end, stop)
+        if a < b:
+            pp = port_phases(shorting_segment(touch, mech, geom), geom, config.carrier_hz)
+            phi[:, a - first:b - first] = ((pp.phi1,), (pp.phi2,))
+    s1, s2 = scheme.switch_states(np.arange(first, stop) * config.frame_period_s)
     # reflection factor e^{+j phi}: phi is the phase OF the reflection
     # coefficient (port_phases convention), already negative with distance
     return s1 * np.exp(1j * phi[0]) + s2 * np.exp(1j * phi[1])
 
 
-def _write_reflection(H: np.ndarray, base: np.ndarray, config: WaveformConfig,
-                      scheme: ClockScheme, timeline: TouchTimeline,
-                      sensor_path: Path, geom: SensorGeometry, mech: MechanicalParams,
-                      noise: tuple | None = None) -> np.ndarray:
-    """H = sensor phasor x gate + base, one block of snapshots at a time.
+def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
+                       scheme: ClockScheme, timeline: TouchTimeline,
+                       sensor_path: Path, geom: SensorGeometry, mech: MechanicalParams,
+                       noise: tuple | None = None,
+                       out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Yield H = sensor phasor x gate + base, one block of whole snapshots at a time.
 
     base is an (N, K) view: broadcast static multipath or an existing trace.
-    noise = (rng, scale) first fills each block with the next rows of rng's
-    (N, K, 2) standard_normal stream, times scale, then gets the reflection
-    added from a temporary of BLOCK_FLOATS // 8 entries: malloc reuses its
-    128 KB, where 1 MB temporaries cost 600 page faults per 64 x 1250 trace.
-    The phasor goes first: numpy's complex multiply is not bitwise symmetric.
+    Each block is the next rows of out when out is given, else one reused
+    buffer that the next block overwrites.  The gate is computed for at most
+    BLOCK_FLOATS snapshots at a time.  noise = (rng, scale) first fills each
+    block with the next rows of rng's (N, K, 2) standard_normal stream, times
+    scale, then gets the reflection added from a temporary of BLOCK_FLOATS //
+    8 entries: malloc reuses its 128 KB, where 1 MB temporaries cost 600 page
+    faults per 64 x 1250 trace.  The phasor goes first: numpy's complex
+    multiply is not bitwise symmetric.
     """
-    gate = _gate(config, scheme, timeline, geom, mech)
+    N, K = config.n_snapshots, config.n_subcarriers
     phasor = _subcarrier_phasor(config, sensor_path)
-    for b in _row_blocks(*H.shape, BLOCK_FLOATS // 8):
-        if noise is None:
-            np.multiply(phasor, gate[b, None], out=H[b])
-            H[b] += base[b]
-        else:
-            v = noise[0].standard_normal(out=H[b].view(float))
-            v *= noise[1]
-            H[b] += phasor * gate[b, None] + base[b]
-    return H
+    buf = None
+    for span in _row_blocks(N, 1):
+        gate = _gate(config, scheme, timeline, geom, mech, span)
+        rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
+        if out is None and buf is None:  # the first block is the largest
+            buf = np.empty((rows[0].stop, K), dtype=np.complex128)
+        for b in rows:
+            r = slice(span.start + b.start, span.start + b.stop)
+            H = out[r] if buf is None else buf[:b.stop - b.start]
+            if noise is None:
+                np.multiply(phasor, gate[b, None], out=H)
+                H += base[r]
+            else:
+                v = noise[0].standard_normal(out=H.view(float))
+                v *= noise[1]
+                H += phasor * gate[b, None] + base[r]
+            yield H
+        del gate  # before the next chunk's gate and its temporaries exist
 
 
 def _digest(*parts) -> str:
@@ -231,19 +249,29 @@ def _digest(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _quantize_rows(H: np.ndarray, bits: int) -> None:
-    """Quantize a 2-D complex128 array in place, one row block at a time."""
-    blocks = _row_blocks(*H.shape)
-    full_scale = max(float(np.max(np.abs(H[b].view(float)))) for b in blocks)
+def _peak(block: np.ndarray) -> float:
+    """Largest |re| or |im| of a complex128 block: its share of the full scale."""
+    return float(np.max(np.abs(block.view(float))))
+
+
+def _quantize_block(block: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
+    """Quantize a complex128 block in place onto the grid spanning full_scale."""
     if full_scale == 0.0:
-        return
+        return block
     step = 2.0 * full_scale / (2 ** bits)
-    for b in blocks:
-        v = H[b].view(float)
-        v /= step
-        np.round(v, out=v)
-        v *= step
-        np.clip(v, -full_scale, full_scale, out=v)
+    v = block.view(float)
+    v /= step
+    np.round(v, out=v)
+    v *= step
+    np.clip(v, -full_scale, full_scale, out=v)
+    return block
+
+
+def _quantize_blocks(blocks: list[np.ndarray], bits: int) -> None:
+    """Quantize complex128 blocks in place over their common full scale."""
+    full_scale = max(map(_peak, blocks))
+    for block in blocks:
+        _quantize_block(block, full_scale, bits)
 
 
 def quantize(data: np.ndarray, bits: int) -> np.ndarray:
@@ -255,8 +283,43 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     if not 4 <= bits <= 24:
         raise ValueError("quantize_bits must lie in [4, 24]")
     out = np.array(data, dtype=np.complex128, order="C")
-    _quantize_rows(out.reshape(-1, out.shape[-1]), bits)
+    H = out.reshape(-1, out.shape[-1])
+    _quantize_blocks([H[b] for b in _row_blocks(*H.shape)], bits)
     return out
+
+
+def _synthesis(config: WaveformConfig, scheme: ClockScheme,
+               timeline: TouchTimeline, multipath: MultipathProfile,
+               noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+               ) -> tuple[dict, Callable[..., Iterator[np.ndarray]]]:
+    """Check a synthesis's inputs; its provenance and a pass starter.
+
+    Each pass (optionally into out) replays the unquantized trace from a
+    fresh generator seeded with noise.seed, so every pass is the same.
+    """
+    nyquist_check(config, scheme, NyquistError)
+    K, N = config.n_subcarriers, config.n_snapshots
+    static = np.zeros(K, dtype=np.complex128)
+    for path in multipath.paths:
+        static += _subcarrier_phasor(config, path)
+    scale = None
+    if noise.snr_db is not None:
+        alpha = abs(multipath.sensor_path.amplitude)
+        if alpha == 0.0:
+            raise ValueError("snr_db is defined against the sensor path; "
+                             "its amplitude must be nonzero when noise is on")
+        sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
+        scale = math.sqrt(sigma2 / 2.0)
+    prov = {"seed": noise.seed,
+            "config_digest": _digest(config, scheme, multipath, noise,
+                                     timeline, geom, mech)}
+
+    def run(out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        draw = None if scale is None else (np.random.default_rng(noise.seed), scale)
+        return _reflection_blocks(np.broadcast_to(static, (N, K)), config, scheme,
+                                  timeline, multipath.sensor_path, geom, mech,
+                                  draw, out)
+    return prov, run
 
 
 def synthesize(config: WaveformConfig, scheme: ClockScheme,
@@ -269,29 +332,33 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed.
     """
-    nyquist_check(config, scheme, NyquistError)
-    K, N = config.n_subcarriers, config.n_snapshots
-    static = np.zeros(K, dtype=np.complex128)
-    for path in multipath.paths:
-        static += _subcarrier_phasor(config, path)
-    draw = None
-    if noise.snr_db is not None:
-        alpha = abs(multipath.sensor_path.amplitude)
-        if alpha == 0.0:
-            raise ValueError("snr_db is defined against the sensor path; "
-                             "its amplitude must be nonzero when noise is on")
-        sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
-        draw = np.random.default_rng(noise.seed), math.sqrt(sigma2 / 2.0)
-    H = _write_reflection(np.empty((N, K), dtype=np.complex128),
-                          np.broadcast_to(static, (N, K)), config, scheme,
-                          timeline, multipath.sensor_path, geom, mech, draw)
+    prov, run = _synthesis(config, scheme, timeline, multipath, noise, geom, mech)
+    H = np.empty((config.n_snapshots, config.n_subcarriers), dtype=np.complex128)
+    blocks = list(run(H))  # views into H
     if noise.quantize_bits is not None:
-        _quantize_rows(H, noise.quantize_bits)
-    prov = {"seed": noise.seed,
-            "config_digest": _digest(config, scheme, multipath, noise,
-                                     timeline, geom, mech)}
+        _quantize_blocks(blocks, noise.quantize_bits)
     return ChannelTrace(config=config, data=H, schemes=(scheme,),
                         geometry=geom, provenance=prov)
+
+
+def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
+                     timeline: TouchTimeline, multipath: MultipathProfile,
+                     noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+                     ) -> tuple[dict, Iterator[np.ndarray]]:
+    """synthesize's trace as its provenance and its rows, streamed.
+
+    The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
+    each overwritten by the next, so a pass holds one block, not the trace.
+    A quantized trace needs its full scale first: a first pass over the
+    same seeded stream finds it, the second yields the quantized blocks.
+    The inputs are checked before this returns.
+    """
+    prov, run = _synthesis(config, scheme, timeline, multipath, noise, geom, mech)
+    bits = noise.quantize_bits
+    if bits is None:
+        return prov, run()
+    full_scale = max(map(_peak, run()))
+    return prov, (_quantize_block(block, full_scale, bits) for block in run())
 
 
 def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
@@ -307,9 +374,10 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     clash = existing.intersection(scheme2.read_freqs)
     if clash:
         raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
-    data = _write_reflection(np.empty_like(trace.data), trace.data,
-                             trace.config, scheme2, timeline2, sensor_path2,
-                             geom2, mech2)
+    data = np.empty_like(trace.data)
+    for _ in _reflection_blocks(trace.data, trace.config, scheme2, timeline2,
+                                sensor_path2, geom2, mech2, out=data):
+        pass
     prov = dict(trace.provenance)
     prov["sensors"] = len(trace.schemes) + 1
     return ChannelTrace(config=trace.config, data=data,

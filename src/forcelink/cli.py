@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import calib, sweeps, traceio
+from .chansim import synthesis_blocks
 from .config import (ConfigError, ExperimentConfig, parse_config,
                      read_config_doc)
 from .decoder import GroupingSpec, anchor, decode_blocks, resolve_group_size
@@ -58,10 +59,13 @@ def cmd_simulate(args) -> int:
     doc, cfg = _load(args.config)
     seed = resolve_seed(args.seed, doc)
     cfg = replace(cfg, noise=replace(cfg.noise, seed=seed))
-    trace = sweeps.simulate_from_config(cfg)
-    traceio.write_trace(trace, args.out)
-    N, K = trace.data.shape
-    _info(f"wrote {args.out}: {K} subcarriers x {N} snapshots, seed {seed}")
+    wf = cfg.waveform
+    provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
+                                          cfg.noise, cfg.geometry, cfg.mechanics)
+    traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,
+                               provenance)
+    _info(f"wrote {args.out}: {wf.n_subcarriers} subcarriers x "
+          f"{wf.n_snapshots} snapshots, seed {seed}")
     return 0
 
 

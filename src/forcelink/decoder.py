@@ -186,7 +186,8 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
     Blocks hold whole groups; snapshots past the last whole group are
     ignored.  A step is the angle of P[g+1, k] conj(P[g, k]) averaged over
     subcarriers, so the projection magnitudes drop out, and a phase that of
-    P[g, k] conj(P[0, k]); with a scheme the trace needs 2 groups.  A tone's
+    P[g, k] conj(P[0, k]); with a scheme the trace needs 2 groups, each a
+    whole number of cycles of both read tones (resolve_group_size).  A tone's
     signal is the median group energy, which a mid-group step cannot drag
     down.
     sigma^2 is the minimum over group pairs (a step-free pair sees pure
@@ -199,8 +200,10 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
     G = config.n_snapshots // Ng
     if G < 1:
         raise ValueError("trace shorter than one group")
-    if scheme is not None and G < 2:
-        raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
+    if scheme is not None:
+        resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
+        if G < 2:
+            raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
     freqs = scheme.read_freqs if scheme is not None else ()
     m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
     half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]

@@ -2,11 +2,14 @@
 
 Trace file layout: 8-byte magic "WFTRACE1", one newline-terminated UTF-8 JSON
 header line, then little-endian float32 (re, im) pairs, snapshot-major (n
-outer, k inner) as ChannelTrace stores them, so write_trace writes the data
-as stored, in float32 chunks of about CHUNK_BYTES, and a group of snapshots
-is one contiguous byte range.  open_trace maps the payload unread and
-TraceFile.blocks streams it in chunks of whole groups, so a decode holds
-about CHUNK_BYTES of any trace in memory.
+outer, k inner) as ChannelTrace stores them, so a group of snapshots is one
+contiguous byte range.  write_trace_blocks is the one writer: it takes the
+header fields and the rows as an iterator of blocks, converts and checks
+each block as it comes and renames the file into place only once complete,
+so cli simulate streams a trace straight from synthesis and write_trace
+passes an in-memory trace in chunks of about CHUNK_BYTES.  open_trace maps
+the payload unread and TraceFile.blocks streams it in chunks of whole
+groups, so a decode holds about CHUNK_BYTES of any trace in memory.
 A malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pathlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,22 +63,61 @@ def _json_object(what: str, path, raw: bytes) -> Iterator[dict]:
         raise ValueError(f"bad {what} in {path}: {e}") from None
 
 
-def write_trace(trace: ChannelTrace, path) -> None:
+def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfig,
+                       schemes: tuple[ClockScheme, ...] = (),
+                       geometry: SensorGeometry | None = None,
+                       provenance: dict | None = None) -> None:
+    """Write a trace file from its header fields and its rows, block by block.
+
+    blocks are consecutive (n, K) complex arrays of whole snapshots, N rows
+    in all.  Each is converted to float32 pairs and checked finite before it
+    is written, so an entry past float32's range fails here, not at decode.
+    The file is written under a temporary name beside path and renamed to
+    path only when complete: a failed or interrupted write leaves no partial
+    trace and never replaces an existing file.
+    """
+    N, K = config.n_snapshots, config.n_subcarriers
     header = {
-        "waveform": asdict(trace.config),
-        "schemes": [scheme_to_dict(s) for s in trace.schemes],
-        "geometry": asdict(trace.geometry) if trace.geometry else None,
-        "provenance": trace.provenance,
+        "waveform": asdict(config),
+        "schemes": [scheme_to_dict(s) for s in schemes],
+        "geometry": asdict(geometry) if geometry else None,
+        "provenance": provenance or {},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(MAGIC)
+            f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+            f.write(b"\n")
+            done = 0
+            for block in blocks:
+                with np.errstate(over="ignore"):  # overflow is reported below
+                    c8 = np.asarray(block).astype(_PAYLOAD_DTYPE)
+                if c8.ndim != 2 or c8.shape[1] != K or done + len(c8) > N:
+                    raise ValueError(f"block of shape {c8.shape} does not fit a "
+                                     f"({N}, {K}) trace after {done} snapshots")
+                if not np.isfinite(c8.view(np.float32)).all():
+                    raise ValueError("trace entries must all be finite in float32 "
+                                     f"(snapshots {done} to {done + len(c8) - 1})")
+                f.write(c8)
+                done += len(c8)
+        if done != N:
+            raise ValueError(f"blocks hold {done} snapshots, the trace {N}")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_trace(trace: ChannelTrace, path) -> None:
+    """Write an in-memory trace, converted to float32 about CHUNK_BYTES at a time."""
     N, K = trace.data.shape
     step = max(1, CHUNK_BYTES // (K * _PAYLOAD_DTYPE.itemsize))
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        for start in range(0, N, step):  # converted a chunk at a time
-            f.write(trace.data[start:start + step].astype(_PAYLOAD_DTYPE))
+    write_trace_blocks(path, (trace.data[a:a + step] for a in range(0, N, step)),
+                       trace.config, trace.schemes, trace.geometry, trace.provenance)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcelink import chansim
+from forcelink import chansim, cli
 from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, add_second_sensor,
                                equivalent_doppler_velocity, quantize,
-                               synthesize)
+                               synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
+from forcelink.config import default_config_dict
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
                                   SensorGeometry, TouchEvent, port_phases,
                                   shorting_segment)
@@ -171,15 +173,18 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
 
 
 def block_size_traces():
-    """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS."""
+    """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS,
+    then the noisy and 10-bit ones as synthesis_blocks streams them."""
     wf = layout_waveform(LAYOUT_SHAPES[""])
-    noisy, quantized = (
-        synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP,
-                   NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits),
-                   GEOM, MECH) for bits in (None, 10))
+    args = [(wf, SCHEME, LAYOUT_TIMELINE, MP,
+             NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits), GEOM, MECH)
+            for bits in (None, 10)]
+    noisy, quantized = (synthesize(*a) for a in args)
     pair = add_second_sensor(noisy, make_scheme(1400.0), LAYOUT_TIMELINE,
                              Path(0.5 - 0.3j, 1.7), GEOM, MECH)
-    return [t.data.tobytes() for t in (noisy, quantized, pair)]
+    streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a)[1])
+                for a in args]
+    return [t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
 
 
 default_block_traces = functools.cache(block_size_traces)
@@ -194,6 +199,7 @@ def test_traces_do_not_depend_on_the_block_size(block):
     with mock.patch.object(chansim, "BLOCK_FLOATS", block):
         got = block_size_traces()
     assert got == default_block_traces()
+    assert got[3:] == got[:2]  # the streamed rows are synthesize's
 
 
 def _traced_peak(fn):
@@ -222,6 +228,22 @@ def test_synthesis_holds_one_array_plus_a_block():
     assert peak <= bound
     _, peak = _traced_peak(lambda: quantize(pair.data, 8))
     assert peak <= bound
+
+
+@pytest.mark.parametrize("n_snapshots", [2 * BLOCK_FLOATS + 3, 8 * BLOCK_FLOATS + 12])
+def test_streamed_simulate_holds_a_constant_bound(tmp_path, n_snapshots):
+    # N and 4N snapshots, each past two gate chunks of BLOCK_FLOATS: the
+    # streamed noisy 10-bit simulate (two passes) holds a few gate chunks
+    # of temporaries, not the (N, K) array (8 MiB at N, 32 MiB at 4N)
+    doc = default_config_dict()
+    doc["waveform"].update(n_subcarriers=4, n_snapshots=n_snapshots)
+    doc["noise"].update(snr_db=20.0, seed=3, quantize_bits=10)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.trace")]
+    rc, peak = _traced_peak(lambda: cli.main(argv))
+    assert rc == 0
+    assert peak <= 6 * BLOCK_FLOATS * 16  # six gate chunks of complex128
 
 
 def test_add_second_sensor_superposes_exactly():

@@ -143,6 +143,23 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert cli.main(["simulate", "--config", cfg_noseed, "--out", out]) == 2
 
 
+def test_simulate_float32_overflow_fails_and_keeps_the_old_trace(tmp_path, capsys):
+    # finite in complex128, inf once stored as float32: simulate must fail,
+    # not write a trace that decode rejects
+    doc = default_config_dict()
+    doc["multipath"]["sensor_path"]["amplitude"] = [1e39, 0.0]
+    doc["noise"]["snr_db"] = None
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "t.trace"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "finite in float32" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_bytes(b"previous run")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert out.read_bytes() == b"previous run"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "t.trace"]
+
+
 def test_decode_scheme_index_out_of_range(tmp_path):
     cfg = write_config(tmp_path)
     trace_path = str(tmp_path / "run.trace")

@@ -61,6 +61,15 @@ def test_measure_step_errors_noiseless_is_zero(default_cfg):
     assert abs(e2) < 1e-9
 
 
+def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_cfg):
+    # 600 snapshots hold 34.56 cycles of the 1 kHz tone, so static multipath
+    # would not cancel: the decode must refuse, not return steps of garbage
+    with pytest.raises(ValueError, match="not a positive multiple of 625"):
+        measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=600)
+    e1, e2 = measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=1250)
+    assert abs(e1) < 1e-9 and abs(e2) < 1e-9
+
+
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
     rows, aggs = run_snr_sweep(default_cfg, snr_grid_db=(10.0, 30.0),
                                trials=12, seed=3)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from forcelink.calib import fit_model, generate_sweep
-from forcelink.chansim import ChannelTrace, WaveformConfig
+from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
+                               NoiseSpec, Path, TouchTimeline, WaveformConfig,
+                               synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.decoder import PhaseSeries
 from forcelink.traceio import (MAGIC, PHASE_CSV_COLUMNS, read_dataset,
                                read_model, read_trace, write_dataset,
-                               write_model, write_phase_csv, write_trace)
-from forcelink.transducer import MechanicalParams, SensorGeometry
+                               write_model, write_phase_csv, write_trace,
+                               write_trace_blocks)
+from forcelink.transducer import MechanicalParams, SensorGeometry, TouchEvent
 
 
 def small_config(k=3, n=7):
@@ -107,6 +110,71 @@ def test_read_trace_rejects_wrong_payload_size(tmp_path):
     long.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_trace(long)
+
+
+def header_and_payload(path):
+    raw = path.read_bytes()
+    end = raw.index(b"\n", len(MAGIC))
+    header = json.loads(raw[len(MAGIC):end])
+    del header["created_utc"]
+    return header, raw[end + 1:]
+
+
+# (n_snapshots, n_subcarriers, noise): 2000 x 16 streams as 4 blocks; one
+# subcarrier past BLOCK_FLOATS snapshots needs two gate chunks
+STREAM_CASES = {
+    "noiseless": (2000, 16, NoiseSpec(snr_db=None)),
+    "noisy": (2000, 16, NoiseSpec(snr_db=17.0, seed=5)),
+    "noisy_10bit": (2000, 16, NoiseSpec(snr_db=17.0, seed=5, quantize_bits=10)),
+    "one_subcarrier": (BLOCK_FLOATS + 700, 1, NoiseSpec(snr_db=17.0, seed=5)),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_trace_file_equals_the_written_synthesis(tmp_path, case):
+    n, k, noise = STREAM_CASES[case]
+    wf = WaveformConfig(n_subcarriers=k, n_snapshots=n)
+    scheme = make_scheme(1000.0)
+    args = (wf, scheme, TouchTimeline(entries=((0, None), (700, TouchEvent(4.0, 40.0)))),
+            MultipathProfile(paths=(Path(2.0 + 0.0j, 0.0),),
+                             sensor_path=Path(0.8 + 0.1j, 1.0)),
+            noise, SensorGeometry(), MechanicalParams())
+    write_trace(synthesize(*args), tmp_path / "memory.trace")
+    provenance, blocks = synthesis_blocks(*args)
+    write_trace_blocks(tmp_path / "streamed.trace", blocks, wf, (scheme,),
+                       SensorGeometry(), provenance)
+    assert (header_and_payload(tmp_path / "streamed.trace")
+            == header_and_payload(tmp_path / "memory.trace"))
+
+
+def _interrupted(rows):
+    yield rows[:3]
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("blocks, raises, says", [
+    pytest.param(lambda rows: [rows[:3], rows[3:] * 1e39], ValueError,
+                 "finite in float32", id="float32_overflow"),
+    pytest.param(lambda rows: [rows[:6]], ValueError, "hold 6 snapshots",
+                 id="short"),
+    pytest.param(lambda rows: [rows, rows[:1]], ValueError, "does not fit",
+                 id="long"),
+    pytest.param(lambda rows: [rows[:, :2]], ValueError, "does not fit",
+                 id="narrow"),
+    pytest.param(_interrupted, KeyboardInterrupt, None, id="interrupted"),
+])
+def test_failed_write_leaves_no_file_and_keeps_the_old_one(tmp_path, blocks,
+                                                           raises, says):
+    trace = random_float32_trace(np.random.default_rng(4))
+    path = tmp_path / "t.trace"
+    with pytest.raises(raises, match=says):
+        write_trace_blocks(path, blocks(trace.data), trace.config)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"previous run")
+    with pytest.raises(raises, match=says):
+        write_trace_blocks(path, blocks(trace.data), trace.config)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"previous run"
 
 
 def fitted_model():
