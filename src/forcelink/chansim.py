@@ -190,7 +190,7 @@ def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
 
 def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
           geom: SensorGeometry, mech: MechanicalParams, rows: slice) -> np.ndarray:
-    """The sensor's gated reflection over snapshots rows: switch states times e^{j phi}."""
+    """The sensor's gated reflection on snapshots rows: switch states x e^{j phi}."""
     first, stop = rows.start, rows.stop
     phi = np.empty((2, stop - first))  # per-snapshot port phases held by the timeline
     starts = [s for s, _ in timeline.entries] + [config.n_snapshots]
