@@ -9,7 +9,7 @@ aliases are present, not a truncated approximation.
 
 Memory: one block generator makes every trace, snapshot-major blocks of
 whole snapshots (BLOCK_FLOATS // 8 entries; the gate is computed for at most
-BLOCK_FLOATS snapshots at a time), and its seeded noise is one (N, K, 2)
+BLOCK_FLOATS // 8 snapshots at a time), and its seeded noise is one (N, K, 2)
 standard_normal stream drawn into those blocks, whatever their size.
 synthesize and add_second_sensor let it fill one (N, K) complex128 array;
 synthesis_blocks streams it through one reused block, so a caller writing
@@ -31,7 +31,9 @@ from .clocks import ClockScheme
 from .transducer import (SPEED_OF_LIGHT, MechanicalParams, SensorGeometry,
                          TouchEvent, port_phases, shorting_segment)
 
-BLOCK_FLOATS = 2 ** 16  # entries per row block (1 MB of complex128)
+# entries per row block: 1 MiB of complex128, the working block every
+# streamed step is sized from (traceio.CHUNK_BYTES too)
+BLOCK_FLOATS = 2 ** 16
 
 
 def _row_blocks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
@@ -214,18 +216,20 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
 
     base is an (N, K) view: broadcast static multipath or an existing trace.
     Each block is the next rows of out when out is given, else one reused
-    buffer that the next block overwrites.  The gate is computed for at most
-    BLOCK_FLOATS snapshots at a time.  noise = (rng, scale) first fills each
-    block with the next rows of rng's (N, K, 2) standard_normal stream, times
-    scale, then gets the reflection added from a temporary of BLOCK_FLOATS //
-    8 entries: malloc reuses its 128 KB, where 1 MB temporaries cost 600 page
-    faults per 64 x 1250 trace.  The phasor goes first: numpy's complex
+    buffer that the next block overwrites.  The gate is computed for spans of
+    at most BLOCK_FLOATS // 8 snapshots (128 KiB as complex128); its values
+    depend only on the absolute snapshot times, so the span never shows in
+    the output.  noise = (rng, scale) first fills each block with the next
+    rows of rng's (N, K, 2) standard_normal stream, times scale, then gets
+    the reflection added from a temporary of BLOCK_FLOATS // 8 entries:
+    malloc reuses its 128 KB, where 1 MB temporaries cost 600 page faults
+    per 64 x 1250 trace.  The phasor goes first: numpy's complex
     multiply is not bitwise symmetric.
     """
     N, K = config.n_snapshots, config.n_subcarriers
     phasor = _subcarrier_phasor(config, sensor_path)
     buf = None
-    for span in _row_blocks(N, 1):
+    for span in _row_blocks(N, 1, BLOCK_FLOATS // 8):
         gate = _gate(config, scheme, timeline, geom, mech, span)
         rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
         if out is None and buf is None:  # the first block is the largest

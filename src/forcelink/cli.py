@@ -8,7 +8,8 @@ Subcommands:
   impedance  quick microstrip impedance / width helper
 
 Exit status: 0 on success, 2 for configuration or usage errors, 1 for
-runtime failures (unreadable traces, I/O).  Diagnostics go to stderr.
+runtime failures (unreadable traces, I/O), 143 when stopped by SIGTERM.
+Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ import argparse
 import csv
 import math
 import os
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import calib, sweeps, traceio
@@ -229,6 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
+def _sigterm_unwinds():
+    """Within, SIGTERM raises SystemExit(143) as Ctrl-C raises
+    KeyboardInterrupt, so cleanup (a simulate's temporary file) runs; the
+    previous handler is restored after.  Only the main thread may set it."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -236,7 +255,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with _sigterm_unwinds():
+            return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ contiguous byte range.  write_trace_blocks is the one writer: it takes the
 header fields and the rows as an iterator of blocks, converts and checks
 each block as it comes and renames the file into place only once complete,
 so cli simulate streams a trace straight from synthesis and write_trace
-passes an in-memory trace in chunks of about CHUNK_BYTES.  open_trace maps
-the payload unread and TraceFile.blocks streams it in chunks of whole
-groups, so a decode holds about CHUNK_BYTES of any trace in memory.
+passes an in-memory trace in chunks of about CHUNK_BYTES (1 MiB).
+open_trace maps the payload unread and TraceFile.blocks streams it in chunks
+of whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
+CHUNK_BYTES of any trace, and its complex128 copy, whatever the length.
 A malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .calib import CalibrationDataset, LocationFit, SensorModel
-from .chansim import ChannelTrace, WaveformConfig
+from .chansim import BLOCK_FLOATS, ChannelTrace, WaveformConfig
 from .clocks import ClockScheme, SwitchClock
 from .config import parse_scheme, read_section
 from .decoder import PhaseSeries
@@ -34,7 +35,8 @@ from .transducer import SensorGeometry
 
 MAGIC = b"WFTRACE1"
 _PAYLOAD_DTYPE = np.dtype("<c8")  # pairs of little-endian float32
-CHUNK_BYTES = 16 * 2 ** 20  # payload per streamed write or decode step
+# payload bytes per streamed write or decode step: 1 MiB, chansim's block size
+CHUNK_BYTES = BLOCK_FLOATS * np.dtype(np.complex128).itemsize
 
 PHASE_CSV_COLUMNS = ("group_index", "t_seconds", "dphi1_deg", "dphi2_deg",
                      "phi1_deg", "phi2_deg", "snr1_db", "snr2_db")

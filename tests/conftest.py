@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,14 @@ def tone_trace(wf: WaveformConfig, scheme: ClockScheme,
     for off in static_offsets:
         H += np.asarray(off, dtype=complex)[None, :]
     return ChannelTrace(config=wf, data=H, schemes=(scheme,))
+
+
+def traced_peak(fn):
+    """fn's result and the most memory it held above what it started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 import functools
 import json
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +20,8 @@ from forcelink.config import default_config_dict
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
                                   SensorGeometry, TouchEvent, port_phases,
                                   shorting_segment)
+
+from conftest import traced_peak
 
 GEOM = SensorGeometry()
 MECH = MechanicalParams()
@@ -202,48 +203,39 @@ def test_traces_do_not_depend_on_the_block_size(block):
     assert got[3:] == got[:2]  # the streamed rows are synthesize's
 
 
-def _traced_peak(fn):
-    """fn's result and the most memory it held above what it started with."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_synthesis_holds_one_array_plus_a_block():
     # H is allocated once and filled, perturbed and quantized in row blocks;
     # a whole-array noise draw or isfinite temporary would exceed this bound
     wf = WaveformConfig(n_subcarriers=64, n_snapshots=20000)
     timeline = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
     noisy = NoiseSpec(snr_db=20.0, seed=3)
-    trace, peak = _traced_peak(lambda: synthesize(
+    trace, peak = traced_peak(lambda: synthesize(
         wf, SCHEME, timeline, MP, noisy, GEOM, MECH))
     bound = 1.15 * trace.data.nbytes + 2 ** 20
     assert peak <= bound
-    pair, peak = _traced_peak(lambda: add_second_sensor(
+    pair, peak = traced_peak(lambda: add_second_sensor(
         trace, make_scheme(1400.0), timeline, Path(0.5 - 0.3j, 1.7), GEOM, MECH))
     assert peak <= bound
-    _, peak = _traced_peak(lambda: quantize(pair.data, 8))
+    _, peak = traced_peak(lambda: quantize(pair.data, 8))
     assert peak <= bound
 
 
 @pytest.mark.parametrize("n_snapshots", [2 * BLOCK_FLOATS + 3, 8 * BLOCK_FLOATS + 12])
 def test_streamed_simulate_holds_a_constant_bound(tmp_path, n_snapshots):
-    # N and 4N snapshots, each past two gate chunks of BLOCK_FLOATS: the
-    # streamed noisy 10-bit simulate (two passes) holds a few gate chunks
-    # of temporaries, not the (N, K) array (8 MiB at N, 32 MiB at 4N)
+    # N and 4N snapshots, 17 and 65 gate spans of BLOCK_FLOATS // 8: the
+    # streamed noisy 10-bit simulate (two passes) holds one span's
+    # temporaries (about 0.9 MiB, plus as much again for a cold start's lazy
+    # imports), not the (N, K) array (8 MiB at N, 32 MiB at 4N); gate spans
+    # of BLOCK_FLOATS snapshots would hold 4.4-5.2 MiB
     doc = default_config_dict()
     doc["waveform"].update(n_subcarriers=4, n_snapshots=n_snapshots)
     doc["noise"].update(snr_db=20.0, seed=3, quantize_bits=10)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.trace")]
-    rc, peak = _traced_peak(lambda: cli.main(argv))
+    rc, peak = traced_peak(lambda: cli.main(argv))
     assert rc == 0
-    assert peak <= 6 * BLOCK_FLOATS * 16  # six gate chunks of complex128
+    assert peak <= 3 * 2 ** 20
 
 
 def test_add_second_sensor_superposes_exactly():

@@ -2,6 +2,12 @@
 import csv
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -247,3 +253,45 @@ def test_sweep_crosstalk_mode(tmp_path):
     assert {r["victim_sensor"] for r in aggs} == {"1", "2"}
     for r in aggs:
         assert float(r["max_crosstalk_deg"]) < 0.5
+
+
+def test_sigterm_stops_simulate_without_leaving_a_file(tmp_path):
+    # SIGTERM unwinds like Ctrl-C, so the writer removes its temporary file;
+    # a 10 s trace takes long enough to write that the signal lands mid-way
+    doc = default_config_dict()
+    doc["waveform"]["n_snapshots"] = 173750
+    cfg = write_config(tmp_path, doc)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forcelink.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "run.trace")],
+        env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(tmp_path.glob(".*.tmp")):
+            assert proc.poll() is None, "simulate ended before writing"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60.0) == 143
+    finally:
+        proc.kill()
+        proc.wait()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_main_restores_sigterm_and_runs_off_the_main_thread(capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli.main(["impedance", "--target-ohm", "50"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+    # only the main thread may set a handler; elsewhere main runs without one
+    rcs = []
+    t = threading.Thread(target=lambda: rcs.append(
+        cli.main(["impedance", "--target-ohm", "50"])))
+    t.start()
+    t.join(timeout=60.0)
+    assert not t.is_alive() and rcs == [0]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0] == out[1]

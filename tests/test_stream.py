@@ -15,6 +15,8 @@ from forcelink.decoder import GroupingSpec, anchor, decode_blocks
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
 from forcelink.transducer import ShortingState, port_phases
 
+from conftest import traced_peak
+
 NG = 625
 K = 8
 GROUPS = 11
@@ -81,6 +83,42 @@ def test_blocks_hold_whole_groups_within_the_chunk_size(trace_path):
     assert sizes == [3 * NG] * 3 + [2 * NG + TAIL]
     assert read_trace(trace_path).data.tobytes() == tf.data.astype(
         np.complex128).tobytes()
+
+
+@pytest.fixture(scope="module", params=[40, 160], ids=["40_groups", "160_groups"])
+def long_trace(request, tmp_path_factory):
+    """A 64-subcarrier trace of 40 or 160 groups: a 12 or 49 MiB file."""
+    d = tmp_path_factory.mktemp("long")
+    doc = default_config_dict()
+    doc["waveform"].update(n_subcarriers=64, n_snapshots=request.param * NG)
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps(doc))
+    path = str(d / "run.trace")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", path]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    d = tmp_path_factory.mktemp("model")
+    cfg = d / "config.json"
+    cfg.write_text(json.dumps(default_config_dict()))
+    path = str(d / "model.json")
+    assert cli.main(["calibrate", "--config", str(cfg), "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("with_model", [False, True], ids=["plain", "model"])
+def test_decode_memory_does_not_grow_with_the_trace(long_trace, model_path,
+                                                    tmp_path, with_model):
+    # one chunk of three 625 x 64 groups and its complex128 copy, about
+    # 2.3 MiB at either length; 16 MiB chunks would hold 25.5 and 37.9 MiB
+    argv = ["decode", "--trace", long_trace, "--out", str(tmp_path / "phases.csv")]
+    if with_model:
+        argv += ["--model", model_path]
+    rc, peak = traced_peak(lambda: cli.main(argv))
+    assert rc == 0
+    assert peak <= 4 * 2 ** 20
 
 
 def damaged_copy(src, dst, edit):

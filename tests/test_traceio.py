@@ -121,7 +121,8 @@ def header_and_payload(path):
 
 
 # (n_snapshots, n_subcarriers, noise): 2000 x 16 streams as 4 blocks; one
-# subcarrier past BLOCK_FLOATS snapshots needs two gate chunks
+# subcarrier of BLOCK_FLOATS + 700 snapshots spans nine gate spans of
+# BLOCK_FLOATS // 8
 STREAM_CASES = {
     "noiseless": (2000, 16, NoiseSpec(snr_db=None)),
     "noisy": (2000, 16, NoiseSpec(snr_db=17.0, seed=5)),
