@@ -14,7 +14,7 @@ import numpy as np
 
 from forcelink.chansim import TouchTimeline, synthesize
 from forcelink.config import default_config_dict, parse_config
-from forcelink.decoder import GroupingSpec, anchor, auto_group_size, group_phases
+from forcelink.decoder import anchor, auto_group_size, group_phases
 from forcelink.sweeps import no_touch_phase
 from forcelink.transducer import (TouchEvent, port_phases, shorting_segment,
                                   wrap_phase)
@@ -35,7 +35,7 @@ print(f"trace: {trace.data.shape[0]} snapshots x {trace.data.shape[1]} "
       f"subcarriers at {cfg.noise.snr_db:.0f} dB SNR, seed "
       f"{trace.provenance['seed']}")
 
-series = group_phases(trace, cfg.scheme, GroupingSpec(Ng))
+series = group_phases(trace, cfg.scheme, Ng)
 phases = anchor(series, no_touch_phase(cfg))
 snr1, snr2 = series.snr_db
 print(f"estimated SNR from the trace itself: {snr1:.1f} / {snr2:.1f} dB\n")

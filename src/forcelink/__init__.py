@@ -17,8 +17,8 @@ from .clocks import (ClockScheme, DisjointReport, SwitchClock, make_scheme,
                      verify_disjoint)
 from .config import ConfigError, ExperimentConfig, default_config_dict, \
     load_config, parse_config
-from .decoder import (GroupingSpec, PhaseSeries, anchor, auto_group_size,
-                      decode_blocks, group_phases, noise_power, read_sensor_snr)
+from .decoder import (PhaseSeries, anchor, auto_group_size, decode_blocks,
+                      group_phases, noise_power, read_sensor_snr)
 from .traceio import (open_trace, read_dataset, read_model, read_trace,
                       write_dataset, write_model, write_phase_csv, write_trace,
                       write_trace_blocks)
@@ -40,8 +40,8 @@ __all__ = [
     "verify_disjoint",
     "ConfigError", "ExperimentConfig", "default_config_dict", "load_config",
     "parse_config",
-    "GroupingSpec", "PhaseSeries", "anchor", "auto_group_size",
-    "decode_blocks", "group_phases", "noise_power", "read_sensor_snr",
+    "PhaseSeries", "anchor", "auto_group_size", "decode_blocks",
+    "group_phases", "noise_power", "read_sensor_snr",
     "open_trace", "read_dataset", "read_model", "read_trace", "write_dataset",
     "write_model", "write_phase_csv", "write_trace", "write_trace_blocks",
     "MechanicalParams", "PortPhases", "SensorGeometry", "ShortingState",

@@ -27,7 +27,7 @@ from . import calib, sweeps, traceio
 from .chansim import synthesis_blocks
 from .config import (ConfigError, ExperimentConfig, parse_config,
                      read_config_doc)
-from .decoder import GroupingSpec, anchor, decode_blocks, resolve_group_size
+from .decoder import anchor, decode_blocks, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
@@ -82,15 +82,19 @@ def cmd_decode(args) -> int:
             f"--scheme-index {args.scheme_index} out of range, trace has "
             f"{len(trace.schemes)} scheme(s)")
     scheme = trace.schemes[args.scheme_index]
-    Ng = resolve_group_size(trace.config, trace.schemes, args.group_size,
-                            ConfigError)
+    try:
+        Ng = resolve_group_size(trace.config, trace.schemes, args.group_size)
+    except ValueError as e:
+        if args.group_size is None:
+            raise  # the trace's own read tones cannot be grouped
+        raise ConfigError(str(e)) from e
     anchored = trace.geometry is not None and not args.no_anchor
     if args.model is not None and not anchored:
         raise ConfigError(
             "inversion needs anchored phases; the trace must carry sensor "
             "geometry and --no-anchor must not be set")
     model = traceio.read_model(args.model) if args.model is not None else None
-    series = decode_blocks(trace.blocks(Ng), trace.config, GroupingSpec(Ng), scheme)
+    series = decode_blocks(trace.blocks(Ng), trace.config, Ng, scheme)
     phases = extra = None
     if anchored:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,

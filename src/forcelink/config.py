@@ -104,6 +104,10 @@ class SweepSettings:
     snr_grid_db: tuple[float, ...] = tuple(float(s) for s in range(0, 41, 5))
     second_f_s_hz: float = 1400.0
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+
 
 @dataclass(frozen=True)
 class CalibrationSettings:

@@ -15,6 +15,10 @@ major blocks of whole groups, carrying only group 0's and a block's last
 group's projections to the next, so memory follows the block size, not the
 trace length, and a trace file streams through it (traceio.TraceFile.blocks)
 as an in-memory trace does.
+
+A group size is a plain int from config to decode, held to one rule,
+resolve_group_size: a positive multiple of auto_group_size, the smallest
+size holding whole cycles of every read tone.
 """
 from __future__ import annotations
 
@@ -35,17 +39,6 @@ SLEW_SUSPECT_LIMIT = 0.9 * math.pi
 SNR_CAP_DB = 200.0
 SNR_FLOOR_DB = 0.0
 NOISE_SUBCARRIERS = 8  # the noise floor is read from the first few only
-
-
-@dataclass(frozen=True)
-class GroupingSpec:
-    """How many consecutive snapshots form one phase-estimation group."""
-
-    group_size: int
-
-    def __post_init__(self):
-        if self.group_size < 1:
-            raise ValueError("group size must be >= 1")
 
 
 def auto_group_size(config: WaveformConfig,
@@ -79,14 +72,13 @@ def auto_group_size(config: WaveformConfig,
 
 def resolve_group_size(config: WaveformConfig,
                        schemes: Iterable[ClockScheme] | ClockScheme,
-                       size: int | None = None,
-                       error: type[Exception] = ValueError) -> int:
-    """size, or the auto size for None; raises error unless size is a positive
+                       size: int | None = None) -> int:
+    """size, or the auto size for None; ValueError unless size is a positive
     multiple of the auto size, i.e. holds whole cycles of every read tone."""
     auto = auto_group_size(config, schemes)
     if size is not None and (size < 1 or size % auto):
-        raise error(f"group size {size} is not a positive multiple of {auto}, "
-                    "the smallest holding whole cycles of every read tone")
+        raise ValueError(f"group size {size} is not a positive multiple of {auto}, "
+                         "the smallest holding whole cycles of every read tone")
     return size or auto
 
 
@@ -126,6 +118,8 @@ class PhaseSeries:
     @property
     def snr_db(self) -> tuple[float, ...]:
         """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
+        if self.scheme is None:
+            return ()  # no read tones
         if self.sigma2 <= 0.0:
             return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
         gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
@@ -137,15 +131,15 @@ class PhaseSeries:
 
 
 def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
-                 spec: GroupingSpec | None = None) -> PhaseSeries:
+                 group_size: int | None = None) -> PhaseSeries:
     """Decode both ports of an in-memory trace; defaults: first scheme, auto size."""
     if scheme is None:
         if not trace.schemes:
             raise ValueError("trace carries no scheme; pass one explicitly")
         scheme = trace.schemes[0]
-    if spec is None:
-        spec = GroupingSpec(auto_group_size(trace.config, trace.schemes or scheme))
-    return decode_blocks([trace.data], trace.config, spec, scheme)
+    if group_size is None:
+        group_size = auto_group_size(trace.config, trace.schemes or scheme)
+    return decode_blocks([trace.data], trace.config, group_size, scheme)
 
 
 def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
@@ -180,7 +174,7 @@ def _spread(n: int, count: int = 97) -> np.ndarray:
 
 
 def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
-                  spec: GroupingSpec, scheme: ClockScheme | None = None) -> PhaseSeries:
+                  group_size: int, scheme: ClockScheme | None = None) -> PhaseSeries:
     """Decode a trace in one pass over consecutive snapshot-major blocks.
 
     Blocks hold whole groups; snapshots past the last whole group are
@@ -194,16 +188,18 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
     noise) of the median energy at odd bins (robust to a step inside it),
     unbiased by ln 2; one group falls back to its own odd bins, where
     residual clock lines can bias it upward.  Without a scheme only sigma^2
-    is computed.
+    is computed, and group_size need only be at least 1.
     """
-    Ng = spec.group_size
+    Ng = group_size
+    if scheme is not None:
+        resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
+    elif Ng < 1:
+        raise ValueError(f"group size must be >= 1, got {Ng}")
     G = config.n_snapshots // Ng
     if G < 1:
         raise ValueError("trace shorter than one group")
-    if scheme is not None:
-        resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
-        if G < 2:
-            raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
+    if scheme is not None and G < 2:
+        raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
     freqs = scheme.read_freqs if scheme is not None else ()
     m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
     half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]
@@ -249,16 +245,16 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
                        per_bin / math.log(2.0) * n_win)
 
 
-def noise_power(trace: ChannelTrace, spec: GroupingSpec) -> float:
+def noise_power(trace: ChannelTrace, group_size: int) -> float:
     """Per-sample noise power sigma^2 estimated from the trace itself."""
-    return decode_blocks([trace.data], trace.config, spec).sigma2
+    return decode_blocks([trace.data], trace.config, group_size).sigma2
 
 
 def read_sensor_snr(trace: ChannelTrace, read_freq: float,
-                    spec: GroupingSpec) -> float:
+                    group_size: int) -> float:
     """Per-sample sensor SNR (dB) at one read tone, from the trace itself."""
     for scheme in trace.schemes:
         if read_freq in scheme.read_freqs:
-            snr = decode_blocks([trace.data], trace.config, spec, scheme).snr_db
+            snr = decode_blocks([trace.data], trace.config, group_size, scheme).snr_db
             return snr[scheme.read_freqs.index(read_freq)]
     raise ValueError(f"no scheme in trace reads {read_freq} Hz")

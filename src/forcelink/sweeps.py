@@ -15,8 +15,8 @@ from . import calib
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, add_second_sensor, synthesize)
 from .clocks import make_scheme
-from .config import ExperimentConfig
-from .decoder import GroupingSpec, anchor, auto_group_size, group_phases
+from .config import ConfigError, ExperimentConfig
+from .decoder import anchor, auto_group_size, group_phases, resolve_group_size
 from .transducer import ShortingState, TouchEvent, port_phases
 
 
@@ -46,15 +46,14 @@ def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
     press lands exactly on the group boundary.  The final group's anchored
     phases feed the inversion.
     """
-    Ng = cfg.group_size or auto_group_size(cfg.waveform, cfg.scheme)
+    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=3 * Ng)
     timeline = TouchTimeline(entries=(
         (0, None), (Ng, TouchEvent(force_n=force_n, location_mm=location_mm))))
     noise = replace(cfg.noise, seed=int(seed))
     trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
                        cfg.geometry, cfg.mechanics)
-    phi1, phi2 = anchor(group_phases(trace, cfg.scheme, GroupingSpec(Ng)),
-                        no_touch_phase(cfg))[-1]
+    phi1, phi2 = anchor(group_phases(trace, cfg.scheme, Ng), no_touch_phase(cfg))[-1]
     est = calib.invert(model, float(phi1), float(phi2))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             "est_force_n": est.force_n, "est_location_mm": est.location_mm,
@@ -68,6 +67,8 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     seed: int = 0) -> tuple[list[dict], list[dict]]:
     """Monte-Carlo closed loop over random presses; per-trial and summary rows."""
     trials = trials if trials is not None else cfg.sweep.trials
+    if trials < 1:
+        raise ConfigError(f"a force sweep needs at least 1 trial, got {trials}")
     model = calibrate(cfg)
     rng = np.random.default_rng(seed)
     f_lo, f_hi = cfg.sweep.force_range_n
@@ -96,7 +97,8 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
                         n_subcarriers: int | None = None,
                         group_size: int | None = None) -> tuple[float, float]:
     """Decoded dphi for a held press (truth is zero); one value per port, rad."""
-    Ng = group_size or cfg.group_size or auto_group_size(cfg.waveform, cfg.scheme)
+    Ng = resolve_group_size(cfg.waveform, cfg.scheme,
+                            cfg.group_size if group_size is None else group_size)
     K = n_subcarriers or cfg.waveform.n_subcarriers
     wf = replace(cfg.waveform, n_subcarriers=K, n_snapshots=2 * Ng)
     timeline = TouchTimeline.constant(TouchEvent(4.0, 40.0))
@@ -104,7 +106,7 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
                       quantize_bits=cfg.noise.quantize_bits)
     trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
                        cfg.geometry, cfg.mechanics)
-    d1, d2 = group_phases(trace, cfg.scheme, GroupingSpec(Ng)).steps[0]
+    d1, d2 = group_phases(trace, cfg.scheme, Ng).steps[0]
     return float(d1), float(d2)
 
 
@@ -115,6 +117,9 @@ def run_snr_sweep(cfg: ExperimentConfig, snr_grid_db=None,
     The press phase is constant, so each decoded step is pure error; its
     standard deviation over seeds is the per-group phase noise.
     """
+    if trials < 2:
+        raise ConfigError("an SNR sweep needs at least 2 trials per point for a "
+                          f"spread, got {trials}")
     grid = tuple(snr_grid_db) if snr_grid_db is not None else cfg.sweep.snr_grid_db
     rng = np.random.default_rng(seed)
     rows, aggregates = [], []
@@ -163,7 +168,6 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
     scheme1 = cfg.scheme
     scheme2 = make_scheme(cfg.sweep.second_f_s_hz)
     Ng = auto_group_size(cfg.waveform, (scheme1, scheme2))
-    spec = GroupingSpec(Ng)
     wf = replace(cfg.waveform, n_snapshots=n_groups * Ng)
     noise = replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
@@ -185,8 +189,8 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
             pair = add_second_sensor(solo, scheme1, held,
                                      cfg.multipath.sensor_path,
                                      cfg.geometry, cfg.mechanics)
-        leak = (group_phases(pair, v_scheme, spec).steps
-                - group_phases(solo, v_scheme, spec).steps)
+        leak = (group_phases(pair, v_scheme, Ng).steps
+                - group_phases(solo, v_scheme, Ng).steps)
         for (g, t), d in np.ndenumerate(leak):
             rows.append({"kind": "trial", "victim_sensor": victim,
                          "port": t + 1, "group": g,

@@ -21,7 +21,7 @@ from forcelink.calib import fit_model, generate_sweep, model_forward
 from forcelink.chansim import ChannelTrace, WaveformConfig, nyquist_check
 from forcelink.clocks import SwitchClock, make_scheme, verify_disjoint
 from forcelink.config import ConfigError, default_config_dict, parse_config
-from forcelink.decoder import GroupingSpec, group_phases
+from forcelink.decoder import group_phases
 from forcelink.sweeps import (measure_step_errors, run_crosstalk,
                               run_force_sweep, run_snr_sweep,
                               snr_meeting_threshold)
@@ -80,7 +80,6 @@ def test_03_decoder_exactness():
     ng = 625
     wf = WaveformConfig(n_snapshots=2 * ng)
     n = np.arange(wf.n_snapshots)
-    spec = GroupingSpec(ng)
     worst_step = 0.0
     for delta_deg in (1.0, -1.0, 10.0, -10.0, 90.0, -90.0):
         delta = math.radians(delta_deg)
@@ -89,7 +88,7 @@ def test_03_decoder_exactness():
             phi2 = np.full(wf.n_snapshots, -1.1)
             (phi1 if port == 1 else phi2)[n >= ng] += delta
             series = group_phases(tone_trace(wf, scheme, phi1, phi2),
-                                  scheme, spec)
+                                  scheme, ng)
             moved, still = series.steps[0, port - 1], series.steps[0, 2 - port]
             worst_step = max(worst_step, abs(float(moved) - delta),
                              abs(float(still)))
@@ -97,12 +96,12 @@ def test_03_decoder_exactness():
     # static reflections up to 40 dB above the sensor return project to zero
     phi1 = np.full(wf.n_snapshots, 0.3)
     phi2 = np.where(n < ng, -1.1, -1.1 + math.radians(10.0))
-    clean = group_phases(tone_trace(wf, scheme, phi1, phi2), scheme, spec)
+    clean = group_phases(tone_trace(wf, scheme, phi1, phi2), scheme, ng)
     rng = np.random.default_rng(17)
     offsets = (rng.uniform(10.0, 100.0, size=(10, 1))
                * np.exp(2j * np.pi * rng.random((10, wf.n_subcarriers))))
     dirty = group_phases(tone_trace(wf, scheme, phi1, phi2,
-                                    static_offsets=offsets), scheme, spec)
+                                    static_offsets=offsets), scheme, ng)
     worst_mp = float(np.abs(dirty.steps[0] - clean.steps[0]).max())
     dt = time.perf_counter() - t0
     ok = worst_step < 1e-9 and worst_mp < 1e-6 and dt < 10.0

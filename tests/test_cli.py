@@ -240,6 +240,19 @@ def test_sweep_snr_mode(tmp_path):
         by_snr[10.0]["phase_std2_deg"])
 
 
+@pytest.mark.parametrize("mode,trials", [("force", "0"), ("force", "-3"),
+                                         ("snr", "1")])
+def test_sweep_rejects_too_few_trials(tmp_path, capsys, mode, trials):
+    # no quantile of zero trials, no spread of one: a usage error, no CSV
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", cfg, "--mode", mode,
+                     "--out", str(out), "--trials", trials]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_sweep_crosstalk_mode(tmp_path):
     # default second family at 1.4 kHz: no clock harmonic of either sensor
     # lands on the other's read tones

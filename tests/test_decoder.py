@@ -7,9 +7,9 @@ from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                Path, TouchTimeline, WaveformConfig,
                                nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
-from forcelink.decoder import (GroupingSpec, anchor, auto_group_size,
-                               decode_blocks, group_phases, noise_power,
-                               project_groups, read_sensor_snr)
+from forcelink.decoder import (anchor, auto_group_size, decode_blocks,
+                               group_phases, noise_power, project_groups,
+                               read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -56,7 +56,7 @@ def test_pure_tone_step_recovered_to_float_precision():
         p1 = step_phases(wf.n_snapshots, NG, 0.3, 0.3 + d)
         p2 = step_phases(wf.n_snapshots, NG, -1.1, -1.1 + 0.5 * d)
         trace = tone_trace(wf, SCHEME, p1, p2)
-        series = group_phases(trace, SCHEME, GroupingSpec(NG))
+        series = group_phases(trace, SCHEME, NG)
         d1, d2 = series.steps[0]
         assert abs(d1 - d) < 1e-9, delta_deg
         assert abs(d2 - 0.5 * d) < 1e-9, delta_deg
@@ -69,10 +69,8 @@ def test_pure_tone_static_offsets_change_nothing():
     rng = np.random.default_rng(11)
     offsets = [rng.standard_normal(8) * 50.0 + 1j * rng.standard_normal(8) * 50.0
                for _ in range(10)]
-    clean = group_phases(tone_trace(wf, SCHEME, p1, p2), SCHEME,
-                         GroupingSpec(NG))
-    dirty = group_phases(tone_trace(wf, SCHEME, p1, p2, offsets), SCHEME,
-                         GroupingSpec(NG))
+    clean = group_phases(tone_trace(wf, SCHEME, p1, p2), SCHEME, NG)
+    dirty = group_phases(tone_trace(wf, SCHEME, p1, p2, offsets), SCHEME, NG)
     assert np.abs(clean.steps[0] - dirty.steps[0]).max() < 1e-6
 
 
@@ -97,9 +95,9 @@ def test_projection_single_group_matches_matrix_slice():
                     ).sum(axis=0) / NG
             np.testing.assert_allclose(P[0, t], want, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):  # a fourth group runs past the trace
-        decode_blocks([rows, rows[:NG]], wf, GroupingSpec(NG), SCHEME)
+        decode_blocks([rows, rows[:NG]], wf, NG, SCHEME)
     with pytest.raises(ValueError):  # the blocks stop after two groups
-        decode_blocks([rows[:2 * NG]], wf, GroupingSpec(NG), SCHEME)
+        decode_blocks([rows[:2 * NG]], wf, NG, SCHEME)
 
 
 def full_sim_staircase(n_groups=3, snr_db=None, seed=0):
@@ -122,7 +120,7 @@ def test_full_simulation_steps_near_transducer_truth():
     # (relative magnitude a few 1e-3), so full-simulation decodes are exact
     # only to well under a degree, not machine precision
     trace, timeline = full_sim_staircase()
-    series = group_phases(trace, SCHEME, GroupingSpec(NG))
+    series = group_phases(trace, SCHEME, NG)
     states = [None, TouchEvent(4.0, 30.0), TouchEvent(6.0, 30.0)]
     for g in range(2):
         before = exact_phi(states[g])
@@ -142,9 +140,9 @@ def test_full_simulation_ignores_static_multipath():
     lean = MultipathProfile(paths=(), sensor_path=Path(1.0, 1.0))
     rich = MultipathProfile(paths=extra, sensor_path=Path(1.0, 1.0))
     a = group_phases(synthesize(wf, SCHEME, timeline, lean, NoiseSpec(None),
-                                GEOM, MECH), SCHEME, GroupingSpec(NG))
+                                GEOM, MECH), SCHEME, NG)
     b = group_phases(synthesize(wf, SCHEME, timeline, rich, NoiseSpec(None),
-                                GEOM, MECH), SCHEME, GroupingSpec(NG))
+                                GEOM, MECH), SCHEME, NG)
     assert np.abs(a.steps[0] - b.steps[0]).max() < 1e-6
 
 
@@ -158,7 +156,7 @@ def test_anchor_reproduces_absolute_phases_mod_two_pi():
     p2 = np.concatenate([np.full(NG, quiet.phi2), np.full(NG, touched.phi2),
                          np.full(NG, harder.phi2)])
     trace = tone_trace(wf, SCHEME, p1, p2)
-    phases = anchor(group_phases(trace, SCHEME, GroupingSpec(NG)), quiet)
+    phases = anchor(group_phases(trace, SCHEME, NG), quiet)
     assert phases.shape == (3, 2)
     assert phases[0, 0] == quiet.phi1
     for g, pp in enumerate((quiet, touched, harder)):
@@ -171,8 +169,7 @@ def test_wrap_suspect_flags():
     big = 0.95 * math.pi
     p1 = step_phases(wf.n_snapshots, NG, 0.0, big)
     p2 = step_phases(wf.n_snapshots, NG, 0.0, 0.3)
-    series = group_phases(tone_trace(wf, SCHEME, p1, p2), SCHEME,
-                          GroupingSpec(NG))
+    series = group_phases(tone_trace(wf, SCHEME, p1, p2), SCHEME, NG)
     assert series.suspect[0].tolist() == [True, False]
 
 
@@ -187,9 +184,9 @@ def test_group_phases_argument_handling():
     with pytest.raises(ValueError):
         group_phases(bare)
     with pytest.raises(ValueError):
-        group_phases(trace, SCHEME, GroupingSpec(2 * NG))  # only one group
+        group_phases(trace, SCHEME, 2 * NG)  # only one group
     with pytest.raises(ValueError):
-        GroupingSpec(0)
+        group_phases(trace, SCHEME, 0)
 
 
 def default_noisy_trace(snr_db, seed, n_groups=3):
@@ -206,7 +203,7 @@ def test_noise_power_estimate_tracks_truth():
         want = 10.0 ** (-snr_db / 10.0)
         for seed in (1, 2):
             trace = default_noisy_trace(snr_db, seed)
-            got = noise_power(trace, GroupingSpec(NG))
+            got = noise_power(trace, NG)
             assert got == pytest.approx(want, rel=0.25), (snr_db, seed)
 
 
@@ -215,26 +212,37 @@ def test_snr_estimate_tracks_truth_with_touch_steps_present():
         for seed in (1, 2, 3):
             trace = default_noisy_trace(snr_db, seed)
             for f in SCHEME.read_freqs:
-                est = read_sensor_snr(trace, f, GroupingSpec(NG))
+                est = read_sensor_snr(trace, f, NG)
                 assert abs(est - snr_db) < 1.5, (snr_db, seed, f)
 
 
 def test_snr_estimate_near_cap_when_noiseless():
     trace = default_noisy_trace(None, 0)
-    est = read_sensor_snr(trace, 1000.0, GroupingSpec(NG))
+    est = read_sensor_snr(trace, 1000.0, NG)
     assert est > 150.0
 
 
 def test_snr_estimate_rejects_unknown_read_freq():
     trace = default_noisy_trace(20.0, 1)
     with pytest.raises(ValueError):
-        read_sensor_snr(trace, 2500.0, GroupingSpec(NG))
+        read_sensor_snr(trace, 2500.0, NG)
 
 
 def test_noise_power_single_group_fallback():
     trace = default_noisy_trace(20.0, 5, n_groups=1)
-    got = noise_power(trace, GroupingSpec(NG))
+    got = noise_power(trace, NG)
     assert got > 0.0
+
+
+def test_scheme_less_decode_reads_no_tones():
+    # noise_power's decode: sigma^2 only, no read tones to give an SNR for
+    trace = default_noisy_trace(20.0, 5)
+    series = decode_blocks([trace.data], trace.config, NG)
+    assert series.sigma2 > 0.0
+    assert series.snr_db == ()
+    for size in (0, -NG):  # no scheme to check whole cycles against
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            decode_blocks([trace.data], trace.config, size)
 
 
 def test_anchored_error_does_not_grow_along_the_trace(default_cfg):
@@ -248,7 +256,7 @@ def test_anchored_error_does_not_grow_along_the_trace(default_cfg):
     for seed in range(30):
         trace = synthesize(wf, SCHEME, held, default_cfg.multipath,
                            NoiseSpec(0.0, seed=seed), GEOM, MECH)
-        phases = anchor(group_phases(trace, SCHEME, GroupingSpec(NG)), quiet)
+        phases = anchor(group_phases(trace, SCHEME, NG), quiet)
         errs.append([[wrap_phase(phases[g, 0] - quiet.phi1),
                       wrap_phase(phases[g, 1] - quiet.phi2)]
                      for g in (1, groups - 1)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from forcelink import cli, traceio
 from forcelink.config import default_config_dict
-from forcelink.decoder import GroupingSpec, anchor, decode_blocks
+from forcelink.decoder import anchor, decode_blocks
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
 from forcelink.transducer import ShortingState, port_phases
 
@@ -45,8 +45,7 @@ def in_memory_csv(trace_path, tmp_path_factory):
     """What decode writes, computed from read_trace's in-memory trace."""
     trace = read_trace(trace_path)
     scheme = trace.schemes[0]
-    series = decode_blocks([trace.data], trace.config, GroupingSpec(NG),
-                           scheme)
+    series = decode_blocks([trace.data], trace.config, NG, scheme)
     quiet = port_phases(ShortingState.open(), trace.geometry,
                         trace.config.carrier_hz)
     out = tmp_path_factory.mktemp("mem") / "phases.csv"

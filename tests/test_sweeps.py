@@ -53,6 +53,18 @@ def test_run_force_sweep_structure(default_cfg):
     assert aggregates[0]["location_err_mm"] < 0.6
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_run_force_sweep_needs_a_trial(default_cfg, trials):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        run_force_sweep(default_cfg, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [1, 0])
+def test_run_snr_sweep_needs_two_trials_for_a_spread(default_cfg, trials):
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        run_snr_sweep(default_cfg, snr_grid_db=(10.0,), trials=trials)
+
+
 def test_measure_step_errors_noiseless_is_zero(default_cfg):
     # a held press gives identical groups, so the decoded step is exactly
     # zero; even the sampled-gate alias terms repeat and cancel
@@ -63,9 +75,11 @@ def test_measure_step_errors_noiseless_is_zero(default_cfg):
 
 def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_cfg):
     # 600 snapshots hold 34.56 cycles of the 1 kHz tone, so static multipath
-    # would not cancel: the decode must refuse, not return steps of garbage
-    with pytest.raises(ValueError, match="not a positive multiple of 625"):
-        measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=600)
+    # would not cancel: the decode must refuse, not return steps of garbage;
+    # 0 is a size like any other, not a stand-in for auto
+    for size in (600, 0, -625):
+        with pytest.raises(ValueError, match="not a positive multiple of 625"):
+            measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=size)
     e1, e2 = measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=1250)
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
