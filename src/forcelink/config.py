@@ -107,6 +107,9 @@ class SweepSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for key in ("test_locations_mm", "snr_grid_db"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must not be empty")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ modulation cycles.  Steps pair consecutive groups; phases pair each group
 with group 0, so anchoring them to the no-touch phase adds no error along
 the trace.
 
-decode_blocks computes every figure of a decode in one pass over snapshot-
-major blocks of whole groups, carrying only group 0's and a block's last
-group's projections to the next, so memory follows the block size, not the
-trace length, and a trace file streams through it (traceio.TraceFile.blocks)
-as an in-memory trace does.
+decode_blocks is the one decode.  Given the scheme whose read tones it
+projects on, it computes every figure (steps, phases, tone energies, noise
+power) in one pass over snapshot-major blocks of whole groups, carrying only
+group 0's and a block's last group's projections to the next, so memory
+follows the block size, not the trace length; a trace file streams through
+it (traceio.TraceFile.blocks) as an in-memory trace does.
 
 A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
@@ -90,11 +91,10 @@ class PhaseSeries:
     steps[g, t] is the phase change from group g to g + 1 and phases[g, t]
     group g's phase relative to group 0 (phases[0] is 0), both in [-pi, pi].
     signal[t] is the tone's median group projection energy, sigma2 the
-    per-sample noise power.  Without a scheme the phase arrays have no
-    columns.
+    per-sample noise power.
     """
 
-    scheme: ClockScheme | None
+    scheme: ClockScheme
     group_size: int
     group_duration_s: float
     steps: np.ndarray
@@ -118,8 +118,6 @@ class PhaseSeries:
     @property
     def snr_db(self) -> tuple[float, ...]:
         """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
-        if self.scheme is None:
-            return ()  # no read tones
         if self.sigma2 <= 0.0:
             return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
         gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
@@ -132,14 +130,17 @@ class PhaseSeries:
 
 def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
                  group_size: int | None = None) -> PhaseSeries:
-    """Decode both ports of an in-memory trace; defaults: first scheme, auto size."""
+    """Decode both ports of an in-memory trace; defaults: first scheme, auto size.
+
+    group_size must hold whole cycles of every scheme's read tones in the
+    trace, not just the decoded one's, so the other sensors' tones cancel.
+    """
     if scheme is None:
         if not trace.schemes:
             raise ValueError("trace carries no scheme; pass one explicitly")
         scheme = trace.schemes[0]
-    if group_size is None:
-        group_size = auto_group_size(trace.config, trace.schemes or scheme)
-    return decode_blocks([trace.data], trace.config, group_size, scheme)
+    Ng = resolve_group_size(trace.config, trace.schemes or scheme, group_size)
+    return decode_blocks([trace.data], trace.config, Ng, scheme)
 
 
 def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
@@ -174,33 +175,25 @@ def _spread(n: int, count: int = 97) -> np.ndarray:
 
 
 def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
-                  group_size: int, scheme: ClockScheme | None = None) -> PhaseSeries:
+                  group_size: int, scheme: ClockScheme) -> PhaseSeries:
     """Decode a trace in one pass over consecutive snapshot-major blocks.
 
     Blocks hold whole groups; snapshots past the last whole group are
     ignored.  A step is the angle of P[g+1, k] conj(P[g, k]) averaged over
     subcarriers, so the projection magnitudes drop out, and a phase that of
-    P[g, k] conj(P[0, k]); with a scheme the trace needs 2 groups, each a
-    whole number of cycles of both read tones (resolve_group_size).  A tone's
-    signal is the median group energy, which a mid-group step cannot drag
-    down.
-    sigma^2 is the minimum over group pairs (a step-free pair sees pure
-    noise) of the median energy at odd bins (robust to a step inside it),
-    unbiased by ln 2; one group falls back to its own odd bins, where
-    residual clock lines can bias it upward.  Without a scheme only sigma^2
-    is computed, and group_size need only be at least 1.
+    P[g, k] conj(P[0, k]); the trace needs 2 groups, each a whole number of
+    cycles of both read tones (resolve_group_size).  A tone's signal is the
+    median group energy, which a mid-group step cannot drag down.
+    sigma^2 is the minimum over group pairs of the median energy at odd bins,
+    unbiased by ln 2.  A step inside a pair leaks into its odd bins, so
+    sigma^2 relies on at least one group pair with no step inside it; a
+    trace whose every pair holds a step reads it high.
     """
     Ng = group_size
-    if scheme is not None:
-        resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
-    elif Ng < 1:
-        raise ValueError(f"group size must be >= 1, got {Ng}")
+    resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
     G = config.n_snapshots // Ng
-    if G < 1:
-        raise ValueError("trace shorter than one group")
-    if scheme is not None and G < 2:
-        raise ValueError(f"need at least 2 groups, trace holds 1 at size {Ng}")
-    freqs = scheme.read_freqs if scheme is not None else ()
+    if G < 2:
+        raise ValueError(f"need at least 2 groups, trace holds {G} at size {Ng}")
     m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
     half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]
     # P0: group 0's conjugate projections; last: the previous group's
@@ -213,7 +206,7 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
         g, start, n0 = len(block) // Ng, n0, n0 + len(block)
         if not g:
             continue
-        P = project_groups(block, start, freqs, config.frame_period_s, Ng)
+        P = project_groups(block, start, scheme.read_freqs, config.frame_period_s, Ng)
         rows = np.asarray(block[:g * Ng, :NOISE_SUBCARRIERS],
                           dtype=np.complex128).reshape(g, Ng, -1)
         energy.append(np.mean(np.abs(P) ** 2, axis=-1))
@@ -232,29 +225,26 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
         last = P[-1:], rows[-1:]
     if n0 < G * Ng:
         raise ValueError(f"blocks end at snapshot {n0} of {config.n_snapshots}")
-    if pair_noise:
-        n_win, per_bin = 2 * Ng, float(np.concatenate(pair_noise).min())
-    else:
-        n_win = Ng
-        own = np.fft.fft(last[1][0], axis=0)[1 + 2 * _spread(Ng // 2)]
-        per_bin = float(np.median(np.abs(own / Ng) ** 2))
+    per_bin = float(np.concatenate(pair_noise).min())
     # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
     return PhaseSeries(scheme, Ng, Ng * config.frame_period_s,
                        np.concatenate(steps), np.concatenate(phases),
                        np.median(np.concatenate(energy), axis=0),
-                       per_bin / math.log(2.0) * n_win)
+                       per_bin / math.log(2.0) * (2 * Ng))
 
 
 def noise_power(trace: ChannelTrace, group_size: int) -> float:
-    """Per-sample noise power sigma^2 estimated from the trace itself."""
-    return decode_blocks([trace.data], trace.config, group_size).sigma2
+    """sigma^2 of group_phases; kept only while the benchmark tracer wraps it
+    by name, and removed when the tracer drops it (ROADMAP item 1)."""
+    return group_phases(trace, None, group_size).sigma2
 
 
 def read_sensor_snr(trace: ChannelTrace, read_freq: float,
                     group_size: int) -> float:
-    """Per-sample sensor SNR (dB) at one read tone, from the trace itself."""
+    """snr_db of group_phases with the scheme reading read_freq; kept only
+    while the benchmark tracer wraps it, as noise_power is."""
     for scheme in trace.schemes:
         if read_freq in scheme.read_freqs:
-            snr = decode_blocks([trace.data], trace.config, group_size, scheme).snr_db
+            snr = group_phases(trace, scheme, group_size).snr_db
             return snr[scheme.read_freqs.index(read_freq)]
     raise ValueError(f"no scheme in trace reads {read_freq} Hz")

@@ -29,11 +29,6 @@ def calibrate(cfg: ExperimentConfig) -> calib.SensorModel:
     return calib.fit_model(data)
 
 
-def simulate_from_config(cfg: ExperimentConfig):
-    return synthesize(cfg.waveform, cfg.scheme, cfg.timeline, cfg.multipath,
-                      cfg.noise, cfg.geometry, cfg.mechanics)
-
-
 def no_touch_phase(cfg: ExperimentConfig):
     return port_phases(ShortingState.open(), cfg.geometry, cfg.waveform.carrier_hz)
 
@@ -99,7 +94,7 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
     """Decoded dphi for a held press (truth is zero); one value per port, rad."""
     Ng = resolve_group_size(cfg.waveform, cfg.scheme,
                             cfg.group_size if group_size is None else group_size)
-    K = n_subcarriers or cfg.waveform.n_subcarriers
+    K = cfg.waveform.n_subcarriers if n_subcarriers is None else n_subcarriers
     wf = replace(cfg.waveform, n_subcarriers=K, n_snapshots=2 * Ng)
     timeline = TouchTimeline.constant(TouchEvent(4.0, 40.0))
     noise = NoiseSpec(snr_db=snr_db, seed=int(seed),

@@ -253,6 +253,19 @@ def test_sweep_rejects_too_few_trials(tmp_path, capsys, mode, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["force", "snr"])
+@pytest.mark.parametrize("key", ["snr_grid_db", "test_locations_mm"])
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys, mode, key):
+    # an empty grid would sweep nothing and write a header-only CSV
+    cfg = write_config(tmp_path, {"sweep": {key: []}})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", cfg, "--mode", mode,
+                     "--out", str(out), "--trials", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
 def test_sweep_crosstalk_mode(tmp_path):
     # default second family at 1.4 kHz: no clock harmonic of either sensor
     # lands on the other's read tones

@@ -203,7 +203,7 @@ def test_noise_power_estimate_tracks_truth():
         want = 10.0 ** (-snr_db / 10.0)
         for seed in (1, 2):
             trace = default_noisy_trace(snr_db, seed)
-            got = noise_power(trace, NG)
+            got = group_phases(trace, SCHEME, NG).sigma2
             assert got == pytest.approx(want, rel=0.25), (snr_db, seed)
 
 
@@ -211,38 +211,64 @@ def test_snr_estimate_tracks_truth_with_touch_steps_present():
     for snr_db in (10.0, 30.0):
         for seed in (1, 2, 3):
             trace = default_noisy_trace(snr_db, seed)
-            for f in SCHEME.read_freqs:
-                est = read_sensor_snr(trace, f, NG)
-                assert abs(est - snr_db) < 1.5, (snr_db, seed, f)
+            for t, est in enumerate(group_phases(trace, SCHEME, NG).snr_db):
+                assert abs(est - snr_db) < 1.5, (snr_db, seed, t)
 
 
 def test_snr_estimate_near_cap_when_noiseless():
     trace = default_noisy_trace(None, 0)
-    est = read_sensor_snr(trace, 1000.0, NG)
-    assert est > 150.0
+    assert group_phases(trace, SCHEME, NG).snr_db[0] > 150.0
 
 
 def test_snr_estimate_rejects_unknown_read_freq():
     trace = default_noisy_trace(20.0, 1)
     with pytest.raises(ValueError):
         read_sensor_snr(trace, 2500.0, NG)
+    # the two wrappers read the figures of the one decode
+    series = group_phases(trace, SCHEME, NG)
+    assert noise_power(trace, NG) == series.sigma2
+    for t, f in enumerate(SCHEME.read_freqs):
+        assert read_sensor_snr(trace, f, NG) == series.snr_db[t]
 
 
-def test_noise_power_single_group_fallback():
-    trace = default_noisy_trace(20.0, 5, n_groups=1)
-    got = noise_power(trace, NG)
-    assert got > 0.0
+def test_noise_power_from_the_shortest_decodable_trace():
+    # a held press: the one group pair of a 2-group trace is step-free
+    held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+    mp = MultipathProfile(paths=(Path(100.0 + 0.0j, 0.0),),
+                          sensor_path=Path(1.0, 1.0))
+    for snr_db in (10.0, 20.0, 30.0):
+        want = 10.0 ** (-snr_db / 10.0)
+        for seed in (1, 5):
+            trace = synthesize(WaveformConfig(n_snapshots=2 * NG), SCHEME, held,
+                               mp, NoiseSpec(snr_db, seed=seed), GEOM, MECH)
+            got = group_phases(trace, SCHEME, NG).sigma2
+            assert got == pytest.approx(want, rel=0.25), (snr_db, seed)
+    one = default_noisy_trace(20.0, 5, n_groups=1)
+    with pytest.raises(ValueError, match="need at least 2 groups, trace holds 1"):
+        group_phases(one, SCHEME, NG)
 
 
-def test_scheme_less_decode_reads_no_tones():
-    # noise_power's decode: sigma^2 only, no read tones to give an SNR for
+def test_decode_rejects_non_positive_group_size():
     trace = default_noisy_trace(20.0, 5)
-    series = decode_blocks([trace.data], trace.config, NG)
-    assert series.sigma2 > 0.0
-    assert series.snr_db == ()
-    for size in (0, -NG):  # no scheme to check whole cycles against
-        with pytest.raises(ValueError, match="group size must be >= 1"):
-            decode_blocks([trace.data], trace.config, size)
+    for size in (0, -NG):
+        with pytest.raises(ValueError, match="not a positive multiple"):
+            decode_blocks([trace.data], trace.config, size, SCHEME)
+
+
+def test_group_size_must_hold_whole_cycles_of_every_sensor():
+    # the 1.4 kHz sensor's read tones need 3125 snapshots; at 625 its
+    # tones would leak into the first sensor's steps
+    wf = WaveformConfig(n_subcarriers=4, n_snapshots=10 * 625)
+    other = make_scheme(1400.0)
+    flat = np.zeros(wf.n_snapshots)
+    pair = ChannelTrace(config=wf, data=tone_trace(wf, SCHEME, flat, flat).data
+                        + tone_trace(wf, other, flat + 1.0, flat).data,
+                        schemes=(SCHEME, other))
+    with pytest.raises(ValueError, match="not a positive multiple of 3125"):
+        group_phases(pair, SCHEME, 625)
+    series = group_phases(pair, SCHEME, 3125)
+    assert series.n_groups == 2
+    np.testing.assert_allclose(series.steps, 0.0, atol=1e-9)
 
 
 def test_anchored_error_does_not_grow_along_the_trace(default_cfg):

@@ -84,6 +84,12 @@ def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_c
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
+def test_measure_step_errors_rejects_zero_subcarriers(default_cfg):
+    # 0 is a count like any other, not a stand-in for the config's 64
+    with pytest.raises(ValueError, match="at least one subcarrier"):
+        measure_step_errors(default_cfg, snr_db=None, seed=0, n_subcarriers=0)
+
+
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
     rows, aggs = run_snr_sweep(default_cfg, snr_grid_db=(10.0, 30.0),
                                trials=12, seed=3)
