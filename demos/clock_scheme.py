@@ -10,8 +10,8 @@ Run: python3 demos/clock_scheme.py
 """
 import numpy as np
 
-from forcelink.chansim import (WaveformConfig, equivalent_doppler_velocity,
-                               nyquist_check)
+from forcelink.chansim import (NyquistError, WaveformConfig,
+                               equivalent_doppler_velocity, nyquist_check)
 from forcelink.clocks import make_scheme, verify_disjoint
 from forcelink.decoder import auto_group_size
 
@@ -38,13 +38,14 @@ print(f"\nread tones: port 1 at {f1:.0f} Hz (gain "
       f"{scheme.projection_gain(f1):.4f}), port 2 at {f2:.0f} Hz (gain "
       f"{scheme.projection_gain(f2):.4f})")
 
-rep = nyquist_check(wf, scheme)
+nyquist_check(wf, scheme)
 print(f"\nsnapshot period {wf.frame_period_s * 1e6:.1f} us -> tones must stay "
-      f"under {rep.limit_hz:.1f} Hz; top tone {rep.max_read_hz:.0f} Hz, "
-      f"ok={rep.ok}")
-bad = nyquist_check(wf, make_scheme(2500.0))
-print(f"a 2500 Hz family would put {bad.max_read_hz:.0f} Hz past the bound, "
-      f"ok={bad.ok}")
+      f"under {wf.nyquist_hz:.1f} Hz; top tone {max(scheme.read_freqs):.0f} Hz "
+      "passes")
+try:
+    nyquist_check(wf, make_scheme(2500.0))
+except NyquistError as e:
+    print(f"a 2500 Hz family is refused: {e}")
 
 Ng = auto_group_size(wf, scheme)
 print(f"\nsmallest group with whole tone cycles: {Ng} snapshots "

@@ -18,8 +18,8 @@ cfg = parse_config(default_config_dict())
 
 print("per-group phase noise vs SNR (held press, 40 trials each)")
 print("  SNR (dB)   port 1 std (deg)   port 2 std (deg)")
-_, aggs = run_snr_sweep(cfg, snr_grid_db=(0, 10, 20, 30, 40), trials=40,
-                        seed=9)
+grid = replace(cfg.sweep, snr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0))
+_, aggs = run_snr_sweep(replace(cfg, sweep=grid), trials=40, seed=9)
 for a in aggs:
     print(f"  {a['snr_db']:7.0f}   {a['phase_std1_deg']:13.3f}   "
           f"{a['phase_std2_deg']:13.3f}")

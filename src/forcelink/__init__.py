@@ -17,8 +17,7 @@ from .clocks import (ClockScheme, DisjointReport, SwitchClock, make_scheme,
                      verify_disjoint)
 from .config import ConfigError, ExperimentConfig, default_config_dict, \
     load_config, parse_config
-from .decoder import (PhaseSeries, anchor, auto_group_size, decode_blocks,
-                      group_phases)
+from .decoder import PhaseSeries, anchor, auto_group_size, group_phases
 from .traceio import (open_trace, read_dataset, read_model, read_trace,
                       write_dataset, write_model, write_phase_csv, write_trace,
                       write_trace_blocks)
@@ -40,8 +39,7 @@ __all__ = [
     "verify_disjoint",
     "ConfigError", "ExperimentConfig", "default_config_dict", "load_config",
     "parse_config",
-    "PhaseSeries", "anchor", "auto_group_size", "decode_blocks",
-    "group_phases",
+    "PhaseSeries", "anchor", "auto_group_size", "group_phases",
     "open_trace", "read_dataset", "read_model", "read_trace", "write_dataset",
     "write_model", "write_phase_csv", "write_trace", "write_trace_blocks",
     "MechanicalParams", "PortPhases", "SensorGeometry", "ShortingState",

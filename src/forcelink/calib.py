@@ -79,9 +79,19 @@ class LocationFit:
 
 @dataclass(frozen=True)
 class SensorModel:
+    """Per-location fits, interpolated between locations; at least 2 fits,
+    their locations strictly increasing."""
+
     carrier_hz: float
-    fits: tuple[LocationFit, ...]  # sorted by location
+    fits: tuple[LocationFit, ...]
     force_range_n: tuple[float, float]
+
+    def __post_init__(self):
+        locs = self.locations()
+        if len(locs) < 2:
+            raise ValueError(f"needs at least 2 locations, got {len(locs)}")
+        if any(b <= a for a, b in zip(locs, locs[1:])):
+            raise ValueError(f"locations must strictly increase, got {locs}")
 
     def locations(self) -> list[float]:
         return [f.location_mm for f in self.fits]
@@ -147,8 +157,6 @@ def fit_model(data: CalibrationDataset) -> SensorModel:
     for loc in data.locations():
         rows = [s for s in data.samples if s.location_mm == loc]
         F = np.array([s.force_n for s in rows])
-        if len(set(F.tolist())) < 4:
-            raise ValueError(f"location {loc} mm is rank deficient for a cubic")
         c1, r1 = _fit_cubic(F, np.array([s.phi1 for s in rows]))
         c2, r2 = _fit_cubic(F, np.array([s.phi2 for s in rows]))
         rms = math.sqrt(float(np.mean(np.concatenate([r1, r2]) ** 2)))

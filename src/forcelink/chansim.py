@@ -161,26 +161,23 @@ class ChannelTrace:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    def blocks(self, group_size: int) -> Iterator[np.ndarray]:
+        """The rows for decoder.group_phases, as traceio.TraceFile.blocks
+        gives a file's: here the whole array in one block."""
+        yield self.data
+
 
 class NyquistError(ValueError):
     """A scheme's read tones exceed what the snapshot rate can represent."""
 
 
-@dataclass(frozen=True)
-class NyquistReport:
-    ok: bool
-    limit_hz: float
-    max_read_hz: float
-
-
-def nyquist_check(config: WaveformConfig, scheme: ClockScheme,
-                  error: type[Exception] | None = None) -> NyquistReport:
-    """Whether the read tones are observable; raises error if given and not."""
+def nyquist_check(config: WaveformConfig, scheme: ClockScheme) -> None:
+    """NyquistError unless every read tone lies within config.nyquist_hz."""
     limit, top = config.nyquist_hz, max(scheme.read_freqs)
-    if error is not None and top > limit:
-        raise error(f"read frequency {top:.1f} Hz exceeds the Nyquist bound {limit:.1f} "
-                    f"Hz set by the {config.frame_period_s*1e6:.1f} us frame period")
-    return NyquistReport(ok=top <= limit, limit_hz=limit, max_read_hz=top)
+    if top > limit:
+        raise NyquistError(f"read frequency {top:.1f} Hz exceeds the Nyquist bound "
+                           f"{limit:.1f} Hz set by the {config.frame_period_s*1e6:.1f} "
+                           "us frame period")
 
 
 def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
@@ -301,7 +298,7 @@ def _synthesis(config: WaveformConfig, scheme: ClockScheme,
     Each pass (optionally into out) replays the unquantized trace from a
     fresh generator seeded with noise.seed, so every pass is the same.
     """
-    nyquist_check(config, scheme, NyquistError)
+    nyquist_check(config, scheme)
     K, N = config.n_subcarriers, config.n_snapshots
     static = np.zeros(K, dtype=np.complex128)
     for path in multipath.paths:
@@ -373,7 +370,7 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     The new sensor must stay under the Nyquist bound and must not reuse any
     read frequency already present in the trace.
     """
-    nyquist_check(trace.config, scheme2, NyquistError)
+    nyquist_check(trace.config, scheme2)
     existing = {f for s in trace.schemes for f in s.read_freqs}
     clash = existing.intersection(scheme2.read_freqs)
     if clash:

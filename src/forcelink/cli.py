@@ -27,7 +27,7 @@ from . import calib, sweeps, traceio
 from .chansim import synthesis_blocks
 from .config import (ConfigError, ExperimentConfig, parse_config,
                      read_config_doc)
-from .decoder import anchor, decode_blocks, resolve_group_size
+from .decoder import anchor, group_phases, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
@@ -82,19 +82,18 @@ def cmd_decode(args) -> int:
             f"--scheme-index {args.scheme_index} out of range, trace has "
             f"{len(trace.schemes)} scheme(s)")
     scheme = trace.schemes[args.scheme_index]
-    try:
-        Ng = resolve_group_size(trace.config, trace.schemes, args.group_size)
-    except ValueError as e:
-        if args.group_size is None:
-            raise  # the trace's own read tones cannot be grouped
-        raise ConfigError(str(e)) from e
+    if args.group_size is not None:
+        try:
+            resolve_group_size(trace.config, trace.schemes, args.group_size)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     anchored = trace.geometry is not None and not args.no_anchor
     if args.model is not None and not anchored:
         raise ConfigError(
             "inversion needs anchored phases; the trace must carry sensor "
             "geometry and --no-anchor must not be set")
     model = traceio.read_model(args.model) if args.model is not None else None
-    series = decode_blocks(trace.blocks(Ng), trace.config, Ng, scheme)
+    series = group_phases(trace, scheme, args.group_size)
     phases = extra = None
     if anchored:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
@@ -109,8 +108,8 @@ def cmd_decode(args) -> int:
         }
     traceio.write_phase_csv(series, args.out, phases, extra_columns=extra)
     snr1, snr2 = series.snr_db
-    _info(f"wrote {args.out}: {series.n_groups} groups of {Ng} snapshots, "
-          f"snr {snr1:.1f}/{snr2:.1f} dB")
+    _info(f"wrote {args.out}: {series.n_groups} groups of {series.group_size} "
+          f"snapshots, snr {snr1:.1f}/{snr2:.1f} dB")
     return 0
 
 

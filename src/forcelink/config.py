@@ -232,9 +232,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    nyquist_check(cfg.waveform, cfg.scheme, ConfigError)
-    if cfg.group_size is not None:
-        _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
+    _build(nyquist_check, "clocks", cfg.waveform, cfg.scheme)
+    # the auto size too: clocks that no size holds whole cycles of cannot decode
+    _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
     L = cfg.geometry.length_mm
     for _, touch in cfg.timeline.entries:
         if touch is not None and not 0.0 <= touch.location_mm <= L:

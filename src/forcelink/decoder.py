@@ -10,12 +10,14 @@ modulation cycles.  Steps pair consecutive groups; phases pair each group
 with group 0, so anchoring them to the no-touch phase adds no error along
 the trace.
 
-decode_blocks is the one decode.  Given the scheme whose read tones it
-projects on, it computes every figure (steps, phases, tone energies, noise
-power) in one pass over snapshot-major blocks of whole groups, carrying only
-group 0's and a block's last group's projections to the next, so memory
-follows the block size, not the trace length; a trace file streams through
-it (traceio.TraceFile.blocks) as an in-memory trace does.
+group_phases is the one decode, of a trace in memory (chansim.ChannelTrace)
+or opened from a file (traceio.TraceFile); both yield their rows through
+blocks(group_size).  Given the scheme whose read tones it projects on, it
+computes every figure (steps, phases, tone energies, noise power) in one
+pass over snapshot-major blocks of whole groups, carrying only group 0's
+and a block's last group's projections to the next, so memory follows the
+block size, not the trace length: a trace file streams through it a chunk
+of about 1 MiB at a time, an in-memory trace goes through as one block.
 
 A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
@@ -26,13 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .chansim import ChannelTrace, WaveformConfig
 from .clocks import ClockScheme
 from .transducer import PortPhases
+
+if TYPE_CHECKING:
+    from .traceio import TraceFile
 
 GROUP_SIZE_CAP = 100_000
 # steps this close to the wrap boundary are flagged as possible aliases
@@ -54,7 +59,7 @@ def auto_group_size(config: WaveformConfig,
         schemes = (schemes,)
     T = config.frame_period_s
     size = 1
-    freqs = [f for s in schemes for f in s.read_freqs]
+    freqs = list(dict.fromkeys(f for s in schemes for f in s.read_freqs))
     for f in freqs:
         r = Fraction(T) * Fraction(f)
         r = r.limit_denominator(cap)
@@ -127,22 +132,6 @@ class PhaseSeries:
         return tuple(float(x) for x in np.clip(db, SNR_FLOOR_DB, SNR_CAP_DB))
 
 
-
-def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
-                 group_size: int | None = None) -> PhaseSeries:
-    """Decode both ports of an in-memory trace; defaults: first scheme, auto size.
-
-    group_size must hold whole cycles of every scheme's read tones in the
-    trace, not just the decoded one's, so the other sensors' tones cancel.
-    """
-    if scheme is None:
-        if not trace.schemes:
-            raise ValueError("trace carries no scheme; pass one explicitly")
-        scheme = trace.schemes[0]
-    Ng = resolve_group_size(trace.config, trace.schemes or scheme, group_size)
-    return decode_blocks([trace.data], trace.config, Ng, scheme)
-
-
 def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
     """Absolute (n_groups, 2) port phases, taking group 0 as untouched.
 
@@ -174,23 +163,28 @@ def _spread(n: int, count: int = 97) -> np.ndarray:
     return np.linspace(0, n - 1, min(n, count)).astype(int)
 
 
-def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
-                  group_size: int, scheme: ClockScheme) -> PhaseSeries:
-    """Decode a trace in one pass over consecutive snapshot-major blocks.
+def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
+                 group_size: int | None = None) -> PhaseSeries:
+    """Decode both ports of a trace, in memory or opened with traceio.open_trace,
+    in one pass over its blocks; defaults: first scheme, auto group size.
 
-    Blocks hold whole groups; snapshots past the last whole group are
-    ignored.  A step is the angle of P[g+1, k] conj(P[g, k]) averaged over
-    subcarriers, so the projection magnitudes drop out, and a phase that of
-    P[g, k] conj(P[0, k]); the trace needs 2 groups, each a whole number of
-    cycles of both read tones (resolve_group_size).  A tone's signal is the
-    median group energy, which a mid-group step cannot drag down.
-    sigma^2 is the minimum over group pairs of the median energy at odd bins,
-    unbiased by ln 2.  A step inside a pair leaks into its odd bins, so
-    sigma^2 relies on at least one group pair with no step inside it; a
-    trace whose every pair holds a step reads it high.
+    group_size must hold whole cycles of every scheme's read tones in the
+    trace, not just the decoded one's, so the other sensors' tones cancel;
+    snapshots past the last whole group are ignored.  A step is the angle of
+    P[g+1, k] conj(P[g, k]) averaged over subcarriers, so the projection
+    magnitudes drop out, and a phase that of P[g, k] conj(P[0, k]); the trace
+    needs 2 groups.  A tone's signal is the median group energy, which a
+    mid-group step cannot drag down.  sigma^2 is the minimum over group pairs
+    of the median energy at odd bins, unbiased by ln 2.  A step inside a pair
+    leaks into its odd bins, so sigma^2 relies on at least one group pair with
+    no step inside it; a trace whose every pair holds a step reads it high.
     """
-    Ng = group_size
-    resolve_group_size(config, scheme, Ng)  # whole cycles of both tones
+    if scheme is None:
+        if not trace.schemes:
+            raise ValueError("trace carries no scheme; pass one explicitly")
+        scheme = trace.schemes[0]
+    config = trace.config
+    Ng = resolve_group_size(config, (*trace.schemes, scheme), group_size)
     G = config.n_snapshots // Ng
     if G < 2:
         raise ValueError(f"need at least 2 groups, trace holds {G} at size {Ng}")
@@ -200,9 +194,7 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
     # projections and noise rows
     n0, P0, last = 0, None, None
     steps, phases, energy, pair_noise = [], [], [], []
-    for block in blocks:
-        if n0 % Ng or n0 + len(block) > config.n_snapshots:
-            raise ValueError("blocks must hold whole groups within the trace")
+    for block in trace.blocks(Ng):  # whole groups, then any tail
         g, start, n0 = len(block) // Ng, n0, n0 + len(block)
         if not g:
             continue
@@ -223,8 +215,6 @@ def decode_blocks(blocks: Iterable[np.ndarray], config: WaveformConfig,
             odd = np.fft.fft((rows[:-1] - rows[1:]) * half_turn, axis=1)[:, m]
             pair_noise.append(np.median(np.abs(odd / (2 * Ng)) ** 2, axis=(1, 2)))
         last = P[-1:], rows[-1:]
-    if n0 < G * Ng:
-        raise ValueError(f"blocks end at snapshot {n0} of {config.n_snapshots}")
     per_bin = float(np.concatenate(pair_noise).min())
     # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
     return PhaseSeries(scheme, Ng, Ng * config.frame_period_s,

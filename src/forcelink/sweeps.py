@@ -88,14 +88,14 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     return rows, aggregates
 
 
-def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
-                        n_subcarriers: int | None = None,
-                        group_size: int | None = None) -> tuple[float, float]:
-    """Decoded dphi for a held press (truth is zero); one value per port, rad."""
-    Ng = resolve_group_size(cfg.waveform, cfg.scheme,
-                            cfg.group_size if group_size is None else group_size)
-    K = cfg.waveform.n_subcarriers if n_subcarriers is None else n_subcarriers
-    wf = replace(cfg.waveform, n_subcarriers=K, n_snapshots=2 * Ng)
+def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
+                        seed: int) -> tuple[float, float]:
+    """Decoded dphi for a held press (truth is zero); one value per port, rad.
+
+    The trace holds two groups of cfg.group_size (auto for None) snapshots.
+    """
+    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     timeline = TouchTimeline.constant(TouchEvent(4.0, 40.0))
     noise = NoiseSpec(snr_db=snr_db, seed=int(seed),
                       quantize_bits=cfg.noise.quantize_bits)
@@ -105,9 +105,9 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None, seed: int,
     return float(d1), float(d2)
 
 
-def run_snr_sweep(cfg: ExperimentConfig, snr_grid_db=None,
-                  trials: int = 50, seed: int = 0) -> tuple[list[dict], list[dict]]:
-    """Phase-error spread versus SNR for a held press.
+def run_snr_sweep(cfg: ExperimentConfig, trials: int = 50,
+                  seed: int = 0) -> tuple[list[dict], list[dict]]:
+    """Phase-error spread versus SNR for a held press, over cfg.sweep.snr_grid_db.
 
     The press phase is constant, so each decoded step is pure error; its
     standard deviation over seeds is the per-group phase noise.
@@ -115,10 +115,9 @@ def run_snr_sweep(cfg: ExperimentConfig, snr_grid_db=None,
     if trials < 2:
         raise ConfigError("an SNR sweep needs at least 2 trials per point for a "
                           f"spread, got {trials}")
-    grid = tuple(snr_grid_db) if snr_grid_db is not None else cfg.sweep.snr_grid_db
     rng = np.random.default_rng(seed)
     rows, aggregates = [], []
-    for snr in grid:
+    for snr in cfg.sweep.snr_grid_db:
         errs = []
         for i in range(trials):
             e1, e2 = measure_step_errors(cfg, snr, int(rng.integers(0, 2 ** 62)))

@@ -211,8 +211,6 @@ def read_model(path) -> SensorModel:
                         rms_rad=float(np.radians(row["rms_deg"])))
             for loc, row in zip(doc["locations_mm"], doc["per_location"],
                                 strict=True))
-        if len(fits) < 2:
-            raise ValueError(f"needs at least 2 locations, got {len(fits)}")
         f_lo, f_hi = doc["force_range_n"]
         return SensorModel(carrier_hz=float(doc["carrier_hz"]), fits=fits,
                            force_range_n=(float(f_lo), float(f_hi)))

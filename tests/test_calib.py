@@ -186,3 +186,12 @@ def test_fit_rejects_rank_deficient_location():
                + make_samples([40.0], [2.0]) * 4)
     with pytest.raises(ValueError):
         CalibrationDataset(samples=samples, carrier_hz=CARRIER)
+
+
+@pytest.mark.parametrize("locations", [[40.0], [40.0, 40.0], [60.0, 20.0]],
+                         ids=["one", "duplicate", "reversed"])
+def test_model_requires_strictly_increasing_locations(model, locations):
+    # interpolation and inversion bracket a location between its neighbours
+    fits = tuple(replace(model.fits[0], location_mm=loc) for loc in locations)
+    with pytest.raises(ValueError, match="locations"):
+        replace(model, fits=fits)

@@ -166,6 +166,16 @@ def test_simulate_float32_overflow_fails_and_keeps_the_old_trace(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "t.trace"]
 
 
+def test_simulate_rejects_clocks_that_cannot_be_grouped(tmp_path, capsys):
+    # no group below the cap holds whole cycles of 1001.3 Hz tones, so no
+    # decode of the trace could run: the config is refused before any write
+    cfg = write_config(tmp_path, {"clocks": {"f_s_hz": 1001.3}})
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "run.trace")]) == 2
+    assert "no integer-cycle group size below 100000" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_decode_scheme_index_out_of_range(tmp_path):
     cfg = write_config(tmp_path)
     trace_path = str(tmp_path / "run.trace")

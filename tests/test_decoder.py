@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
-                               Path, TouchTimeline, WaveformConfig,
-                               nyquist_check, synthesize)
+                               NyquistError, Path, TouchTimeline,
+                               WaveformConfig, nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
-from forcelink.decoder import (anchor, auto_group_size, decode_blocks,
-                               group_phases, noise_power, project_groups,
-                               read_sensor_snr)
+from forcelink.decoder import (anchor, auto_group_size, group_phases,
+                               noise_power, project_groups, read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -42,11 +41,12 @@ def test_auto_group_size_incommensurate_raises():
 
 
 def test_nyquist_report_values():
-    rep = nyquist_check(WF, SCHEME)
-    assert rep.ok is True
-    assert rep.limit_hz == pytest.approx(8680.555555555556, abs=1e-9)
-    assert rep.max_read_hz == 4000.0
-    assert nyquist_check(WF, make_scheme(2500.0)).ok is False
+    assert WF.nyquist_hz == pytest.approx(8680.555555555556, abs=1e-9)
+    assert max(SCHEME.read_freqs) == 4000.0
+    nyquist_check(WF, SCHEME)
+    with pytest.raises(NyquistError, match="10000.0 Hz exceeds the Nyquist bound "
+                       "8680.6 Hz"):
+        nyquist_check(WF, make_scheme(2500.0))
 
 
 def test_pure_tone_step_recovered_to_float_precision():
@@ -94,10 +94,6 @@ def test_projection_single_group_matches_matrix_slice():
             want = (trace.data[n] * np.exp(-2j * np.pi * f * n * T)[:, None]
                     ).sum(axis=0) / NG
             np.testing.assert_allclose(P[0, t], want, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):  # a fourth group runs past the trace
-        decode_blocks([rows, rows[:NG]], wf, NG, SCHEME)
-    with pytest.raises(ValueError):  # the blocks stop after two groups
-        decode_blocks([rows[:2 * NG]], wf, NG, SCHEME)
 
 
 def full_sim_staircase(n_groups=3, snr_db=None, seed=0):
@@ -252,7 +248,7 @@ def test_decode_rejects_non_positive_group_size():
     trace = default_noisy_trace(20.0, 5)
     for size in (0, -NG):
         with pytest.raises(ValueError, match="not a positive multiple"):
-            decode_blocks([trace.data], trace.config, size, SCHEME)
+            group_phases(trace, SCHEME, size)
 
 
 def test_group_size_must_hold_whole_cycles_of_every_sensor():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from forcelink import cli, traceio
 from forcelink.config import default_config_dict
-from forcelink.decoder import anchor, decode_blocks
+from forcelink.decoder import anchor, group_phases
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
 from forcelink.transducer import ShortingState, port_phases
 
@@ -45,7 +45,7 @@ def in_memory_csv(trace_path, tmp_path_factory):
     """What decode writes, computed from read_trace's in-memory trace."""
     trace = read_trace(trace_path)
     scheme = trace.schemes[0]
-    series = decode_blocks([trace.data], trace.config, NG, scheme)
+    series = group_phases(trace, scheme, NG)
     quiet = port_phases(ShortingState.open(), trace.geometry,
                         trace.config.carrier_hz)
     out = tmp_path_factory.mktemp("mem") / "phases.csv"
@@ -69,6 +69,16 @@ def test_streamed_csv_matches_in_memory_bytes(trace_path, in_memory_csv,
         assert cli.main(["decode", "--trace", trace_path,
                          "--out", str(out)]) == 0
     assert out.read_bytes() == in_memory_csv
+
+
+def test_group_phases_decodes_a_trace_file_as_its_in_memory_copy(trace_path):
+    # the one decode takes either kind of trace; the file streams in chunks
+    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(4)):
+        streamed = group_phases(open_trace(trace_path))
+    whole = group_phases(read_trace(trace_path))
+    assert streamed.group_size == whole.group_size == NG
+    for name in ("steps", "phases", "signal", "sigma2"):
+        np.testing.assert_array_equal(getattr(streamed, name), getattr(whole, name))
 
 
 def test_blocks_hold_whole_groups_within_the_chunk_size(trace_path):
@@ -186,6 +196,9 @@ def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, say
     assert not out.exists()
 
 
+ZERO_FIT = {f"c{i}_port{p}": 0.0 for i in range(4) for p in (1, 2)} | {"rms_deg": 0.1}
+
+
 @pytest.mark.parametrize("model", [
     {"carrier_hz": 2.4e9, "locations_mm": [20.0, 60.0], "force_range_n": [1, 8]},
     [1, 2],
@@ -194,7 +207,12 @@ def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, say
                       | {"rms_deg": 0.1}]},
     {"carrier_hz": 2.4e9, "locations_mm": [], "force_range_n": [1, 8],
      "per_location": []},
-], ids=["no-per_location", "list-root", "string-coefficient", "no-locations"])
+    {"carrier_hz": 2.4e9, "locations_mm": [40.0, 40.0], "force_range_n": [1, 8],
+     "per_location": [ZERO_FIT, ZERO_FIT]},
+    {"carrier_hz": 2.4e9, "locations_mm": [60.0, 20.0], "force_range_n": [1, 8],
+     "per_location": [ZERO_FIT, ZERO_FIT]},
+], ids=["no-per_location", "list-root", "string-coefficient", "no-locations",
+        "duplicate-locations", "reversed-locations"])
 def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
@@ -210,7 +228,7 @@ def test_model_is_read_before_the_trace_streams(trace_path, tmp_path):
     path.write_text("[1, 2]")
     out = tmp_path / "phases.csv"
     stub = mock.Mock(side_effect=AssertionError("decoded before reading --model"))
-    with mock.patch.object(cli, "decode_blocks", stub):
+    with mock.patch.object(cli, "group_phases", stub):
         assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
                          "--model", str(path)]) == 1
     stub.assert_not_called()
@@ -223,7 +241,7 @@ def test_group_size_must_hold_whole_tone_cycles(trace_path, tmp_path, capsys, si
     # cycles of the 1 kHz tone, so static multipath would not cancel
     out = tmp_path / "phases.csv"
     stub = mock.Mock(side_effect=AssertionError("decoded with a bad group size"))
-    with mock.patch.object(cli, "decode_blocks", stub):
+    with mock.patch.object(cli, "group_phases", stub):
         assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
                          "--group-size", size]) == 2
     stub.assert_not_called()

@@ -1,5 +1,6 @@
 """Experiment engines: closed-loop trials, SNR sweeps, crosstalk isolation."""
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,10 @@ from forcelink.sweeps import (calibrate, measure_step_errors, no_touch_phase,
                               run_crosstalk, run_force_sweep, run_snr_sweep,
                               run_touch_trial, snr_meeting_threshold)
 from forcelink.transducer import ShortingState, port_phases
+
+
+def with_grid(cfg, *snr_db):
+    return replace(cfg, sweep=replace(cfg.sweep, snr_grid_db=snr_db))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +67,13 @@ def test_run_force_sweep_needs_a_trial(default_cfg, trials):
 @pytest.mark.parametrize("trials", [1, 0])
 def test_run_snr_sweep_needs_two_trials_for_a_spread(default_cfg, trials):
     with pytest.raises(ValueError, match="at least 2 trials"):
-        run_snr_sweep(default_cfg, snr_grid_db=(10.0,), trials=trials)
+        run_snr_sweep(with_grid(default_cfg, 10.0), trials=trials)
+
+
+def test_run_snr_sweep_grid_must_not_be_empty(default_cfg):
+    # the grid comes only from the config, which refuses an empty one
+    with pytest.raises(ValueError, match="snr_grid_db must not be empty"):
+        with_grid(default_cfg)
 
 
 def test_measure_step_errors_noiseless_is_zero(default_cfg):
@@ -79,19 +90,26 @@ def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_c
     # 0 is a size like any other, not a stand-in for auto
     for size in (600, 0, -625):
         with pytest.raises(ValueError, match="not a positive multiple of 625"):
-            measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=size)
-    e1, e2 = measure_step_errors(default_cfg, snr_db=None, seed=0, group_size=1250)
+            measure_step_errors(replace(default_cfg, group_size=size),
+                                snr_db=None, seed=0)
+    e1, e2 = measure_step_errors(replace(default_cfg, group_size=1250),
+                                 snr_db=None, seed=0)
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
 def test_measure_step_errors_rejects_zero_subcarriers(default_cfg):
-    # 0 is a count like any other, not a stand-in for the config's 64
+    # the count comes only from the config's waveform, which refuses 0 rather
+    # than let a decode fall back to 64; a single subcarrier decodes
     with pytest.raises(ValueError, match="at least one subcarrier"):
-        measure_step_errors(default_cfg, snr_db=None, seed=0, n_subcarriers=0)
+        replace(default_cfg.waveform, n_subcarriers=0)
+    one = replace(default_cfg, waveform=replace(default_cfg.waveform,
+                                                n_subcarriers=1))
+    e1, e2 = measure_step_errors(one, snr_db=None, seed=0)
+    assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
-    rows, aggs = run_snr_sweep(default_cfg, snr_grid_db=(10.0, 30.0),
+    rows, aggs = run_snr_sweep(with_grid(default_cfg, 10.0, 30.0),
                                trials=12, seed=3)
     assert len(rows) == 24
     assert len(aggs) == 2
