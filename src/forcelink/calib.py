@@ -80,7 +80,7 @@ class LocationFit:
 @dataclass(frozen=True)
 class SensorModel:
     """Per-location fits, interpolated between locations; at least 2 fits,
-    their locations strictly increasing."""
+    their locations strictly increasing, and force_range_n increasing."""
 
     carrier_hz: float
     fits: tuple[LocationFit, ...]
@@ -92,6 +92,9 @@ class SensorModel:
             raise ValueError(f"needs at least 2 locations, got {len(locs)}")
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError(f"locations must strictly increase, got {locs}")
+        lo, hi = self.force_range_n
+        if not lo < hi:
+            raise ValueError(f"force_range_n must increase, got {self.force_range_n}")
 
     def locations(self) -> list[float]:
         return [f.location_mm for f in self.fits]

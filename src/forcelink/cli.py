@@ -7,6 +7,10 @@ Subcommands:
   sweep      run a canned experiment (force | snr | crosstalk) to CSV
   impedance  quick microstrip impedance / width helper
 
+Every subcommand that takes --config loads it with config.load_config, as
+library code does, so a file describes one run; --seed, where given,
+overrides the file's noise.seed (default 1).
+
 Exit status: 0 on success, 2 for configuration or usage errors, 1 for
 runtime failures (unreadable traces, I/O), 143 when stopped by SIGTERM.
 Diagnostics go to stderr.
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import signal
 import sys
 import threading
@@ -25,34 +28,17 @@ from dataclasses import replace
 
 from . import calib, sweeps, traceio
 from .chansim import synthesis_blocks
-from .config import (ConfigError, ExperimentConfig, parse_config,
-                     read_config_doc)
+from .config import ConfigError, ExperimentConfig, load_config
 from .decoder import anchor, group_phases, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
-ENV_SEED = "FORCELINK_SEED"
-
-
-def _load(path) -> tuple[dict, ExperimentConfig]:
-    doc = read_config_doc(path)
-    return doc, parse_config(doc)
-
-
-def resolve_seed(cli_seed, doc: dict) -> int:
-    """--seed beats the config file's noise.seed beats $FORCELINK_SEED beats 0."""
-    if cli_seed is not None:
-        return int(cli_seed)
-    noise_doc = doc.get("noise") or {}
-    if "seed" in noise_doc:
-        return int(noise_doc["seed"])
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 0
+def _load_seeded(path, seed: int | None) -> ExperimentConfig:
+    """The config at path, its noise.seed replaced by --seed when one is given."""
+    cfg = load_config(path)
+    if seed is None:
+        return cfg
+    return replace(cfg, noise=replace(cfg.noise, seed=seed))
 
 
 def _info(msg: str) -> None:
@@ -60,16 +46,14 @@ def _info(msg: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    doc, cfg = _load(args.config)
-    seed = resolve_seed(args.seed, doc)
-    cfg = replace(cfg, noise=replace(cfg.noise, seed=seed))
+    cfg = _load_seeded(args.config, args.seed)
     wf = cfg.waveform
     provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
                                           cfg.noise, cfg.geometry, cfg.mechanics)
     traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,
                                provenance)
     _info(f"wrote {args.out}: {wf.n_subcarriers} subcarriers x "
-          f"{wf.n_snapshots} snapshots, seed {seed}")
+          f"{wf.n_snapshots} snapshots, seed {cfg.noise.seed}")
     return 0
 
 
@@ -119,7 +103,7 @@ def cmd_calibrate(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("calibrate needs --config or --from-dataset")
-        _, cfg = _load(args.config)
+        cfg = load_config(args.config)
         data = calib.generate_sweep(cfg.calibration.locations_mm,
                                     cfg.calibration.forces_n,
                                     cfg.geometry, cfg.mechanics,
@@ -155,15 +139,14 @@ def _write_rows(path, fieldnames, rows) -> None:
 
 
 def cmd_sweep(args) -> int:
-    doc, cfg = _load(args.config)
-    seed = resolve_seed(args.seed, doc)
+    if args.mode == "crosstalk" and args.trials is not None:
+        raise ConfigError("--mode crosstalk takes no --trials")
+    cfg = _load_seeded(args.config, args.seed)
+    seed = cfg.noise.seed
     if args.mode == "force":
-        rows, aggregates = sweeps.run_force_sweep(cfg, trials=args.trials,
-                                                  seed=seed)
+        rows, aggregates = sweeps.run_force_sweep(cfg, args.trials, seed)
     elif args.mode == "snr":
-        rows, aggregates = sweeps.run_snr_sweep(
-            cfg, trials=args.trials if args.trials is not None else 50,
-            seed=seed)
+        rows, aggregates = sweeps.run_snr_sweep(cfg, args.trials, seed)
     else:
         rows, aggregates = sweeps.run_crosstalk(cfg, seed=seed)
     _write_rows(args.out, _SWEEP_FIELDS[args.mode], rows + aggregates)

@@ -7,6 +7,8 @@ it omits take the reference defaults.  read_section is the one JSON ->
 dataclass step: unknown keys and missing or malformed values are ConfigErrors
 naming the section (CLI exit 2).  traceio reads trace headers and datasets
 with it too and re-raises its errors as ValueErrors naming the file (exit 1).
+load_config is the one loader of a config file, for the CLI and the library
+alike, so one file gives one run: the same seed, the same trace.
 """
 from __future__ import annotations
 
@@ -236,22 +238,25 @@ def validate(cfg: ExperimentConfig) -> None:
     # the auto size too: clocks that no size holds whole cycles of cannot decode
     _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
     L = cfg.geometry.length_mm
+    if cfg.mechanics.max_halfwidth_mm > 0.5 * L:
+        raise ConfigError(f"mechanics.max_halfwidth_mm {cfg.mechanics.max_halfwidth_mm}"
+                          f" mm exceeds half of the {L} mm line")
     for _, touch in cfg.timeline.entries:
         if touch is not None and not 0.0 <= touch.location_mm <= L:
             raise ConfigError(
                 f"touch location {touch.location_mm} mm outside line [0, {L}] mm")
 
 
-def read_config_doc(path) -> dict:
-    """The raw JSON document of a config file; unreadable files are ConfigErrors."""
+def load_config(path) -> ExperimentConfig:
+    """The experiment a config file describes; the one place a file is read.
+
+    A missing file, invalid JSON and every malformed section are ConfigErrors.
+    """
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_config_doc(path))
+    return parse_config(doc)

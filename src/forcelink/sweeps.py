@@ -105,13 +105,15 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
     return float(d1), float(d2)
 
 
-def run_snr_sweep(cfg: ExperimentConfig, trials: int = 50,
+def run_snr_sweep(cfg: ExperimentConfig, trials: int | None = None,
                   seed: int = 0) -> tuple[list[dict], list[dict]]:
     """Phase-error spread versus SNR for a held press, over cfg.sweep.snr_grid_db.
 
     The press phase is constant, so each decoded step is pure error; its
-    standard deviation over seeds is the per-group phase noise.
+    standard deviation over seeds (trials per point, 50 for None) is the
+    per-group phase noise.
     """
+    trials = trials if trials is not None else 50
     if trials < 2:
         raise ConfigError("an SNR sweep needs at least 2 trials per point for a "
                           f"spread, got {trials}")

@@ -195,3 +195,11 @@ def test_model_requires_strictly_increasing_locations(model, locations):
     fits = tuple(replace(model.fits[0], location_mm=loc) for loc in locations)
     with pytest.raises(ValueError, match="locations"):
         replace(model, fits=fits)
+
+
+@pytest.mark.parametrize("force_range", [(8.0, 1.0), (4.0, 4.0)],
+                         ids=["reversed", "empty"])
+def test_model_requires_an_increasing_force_range(model, force_range):
+    # a reversed range would pin every inverted force to one of its edges
+    with pytest.raises(ValueError, match="force_range_n"):
+        replace(model, force_range_n=force_range)

@@ -12,7 +12,8 @@ import time
 import pytest
 
 from forcelink import cli
-from forcelink.config import default_config_dict
+from forcelink.chansim import synthesize
+from forcelink.config import default_config_dict, load_config
 from forcelink.traceio import (PHASE_CSV_COLUMNS, read_dataset, read_model,
                                read_trace)
 
@@ -26,11 +27,6 @@ def write_config(tmp_path, doc=None, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
 
 
 def test_simulate_then_decode_pipeline(tmp_path):
@@ -124,29 +120,39 @@ def test_calibrate_requires_a_source(tmp_path):
     assert cli.main(["calibrate", "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path, capsys):
+    # --seed beats the file's noise.seed, which defaults to 1
     doc = default_config_dict()
-    doc["noise"] = {"snr_db": 25.0}  # no seed in the file
+    doc["noise"]["seed"] = 5
+    cfg = write_config(tmp_path, doc)
+    del doc["noise"]["seed"]
     cfg_noseed = write_config(tmp_path, doc, name="noseed.json")
-    cfg = write_config(tmp_path)
     out = str(tmp_path / "t.trace")
 
-    cli.main(["simulate", "--config", cfg, "--out", out, "--seed", "7"])
-    assert read_trace(out).provenance["seed"] == 7  # flag beats config
+    for config, flag, seed in ((cfg, ["--seed", "7"], 7), (cfg, [], 5),
+                               (cfg_noseed, ["--seed", "7"], 7),
+                               (cfg_noseed, [], 1)):
+        assert cli.main(["simulate", "--config", config, "--out", out, *flag]) == 0
+        assert read_trace(out).provenance["seed"] == seed
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", cfg_noseed, "--mode", "crosstalk",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err.endswith("(mode crosstalk, seed 1)\n")
 
-    cli.main(["simulate", "--config", cfg, "--out", out])
-    assert read_trace(out).provenance["seed"] == 1  # config beats env
 
-    monkeypatch.setenv(cli.ENV_SEED, "5")
-    cli.main(["simulate", "--config", cfg_noseed, "--out", out])
-    assert read_trace(out).provenance["seed"] == 5  # env fills the gap
-
-    monkeypatch.delenv(cli.ENV_SEED)
-    cli.main(["simulate", "--config", cfg_noseed, "--out", out])
-    assert read_trace(out).provenance["seed"] == 0  # final fallback
-
-    monkeypatch.setenv(cli.ENV_SEED, "not-a-number")
-    assert cli.main(["simulate", "--config", cfg_noseed, "--out", out]) == 2
+@pytest.mark.parametrize("doc", [{}, {"noise": {"snr_db": 25.0}}],
+                         ids=["empty", "noise-without-seed"])
+def test_simulate_writes_the_trace_the_library_makes(tmp_path, doc):
+    # one loader: the CLI simulates the run load_config describes, seed too
+    path = write_config(tmp_path, doc)
+    out = str(tmp_path / "t.trace")
+    assert cli.main(["simulate", "--config", path, "--out", out]) == 0
+    cfg = load_config(path)
+    want = synthesize(cfg.waveform, cfg.scheme, cfg.timeline, cfg.multipath,
+                      cfg.noise, cfg.geometry, cfg.mechanics)
+    got = read_trace(out)
+    assert got.provenance["seed"] == cfg.noise.seed == 1
+    assert got.data.astype("<c8").tobytes() == want.data.astype("<c8").tobytes()
 
 
 def test_simulate_float32_overflow_fails_and_keeps_the_old_trace(tmp_path, capsys):
@@ -251,9 +257,10 @@ def test_sweep_snr_mode(tmp_path):
 
 
 @pytest.mark.parametrize("mode,trials", [("force", "0"), ("force", "-3"),
-                                         ("snr", "1")])
+                                         ("snr", "1"), ("crosstalk", "5")])
 def test_sweep_rejects_too_few_trials(tmp_path, capsys, mode, trials):
-    # no quantile of zero trials, no spread of one: a usage error, no CSV
+    # no quantile of zero trials, no spread of one, and crosstalk runs no
+    # trials at all: a usage error, no CSV
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", cfg, "--mode", mode,

@@ -198,12 +198,13 @@ def forces_range(start, stop, step):
     {"sweep": {"trials": 0}},
     {"sweep": {"trials": -3}},
     {"clocks": {"f_s_hz": 1001.3}},
+    {"mechanics": {"max_halfwidth_mm": 50.0}},
 ], ids=["null-float", "section-list", "section-string", "row-no-start",
         "timeline-object", "step-zero", "step-negative", "stop-below-start",
         "range-no-step", "trials-string", "trials-fraction", "range-one-value",
         "group-size-string", "group-size-null", "negative-f_s", "clock-no-duty",
         "paths-number", "seed-bool", "trials-zero", "trials-negative",
-        "ungroupable-f_s"])
+        "ungroupable-f_s", "halfwidth-past-half-line"])
 def test_malformed_config_is_a_config_error(doc, tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config(doc)

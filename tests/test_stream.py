@@ -211,8 +211,10 @@ ZERO_FIT = {f"c{i}_port{p}": 0.0 for i in range(4) for p in (1, 2)} | {"rms_deg"
      "per_location": [ZERO_FIT, ZERO_FIT]},
     {"carrier_hz": 2.4e9, "locations_mm": [60.0, 20.0], "force_range_n": [1, 8],
      "per_location": [ZERO_FIT, ZERO_FIT]},
+    {"carrier_hz": 2.4e9, "locations_mm": [20.0, 60.0], "force_range_n": [8, 1],
+     "per_location": [ZERO_FIT, ZERO_FIT]},
 ], ids=["no-per_location", "list-root", "string-coefficient", "no-locations",
-        "duplicate-locations", "reversed-locations"])
+        "duplicate-locations", "reversed-locations", "reversed-force-range"])
 def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
