@@ -156,7 +156,8 @@ class ChannelTrace:
                 f"data shape {arr.shape} does not match config "
                 f"({self.config.n_snapshots}, {self.config.n_subcarriers})")
         for b in _row_blocks(*arr.shape):
-            if not np.isfinite(arr[b]).all():
+            # re and im as floats: half the time of numpy's complex isfinite
+            if not np.isfinite(arr[b].view(float)).all():
                 raise ValueError("trace entries must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -221,7 +222,9 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
     the reflection added from a temporary of BLOCK_FLOATS // 8 entries:
     malloc reuses its 128 KB, where 1 MB temporaries cost 600 page faults
     per 64 x 1250 trace.  The phasor goes first: numpy's complex
-    multiply is not bitwise symmetric.
+    multiply is not bitwise symmetric.  sweeps.measure_step_errors adds
+    noise to a noiseless trace in this same order, bit for bit, so the two
+    change together.
     """
     N, K = config.n_snapshots, config.n_subcarriers
     phasor = _subcarrier_phasor(config, sensor_path)
@@ -289,6 +292,19 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
+def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
+    """Standard deviation of each of the noise's re and im at snr_db below the
+    sensor path amplitude squared; None for snr_db None (noiseless)."""
+    if snr_db is None:
+        return None
+    alpha = abs(sensor_path.amplitude)
+    if alpha == 0.0:
+        raise ValueError("snr_db is defined against the sensor path; "
+                         "its amplitude must be nonzero when noise is on")
+    sigma2 = alpha ** 2 * 10.0 ** (-snr_db / 10.0)
+    return math.sqrt(sigma2 / 2.0)
+
+
 def _synthesis(config: WaveformConfig, scheme: ClockScheme,
                timeline: TouchTimeline, multipath: MultipathProfile,
                noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
@@ -303,14 +319,7 @@ def _synthesis(config: WaveformConfig, scheme: ClockScheme,
     static = np.zeros(K, dtype=np.complex128)
     for path in multipath.paths:
         static += _subcarrier_phasor(config, path)
-    scale = None
-    if noise.snr_db is not None:
-        alpha = abs(multipath.sensor_path.amplitude)
-        if alpha == 0.0:
-            raise ValueError("snr_db is defined against the sensor path; "
-                             "its amplitude must be nonzero when noise is on")
-        sigma2 = alpha ** 2 * 10.0 ** (-noise.snr_db / 10.0)
-        scale = math.sqrt(sigma2 / 2.0)
+    scale = noise_scale(multipath.sensor_path, noise.snr_db)
     prov = {"seed": noise.seed,
             "config_digest": _digest(config, scheme, multipath, noise,
                                      timeline, geom, mech)}

@@ -142,16 +142,15 @@ def cmd_sweep(args) -> int:
     if args.mode == "crosstalk" and args.trials is not None:
         raise ConfigError("--mode crosstalk takes no --trials")
     cfg = _load_seeded(args.config, args.seed)
-    seed = cfg.noise.seed
     if args.mode == "force":
-        rows, aggregates = sweeps.run_force_sweep(cfg, args.trials, seed)
+        rows, aggregates = sweeps.run_force_sweep(cfg, args.trials)
     elif args.mode == "snr":
-        rows, aggregates = sweeps.run_snr_sweep(cfg, args.trials, seed)
+        rows, aggregates = sweeps.run_snr_sweep(cfg, args.trials)
     else:
-        rows, aggregates = sweeps.run_crosstalk(cfg, seed=seed)
+        rows, aggregates = sweeps.run_crosstalk(cfg)
     _write_rows(args.out, _SWEEP_FIELDS[args.mode], rows + aggregates)
-    _info(f"wrote {args.out}: {len(rows)} trial rows, "
-          f"{len(aggregates)} summary rows (mode {args.mode}, seed {seed})")
+    _info(f"wrote {args.out}: {len(rows)} trial rows, {len(aggregates)} "
+          f"summary rows (mode {args.mode}, seed {cfg.noise.seed})")
     return 0
 
 

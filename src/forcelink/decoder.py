@@ -21,10 +21,15 @@ of about 1 MiB at a time, an in-memory trace goes through as one block.
 
 A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
-size holding whole cycles of every read tone.
+size holding whole cycles of every read tone.  Setup that depends only on
+such small keys is worked out once and shared by every decode: the auto
+size per (frame period, read tones, cap), the noise estimate's bins and
+half-bin turn per group size.  The tone weights depend on a block's first
+snapshot, which a streamed decode never repeats, so they are not kept.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,19 +59,25 @@ def auto_group_size(config: WaveformConfig,
 
     Rationalizes T * f for each read frequency and takes the lcm of the
     denominators; errors out if no integral grouping exists below cap.
+    Only T and the read tones matter, so the size is worked out once per
+    (T, tones, cap) and remembered; a failure is not, and raises every call.
     """
     if isinstance(schemes, ClockScheme):
         schemes = (schemes,)
-    T = config.frame_period_s
+    freqs = tuple(dict.fromkeys(f for s in schemes for f in s.read_freqs))
+    return _whole_cycle_size(config.frame_period_s, freqs, cap)
+
+
+@functools.lru_cache(maxsize=64)
+def _whole_cycle_size(T: float, freqs: tuple[float, ...], cap: int) -> int:
     size = 1
-    freqs = list(dict.fromkeys(f for s in schemes for f in s.read_freqs))
     for f in freqs:
         r = Fraction(T) * Fraction(f)
         r = r.limit_denominator(cap)
         size = math.lcm(size, r.denominator)
         if size > cap:
             raise ValueError(
-                f"no integer-cycle group size below {cap} for read tones {freqs}")
+                f"no integer-cycle group size below {cap} for read tones {list(freqs)}")
     for f in freqs:
         cycles = size * T * f
         if abs(cycles - round(cycles)) > 1e-6:
@@ -158,9 +169,19 @@ def project_groups(block: np.ndarray, n0: int, read_freqs: Sequence[float],
     return w @ np.asarray(block[:g * Ng], np.complex128).reshape(g, Ng, -1) / Ng
 
 
-def _spread(n: int, count: int = 97) -> np.ndarray:
-    """At most count distinct indices spread evenly over range(n)."""
-    return np.linspace(0, n - 1, min(n, count)).astype(int)
+@functools.lru_cache(maxsize=16)
+def _odd_bins(group_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the noise estimate reads at a group size, shared by every decode.
+
+    m: at most 97 indices spread evenly over range(group_size), so that
+    odd bins 2m + 1 of a two-group window are read; half_turn: the (N_g, 1)
+    column e^{-j pi n / N_g} that moves those bins onto bins m of one group.
+    Both are read-only.
+    """
+    m = np.linspace(0, group_size - 1, min(group_size, 97)).astype(int)
+    half_turn = np.exp(-1j * np.pi * np.arange(group_size) / group_size)[:, None]
+    m.flags.writeable = half_turn.flags.writeable = False
+    return m, half_turn
 
 
 def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
@@ -188,8 +209,7 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     G = config.n_snapshots // Ng
     if G < 2:
         raise ValueError(f"need at least 2 groups, trace holds {G} at size {Ng}")
-    m = _spread(Ng)  # odd bins 2m + 1 of a two-group window
-    half_turn = np.exp(-1j * np.pi * np.arange(Ng) / Ng)[:, None]
+    m, half_turn = _odd_bins(Ng)
     # P0: group 0's conjugate projections; last: the previous group's
     # projections and noise rows
     n0, P0, last = 0, None, None

@@ -2,18 +2,26 @@
 
 These back the sweep CLI command and are importable directly so studies and
 the acceptance checks can drive them without shelling out.  All randomness
-derives from one seed.
+derives from one seed, the config's noise.seed unless one is passed, so a
+sweep run from the library matches forcelink sweep on the same file.
+
+An SNR point varies only the noise, so measure_step_errors takes a seed
+axis: it makes the group size and the noiseless trace once per call and
+decodes each seed's noise added to that trace, row for row the trace
+synthesize would make from that seed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from . import calib
-from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
-                      WaveformConfig, add_second_sensor, synthesize)
+from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
+                      TouchTimeline, add_second_sensor, noise_scale, quantize,
+                      synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import anchor, auto_group_size, group_phases, resolve_group_size
@@ -59,13 +67,16 @@ def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
 
 
 def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
-                    seed: int = 0) -> tuple[list[dict], list[dict]]:
-    """Monte-Carlo closed loop over random presses; per-trial and summary rows."""
+                    seed: int | None = None) -> tuple[list[dict], list[dict]]:
+    """Monte-Carlo closed loop over random presses; per-trial and summary rows.
+
+    Presses and trial seeds are drawn from seed, cfg.noise.seed for None.
+    """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
         raise ConfigError(f"a force sweep needs at least 1 trial, got {trials}")
     model = calibrate(cfg)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
     rows = []
@@ -89,45 +100,64 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
 
 
 def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
-                        seed: int) -> tuple[float, float]:
-    """Decoded dphi for a held press (truth is zero); one value per port, rad.
+                        seeds: Sequence[int]) -> np.ndarray:
+    """Decoded dphi for a held press (truth is zero), rad: one row per seed,
+    one column per port; an empty seeds gives a (0, 2) array.
 
     The trace holds two groups of cfg.group_size (auto for None) snapshots.
+    Row i is bit for bit the decode of synthesize's trace with
+    NoiseSpec(snr_db, seeds[i], cfg.noise.quantize_bits).  Only the noise
+    differs between seeds, so the group size and the noiseless trace are
+    made once per call (the config is checked even for no seeds); each seed
+    then draws its noise into one reused buffer, in synthesize's order (the
+    seeded (N, K, 2) standard_normal stream, times the noise scale, plus the
+    noiseless trace), quantized when cfg.noise.quantize_bits is set.
     """
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=2 * Ng)
-    timeline = TouchTimeline.constant(TouchEvent(4.0, 40.0))
-    noise = NoiseSpec(snr_db=snr_db, seed=int(seed),
-                      quantize_bits=cfg.noise.quantize_bits)
-    trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
-                       cfg.geometry, cfg.mechanics)
-    d1, d2 = group_phases(trace, cfg.scheme, Ng).steps[0]
-    return float(d1), float(d2)
+    clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
+                       cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
+    scale = noise_scale(cfg.multipath.sensor_path, snr_db)
+    bits = cfg.noise.quantize_bits
+    buf = np.empty_like(clean.data)
+    errs = np.empty((len(seeds), 2))
+    for i, seed in enumerate(seeds):
+        data = clean.data
+        if scale is not None:
+            v = np.random.default_rng(int(seed)).standard_normal(out=buf.view(float))
+            v *= scale
+            buf += data
+            data = buf
+        if bits is not None:
+            data = quantize(data, bits)
+        trace = ChannelTrace(config=wf, data=data, schemes=clean.schemes)
+        errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
+    return errs
 
 
 def run_snr_sweep(cfg: ExperimentConfig, trials: int | None = None,
-                  seed: int = 0) -> tuple[list[dict], list[dict]]:
+                  seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Phase-error spread versus SNR for a held press, over cfg.sweep.snr_grid_db.
 
     The press phase is constant, so each decoded step is pure error; its
     standard deviation over seeds (trials per point, 50 for None) is the
-    per-group phase noise.
+    per-group phase noise.  Each point's seeds are drawn from seed
+    (cfg.noise.seed for None) and measured in one measure_step_errors call.
     """
     trials = trials if trials is not None else 50
     if trials < 2:
         raise ConfigError("an SNR sweep needs at least 2 trials per point for a "
                           f"spread, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
     rows, aggregates = [], []
     for snr in cfg.sweep.snr_grid_db:
-        errs = []
-        for i in range(trials):
-            e1, e2 = measure_step_errors(cfg, snr, int(rng.integers(0, 2 ** 62)))
-            errs.append((e1, e2))
+        seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials)]
+        errs = measure_step_errors(cfg, snr, seeds)
+        for i, (e1, e2) in enumerate(errs.tolist()):
             rows.append({"kind": "trial", "snr_db": snr, "trial": i,
                          "dphi1_deg": math.degrees(e1),
                          "dphi2_deg": math.degrees(e2)})
-        arr = np.degrees(np.array(errs))
+        arr = np.degrees(errs)
         aggregates.append({"kind": "aggregate", "snr_db": snr,
                            "phase_std1_deg": float(arr[:, 0].std(ddof=1)),
                            "phase_std2_deg": float(arr[:, 1].std(ddof=1))})
@@ -152,20 +182,21 @@ def _staircase_timeline(Ng: int, n_groups: int, location_mm: float,
 
 
 def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
-                  seed: int = 0) -> tuple[list[dict], list[dict]]:
+                  seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Two co-channel sensors; how much one's steps leak into the other.
 
     Sensor 2 runs at cfg.sweep.second_f_s_hz with a force staircase (a
     realistic slew, about half a newton per group); the victim holds a
     constant press.  Crosstalk is the difference between the victim's decode
     with and without the interferer present, computed on traces sharing the
-    identical noise realization so only the interference remains.
+    identical noise realization (seeded by seed, cfg.noise.seed for None) so
+    only the interference remains.
     """
     scheme1 = cfg.scheme
     scheme2 = make_scheme(cfg.sweep.second_f_s_hz)
     Ng = auto_group_size(cfg.waveform, (scheme1, scheme2))
     wf = replace(cfg.waveform, n_snapshots=n_groups * Ng)
-    noise = replace(cfg.noise, seed=seed)
+    noise = cfg.noise if seed is None else replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
                  distance_m=cfg.multipath.sensor_path.distance_m + 0.7)
     held = TouchTimeline.constant(TouchEvent(4.0, 40.0))

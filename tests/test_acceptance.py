@@ -124,8 +124,7 @@ def test_04_averaging_gain(default_cfg):
     def stds(k, ng):
         cfg = replace(default_cfg, group_size=ng,
                       waveform=replace(default_cfg.waveform, n_subcarriers=k))
-        errs = np.array([measure_step_errors(cfg, 10.0, 1000 + s)
-                         for s in range(n_seeds)])
+        errs = measure_step_errors(cfg, 10.0, range(1000, 1000 + n_seeds))
         return errs.std(axis=0, ddof=1)
 
     s_k1 = stds(1, 625)

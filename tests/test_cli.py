@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from forcelink import cli
+from forcelink import cli, sweeps
 from forcelink.chansim import synthesize
 from forcelink.config import default_config_dict, load_config
 from forcelink.traceio import (PHASE_CSV_COLUMNS, read_dataset, read_model,
@@ -296,6 +296,26 @@ def test_sweep_crosstalk_mode(tmp_path):
     assert {r["victim_sensor"] for r in aggs} == {"1", "2"}
     for r in aggs:
         assert float(r["max_crosstalk_deg"]) < 0.5
+
+
+@pytest.mark.parametrize("mode", ["force", "snr", "crosstalk"])
+@pytest.mark.parametrize("doc", [{}, {"noise": {"seed": 5}}], ids=["empty", "seed-5"])
+def test_sweep_writes_the_rows_the_library_makes(tmp_path, doc, mode):
+    # the library's sweeps default to the config's noise.seed, as the CLI
+    # does, so one file gives one sweep either way
+    path = write_config(tmp_path, {**doc, "sweep": {"snr_grid_db": [10.0]}})
+    out = str(tmp_path / "sweep.csv")
+    trials = [] if mode == "crosstalk" else ["--trials", "2"]
+    assert cli.main(["sweep", "--config", path, "--mode", mode,
+                     "--out", out, *trials]) == 0
+    cfg = load_config(path)
+    rows, aggregates = {"force": lambda: sweeps.run_force_sweep(cfg, 2),
+                        "snr": lambda: sweeps.run_snr_sweep(cfg, 2),
+                        "crosstalk": lambda: sweeps.run_crosstalk(cfg)}[mode]()
+    got = read_csv(out)
+    assert len(got) == len(rows) + len(aggregates)
+    for line, row in zip(got, rows + aggregates):
+        assert line == {k: str(row.get(k, "")) for k in line}
 
 
 def test_sigterm_stops_simulate_without_leaving_a_file(tmp_path):

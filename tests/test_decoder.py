@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
-from forcelink.decoder import (anchor, auto_group_size, group_phases,
-                               noise_power, project_groups, read_sensor_snr)
+from forcelink.decoder import (_whole_cycle_size, anchor, auto_group_size,
+                               group_phases, noise_power, project_groups,
+                               read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -38,6 +40,27 @@ def test_auto_group_size_two_schemes():
 def test_auto_group_size_incommensurate_raises():
     with pytest.raises(ValueError):
         auto_group_size(WF, make_scheme(1000.0 * math.pi / 3.0))
+
+
+def test_auto_group_size_ungroupable_raises_every_call():
+    # the size is remembered per (frame period, read tones, cap), a failure
+    # is not: a clock that fits no whole cycles must fail each time
+    scheme = make_scheme(1001.3)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no integer-cycle group size"):
+            auto_group_size(WF, scheme)
+
+
+def test_auto_group_size_ignores_what_cannot_change_it():
+    # only the frame period and the read tones set the size, so waveforms
+    # that differ in their subcarriers or length share one remembered size
+    auto_group_size(WF, SCHEME)
+    hits = _whole_cycle_size.cache_info().hits
+    for wf in (replace(WF, n_subcarriers=1), replace(WF, n_snapshots=2 * NG)):
+        assert auto_group_size(wf, SCHEME) == auto_group_size(WF, SCHEME) == 625
+    assert _whole_cycle_size.cache_info().hits == hits + 4
+    # 0.1 and 0.4 cycles per snapshot: whole cycles every 10 snapshots
+    assert auto_group_size(replace(WF, frame_period_s=1e-4), SCHEME) == 10
 
 
 def test_nyquist_report_values():

@@ -2,12 +2,15 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from forcelink.chansim import NoiseSpec, TouchTimeline, synthesize
+from forcelink.decoder import group_phases
 from forcelink.sweeps import (calibrate, measure_step_errors, no_touch_phase,
                               run_crosstalk, run_force_sweep, run_snr_sweep,
                               run_touch_trial, snr_meeting_threshold)
-from forcelink.transducer import ShortingState, port_phases
+from forcelink.transducer import ShortingState, TouchEvent, port_phases
 
 
 def with_grid(cfg, *snr_db):
@@ -79,7 +82,7 @@ def test_run_snr_sweep_grid_must_not_be_empty(default_cfg):
 def test_measure_step_errors_noiseless_is_zero(default_cfg):
     # a held press gives identical groups, so the decoded step is exactly
     # zero; even the sampled-gate alias terms repeat and cancel
-    e1, e2 = measure_step_errors(default_cfg, snr_db=None, seed=0)
+    e1, e2 = measure_step_errors(default_cfg, snr_db=None, seeds=[0])[0]
     assert abs(e1) < 1e-9
     assert abs(e2) < 1e-9
 
@@ -91,9 +94,9 @@ def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_c
     for size in (600, 0, -625):
         with pytest.raises(ValueError, match="not a positive multiple of 625"):
             measure_step_errors(replace(default_cfg, group_size=size),
-                                snr_db=None, seed=0)
+                                snr_db=None, seeds=[0])
     e1, e2 = measure_step_errors(replace(default_cfg, group_size=1250),
-                                 snr_db=None, seed=0)
+                                 snr_db=None, seeds=[0])[0]
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
@@ -104,8 +107,41 @@ def test_measure_step_errors_rejects_zero_subcarriers(default_cfg):
         replace(default_cfg.waveform, n_subcarriers=0)
     one = replace(default_cfg, waveform=replace(default_cfg.waveform,
                                                 n_subcarriers=1))
-    e1, e2 = measure_step_errors(one, snr_db=None, seed=0)
+    e1, e2 = measure_step_errors(one, snr_db=None, seeds=[0])[0]
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
+
+
+@pytest.mark.parametrize("K", [1, 64])
+@pytest.mark.parametrize("group_size", [None, 1250], ids=["auto", "1250"])
+@pytest.mark.parametrize("bits", [None, 10], ids=["float", "10bit"])
+@pytest.mark.parametrize("snr_db", [None, 0.0, 25.0], ids=["noiseless", "0dB", "25dB"])
+def test_measure_step_errors_rows_match_one_synthesis_per_seed(default_cfg, snr_db,
+                                                               bits, group_size, K):
+    # the noiseless trace is made once per call and each seed's noise added
+    # to it; every row must still be the serial decode of synthesize's
+    # trace for that seed, bit for bit (a repeated seed included)
+    cfg = replace(default_cfg, group_size=group_size,
+                  noise=replace(default_cfg.noise, quantize_bits=bits),
+                  waveform=replace(default_cfg.waveform, n_subcarriers=K))
+    seeds = [11, 2 ** 62 - 1, 11]
+    got = measure_step_errors(cfg, snr_db, seeds)
+    assert got.shape == (3, 2) and got.dtype == np.float64
+    Ng = group_size or 625
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
+    held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+    for row, seed in zip(got, seeds):
+        trace = synthesize(wf, cfg.scheme, held, cfg.multipath,
+                           NoiseSpec(snr_db, seed, bits), cfg.geometry, cfg.mechanics)
+        want = group_phases(trace, cfg.scheme, Ng).steps[0]
+        assert row.tobytes() == want.tobytes()
+
+
+def test_measure_step_errors_of_no_seeds_is_empty_but_checked(default_cfg):
+    # no seeds, no rows; the config is still checked as for any other call
+    got = measure_step_errors(default_cfg, 10.0, [])
+    assert got.shape == (0, 2) and got.dtype == np.float64
+    with pytest.raises(ValueError, match="not a positive multiple of 625"):
+        measure_step_errors(replace(default_cfg, group_size=600), 10.0, [])
 
 
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
