@@ -7,15 +7,16 @@ phasors; the sensor contributes its reflection gated by the two exact 0/1
 switch states sampled at t = n T, so every switching harmonic and its
 aliases are present, not a truncated approximation.
 
-Memory: one block generator makes every trace, snapshot-major blocks of
-whole snapshots (BLOCK_FLOATS // 8 entries; the gate is computed for at most
-BLOCK_FLOATS // 8 snapshots at a time), and its seeded noise is one (N, K, 2)
-standard_normal stream drawn into those blocks, whatever their size.
-synthesize and add_second_sensor let it fill one (N, K) complex128 array;
-synthesis_blocks streams it through one reused block, so a caller writing
-each block out (cli simulate) holds memory independent of the trace length.
-A quantized trace's full scale comes from a first pass over the same
-stream.  quantize and ChannelTrace's finiteness check also work in blocks.
+Every trace comes from one pipeline over snapshot-major blocks of whole
+snapshots (BLOCK_FLOATS // 8 entries): the reflection stage (sensor phasor
+x gate + base, the static multipath or an existing trace), the noise stage
+(default_rng(seed)'s (N, K, 2) standard_normal stream, scaled, plus the
+clean block) and the quantizer (the full scale from a first pass over a
+replayable block source, then each block gridded in place).
+synthesis_blocks streams the chain, so cli simulate holds memory
+independent of the trace length; synthesize and add_second_sensor collect
+the blocks into one (N, K) array; add_noise runs the last two stages over a
+noiseless trace's rows into a caller's reused array.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -207,24 +208,16 @@ def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
 
 def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
                        scheme: ClockScheme, timeline: TouchTimeline,
-                       sensor_path: Path, geom: SensorGeometry, mech: MechanicalParams,
-                       noise: tuple | None = None,
-                       out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Yield H = sensor phasor x gate + base, one block of whole snapshots at a time.
+                       sensor_path: Path, geom: SensorGeometry,
+                       mech: MechanicalParams) -> Iterator[np.ndarray]:
+    """Reflection stage: H = sensor phasor x gate + base, noiseless, one block
+    of whole snapshots at a time in one reused buffer the next block overwrites.
 
     base is an (N, K) view: broadcast static multipath or an existing trace.
-    Each block is the next rows of out when out is given, else one reused
-    buffer that the next block overwrites.  The gate is computed for spans of
-    at most BLOCK_FLOATS // 8 snapshots (128 KiB as complex128); its values
-    depend only on the absolute snapshot times, so the span never shows in
-    the output.  noise = (rng, scale) first fills each block with the next
-    rows of rng's (N, K, 2) standard_normal stream, times scale, then gets
-    the reflection added from a temporary of BLOCK_FLOATS // 8 entries:
-    malloc reuses its 128 KB, where 1 MB temporaries cost 600 page faults
-    per 64 x 1250 trace.  The phasor goes first: numpy's complex
-    multiply is not bitwise symmetric.  sweeps.measure_step_errors adds
-    noise to a noiseless trace in this same order, bit for bit, so the two
-    change together.
+    The gate is computed for spans of at most BLOCK_FLOATS // 8 snapshots
+    (128 KiB as complex128); its values depend only on the absolute snapshot
+    times, so the span never shows in the output.  The phasor goes first:
+    numpy's complex multiply is not bitwise symmetric.
     """
     N, K = config.n_snapshots, config.n_subcarriers
     phasor = _subcarrier_phasor(config, sensor_path)
@@ -232,50 +225,75 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
     for span in _row_blocks(N, 1, BLOCK_FLOATS // 8):
         gate = _gate(config, scheme, timeline, geom, mech, span)
         rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
-        if out is None and buf is None:  # the first block is the largest
+        if buf is None:  # the first block is the largest
             buf = np.empty((rows[0].stop, K), dtype=np.complex128)
         for b in rows:
-            r = slice(span.start + b.start, span.start + b.stop)
-            H = out[r] if buf is None else buf[:b.stop - b.start]
-            if noise is None:
-                np.multiply(phasor, gate[b, None], out=H)
-                H += base[r]
-            else:
-                v = noise[0].standard_normal(out=H.view(float))
-                v *= noise[1]
-                H += phasor * gate[b, None] + base[r]
+            H = buf[:b.stop - b.start]
+            np.multiply(phasor, gate[b, None], out=H)
+            H += base[span.start + b.start:span.start + b.stop]
             yield H
         del gate  # before the next chunk's gate and its temporaries exist
 
 
-def _digest(*parts) -> str:
-    blob = json.dumps(parts, sort_keys=True, default=repr).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _noisy(clean: Iterable[np.ndarray], noise: NoiseSpec,
+           sensor_path: Path) -> Iterator[np.ndarray]:
+    """Noise stage: each clean block plus the next rows of default_rng(seed)'s
+    (N, K, 2) standard_normal stream (re, im innermost) times noise_scale, in
+    one reused buffer sized by the first block, the largest; clean as it is
+    for snr_db None.  The generator exists before the pass starts: a SIGTERM
+    during numpy.random's lazy import would be lost."""
+    scale = noise_scale(sensor_path, noise.snr_db)
+    if scale is None:
+        return iter(clean)
+    rng, buf = np.random.default_rng(noise.seed), None
+
+    def add(block: np.ndarray) -> np.ndarray:
+        nonlocal buf
+        if buf is None:
+            buf = np.empty_like(block)
+        H = buf[:len(block)]
+        v = rng.standard_normal(out=H.view(float))
+        v *= scale
+        H += block
+        return H
+    return map(add, clean)
 
 
-def _peak(block: np.ndarray) -> float:
-    """Largest |re| or |im| of a complex128 block: its share of the full scale."""
-    return float(np.max(np.abs(block.view(float))))
-
-
-def _quantize_block(block: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
-    """Quantize a complex128 block in place onto the grid spanning full_scale."""
-    if full_scale == 0.0:
-        return block
+def _quantized(source: Callable[[], Iterable[np.ndarray]],
+               bits: int | None) -> Iterator[np.ndarray]:
+    """Quantization stage: source()'s complex128 blocks rounded in place, re
+    and im, onto 2^bits levels spanning the full scale (the largest |re| or
+    |im|), which a first pass over source() finds before this returns;
+    source() as it is for bits None.  source replays the same rows."""
+    if bits is None:
+        return iter(source())
+    full_scale = max(float(np.max(np.abs(block.view(float)))) for block in source())
     step = 2.0 * full_scale / (2 ** bits)
-    v = block.view(float)
-    v /= step
-    np.round(v, out=v)
-    v *= step
-    np.clip(v, -full_scale, full_scale, out=v)
-    return block
+
+    def grid(block: np.ndarray) -> np.ndarray:
+        if full_scale:
+            v = block.view(float)
+            v /= step
+            np.round(v, out=v)
+            v *= step
+            np.clip(v, -full_scale, full_scale, out=v)
+        return block
+    return map(grid, source())
 
 
-def _quantize_blocks(blocks: list[np.ndarray], bits: int) -> None:
-    """Quantize complex128 blocks in place over their common full scale."""
-    full_scale = max(map(_peak, blocks))
+def _quantize_in_place(H: np.ndarray, bits: int | None) -> None:
+    """The quantizer over an (n, K) complex128 array's row blocks, in place."""
+    for _ in _quantized(lambda: (H[b] for b in _row_blocks(*H.shape)), bits):
+        pass
+
+
+def _collect(blocks: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """out, filled row by row with consecutive blocks."""
+    start = 0
     for block in blocks:
-        _quantize_block(block, full_scale, bits)
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def quantize(data: np.ndarray, bits: int) -> np.ndarray:
@@ -287,8 +305,7 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     if not 4 <= bits <= 24:
         raise ValueError("quantize_bits must lie in [4, 24]")
     out = np.array(data, dtype=np.complex128, order="C")
-    H = out.reshape(-1, out.shape[-1])
-    _quantize_blocks([H[b] for b in _row_blocks(*H.shape)], bits)
+    _quantize_in_place(out.reshape(-1, out.shape[-1]), bits)
     return out
 
 
@@ -305,31 +322,30 @@ def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
     return math.sqrt(sigma2 / 2.0)
 
 
-def _synthesis(config: WaveformConfig, scheme: ClockScheme,
-               timeline: TouchTimeline, multipath: MultipathProfile,
-               noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-               ) -> tuple[dict, Callable[..., Iterator[np.ndarray]]]:
-    """Check a synthesis's inputs; its provenance and a pass starter.
+def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
+                     timeline: TouchTimeline, multipath: MultipathProfile,
+                     noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+                     ) -> tuple[dict, Iterator[np.ndarray]]:
+    """synthesize's trace as its provenance and its rows, streamed.
 
-    Each pass (optionally into out) replays the unquantized trace from a
-    fresh generator seeded with noise.seed, so every pass is the same.
+    The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
+    each overwritten by the next, so a pass holds one block, not the trace:
+    the three stages chained, where the quantizer's first pass replays the
+    same seeded stream.  The inputs are checked before this returns.
     """
     nyquist_check(config, scheme)
     K, N = config.n_subcarriers, config.n_snapshots
-    static = np.zeros(K, dtype=np.complex128)
-    for path in multipath.paths:
-        static += _subcarrier_phasor(config, path)
-    scale = noise_scale(multipath.sensor_path, noise.snr_db)
-    prov = {"seed": noise.seed,
-            "config_digest": _digest(config, scheme, multipath, noise,
-                                     timeline, geom, mech)}
+    static = sum((_subcarrier_phasor(config, p) for p in multipath.paths),
+                 np.zeros(K, dtype=np.complex128))
+    blob = json.dumps((config, scheme, multipath, noise, timeline, geom, mech),
+                      sort_keys=True, default=repr).encode()
+    prov = {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}
 
-    def run(out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-        draw = None if scale is None else (np.random.default_rng(noise.seed), scale)
-        return _reflection_blocks(np.broadcast_to(static, (N, K)), config, scheme,
-                                  timeline, multipath.sensor_path, geom, mech,
-                                  draw, out)
-    return prov, run
+    def unquantized() -> Iterator[np.ndarray]:
+        return _noisy(_reflection_blocks(np.broadcast_to(static, (N, K)), config,
+                                         scheme, timeline, multipath.sensor_path,
+                                         geom, mech), noise, multipath.sensor_path)
+    return prov, _quantized(unquantized, noise.quantize_bits)
 
 
 def synthesize(config: WaveformConfig, scheme: ClockScheme,
@@ -340,35 +356,27 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
 
     H = static multipath + sensor reflection gated by the exact switch states,
     plus circular complex AWGN whose per-entry power sits snr_db below the
-    sensor path amplitude squared.  Deterministic given noise.seed.
+    sensor path amplitude squared.  Deterministic given noise.seed: the rows
+    of synthesis_blocks, collected.
     """
-    prov, run = _synthesis(config, scheme, timeline, multipath, noise, geom, mech)
+    prov, blocks = synthesis_blocks(config, scheme, timeline, multipath, noise,
+                                    geom, mech)
     H = np.empty((config.n_snapshots, config.n_subcarriers), dtype=np.complex128)
-    blocks = list(run(H))  # views into H
-    if noise.quantize_bits is not None:
-        _quantize_blocks(blocks, noise.quantize_bits)
-    return ChannelTrace(config=config, data=H, schemes=(scheme,),
+    return ChannelTrace(config=config, data=_collect(blocks, H), schemes=(scheme,),
                         geometry=geom, provenance=prov)
 
 
-def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
-                     timeline: TouchTimeline, multipath: MultipathProfile,
-                     noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-                     ) -> tuple[dict, Iterator[np.ndarray]]:
-    """synthesize's trace as its provenance and its rows, streamed.
-
-    The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
-    each overwritten by the next, so a pass holds one block, not the trace.
-    A quantized trace needs its full scale first: a first pass over the
-    same seeded stream finds it, the second yields the quantized blocks.
-    The inputs are checked before this returns.
-    """
-    prov, run = _synthesis(config, scheme, timeline, multipath, noise, geom, mech)
-    bits = noise.quantize_bits
-    if bits is None:
-        return prov, run()
-    full_scale = max(map(_peak, run()))
-    return prov, (_quantize_block(block, full_scale, bits) for block in run())
+def add_noise(clean: ChannelTrace, noise: NoiseSpec, sensor_path: Path,
+              out: np.ndarray) -> ChannelTrace:
+    """The trace synthesize makes with noise, from its NoiseSpec() twin clean
+    (sensor_path sets the noise level): the noise stage over clean's rows,
+    collected into out (C-contiguous complex128, clean's shape), then
+    quantized in place.  The trace wraps out, which a reuse overwrites."""
+    rows = _row_blocks(*clean.data.shape, BLOCK_FLOATS // 8)
+    _collect(_noisy((clean.data[b] for b in rows), noise, sensor_path), out)
+    _quantize_in_place(out, noise.quantize_bits)
+    return ChannelTrace(config=clean.config, data=out, schemes=clean.schemes,
+                        geometry=clean.geometry)
 
 
 def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
@@ -384,10 +392,9 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     clash = existing.intersection(scheme2.read_freqs)
     if clash:
         raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
-    data = np.empty_like(trace.data)
-    for _ in _reflection_blocks(trace.data, trace.config, scheme2, timeline2,
-                                sensor_path2, geom2, mech2, out=data):
-        pass
+    data = _collect(_reflection_blocks(trace.data, trace.config, scheme2, timeline2,
+                                       sensor_path2, geom2, mech2),
+                    np.empty_like(trace.data))
     prov = dict(trace.provenance)
     prov["sensors"] = len(trace.schemes) + 1
     return ChannelTrace(config=trace.config, data=data,

@@ -119,6 +119,11 @@ class CalibrationSettings:
     locations_mm: tuple[float, ...] = (20.0, 30.0, 40.0, 50.0, 60.0)
     forces_n: tuple[float, ...] = tuple(1.0 + 0.5 * i for i in range(15))
 
+    def __post_init__(self):  # calib.CalibrationDataset's needs, checked on load
+        if len(set(self.locations_mm)) < 2 or len(set(self.forces_n)) < 4:
+            raise ValueError("needs at least 2 distinct locations_mm and 4 distinct "
+                             f"forces_n for a cubic fit, got {self}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -241,10 +246,14 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.mechanics.max_halfwidth_mm > 0.5 * L:
         raise ConfigError(f"mechanics.max_halfwidth_mm {cfg.mechanics.max_halfwidth_mm}"
                           f" mm exceeds half of the {L} mm line")
-    for _, touch in cfg.timeline.entries:
-        if touch is not None and not 0.0 <= touch.location_mm <= L:
-            raise ConfigError(
-                f"touch location {touch.location_mm} mm outside line [0, {L}] mm")
+    presses = [t.location_mm for _, t in cfg.timeline.entries if t is not None]
+    for name, locations in (("timeline", presses),
+                            ("calibration.locations_mm", cfg.calibration.locations_mm),
+                            ("sweep.test_locations_mm", cfg.sweep.test_locations_mm)):
+        for loc in locations:
+            if not 0.0 <= loc <= L:
+                raise ConfigError(
+                    f"{name}: touch location {loc} mm outside line [0, {L}] mm")
 
 
 def load_config(path) -> ExperimentConfig:

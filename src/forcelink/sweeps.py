@@ -7,8 +7,8 @@ sweep run from the library matches forcelink sweep on the same file.
 
 An SNR point varies only the noise, so measure_step_errors takes a seed
 axis: it makes the group size and the noiseless trace once per call and
-decodes each seed's noise added to that trace, row for row the trace
-synthesize would make from that seed.
+decodes, for each seed, chansim.add_noise's trace: synthesize's own noise
+and quantization stages run over that noiseless trace.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import calib
-from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
-                      TouchTimeline, add_second_sensor, noise_scale, quantize,
-                      synthesize)
+from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
+                      add_noise, add_second_sensor, synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import anchor, auto_group_size, group_phases, resolve_group_size
@@ -109,28 +108,17 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
     NoiseSpec(snr_db, seeds[i], cfg.noise.quantize_bits).  Only the noise
     differs between seeds, so the group size and the noiseless trace are
     made once per call (the config is checked even for no seeds); each seed
-    then draws its noise into one reused buffer, in synthesize's order (the
-    seeded (N, K, 2) standard_normal stream, times the noise scale, plus the
-    noiseless trace), quantized when cfg.noise.quantize_bits is set.
+    then gets its trace from chansim.add_noise, in one reused array.
     """
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
                        cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
-    scale = noise_scale(cfg.multipath.sensor_path, snr_db)
-    bits = cfg.noise.quantize_bits
-    buf = np.empty_like(clean.data)
+    out = np.empty_like(clean.data)
     errs = np.empty((len(seeds), 2))
     for i, seed in enumerate(seeds):
-        data = clean.data
-        if scale is not None:
-            v = np.random.default_rng(int(seed)).standard_normal(out=buf.view(float))
-            v *= scale
-            buf += data
-            data = buf
-        if bits is not None:
-            data = quantize(data, bits)
-        trace = ChannelTrace(config=wf, data=data, schemes=clean.schemes)
+        noise = NoiseSpec(snr_db, int(seed), cfg.noise.quantize_bits)
+        trace = add_noise(clean, noise, cfg.multipath.sensor_path, out)
         errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
     return errs
 
@@ -185,16 +173,15 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
                   seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Two co-channel sensors; how much one's steps leak into the other.
 
-    Sensor 2 runs at cfg.sweep.second_f_s_hz with a force staircase (a
-    realistic slew, about half a newton per group); the victim holds a
-    constant press.  Crosstalk is the difference between the victim's decode
-    with and without the interferer present, computed on traces sharing the
-    identical noise realization (seeded by seed, cfg.noise.seed for None) so
-    only the interference remains.
+    Sensor 1 holds a press; sensor 2, 0.7 m further, runs at second_f_s_hz
+    with a force staircase (a realistic slew, about half a newton per group).
+    Each is the victim in turn: crosstalk is the difference between its
+    decode with and without the other present, computed on traces sharing
+    the identical noise realization (seeded by seed, cfg.noise.seed for
+    None) so only the interference remains.
     """
-    scheme1 = cfg.scheme
     scheme2 = make_scheme(cfg.sweep.second_f_s_hz)
-    Ng = auto_group_size(cfg.waveform, (scheme1, scheme2))
+    Ng = auto_group_size(cfg.waveform, (cfg.scheme, scheme2))
     wf = replace(cfg.waveform, n_snapshots=n_groups * Ng)
     noise = cfg.noise if seed is None else replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
@@ -202,20 +189,14 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
     held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
     ramp = _staircase_timeline(Ng, n_groups, 30.0, 1.0, 0.5)
 
+    sensors = ((cfg.scheme, held, cfg.multipath.sensor_path), (scheme2, ramp, path2))
     rows = []
-    for victim, v_scheme in ((1, scheme1), (2, scheme2)):
-        if victim == 1:
-            solo = synthesize(wf, scheme1, held, cfg.multipath, noise,
-                              cfg.geometry, cfg.mechanics)
-            pair = add_second_sensor(solo, scheme2, ramp, path2,
-                                     cfg.geometry, cfg.mechanics)
-        else:
-            mp2 = MultipathProfile(paths=cfg.multipath.paths, sensor_path=path2)
-            solo = synthesize(wf, scheme2, ramp, mp2, noise,
-                              cfg.geometry, cfg.mechanics)
-            pair = add_second_sensor(solo, scheme1, held,
-                                     cfg.multipath.sensor_path,
-                                     cfg.geometry, cfg.mechanics)
+    for victim, ((v_scheme, v_timeline, v_path), aggressor) in enumerate(
+            zip(sensors, sensors[::-1]), start=1):
+        mp = MultipathProfile(paths=cfg.multipath.paths, sensor_path=v_path)
+        solo = synthesize(wf, v_scheme, v_timeline, mp, noise,
+                          cfg.geometry, cfg.mechanics)
+        pair = add_second_sensor(solo, *aggressor, cfg.geometry, cfg.mechanics)
         leak = (group_phases(pair, v_scheme, Ng).steps
                 - group_phases(solo, v_scheme, Ng).steps)
         for (g, t), d in np.ndenumerate(leak):

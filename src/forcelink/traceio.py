@@ -19,7 +19,7 @@ import json
 import mmap
 import os
 import pathlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
@@ -88,9 +88,8 @@ def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfi
     }
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "xb")
     try:
-        with f:
+        with open(tmp, "xb") as f:
             f.write(MAGIC)
             f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
             f.write(b"\n")
@@ -109,8 +108,11 @@ def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfi
         if done != N:
             raise ValueError(f"blocks hold {done} snapshots, the trace {N}")
         os.replace(tmp, path)
+    except FileExistsError:
+        raise  # the random name is another writer's file: leave it
     except BaseException:
-        os.unlink(tmp)
+        with suppress(FileNotFoundError):  # SIGTERM can land as open returns
+            os.unlink(tmp)
         raise
 
 

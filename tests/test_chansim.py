@@ -12,7 +12,7 @@ from forcelink import chansim, cli
 from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
-                               WaveformConfig, add_second_sensor,
+                               WaveformConfig, add_noise, add_second_sensor,
                                equivalent_doppler_velocity, quantize,
                                synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
@@ -175,17 +175,22 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
 
 def block_size_traces():
     """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS,
-    then the noisy and 10-bit ones as synthesis_blocks streams them."""
+    then the noisy and 10-bit ones as synthesis_blocks streams them, then
+    as add_noise adds their noise to the noiseless trace."""
     wf = layout_waveform(LAYOUT_SHAPES[""])
-    args = [(wf, SCHEME, LAYOUT_TIMELINE, MP,
-             NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits), GEOM, MECH)
-            for bits in (None, 10)]
+    noises = [NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits)
+              for bits in (None, 10)]
+    args = [(wf, SCHEME, LAYOUT_TIMELINE, MP, noise, GEOM, MECH) for noise in noises]
     noisy, quantized = (synthesize(*a) for a in args)
     pair = add_second_sensor(noisy, make_scheme(1400.0), LAYOUT_TIMELINE,
                              Path(0.5 - 0.3j, 1.7), GEOM, MECH)
     streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a)[1])
                 for a in args]
-    return [t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
+    clean = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP, QUIET, GEOM, MECH)
+    added = [add_noise(clean, noise, MP.sensor_path, np.empty_like(clean.data))
+             for noise in noises]
+    return ([t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
+            + [t.data.tobytes() for t in added])
 
 
 default_block_traces = functools.cache(block_size_traces)
@@ -200,7 +205,8 @@ def test_traces_do_not_depend_on_the_block_size(block):
     with mock.patch.object(chansim, "BLOCK_FLOATS", block):
         got = block_size_traces()
     assert got == default_block_traces()
-    assert got[3:] == got[:2]  # the streamed rows are synthesize's
+    # the streamed rows and the added noise are synthesize's
+    assert got[3:5] == got[5:] == got[:2]
 
 
 def test_synthesis_holds_one_array_plus_a_block():
@@ -218,6 +224,12 @@ def test_synthesis_holds_one_array_plus_a_block():
     assert peak <= bound
     _, peak = traced_peak(lambda: quantize(pair.data, 8))
     assert peak <= bound
+    # into a reused out, add_noise (here also quantizing) holds only blocks
+    out = np.empty_like(trace.data)
+    _, peak = traced_peak(lambda: add_noise(
+        trace, NoiseSpec(snr_db=20.0, seed=4, quantize_bits=8), MP.sensor_path, out))
+    assert peak <= bound
+    assert peak <= 2 * 2 ** 20  # no trace-sized temporary (20 MB here)
 
 
 @pytest.mark.parametrize("n_snapshots", [2 * BLOCK_FLOATS + 3, 8 * BLOCK_FLOATS + 12])
