@@ -1,10 +1,12 @@
 """Closed loop: calibrate once, then turn decoded phases back into presses.
 
 Calibration evaluates the transducer over a (location, force) grid and fits
-a cubic-in-force model per location and port.  Inversion searches that model
-for the press that best explains a measured phase pair.  Here the whole loop
-runs against simulated traces at 25 dB SNR, including locations and forces
-the calibration never saw.
+a cubic-in-force model per location and port.  Inversion solves that model
+exactly: on each cell between calibrated locations the press that explains a
+measured phase pair is a root of a degree-6 polynomial in force, and phases
+no press explains fall back to the nearest point on the cell edges.  Here the
+whole loop runs against simulated traces at 25 dB SNR, including locations
+and forces the calibration never saw.
 
 Run: python3 demos/calibrate_and_invert.py
 """

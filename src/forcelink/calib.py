@@ -2,17 +2,13 @@
 
 Calibration sweeps record both ports' unwrapped phases over a force grid at a
 handful of contact locations.  Each location gets a cubic-in-force least
-squares fit per port; between locations the cubic coefficients interpolate
-linearly.  Inversion runs a coarse grid search over the calibrated box
-followed by a derivative-free coordinate-shrinking refinement on the wrapped
-squared residual.  The grid and its model phases are built once per
-SensorModel and cached on it; the refinement evaluates the model in plain
-floats.  Grid pitch, refinement moves and tolerances are fixed constants.
+squares fit per port; between locations the coefficients interpolate
+linearly, so inversion solves each location cell in closed form, a sextic in
+F per pair of 2 pi branches, from polynomials cached on the SensorModel.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -20,14 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .transducer import (MechanicalParams, SensorGeometry, TouchEvent,
-                         port_phases, shorting_segment, wrap_phase)
+                         port_phases, shorting_segment)
 
-# inversion defaults: coarse grid pitch, refinement tolerance, and the
-# residual above which an estimate is not trusted, (3 deg)^2 over both ports
-FORCE_GRID_N = 0.05
-LOCATION_GRID_MM = 0.25
-REFINE_TOL = 1e-3
+# the residual above which an estimate is not trusted, (3 deg)^2 over both ports
 RESIDUAL_THRESHOLD_RAD2 = math.radians(3.0) ** 2
+# slack, relative to its interval, for a root to count as real and in the box
+_ROOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,21 +94,22 @@ class SensorModel:
         return [f.location_mm for f in self.fits]
 
     @cached_property
-    def _knots(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """Locations and each one's eight cubic coefficients, as plain floats."""
-        return (tuple(self.locations()),
-                tuple(tuple(map(float, f.c_port1 + f.c_port2)) for f in self.fits))
-
-    @cached_property
-    def _search_grid(self) -> tuple[np.ndarray, ...]:
-        """The coarse inversion grid F, l and its model phases m1, m2 (l, F)."""
-        f_lo, f_hi = self.force_range_n
-        locs = self.locations()
-        nF = max(2, int(round((f_hi - f_lo) / FORCE_GRID_N)) + 1)
-        nL = max(2, int(round((locs[-1] - locs[0]) / LOCATION_GRID_MM)) + 1)
-        F = np.linspace(f_lo, f_hi, nF)
-        l = np.linspace(locs[0], locs[-1], nL)
-        return (F, l, *_model_grid(self, F, l))
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """Knots (n,) and cubics K (n, 2, 4), ascending in F; per cell s, D =
+        K[s+1] - K[s] (port p's phase there is K_p[s](F) + t D_p(F), 0 <= t <= 1)
+        and the sextic K_2 D_1 - K_1 D_2; each cubic's lo and hi over the forces."""
+        K = np.array([(f.c_port1, f.c_port2) for f in self.fits], dtype=float)
+        D, flat = np.diff(K, axis=0), K.reshape(-1, 4)
+        # extremes lie at an end of the force range or where K' vanishes
+        row, F = _real_roots(flat[:, 1:] * (1.0, 2.0, 3.0), *self.force_range_n)
+        v = _horner(flat[:, None], np.array(self.force_range_n))
+        lo, hi = v.min(axis=1), v.max(axis=1)
+        np.minimum.at(lo, row, _horner(flat[row], F))
+        np.maximum.at(hi, row, _horner(flat[row], F))
+        sextic = np.array([np.convolve(k2, d1) - np.convolve(k1, d2)
+                           for (k1, k2), (d1, d2) in zip(K, D)]).reshape(-1, 7)
+        return (np.array(self.locations()), K, D, sextic,
+                lo.reshape(-1, 2), hi.reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -140,52 +135,26 @@ def generate_sweep(locations_mm: Sequence[float], forces_n: Sequence[float],
     samples = []
     for loc in locations_mm:
         for F in forces_n:
-            pp = port_phases(
-                shorting_segment(TouchEvent(F, loc), mech, geom), geom, carrier_hz)
-            samples.append(Sample(force_n=float(F), location_mm=float(loc),
-                                  phi1=pp.phi1, phi2=pp.phi2))
+            pp = port_phases(shorting_segment(TouchEvent(F, loc), mech, geom),
+                             geom, carrier_hz)
+            samples.append(Sample(float(F), float(loc), pp.phi1, pp.phi2))
     return CalibrationDataset(samples=tuple(samples), carrier_hz=carrier_hz)
-
-
-def _fit_cubic(F: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    V = np.vander(F, 4, increasing=True)
-    coef, *_ = np.linalg.lstsq(V, phi, rcond=None)
-    return coef, V @ coef - phi
 
 
 def fit_model(data: CalibrationDataset) -> SensorModel:
     """Least-squares cubic per location and port, on unwrapped phases."""
     fits = []
-    forces_all = [s.force_n for s in data.samples]
     for loc in data.locations():
         rows = [s for s in data.samples if s.location_mm == loc]
-        F = np.array([s.force_n for s in rows])
-        c1, r1 = _fit_cubic(F, np.array([s.phi1 for s in rows]))
-        c2, r2 = _fit_cubic(F, np.array([s.phi2 for s in rows]))
-        rms = math.sqrt(float(np.mean(np.concatenate([r1, r2]) ** 2)))
-        fits.append(LocationFit(location_mm=loc,
-                                c_port1=tuple(c1), c_port2=tuple(c2),
-                                rms_rad=rms))
+        V = np.vander(np.array([s.force_n for s in rows]), 4, increasing=True)
+        phis = (np.array([s.phi1 for s in rows]), np.array([s.phi2 for s in rows]))
+        c1, c2 = (np.linalg.lstsq(V, phi, rcond=None)[0] for phi in phis)
+        err = np.concatenate([V @ c1 - phis[0], V @ c2 - phis[1]])
+        fits.append(LocationFit(location_mm=loc, c_port1=tuple(c1), c_port2=tuple(c2),
+                                rms_rad=math.sqrt(float(np.mean(err ** 2)))))
+    forces = [s.force_n for s in data.samples]
     return SensorModel(carrier_hz=data.carrier_hz, fits=tuple(fits),
-                       force_range_n=(min(forces_all), max(forces_all)))
-
-
-def _phases(model: SensorModel, force_n: float,
-            location_mm: float) -> tuple[float, float]:
-    """Both ports' model phases in plain floats; location must be in span."""
-    locs, coeffs = model._knots
-    hi = bisect_left(locs, location_mm)
-    lo = max(hi - 1, 0)
-    t = (location_mm - locs[lo]) / (locs[hi] - locs[lo]) if hi else 0.0
-    s = 1.0 - t
-    a0, a1, a2, a3, a4, a5, a6, a7 = coeffs[lo]
-    b0, b1, b2, b3, b4, b5, b6, b7 = coeffs[hi]
-    F, F2 = force_n, force_n * force_n
-    F3 = F2 * F
-    return ((s * a0 + t * b0) + (s * a1 + t * b1) * F
-            + (s * a2 + t * b2) * F2 + (s * a3 + t * b3) * F3,
-            (s * a4 + t * b4) + (s * a5 + t * b5) * F
-            + (s * a6 + t * b6) * F2 + (s * a7 + t * b7) * F3)
+                       force_range_n=(min(forces), max(forces)))
 
 
 def model_forward(model: SensorModel, force_n: float,
@@ -195,76 +164,106 @@ def model_forward(model: SensorModel, force_n: float,
     Locations outside the calibrated span raise; forces outside the
     calibrated range still evaluate but come back flagged.
     """
-    locs = model._knots[0]
+    locs, K = model._cells[:2]
     if not locs[0] <= location_mm <= locs[-1]:
-        raise ValueError(
-            f"location {location_mm} mm outside calibrated span "
-            f"[{locs[0]}, {locs[-1]}] mm")
-    phi1, phi2 = _phases(model, force_n, location_mm)
+        raise ValueError(f"location {location_mm} mm outside calibrated span "
+                         f"[{locs[0]}, {locs[-1]}] mm")
+    s = max(int(np.searchsorted(locs, location_mm)) - 1, 0)
+    t = (location_mm - locs[s]) / (locs[s + 1] - locs[s])
+    phi1, phi2 = _horner((1.0 - t) * K[s] + t * K[s + 1], force_n).tolist()
     lo, hi = model.force_range_n
-    return ForwardPhases(phi1=float(phi1), phi2=float(phi2),
-                         in_range=lo <= force_n <= hi)
+    return ForwardPhases(phi1=phi1, phi2=phi2, in_range=lo <= force_n <= hi)
 
 
-def _model_grid(model: SensorModel, F: np.ndarray, l: np.ndarray):
-    """Vectorized model phases over an (l, F) grid: two (nl, nF) arrays."""
-    locs = np.array(model.locations())
-    C1 = np.array([f.c_port1 for f in model.fits])  # (nloc, 4)
-    C2 = np.array([f.c_port2 for f in model.fits])
-    hi = np.clip(np.searchsorted(locs, l), 1, len(locs) - 1)
-    lo = hi - 1
-    t = ((l - locs[lo]) / (locs[hi] - locs[lo]))[:, None]
-    c1 = (1 - t) * C1[lo] + t * C1[hi]  # (nl, 4)
-    c2 = (1 - t) * C2[lo] + t * C2[hi]
-    P = F[None, :] ** np.arange(4)[:, None, None]  # (4, 1, nF)
-    phi1 = np.einsum("li,ijf->lf", c1, P)
-    phi2 = np.einsum("li,ijf->lf", c2, P)
-    return phi1, phi2
+def _horner(c: np.ndarray, x) -> np.ndarray:
+    """Polynomials with ascending coefficients on c's last axis, at x."""
+    out = c[..., -1]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = out * x + c[..., k]
+    return out
+
+
+def _real_roots(coef: np.ndarray, lo: float, hi: float):
+    """Real roots in [lo, hi] of each row's polynomial (ascending powers) as
+    (row, root) arrays, from companion-matrix eigenvalues, a batch per degree."""
+    rows, roots, idx = [np.empty(0, int)], [np.empty(0)], np.arange(len(coef))
+    d, tol = coef.shape[1] - 1, _ROOT_TOL * (hi - lo)
+    while d > 0 and len(coef):  # a zero leading coefficient lowers the degree
+        lead = coef[:, d] != 0.0
+        comp = np.repeat(np.eye(d, k=-1)[None], lead.sum(), axis=0)
+        comp[:, :, -1] = -coef[lead, :d] / coef[lead, d:]
+        z = np.linalg.eigvals(comp)
+        ok = (np.abs(z.imag) <= tol) & (z.real >= lo - tol) & (z.real <= hi + tol)
+        rows.append(idx[lead][np.nonzero(ok)[0]])
+        roots.append(np.minimum(np.maximum(z.real[ok], lo), hi))
+        coef, idx, d = coef[~lead, :d], idx[~lead], d - 1
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def _branches(lo: np.ndarray, hi: np.ndarray, phi: np.ndarray):
+    """Rows r and branches y = phi + 2 pi k with lo[r] <= y <= hi[r], per port."""
+    k = np.concatenate([np.ceil((lo - phi) / math.tau),
+                        np.floor((hi - phi) / math.tau)], axis=1).astype(int)
+    rk = np.array([(r, a, b) for r, (a0, b0, a1, b1) in enumerate(k.tolist())
+                   for a in range(a0, a1 + 1) for b in range(b0, b1 + 1)],
+                  dtype=int).reshape(-1, 3)
+    return rk[:, 0], phi + math.tau * rk[:, 1:]
+
+
+def _cell_fit(cells: tuple, s: np.ndarray, F: np.ndarray, y: np.ndarray):
+    """Per row, on cell s at force F: the location whose phases lie nearest
+    y, their squared distance, and whether the unclipped t lay in [0, 1]."""
+    locs, K, D = cells[:3]
+    a, d = _horner(K[s], F[:, None]), _horner(D[s], F[:, None])
+    den = np.einsum("ij,ij->i", d, d)
+    t = np.einsum("ij,ij->i", d, y - a) / np.where(den > 0.0, den, 1.0)  # d = 0: t = 0
+    inside = np.abs(t - 0.5) <= 0.5 + _ROOT_TOL
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    e = a + t[:, None] * d - y
+    return (1.0 - t) * locs[s] + t * locs[s + 1], np.einsum("ij,ij->i", e, e), inside
 
 
 def invert(model: SensorModel, phi1: float, phi2: float,
            residual_threshold_rad2: float = RESIDUAL_THRESHOLD_RAD2) -> Estimate:
     """Recover (force, location) from a pair of measured phases.
 
-    Coarse grid over the calibrated box (0.05 N by 0.25 mm) on the wrapped
-    squared residual summed over both ports, then compass refinement that
-    halves its steps until both fall below 1e-3.  Wrapped residuals make the
-    estimate immune to whole-turn offsets in the measured phases.
+    On a location cell port p's phase is A_p(F) + t D_p(F), 0 <= t <= 1.  For
+    each pair of 2 pi branches y that can land there, the presses matching
+    both ports are the real roots F of the sextic (A_2 - y_2) D_1 - (A_1 - y_1)
+    D_2, with t from one linear equation.  With no root in the calibrated box
+    the estimate, not in_range, is the nearest point on the cell edges.  The
+    residual is the least over branches, so whole turns do not matter.
     """
-    F, l, m1, m2 = model._search_grid
-    cost, u, k = np.zeros_like(m1), np.empty_like(m1), np.empty_like(m1)
-    for m, phi in ((m1, phi1), (m2, phi2)):
-        # the package's one array wrap: u - 2 pi rint(u / 2 pi), in place
-        np.subtract(m, phi, out=u)
-        np.rint(np.multiply(u, 1.0 / math.tau, out=k), out=k)
-        u -= np.multiply(k, math.tau, out=k)
-        cost += np.square(u, out=u)
-    il, iF = np.unravel_index(np.argmin(cost), cost.shape)
-    best_F, best_l = float(F[iF]), float(l[il])
-    best = float(cost[il, iF])
-    f_lo, f_hi = model.force_range_n
-    l_lo, l_hi = model._knots[0][0], model._knots[0][-1]
-
-    step_F, step_l = FORCE_GRID_N / 2.0, LOCATION_GRID_MM / 2.0
-    while step_F >= REFINE_TOL or step_l >= REFINE_TOL:
-        moved = False
-        # diagonal moves keep the search from stalling in tilted valleys
-        for dF, dl in ((step_F, 0.0), (-step_F, 0.0), (0.0, step_l),
-                       (0.0, -step_l), (step_F, step_l), (step_F, -step_l),
-                       (-step_F, step_l), (-step_F, -step_l)):
-            cF = min(max(best_F + dF, f_lo), f_hi)
-            cl = min(max(best_l + dl, l_lo), l_hi)
-            p1, p2 = _phases(model, cF, cl)
-            c = wrap_phase(p1 - phi1) ** 2 + wrap_phase(p2 - phi2) ** 2
-            if c < best:
-                best, best_F, best_l = c, cF, cl
-                moved = True
-        if not moved:
-            step_F /= 2.0
-            step_l /= 2.0
-
-    edge = (best_F - f_lo < REFINE_TOL or f_hi - best_F < REFINE_TOL
-            or best_l - l_lo < REFINE_TOL or l_hi - best_l < REFINE_TOL)
-    return Estimate(force_n=best_F, location_mm=best_l, residual_rad2=best,
-                    in_range=not edge,
-                    reliable=best <= residual_threshold_rad2)
+    cells = locs, K, D, G, lo, hi = model._cells
+    ends, phi = np.array(model.force_range_n), np.array([phi1, phi2], dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError(f"phases must be finite, got {phi1}, {phi2}")
+    c_lo, c_hi = np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
+    s, y = _branches(c_lo, c_hi, phi)
+    sextic = G[s]
+    sextic[:, :4] += y[:, :1] * D[s, 1] - y[:, 1:] * D[s, 0]
+    r, F = _real_roots(sextic, *ends)
+    l, res, inside = _cell_fit(cells, s[r], F, y[r])
+    points = [(F[inside], l[inside], res[inside])]
+    if not inside.any():
+        # force edges, row 2 s + (0, 1) for cell s: the residual is quadratic in t
+        e, y = _branches(*np.repeat([c_lo - math.pi, c_hi + math.pi], 2, axis=1), phi)
+        F = ends[e % 2]
+        points.append((F, *_cell_fit(cells, e // 2, F, y)[:2]))
+        # calibrated locations that could beat that: the residual's quintic derivative
+        i, y = _branches(lo - math.pi, hi + math.pi, phi)
+        gap = np.maximum(lo[i] - y, 0.0) + np.maximum(y - hi[i], 0.0)
+        keep = np.einsum("ij,ij->i", gap, gap) < points[-1][2].min()
+        if keep.any():
+            i, c = i[keep], K[i[keep]]
+            c[..., 0] -= y[keep]
+            quintic = np.array([sum(map(np.convolve, cp, dcp)) for cp, dcp
+                                in zip(c, c[..., 1:] * (1.0, 2.0, 3.0))]).reshape(-1, 6)
+            r, F = _real_roots(quintic, *ends)
+            e = _horner(c[r], F[:, None])
+            points.append((F, locs[i[r]], np.einsum("ij,ij->i", e, e)))
+    F, l, res = map(np.concatenate, zip(*points))
+    k = np.argmin(res)
+    return Estimate(force_n=float(F[k]), location_mm=float(l[k]),
+                    residual_rad2=float(res[k]), in_range=bool(inside.any()),
+                    reliable=bool(res[k] <= residual_threshold_rad2))

@@ -16,7 +16,9 @@ replayable block source, then each block gridded in place).
 synthesis_blocks streams the chain, so cli simulate holds memory
 independent of the trace length; synthesize and add_second_sensor collect
 the blocks into one (N, K) array; add_noise runs the last two stages over a
-noiseless trace's rows into a caller's reused array.
+noiseless trace's rows into a caller's reused array.  Where the rows are
+collected (synthesize, add_noise), the quantizer runs over the collected
+array in place, so the first two stages run once.
 """
 from __future__ import annotations
 
@@ -302,8 +304,7 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     Max elementwise deviation is full_scale / 2^bits.  Returns a new
     complex128 array; beyond it only one row block is held at a time.
     """
-    if not 4 <= bits <= 24:
-        raise ValueError("quantize_bits must lie in [4, 24]")
+    NoiseSpec(quantize_bits=bits)  # checks the bit range
     out = np.array(data, dtype=np.complex128, order="C")
     _quantize_in_place(out.reshape(-1, out.shape[-1]), bits)
     return out
@@ -322,17 +323,12 @@ def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
     return math.sqrt(sigma2 / 2.0)
 
 
-def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
-                     timeline: TouchTimeline, multipath: MultipathProfile,
-                     noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-                     ) -> tuple[dict, Iterator[np.ndarray]]:
-    """synthesize's trace as its provenance and its rows, streamed.
-
-    The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
-    each overwritten by the next, so a pass holds one block, not the trace:
-    the three stages chained, where the quantizer's first pass replays the
-    same seeded stream.  The inputs are checked before this returns.
-    """
+def _unquantized(config: WaveformConfig, scheme: ClockScheme,
+                 timeline: TouchTimeline, multipath: MultipathProfile,
+                 noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+                 ) -> tuple[dict, Callable[[], Iterator[np.ndarray]]]:
+    """The provenance and a replayable source of the reflection and noise
+    stages' blocks; the inputs are checked before this returns."""
     nyquist_check(config, scheme)
     K, N = config.n_subcarriers, config.n_snapshots
     static = sum((_subcarrier_phasor(config, p) for p in multipath.paths),
@@ -345,6 +341,22 @@ def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
         return _noisy(_reflection_blocks(np.broadcast_to(static, (N, K)), config,
                                          scheme, timeline, multipath.sensor_path,
                                          geom, mech), noise, multipath.sensor_path)
+    return prov, unquantized
+
+
+def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
+                     timeline: TouchTimeline, multipath: MultipathProfile,
+                     noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+                     ) -> tuple[dict, Iterator[np.ndarray]]:
+    """synthesize's trace as its provenance and its rows, streamed.
+
+    The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
+    each overwritten by the next, so a pass holds one block, not the trace:
+    the three stages chained, where the quantizer's first pass replays the
+    same seeded stream.  The inputs are checked before this returns.
+    """
+    prov, unquantized = _unquantized(config, scheme, timeline, multipath, noise,
+                                     geom, mech)
     return prov, _quantized(unquantized, noise.quantize_bits)
 
 
@@ -357,12 +369,14 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     H = static multipath + sensor reflection gated by the exact switch states,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed: the rows
-    of synthesis_blocks, collected.
+    of synthesis_blocks, collected before quantization and then quantized in
+    place, so the trace is made once.
     """
-    prov, blocks = synthesis_blocks(config, scheme, timeline, multipath, noise,
-                                    geom, mech)
+    prov, unquantized = _unquantized(config, scheme, timeline, multipath, noise,
+                                     geom, mech)
     H = np.empty((config.n_snapshots, config.n_subcarriers), dtype=np.complex128)
-    return ChannelTrace(config=config, data=_collect(blocks, H), schemes=(scheme,),
+    _quantize_in_place(_collect(unquantized(), H), noise.quantize_bits)
+    return ChannelTrace(config=config, data=H, schemes=(scheme,),
                         geometry=geom, provenance=prov)
 
 

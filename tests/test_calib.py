@@ -1,5 +1,7 @@
 """Calibration fitting and phase-to-press inversion."""
+import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcelink.calib import (REFINE_TOL, RESIDUAL_THRESHOLD_RAD2,
-                             CalibrationDataset, Sample, fit_model,
-                             generate_sweep, invert, model_forward)
+from forcelink.calib import (RESIDUAL_THRESHOLD_RAD2, CalibrationDataset,
+                             Sample, fit_model, generate_sweep, invert,
+                             model_forward)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
-                                  TouchEvent, port_phases, shorting_segment)
+                                  ShortingState, TouchEvent, port_phases,
+                                  shorting_segment)
 
 GEOM = SensorGeometry()
 MECH = MechanicalParams()
@@ -20,8 +23,8 @@ LOCATIONS = (20.0, 30.0, 40.0, 50.0, 60.0)
 FORCES = tuple(1.0 + 0.5 * i for i in range(15))  # 1.0 .. 8.0 N
 
 
-def exact_phases(force_n, location_mm):
-    state = shorting_segment(TouchEvent(force_n, location_mm), MECH, GEOM)
+def exact_phases(force_n, location_mm, mech=MECH):
+    state = shorting_segment(TouchEvent(force_n, location_mm), mech, GEOM)
     return port_phases(state, GEOM, CARRIER)
 
 
@@ -128,11 +131,52 @@ def test_invert_roundtrip_random_presses(model):
 @given(F=st.floats(min(FORCES), max(FORCES)),
        loc=st.floats(min(LOCATIONS), max(LOCATIONS)))
 def test_invert_roundtrips_model_phases(model, F, loc):
+    # a noiseless press inside the box is an exact root of the model
     fw = model_forward(model, F, loc)
     est = invert(model, fw.phi1, fw.phi2)
-    assert abs(est.force_n - F) < 0.05
-    assert abs(est.location_mm - loc) < 0.05
-    assert est.reliable
+    assert abs(est.force_n - F) < 1e-9
+    assert abs(est.location_mm - loc) < 1e-9
+    assert est.in_range and est.reliable
+    assert est.residual_rad2 < 1e-20
+
+
+# the dense-grid oracle's models: the default press and both asymmetry extremes
+ORACLE_MECHS = {"default": MECH, "asym0": replace(MECH, asymmetry_exponent=0.0),
+                "asym2": replace(MECH, asymmetry_exponent=2.0)}
+
+
+@functools.cache
+def oracle(name):
+    """A model and its phases on a 0.05 N by 0.25 mm grid over the box, from
+    model_forward alone."""
+    m = fit_model(generate_sweep(LOCATIONS, FORCES, GEOM, ORACLE_MECHS[name],
+                                 CARRIER))
+    grid = [[(fw.phi1, fw.phi2) for fw in (model_forward(m, F, loc)
+                                           for F in np.linspace(1.0, 8.0, 141))]
+            for loc in np.linspace(20.0, 60.0, 161)]
+    return m, np.array(grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_MECHS)),
+       F=st.floats(0.6, 9.5), loc=st.floats(14.0, 66.0),
+       noise_deg=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       turns=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+def test_invert_is_no_worse_than_a_dense_grid(name, F, loc, noise_deg, turns):
+    # noisy and over-range presses: no point of the box fits the phases
+    # better than the estimate does
+    m, grid = oracle(name)
+    pp = exact_phases(F, loc, ORACLE_MECHS[name])
+    phi = (np.array([pp.phi1, pp.phi2]) + np.radians(noise_deg)
+           + 2.0 * math.pi * np.array(turns))
+    est = invert(m, *phi)
+    err = np.angle(np.exp(1j * (grid - phi)))
+    assert est.residual_rad2 <= float(np.min(np.sum(err ** 2, axis=-1))) + 1e-12
+    fw = model_forward(m, est.force_n, est.location_mm)
+    assert math.isclose(est.residual_rad2,
+                        sum(float(np.angle(np.exp(1j * (p - q)))) ** 2
+                            for p, q in zip((fw.phi1, fw.phi2), phi)),
+                        rel_tol=1e-9, abs_tol=1e-15)
 
 
 def test_invert_ignores_whole_turn_phase_offsets(model):
@@ -144,13 +188,13 @@ def test_invert_ignores_whole_turn_phase_offsets(model):
                 off = invert(model, pp.phi1 + 2.0 * math.pi * k1,
                              pp.phi2 + 2.0 * math.pi * k2)
                 key = (press, k1, k2)
-                assert abs(off.force_n - base.force_n) < REFINE_TOL, key
-                assert abs(off.location_mm - base.location_mm) < REFINE_TOL, key
+                assert abs(off.force_n - base.force_n) < 1e-9, key
+                assert abs(off.location_mm - base.location_mm) < 1e-9, key
                 assert off.reliable, key
 
 
-def test_invert_grid_cache_is_per_model(model):
-    # another force range, span and carrier: a different search grid
+def test_invert_cell_cache_is_per_model(model):
+    # another force range, span and carrier: different cached cells
     other = fit_model(generate_sweep((10.0, 35.0, 70.0), FORCES[2:], GEOM,
                                      MECH, 2.0e9))
     for m, (F, loc) in ((model, (3.5, 35.0)), (other, (2.5, 12.0)),
@@ -179,6 +223,37 @@ def test_invert_pins_overrange_force_to_edge(model):
     est = invert(model, pp.phi1, pp.phi2)
     assert not est.in_range
     assert est.force_n > 7.9
+
+
+@pytest.mark.parametrize("case", ["degenerate-cell", "open-line"])
+def test_invert_without_an_exact_root_is_out_of_range(model, case):
+    # two equal adjacent fits make D = 0 on their cell, so the model does not
+    # depend on location there; an open line's phases lie outside the image
+    if case == "degenerate-cell":
+        fit = model.fits[2]
+        m = replace(model, fits=(fit, replace(fit, location_mm=50.0)))
+        fw = model_forward(m, 4.0, 45.0)
+        phi = (fw.phi1, fw.phi2)
+    else:
+        m = model
+        pp = port_phases(ShortingState.open(), GEOM, CARRIER)
+        phi = (pp.phi1, pp.phi2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        est = invert(m, *phi)
+    assert not est.in_range
+    assert all(map(math.isfinite, (est.force_n, est.location_mm,
+                                   est.residual_rad2)))
+    if case == "degenerate-cell":
+        assert abs(est.force_n - 4.0) < 1e-9 and est.residual_rad2 < 1e-20
+    else:
+        assert not est.reliable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_invert_rejects_non_finite_phases(model, bad):
+    with pytest.raises(ValueError, match="finite"):
+        invert(model, 0.5, bad)
 
 
 def test_fit_rejects_rank_deficient_location():

@@ -138,6 +138,24 @@ def test_quantize_applied_by_synthesize():
     assert not np.array_equal(coarse.data, exact.data)
 
 
+def test_quantized_synthesize_makes_the_trace_once():
+    # the quantizer's full scale comes from the collected array, not from a
+    # replay of the reflection and noise stages; the rows match the stream's
+    timeline = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+    noise = NoiseSpec(snr_db=20.0, seed=5, quantize_bits=10)
+    calls, reflection_blocks = [], chansim._reflection_blocks
+
+    def counted(*args):
+        calls.append(1)
+        return reflection_blocks(*args)
+    with mock.patch.object(chansim, "_reflection_blocks", counted):
+        trace = synthesize(WF_SMALL, SCHEME, timeline, MP, noise, GEOM, MECH)
+    assert len(calls) == 1
+    _, blocks = chansim.synthesis_blocks(WF_SMALL, SCHEME, timeline, MP, noise,
+                                         GEOM, MECH)
+    assert np.array_equal(np.concatenate([b.copy() for b in blocks]), trace.data)
+
+
 # (N, K) shapes for the layout test, keyed by a test-id suffix: one block;
 # BLOCK_FLOATS // 5 subcarriers give 5 snapshots per quantization block, so
 # 12 snapshots split 5 + 5 + 2, and one per noise block (BLOCK_FLOATS // 8
