@@ -34,9 +34,9 @@ for p in range(9):
     print(f"  p={p}: {abs(a):.6f} {bar}")
 
 f1, f2 = scheme.read_freqs
-print(f"\nread tones: port 1 at {f1:.0f} Hz (gain "
-      f"{scheme.projection_gain(f1):.4f}), port 2 at {f2:.0f} Hz (gain "
-      f"{scheme.projection_gain(f2):.4f})")
+g1, g2 = scheme.read_gains
+print(f"\nread tones: port 1 at {f1:.0f} Hz (gain {g1:.4f}), "
+      f"port 2 at {f2:.0f} Hz (gain {g2:.4f})")
 
 nyquist_check(wf, scheme)
 print(f"\nsnapshot period {wf.frame_period_s * 1e6:.1f} us -> tones must stay "

@@ -11,7 +11,7 @@ from .calib import (CalibrationDataset, Estimate, Sample, SensorModel,
                     fit_model, generate_sweep, invert, model_forward)
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, NyquistError,
                       Path, TouchTimeline, WaveformConfig, add_second_sensor,
-                      equivalent_doppler_velocity, nyquist_check, quantize,
+                      equivalent_doppler_velocity, nyquist_check,
                       synthesis_blocks, synthesize)
 from .clocks import (ClockScheme, DisjointReport, SwitchClock, make_scheme,
                      verify_disjoint)
@@ -33,8 +33,8 @@ __all__ = [
     "fit_model", "generate_sweep", "invert", "model_forward",
     "ChannelTrace", "MultipathProfile", "NoiseSpec", "NyquistError", "Path",
     "TouchTimeline", "WaveformConfig", "add_second_sensor",
-    "equivalent_doppler_velocity", "nyquist_check", "quantize",
-    "synthesis_blocks", "synthesize",
+    "equivalent_doppler_velocity", "nyquist_check", "synthesis_blocks",
+    "synthesize",
     "ClockScheme", "DisjointReport", "SwitchClock", "make_scheme",
     "verify_disjoint",
     "ConfigError", "ExperimentConfig", "default_config_dict", "load_config",

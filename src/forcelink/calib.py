@@ -20,6 +20,9 @@ from .transducer import (MechanicalParams, SensorGeometry, TouchEvent,
 
 # the residual above which an estimate is not trusted, (3 deg)^2 over both ports
 RESIDUAL_THRESHOLD_RAD2 = math.radians(3.0) ** 2
+# the largest |phase| accepted: a float there still resolves the wrapped
+# phase to about 1e-10 rad, where 1e17 rad would leave no digit of it
+PHASE_LIMIT_RAD = 1e6
 # slack, relative to its interval, for a root to count as real and in the box
 _ROOT_TOL = 1e-9
 
@@ -236,8 +239,9 @@ def invert(model: SensorModel, phi1: float, phi2: float,
     """
     cells = locs, K, D, G, lo, hi = model._cells
     ends, phi = np.array(model.force_range_n), np.array([phi1, phi2], dtype=float)
-    if not np.isfinite(phi).all():
-        raise ValueError(f"phases must be finite, got {phi1}, {phi2}")
+    if not np.abs(phi).max() <= PHASE_LIMIT_RAD:  # NaN fails it too
+        raise ValueError(f"phases must be finite and within {PHASE_LIMIT_RAD:g} "
+                         f"rad, got {phi1}, {phi2}")
     c_lo, c_hi = np.minimum(lo[:-1], lo[1:]), np.maximum(hi[:-1], hi[1:])
     s, y = _branches(c_lo, c_hi, phi)
     sextic = G[s]

@@ -298,18 +298,6 @@ def _collect(blocks: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def quantize(data: np.ndarray, bits: int) -> np.ndarray:
-    """Uniform re/im quantization to 2^bits levels over the trace full scale.
-
-    Max elementwise deviation is full_scale / 2^bits.  Returns a new
-    complex128 array; beyond it only one row block is held at a time.
-    """
-    NoiseSpec(quantize_bits=bits)  # checks the bit range
-    out = np.array(data, dtype=np.complex128, order="C")
-    _quantize_in_place(out.reshape(-1, out.shape[-1]), bits)
-    return out
-
-
 def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
     """Standard deviation of each of the noise's re and im at snr_db below the
     sensor path amplitude squared; None for snr_db None (noiseless)."""

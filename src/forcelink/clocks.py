@@ -106,7 +106,13 @@ class SwitchClock:
 
 @dataclass(frozen=True)
 class ClockScheme:
-    """The two-port modulation pair; clock_b must run at exactly 2x clock_a."""
+    """The two-port modulation pair; clock_b must run at exactly 2x clock_a.
+
+    Each port is read at one fixed harmonic: port 1 at clock_a's 1st (f_s),
+    port 2 at clock_b's 2nd (4 f_s).  So each read tone carries one port
+    only, clock_a must null its 4th harmonic (4 duty_a whole) and clock_b
+    must not null its 2nd (2 duty_b not whole).
+    """
 
     clock_a: SwitchClock
     clock_b: SwitchClock
@@ -116,6 +122,14 @@ class ClockScheme:
             raise ValueError(
                 "clock_b must run at exactly twice clock_a's frequency, got "
                 f"{self.clock_b.frequency} vs {self.clock_a.frequency}")
+        if 4 in self.clock_a.harmonic_support(4):
+            raise ValueError(
+                f"clock_a duty {self.clock_a.duty} puts its 4th harmonic on port "
+                "2's 4 f_s read tone; 4 x duty must be whole")
+        if 2 not in self.clock_b.harmonic_support(2):
+            raise ValueError(
+                f"clock_b duty {self.clock_b.duty} nulls its 2nd harmonic, port 2's "
+                "4 f_s read tone; 2 x duty must not be whole")
 
     @property
     def f_s(self) -> float:
@@ -126,24 +140,15 @@ class ClockScheme:
         """Frequencies at which the two ports are read: (f_s, 4 f_s)."""
         return (self.f_s, 4.0 * self.f_s)
 
+    @property
+    def read_gains(self) -> tuple[float, float]:
+        """|a_p| of each port's read harmonic: clock_a's 1st, clock_b's 2nd."""
+        return (abs(self.clock_a.fourier_coefficient(1)),
+                abs(self.clock_b.fourier_coefficient(2)))
+
     def switch_states(self, t):
         """Both exact 0/1 states at time(s) t."""
         return self.clock_a.is_on(t), self.clock_b.is_on(t)
-
-    def clock_for_read(self, read_freq: float) -> tuple[SwitchClock, int]:
-        """Map a read frequency to (owning clock, harmonic index)."""
-        for clock in (self.clock_a, self.clock_b):
-            ratio = read_freq / clock.frequency
-            p = round(ratio)
-            if p >= 1 and math.isclose(ratio, p, rel_tol=0.0, abs_tol=1e-9):
-                if abs(clock.fourier_coefficient(p)) > SUPPORT_TOLERANCE:
-                    return clock, p
-        raise ValueError(f"{read_freq} Hz is not a readable harmonic of this scheme")
-
-    def projection_gain(self, read_freq: float) -> float:
-        """|a_p| of the clock harmonic that lands on read_freq."""
-        clock, p = self.clock_for_read(read_freq)
-        return abs(clock.fourier_coefficient(p))
 
 
 def make_scheme(f_s: float) -> ClockScheme:

@@ -136,7 +136,7 @@ class PhaseSeries:
         """Sensor SNR per read tone in [0, 200] dB, on the synthesis snr_db scale."""
         if self.sigma2 <= 0.0:
             return tuple(SNR_CAP_DB if s > 0.0 else SNR_FLOOR_DB for s in self.signal)
-        gain = np.array([self.scheme.projection_gain(f) for f in self.scheme.read_freqs])
+        gain = np.array(self.scheme.read_gains)
         alpha2 = np.maximum(self.signal - self.sigma2 / self.group_size, 0.0)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(alpha2 / (gain ** 2 * self.sigma2))

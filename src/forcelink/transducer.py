@@ -127,30 +127,22 @@ def impedance(height_mm: float, width_mm: float) -> float:
     return 60.0 * math.log(6.0 * x + math.sqrt(1.0 + (2.0 * x) ** 2))
 
 
-def solve_width_ratio(z_target: float, tol_ohm: float = 1e-9) -> float:
-    """Width-to-height ratio w/h that realizes a target impedance.
+def solve_width_ratio(z_target: float) -> float:
+    """Width-to-height ratio w/h that realizes a target impedance, exactly.
 
-    Bisection on h/w; Z is strictly increasing in h/w, so the bracket is
-    expanded until it straddles the target and then halved until the
-    impedance mismatch falls under tol_ohm.
+    With E = e^{Z/60} and x = h/w, impedance's Z = 60 ln(6x + sqrt(1 + 4x^2))
+    is 32x^2 - 12Ex + E^2 - 1 = 0, and its root below E/6 (where the square
+    root is E - 6x) gives w/h = 1/x = 2(3E + sqrt(E^2 + 8)) / (E^2 - 1).
+    Evaluated in q = 1/E, as 2q(3 + sqrt(1 + 8q^2)) / (1 - q^2) with
+    1 - q^2 = -expm1(-Z/30), nothing overflows and Z -> 0 keeps its digits.
     """
     if not z_target > 0.0:
         raise ValueError("target impedance must be positive")
-    lo, hi = 1e-12, 1.0
-    while impedance(hi, 1.0) < z_target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError(f"no realizable ratio for {z_target} ohm")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        z = impedance(mid, 1.0)
-        if abs(z - z_target) < tol_ohm:
-            return 1.0 / mid
-        if z < z_target:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (0.5 * (lo + hi))
+    q, den = math.exp(-z_target / 60.0), -math.expm1(-z_target / 30.0)
+    ratio = 2.0 * q * (3.0 + math.sqrt(1.0 + 8.0 * q * q)) / den if den else math.inf
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise ValueError(f"no realizable ratio for {z_target} ohm")
+    return ratio
 
 
 def shorting_segment(touch: TouchEvent | None, mech: MechanicalParams,

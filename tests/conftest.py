@@ -25,8 +25,7 @@ def tone_trace(wf: WaveformConfig, scheme: ClockScheme,
     be exact rather than limited by sampled-gate alias lines.
     """
     f1, f2 = scheme.read_freqs
-    g1 = scheme.projection_gain(f1)
-    g2 = scheme.projection_gain(f2)
+    g1, g2 = scheme.read_gains
     t = np.arange(wf.n_snapshots) * wf.frame_period_s
     tone = (g1 * np.exp(1j * (phi1_per_snapshot + 2.0 * np.pi * f1 * t))
             + g2 * np.exp(1j * (phi2_per_snapshot + 2.0 * np.pi * f2 * t)))

@@ -1,5 +1,6 @@
 """Calibration fitting and phase-to-press inversion."""
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -179,18 +180,42 @@ def test_invert_is_no_worse_than_a_dense_grid(name, F, loc, noise_deg, turns):
                         rel_tol=1e-9, abs_tol=1e-15)
 
 
+def test_two_ended_principle_on_the_default_model(model):
+    # the sensor's premise: the sum of the two port phases reads force and
+    # their difference reads location.  On the default model the shorted
+    # length b - a = 2 w(F) does not depend on location, so phi1 + phi2 =
+    # 2 pi - 2 beta (L - 2 w(F)).  That is a property of the default
+    # asymmetry_exponent 1, not an identity: at 2 the sum moves about 16 deg
+    # along the line.
+    forces, locs = np.linspace(1.0, 8.0, 29), np.linspace(20.0, 60.0, 41)
+    phi = np.degrees([[(fw.phi1, fw.phi2) for fw in
+                       (model_forward(model, F, loc) for loc in locs)]
+                      for F in forces])
+    total, diff = phi[..., 0] + phi[..., 1], phi[..., 0] - phi[..., 1]
+    assert np.ptp(total, axis=1).max() <= 1e-9  # 5.7e-12 deg
+    assert (np.diff(total[:, 0]) > 0.0).all()
+    assert np.ptp(total) > 100.0  # 109.2 deg over the force range
+    assert (np.diff(diff, axis=1) < 0.0).all()
+    assert np.ptp(diff) < 720.0  # 587.8 deg: under two turns
+    mech = MechanicalParams(asymmetry_exponent=2.0)
+    skewed = fit_model(generate_sweep(LOCATIONS, FORCES, GEOM, mech, CARRIER))
+    ends = [model_forward(skewed, 4.0, loc) for loc in (20.0, 40.0)]
+    assert abs(np.degrees((ends[0].phi1 + ends[0].phi2)
+                          - (ends[1].phi1 + ends[1].phi2))) > 1.0
+
+
 def test_invert_ignores_whole_turn_phase_offsets(model):
     for press in ((3.5, 35.0), (1.2, 58.0), (7.6, 22.5)):
         pp = exact_phases(*press)
         base = invert(model, pp.phi1, pp.phi2)
-        for k1 in range(-3, 4):
-            for k2 in range(-3, 4):
-                off = invert(model, pp.phi1 + 2.0 * math.pi * k1,
-                             pp.phi2 + 2.0 * math.pi * k2)
-                key = (press, k1, k2)
-                assert abs(off.force_n - base.force_n) < 1e-9, key
-                assert abs(off.location_mm - base.location_mm) < 1e-9, key
-                assert off.reliable, key
+        # a thousand whole turns are still far inside PHASE_LIMIT_RAD
+        for k1, k2 in [*itertools.product(range(-3, 4), repeat=2), (1000, -1000)]:
+            off = invert(model, pp.phi1 + 2.0 * math.pi * k1,
+                         pp.phi2 + 2.0 * math.pi * k2)
+            key = (press, k1, k2)
+            assert abs(off.force_n - base.force_n) < 1e-9, key
+            assert abs(off.location_mm - base.location_mm) < 1e-9, key
+            assert off.reliable, key
 
 
 def test_invert_cell_cache_is_per_model(model):
@@ -250,10 +275,14 @@ def test_invert_without_an_exact_root_is_out_of_range(model, case):
         assert not est.reliable
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# past 1e6 rad (PHASE_LIMIT_RAD) a float resolves the wrapped phase worse than
+# 1e-10 rad; at 1e17 it holds no digit of it
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e6, 1e17, -1e17])
 def test_invert_rejects_non_finite_phases(model, bad):
     with pytest.raises(ValueError, match="finite"):
         invert(model, 0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        invert(model, bad, -bad)
 
 
 def test_fit_rejects_rank_deficient_location():

@@ -13,7 +13,7 @@ from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, add_noise, add_second_sensor,
-                               equivalent_doppler_velocity, quantize,
+                               equivalent_doppler_velocity,
                                synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.config import default_config_dict
@@ -114,18 +114,26 @@ def test_zero_sensor_amplitude_rejected_with_noise_on():
                    NoiseSpec(snr_db=20.0), GEOM, MECH)
 
 
+def quantized(trace, bits):
+    """trace through the quantizer alone: add_noise with the noise off, into
+    a new array."""
+    return add_noise(trace, NoiseSpec(quantize_bits=bits), MP.sensor_path,
+                     np.empty_like(trace.data))
+
+
 def test_quantize_bounds_and_grid():
     rng = np.random.default_rng(3)
     data = (rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64)))
+    trace = ChannelTrace(WaveformConfig(n_subcarriers=64, n_snapshots=8), data)
     for bits in (4, 8, 12):
-        q = quantize(data, bits)
+        q = quantized(trace, bits).data
         fs = float(np.max(np.abs(data.view(float))))
         err = np.max(np.abs((q - data).view(float)))
         assert err <= fs / 2 ** bits + 1e-15, bits
         levels = np.unique(q.view(float))
         assert len(levels) <= 2 ** bits + 1
     with pytest.raises(ValueError):
-        quantize(data, 3)
+        quantized(trace, 3)
 
 
 def test_quantize_applied_by_synthesize():
@@ -187,7 +195,7 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
     sigma2 = abs(MP.sensor_path.amplitude) ** 2 * 10.0 ** (-snr_db / 10.0)
     want = quiet.data + math.sqrt(sigma2 / 2.0) * (d[..., 0] + 1j * d[..., 1])
     if bits is not None:
-        want = quantize(want, bits)
+        want = quantized(ChannelTrace(wf, want), bits).data
     assert noisy.data.tobytes() == want.tobytes()  # bit for bit
 
 
@@ -240,7 +248,7 @@ def test_synthesis_holds_one_array_plus_a_block():
     pair, peak = traced_peak(lambda: add_second_sensor(
         trace, make_scheme(1400.0), timeline, Path(0.5 - 0.3j, 1.7), GEOM, MECH))
     assert peak <= bound
-    _, peak = traced_peak(lambda: quantize(pair.data, 8))
+    _, peak = traced_peak(lambda: quantized(pair, 8))
     assert peak <= bound
     # into a reused out, add_noise (here also quantizing) holds only blocks
     out = np.empty_like(trace.data)

@@ -182,6 +182,21 @@ def test_simulate_rejects_clocks_that_cannot_be_grouped(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("clock, duty", [("clock_a", 0.3), ("clock_b", 0.5)])
+def test_simulate_rejects_clocks_with_an_unreadable_port(tmp_path, capsys, clock, duty):
+    # clock_a's 4th harmonic at duty 0.3 would land on port 2's 4 f_s tone,
+    # and clock_b's 2nd, that tone itself, is null at duty 0.5: refused
+    # before any write, not at decode
+    clocks = {"clock_a": {"freq": 1000.0, "duty": 0.25},
+              "clock_b": {"freq": 2000.0, "duty": 0.25, "offset": 0.5}}
+    clocks[clock]["duty"] = duty
+    cfg = write_config(tmp_path, {"clocks": clocks})
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "run.trace")]) == 2
+    assert f"error: bad clocks: {clock} duty {duty}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_decode_scheme_index_out_of_range(tmp_path):
     cfg = write_config(tmp_path)
     trace_path = str(tmp_path / "run.trace")

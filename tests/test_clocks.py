@@ -111,21 +111,27 @@ def test_scheme_requires_double_rate():
 def test_make_scheme_read_freqs_and_gains():
     scheme = make_scheme(F_S)
     assert scheme.read_freqs == (1000.0, 4000.0)
-    assert scheme.projection_gain(1000.0) == pytest.approx(
-        0.22507907903927651, abs=1e-15)
+    g1, g2 = scheme.read_gains
+    assert g1 == pytest.approx(0.22507907903927651, abs=1e-15)
     # the 4 f_s tone is the second harmonic of the double-rate clock
-    assert scheme.projection_gain(4000.0) == pytest.approx(
-        0.15915494309189535, abs=1e-15)
-    clock, p = scheme.clock_for_read(4000.0)
-    assert clock is scheme.clock_b and p == 2
+    assert g2 == pytest.approx(0.15915494309189535, abs=1e-15)
+    assert g2 == abs(scheme.clock_b.fourier_coefficient(2))
+    # clock_a's own 4th harmonic, also at 4 f_s, is an exact null
+    assert scheme.clock_a.fourier_coefficient(4) == 0j
 
 
-def test_clock_for_read_rejects_non_harmonics():
-    scheme = make_scheme(F_S)
-    with pytest.raises(ValueError):
-        scheme.clock_for_read(2500.0)
-    with pytest.raises(ValueError):
-        scheme.clock_for_read(0.0)
+def test_scheme_rejects_unreadable_read_harmonics():
+    # port 2 is read at 4 f_s, clock_b's 2nd harmonic: refused when clock_a
+    # puts its own 4th there (|a_4| = 0.047 at duty 0.3) or clock_b nulls it
+    for duty_a, duty_b, bad in ((0.3, 0.25, "clock_a duty 0.3"),
+                                (0.25, 0.5, "clock_b duty 0.5")):
+        with pytest.raises(ValueError, match=bad):
+            ClockScheme(clock_a=SwitchClock(F_S, duty_a),
+                        clock_b=SwitchClock(2.0 * F_S, duty_b, 0.5))
+    # the rule is 4 duty_a whole and 2 duty_b not
+    for duty_a, duty_b in ((0.5, 0.25), (0.75, 0.1), (0.25, 0.75)):
+        ClockScheme(clock_a=SwitchClock(F_S, duty_a),
+                    clock_b=SwitchClock(2.0 * F_S, duty_b))
 
 
 def test_preset_on_intervals_disjoint_exact():

@@ -203,13 +203,18 @@ def forces_range(start, stop, step):
     {"calibration": {"locations_mm": [40.0, 40.0, 40.0]}},
     {"calibration": {"locations_mm": [20.0, 120.0]}},
     {"sweep": {"test_locations_mm": [100.0]}},
+    {"clocks": {"clock_a": {"freq": 1000.0, "duty": 0.3},
+                "clock_b": {"freq": 2000.0, "duty": 0.25, "offset": 0.5}}},
+    {"clocks": {"clock_a": {"freq": 1000.0, "duty": 0.25},
+                "clock_b": {"freq": 2000.0, "duty": 0.5, "offset": 0.5}}},
 ], ids=["null-float", "section-list", "section-string", "row-no-start",
         "timeline-object", "step-zero", "step-negative", "stop-below-start",
         "range-no-step", "trials-string", "trials-fraction", "range-one-value",
         "group-size-string", "group-size-null", "negative-f_s", "clock-no-duty",
         "paths-number", "seed-bool", "trials-zero", "trials-negative",
         "ungroupable-f_s", "halfwidth-past-half-line", "three-forces",
-        "one-distinct-location", "calibration-past-line", "test-location-past-line"])
+        "one-distinct-location", "calibration-past-line", "test-location-past-line",
+        "clock_a-4th-on-port-2", "clock_b-2nd-null"])
 def test_malformed_config_is_a_config_error(doc, tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config(doc)

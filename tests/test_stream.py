@@ -176,6 +176,11 @@ def drop(section, key):
     return change
 
 
+def half_duty_clock_b(header):
+    header["schemes"][0]["clock_b"]["duty"] = 0.5
+    return header
+
+
 def extra_geometry_key(header):
     header["geometry"]["width_mm"] = 1.0
     return header
@@ -185,9 +190,12 @@ def extra_geometry_key(header):
     (drop("schemes", "clock_b"),
      "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
     (drop("waveform", "carrier_hz"), "missing keys in 'waveform': ['carrier_hz']"),
+    (half_duty_clock_b, "bad schemes[0]: clock_b duty 0.5 nulls its 2nd harmonic, "
+     "port 2's 4 f_s read tone; 2 x duty must not be whole"),
     (extra_geometry_key, "unknown keys in 'geometry': ['width_mm']"),
     (lambda header: [header], "expected a JSON object, got list"),
-], ids=["no-clock_b", "no-carrier", "extra-geometry-key", "list-header"])
+], ids=["no-clock_b", "no-carrier", "clock_b-2nd-null", "extra-geometry-key",
+        "list-header"])
 def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, says):
     bad = damaged_copy(trace_path, tmp_path / "bad.trace", header_edit(change))
     out = tmp_path / "phases.csv"

@@ -37,9 +37,19 @@ def test_impedance_monotone_in_ratio():
 
 
 def test_solve_width_ratio_roundtrip():
-    for target in (30.0, 50.0, 75.0, 120.0):
+    # a closed form, not a search: the round trip is as good as impedance's
+    # own rounding, a few ulps of 60 (the log's argument) and of Z, and the
+    # ratio solves the quadratic
+    for target in [30.0, 50.0, 75.0, 120.0] + np.geomspace(0.5, 1000.0, 401).tolist():
         ratio = solve_width_ratio(target)
-        assert abs(impedance(1.0, ratio) - target) < 1e-6
+        assert type(ratio) is float
+        assert abs(impedance(1.0, ratio) - target) <= 1e-15 * (60.0 + target), target
+        x, y = 1.0 / ratio, math.exp(target / 60.0)
+        assert abs(32.0 * x * x - 12.0 * x * y + y * y - 1.0) <= 1e-12 * y * y
+    # Z -> 0 is x -> 0, where Z = 360 x to first order
+    assert solve_width_ratio(1e-6) == pytest.approx(360.0 / 1e-6, rel=1e-8)
+    # high targets still have a (thin) ratio
+    assert 0.0 < solve_width_ratio(2000.0) < 1e-13
 
 
 def test_fifty_ohm_ratio_near_five():
@@ -51,8 +61,10 @@ def test_impedance_validation():
         impedance(0.0, 1.0)
     with pytest.raises(ValueError):
         impedance(1.0, -2.0)
-    with pytest.raises(ValueError):
-        solve_width_ratio(0.0)
+    # a ratio past float range is a ValueError, never an OverflowError
+    for target in (0.0, -5.0, math.nan, 5e-324, 1e6, math.inf):
+        with pytest.raises(ValueError):
+            solve_width_ratio(target)
 
 
 def test_light_touch_leaves_line_open():
