@@ -15,16 +15,26 @@ clean block) and the quantizer (the full scale from a first pass over a
 replayable block source, then each block gridded in place).
 synthesis_blocks streams the chain, so cli simulate holds memory
 independent of the trace length; synthesize and add_second_sensor collect
-the blocks into one (N, K) array; add_noise runs the last two stages over a
-noiseless trace's rows into a caller's reused array.  Where the rows are
-collected (synthesize, add_noise), the quantizer runs over the collected
-array in place, so the first two stages run once.
+the blocks into one (N, K) array, and synthesize quantizes it in place, so
+the first two stages run once.
+
+noisy_traces makes a sequence of traces, as the sweeps do, on two cores: a
+helper thread, kept off the caller's CPU, draws the next trace's seeded
+noise into one of two alternating (N, K) arrays while the caller adds the
+current trace's clean rows, quantizes it in place and decodes it.  numpy
+releases the GIL inside the draw, so the draw, the floor of a sweep trial,
+overlaps the rest.  A BLAS that spins its own threads (OpenBLAS unpinned)
+takes that second core; pin it to one thread (OPENBLAS_NUM_THREADS=1) for
+the overlap to pay.  _draw is the one standard_normal call, for both.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -237,6 +247,13 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
         del gate  # before the next chunk's gate and its temporaries exist
 
 
+def _draw(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    """out (complex128) filled with rng's next standard normals, re and im
+    innermost, times scale: the package's one noise draw."""
+    v = rng.standard_normal(out=out.view(float))
+    v *= scale
+
+
 def _noisy(clean: Iterable[np.ndarray], noise: NoiseSpec,
            sensor_path: Path) -> Iterator[np.ndarray]:
     """Noise stage: each clean block plus the next rows of default_rng(seed)'s
@@ -254,8 +271,7 @@ def _noisy(clean: Iterable[np.ndarray], noise: NoiseSpec,
         if buf is None:
             buf = np.empty_like(block)
         H = buf[:len(block)]
-        v = rng.standard_normal(out=H.view(float))
-        v *= scale
+        _draw(rng, scale, H)
         H += block
         return H
     return map(add, clean)
@@ -311,6 +327,21 @@ def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
     return math.sqrt(sigma2 / 2.0)
 
 
+def noiseless_blocks(config: WaveformConfig, scheme: ClockScheme,
+                     timeline: TouchTimeline, multipath: MultipathProfile,
+                     geom: SensorGeometry, mech: MechanicalParams
+                     ) -> Iterator[np.ndarray]:
+    """The reflection stage over the static multipath: synthesize's rows
+    with NoiseSpec(), as _reflection_blocks yields them.  The scheme is
+    checked against the Nyquist bound before this returns."""
+    nyquist_check(config, scheme)
+    K, N = config.n_subcarriers, config.n_snapshots
+    static = sum((_subcarrier_phasor(config, p) for p in multipath.paths),
+                 np.zeros(K, dtype=np.complex128))
+    return _reflection_blocks(np.broadcast_to(static, (N, K)), config, scheme,
+                              timeline, multipath.sensor_path, geom, mech)
+
+
 def _unquantized(config: WaveformConfig, scheme: ClockScheme,
                  timeline: TouchTimeline, multipath: MultipathProfile,
                  noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
@@ -318,17 +349,13 @@ def _unquantized(config: WaveformConfig, scheme: ClockScheme,
     """The provenance and a replayable source of the reflection and noise
     stages' blocks; the inputs are checked before this returns."""
     nyquist_check(config, scheme)
-    K, N = config.n_subcarriers, config.n_snapshots
-    static = sum((_subcarrier_phasor(config, p) for p in multipath.paths),
-                 np.zeros(K, dtype=np.complex128))
     blob = json.dumps((config, scheme, multipath, noise, timeline, geom, mech),
                       sort_keys=True, default=repr).encode()
     prov = {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}
 
     def unquantized() -> Iterator[np.ndarray]:
-        return _noisy(_reflection_blocks(np.broadcast_to(static, (N, K)), config,
-                                         scheme, timeline, multipath.sensor_path,
-                                         geom, mech), noise, multipath.sensor_path)
+        return _noisy(noiseless_blocks(config, scheme, timeline, multipath, geom, mech),
+                      noise, multipath.sensor_path)
     return prov, unquantized
 
 
@@ -368,17 +395,110 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                         geometry=geom, provenance=prov)
 
 
-def add_noise(clean: ChannelTrace, noise: NoiseSpec, sensor_path: Path,
-              out: np.ndarray) -> ChannelTrace:
-    """The trace synthesize makes with noise, from its NoiseSpec() twin clean
-    (sensor_path sets the noise level): the noise stage over clean's rows,
-    collected into out (C-contiguous complex128, clean's shape), then
-    quantized in place.  The trace wraps out, which a reuse overwrites."""
-    rows = _row_blocks(*clean.data.shape, BLOCK_FLOATS // 8)
-    _collect(_noisy((clean.data[b] for b in rows), noise, sensor_path), out)
-    _quantize_in_place(out, noise.quantize_bits)
-    return ChannelTrace(config=clean.config, data=out, schemes=clean.schemes,
-                        geometry=clean.geometry)
+def _keep_off_this_cpu(thread: threading.Thread) -> None:
+    """Let thread run on every CPU this one may use but the one it is on,
+    where the OS says which (Linux); elsewhere, or with one CPU, leave it.
+
+    A thread that wakes another may get it placed on its own CPU (wake
+    affinity), and once there a busy pair is seldom split: on a 2-vCPU VM
+    the noise helper and the caller then shared one CPU for a whole sweep
+    (no migration, ~3 involuntary switches of the helper per trial) and
+    the overlap gained nothing (7.3-8.6 ms per force trial against 7.2-8.3
+    serial); kept apart, 5.1-5.6 ms.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(thread.native_id, others)
+    except (AttributeError, OSError, ValueError, IndexError):
+        pass
+
+
+def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
+                 config: WaveformConfig, sensor_path: Path,
+                 schemes: tuple[ClockScheme, ...] = (),
+                 geometry: SensorGeometry | None = None) -> Iterator[ChannelTrace]:
+    """For each (clean rows, noise) job, the trace synthesize makes with that
+    noise from its NoiseSpec() twin's rows (noiseless_blocks' blocks, or a
+    noiseless trace's data as one block); sensor_path sets the noise level.
+
+    One helper thread, started when iteration starts and joined when it ends
+    (exhausted, closed or unwound by an exception), fills one of two
+    alternating (N, K) arrays with default_rng(seed)'s scaled normals while
+    the caller works on the trace in the other; it runs nothing but _draw.
+    The next job's draw is queued as soon as its array is free, when the
+    caller asks for the next trace, so a helper slower than the caller
+    goes from draw to draw without sleeping.  The calling thread adds the
+    clean rows (copies them for snr_db None) and quantizes in place, so each
+    trace's bytes are synthesize's.  A trace wraps one of the two arrays,
+    which the draw for the job after next overwrites: it is valid until the
+    next is asked for.  Close the generator (contextlib.closing) when
+    leaving early.
+    """
+    jobs, shape = iter(jobs), (config.n_snapshots, config.n_subcarriers)
+    bufs: list[np.ndarray | None] = [None, None]  # the second made when needed
+    draws: deque = deque()  # posted, not yet taken; none left: stop
+    failed: list = []
+    posted, drawn = threading.Semaphore(0), threading.Semaphore(0)
+
+    def helper() -> None:
+        while True:
+            posted.acquire()
+            try:
+                args = draws.popleft()
+            except IndexError:  # no draw left: stop
+                return
+            try:
+                _draw(*args)
+            except BaseException as e:  # re-raised on the calling thread
+                failed.append(e)
+            drawn.release()
+
+    def post(i: int):
+        """Job i's (clean, noise, scale, out), its draw queued; None past the end."""
+        job = next(jobs, None)
+        if job is None:
+            return None
+        clean, noise = job
+        scale = noise_scale(sensor_path, noise.snr_db)
+        if bufs[i % 2] is None:
+            bufs[i % 2] = np.empty(shape, dtype=np.complex128)
+        if scale is not None:
+            # seeded here, so numpy.random's lazy import stays on this thread
+            draws.append((np.random.default_rng(noise.seed), scale, bufs[i % 2]))
+            posted.release()
+        return clean, noise, scale, bufs[i % 2]
+
+    thread = threading.Thread(target=helper, name="forcelink-noise", daemon=True)
+    thread.start()
+    try:
+        _keep_off_this_cpu(thread)
+        pending, i = post(0), 0
+        while pending is not None:
+            i += 1
+            ahead = post(i)  # trace i - 2's array is free now
+            clean, noise, scale, H = pending
+            if scale is not None:
+                drawn.acquire()
+                if failed:
+                    raise failed.pop()
+            if scale is None:
+                _collect(clean, H)
+            else:
+                start_row = 0
+                for block in clean:
+                    H[start_row:start_row + len(block)] += block
+                    start_row += len(block)
+            _quantize_in_place(H, noise.quantize_bits)
+            yield ChannelTrace(config=config, data=H, schemes=schemes,
+                               geometry=geometry)
+            pending = ahead
+    finally:
+        draws.clear()
+        posted.release()  # the helper finds no draw left and returns
+        thread.join()
 
 
 def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,

@@ -155,16 +155,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_impedance(args) -> int:
-    if args.target_ohm is not None:
-        ratio = solve_width_ratio(args.target_ohm)
-        print(f"w_over_h={ratio!r}")
-        if args.height_mm is not None:
-            print(f"width_mm={ratio * args.height_mm!r}")
-        return 0
-    if args.height_mm is None or args.width_mm is None:
-        raise ConfigError("impedance needs --height-mm and --width-mm, "
-                          "or --target-ohm")
-    z = impedance(args.height_mm, args.width_mm)
+    # every failure here is a bad argument: a usage error, exit 2
+    try:
+        if args.target_ohm is not None:
+            ratio = solve_width_ratio(args.target_ohm)
+            if args.height_mm is not None and not 0.0 < args.height_mm < math.inf:
+                raise ValueError("--height-mm must be positive and finite")
+            print(f"w_over_h={ratio!r}")
+            if args.height_mm is not None:
+                print(f"width_mm={ratio * args.height_mm!r}")
+            return 0
+        if args.height_mm is None or args.width_mm is None:
+            raise ValueError("impedance needs --height-mm and --width-mm, "
+                             "or --target-ohm")
+        z = impedance(args.height_mm, args.width_mm)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     print(f"impedance_ohm={z!r}")
     return 0
 

@@ -5,22 +5,29 @@ the acceptance checks can drive them without shelling out.  All randomness
 derives from one seed, the config's noise.seed unless one is passed, so a
 sweep run from the library matches forcelink sweep on the same file.
 
-An SNR point varies only the noise, so measure_step_errors takes a seed
-axis: it makes the group size and the noiseless trace once per call and
-decodes, for each seed, chansim.add_noise's trace: synthesize's own noise
-and quantization stages run over that noiseless trace.
+The force and SNR sweeps get their traces from chansim.noisy_traces, which
+draws the next trial's seeded noise on a second core while this thread
+decodes (and, for a force trial, inverts) the current one; every trace is
+bit for bit the one synthesize makes with that trial's seed.  Pin BLAS to
+one thread (OPENBLAS_NUM_THREADS=1): an OpenBLAS left to spin its own
+threads takes the second core and the overlap gains nothing.  An SNR point
+varies only the noise, so measure_step_errors makes the group size and the
+noiseless trace once per call and adds each seed's noise to it.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
+from contextlib import closing
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from . import calib
-from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
-                      add_noise, add_second_sensor, synthesize)
+from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
+                      TouchTimeline, add_second_sensor, noiseless_blocks,
+                      noisy_traces, synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import anchor, auto_group_size, group_phases, resolve_group_size
@@ -40,22 +47,33 @@ def no_touch_phase(cfg: ExperimentConfig):
     return port_phases(ShortingState.open(), cfg.geometry, cfg.waveform.carrier_hz)
 
 
-def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
-                    force_n: float, location_mm: float, seed: int) -> dict:
-    """One closed-loop pass: simulate a press, decode it, invert the phases.
-
-    The trace holds one quiet lead group followed by two touched groups; the
-    press lands exactly on the group boundary.  The final group's anchored
-    phases feed the inversion.
-    """
-    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    wf = replace(cfg.waveform, n_snapshots=3 * Ng)
-    timeline = TouchTimeline(entries=(
+def _press_timeline(Ng: int, force_n: float, location_mm: float) -> TouchTimeline:
+    """One quiet lead group, then the press from the group boundary on."""
+    return TouchTimeline(entries=(
         (0, None), (Ng, TouchEvent(force_n=force_n, location_mm=location_mm))))
-    noise = replace(cfg.noise, seed=int(seed))
-    trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath, noise,
-                       cfg.geometry, cfg.mechanics)
-    phi1, phi2 = anchor(group_phases(trace, cfg.scheme, Ng), no_touch_phase(cfg))[-1]
+
+
+def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
+                seed: int) -> ChannelTrace:
+    """The trace of one closed-loop trial, synthesized with noise seed seed:
+    three groups of cfg.group_size (auto for None) snapshots, the press
+    landing exactly on the first group boundary."""
+    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    return synthesize(replace(cfg.waveform, n_snapshots=3 * Ng), cfg.scheme,
+                      _press_timeline(Ng, force_n, location_mm), cfg.multipath,
+                      replace(cfg.noise, seed=int(seed)), cfg.geometry, cfg.mechanics)
+
+
+def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
+                    force_n: float, location_mm: float, trace: ChannelTrace) -> dict:
+    """One closed-loop pass over a trial's trace (touch_trace's, or one
+    run_force_sweep made the same way): decode it, invert the phases.
+
+    The final group's anchored phases feed the inversion; force_n and
+    location_mm are the press's truth, for the error columns.
+    """
+    series = group_phases(trace, cfg.scheme, cfg.group_size)
+    phi1, phi2 = anchor(series, no_touch_phase(cfg))[-1]
     est = calib.invert(model, float(phi1), float(phi2))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             "est_force_n": est.force_n, "est_location_mm": est.location_mm,
@@ -70,6 +88,9 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
     Presses and trial seeds are drawn from seed, cfg.noise.seed for None.
+    Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
+    bit for bit; the traces come from chansim.noisy_traces, which draws the
+    next trial's noise while this one decodes and inverts.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -78,15 +99,26 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
+    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    wf = replace(cfg.waveform, n_snapshots=3 * Ng)
+    presses = deque()  # drawn, not yet decoded: noisy_traces reads one ahead
+
+    def jobs():
+        for _ in range(trials):
+            F = float(rng.uniform(f_lo, f_hi))
+            loc = float(rng.choice(locations))
+            presses.append((F, loc))
+            yield (noiseless_blocks(wf, cfg.scheme, _press_timeline(Ng, F, loc),
+                                    cfg.multipath, cfg.geometry, cfg.mechanics),
+                   replace(cfg.noise, seed=int(rng.integers(0, 2 ** 62))))
     rows = []
-    for i in range(trials):
-        F = float(rng.uniform(f_lo, f_hi))
-        loc = float(rng.choice(locations))
-        trial_seed = int(rng.integers(0, 2 ** 62))
-        r = run_touch_trial(cfg, model, F, loc, trial_seed)
-        r["kind"] = "trial"
-        r["trial"] = i
-        rows.append(r)
+    with closing(noisy_traces(jobs(), wf, cfg.multipath.sensor_path, (cfg.scheme,),
+                              cfg.geometry)) as traces:
+        for i, trace in enumerate(traces):
+            r = run_touch_trial(cfg, model, *presses.popleft(), trace)
+            r["kind"] = "trial"
+            r["trial"] = i
+            rows.append(r)
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [
@@ -108,18 +140,19 @@ def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
     NoiseSpec(snr_db, seeds[i], cfg.noise.quantize_bits).  Only the noise
     differs between seeds, so the group size and the noiseless trace are
     made once per call (the config is checked even for no seeds); each seed
-    then gets its trace from chansim.add_noise, in one reused array.
+    then gets its trace from chansim.noisy_traces over that noiseless trace.
     """
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
                        cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
-    out = np.empty_like(clean.data)
+    jobs = (((clean.data,), NoiseSpec(snr_db, int(seed), cfg.noise.quantize_bits))
+            for seed in seeds)
     errs = np.empty((len(seeds), 2))
-    for i, seed in enumerate(seeds):
-        noise = NoiseSpec(snr_db, int(seed), cfg.noise.quantize_bits)
-        trace = add_noise(clean, noise, cfg.multipath.sensor_path, out)
-        errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
+    with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, clean.schemes,
+                              clean.geometry)) as traces:
+        for i, trace in enumerate(traces):
+            errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
     return errs
 
 

@@ -119,12 +119,18 @@ def wrap_phase(x: float) -> float:
 def impedance(height_mm: float, width_mm: float) -> float:
     """Characteristic impedance (ohms) of the air-substrate line.
 
-    Z = 60 ln(6h/w + sqrt(1 + (2h/w)^2)); only the h/w ratio matters.
+    Z = 60 ln(6h/w + sqrt(1 + (2h/w)^2)); only the h/w ratio matters.  With
+    x = h/w it is evaluated as 60 log1p(6x + 4x^2 / (1 + sqrt(1 + 4x^2))),
+    sqrt(1 + 4x^2) - 1 rationalized, so a thin line (x -> 0, Z ~ 360x)
+    keeps its digits; the 4x^2 is split so that no square overflows.
     """
     if not height_mm > 0.0 or not width_mm > 0.0:
         raise ValueError("height and width must be positive")
     x = height_mm / width_mm
-    return 60.0 * math.log(6.0 * x + math.sqrt(1.0 + (2.0 * x) ** 2))
+    if not math.isfinite(x):
+        raise ValueError(f"h/w = {height_mm}/{width_mm} is out of float range")
+    y = 2.0 * x
+    return 60.0 * math.log1p(6.0 * x + y * (y / (1.0 + math.hypot(1.0, y))))
 
 
 def solve_width_ratio(z_target: float) -> float:

@@ -1,6 +1,11 @@
 import functools
 import json
 import math
+import os
+import sys
+import threading
+import time
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -12,9 +17,9 @@ from forcelink import chansim, cli
 from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
-                               WaveformConfig, add_noise, add_second_sensor,
-                               equivalent_doppler_velocity,
-                               synthesis_blocks, synthesize)
+                               WaveformConfig, add_second_sensor,
+                               equivalent_doppler_velocity, noiseless_blocks,
+                               noisy_traces, synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.config import default_config_dict
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
@@ -114,11 +119,20 @@ def test_zero_sensor_amplitude_rejected_with_noise_on():
                    NoiseSpec(snr_db=20.0), GEOM, MECH)
 
 
+def added(clean, noises):
+    """The data of noisy_traces' trace for each of noises over clean's rows,
+    copied, since each trace is overwritten after the next."""
+    jobs = (((clean.data,), noise) for noise in noises)
+    with closing(noisy_traces(jobs, clean.config, MP.sensor_path)) as traces:
+        return [trace.data.copy() for trace in traces]
+
+
 def quantized(trace, bits):
-    """trace through the quantizer alone: add_noise with the noise off, into
-    a new array."""
-    return add_noise(trace, NoiseSpec(quantize_bits=bits), MP.sensor_path,
-                     np.empty_like(trace.data))
+    """trace through the quantizer alone: noisy_traces with the noise off,
+    one trace, which nothing overwrites once the generator is closed."""
+    jobs = [((trace.data,), NoiseSpec(quantize_bits=bits))]
+    with closing(noisy_traces(jobs, trace.config, MP.sensor_path)) as traces:
+        return next(traces)
 
 
 def test_quantize_bounds_and_grid():
@@ -202,7 +216,7 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
 def block_size_traces():
     """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS,
     then the noisy and 10-bit ones as synthesis_blocks streams them, then
-    as add_noise adds their noise to the noiseless trace."""
+    as noisy_traces adds their noise to the noiseless trace."""
     wf = layout_waveform(LAYOUT_SHAPES[""])
     noises = [NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits)
               for bits in (None, 10)]
@@ -213,10 +227,8 @@ def block_size_traces():
     streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a)[1])
                 for a in args]
     clean = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP, QUIET, GEOM, MECH)
-    added = [add_noise(clean, noise, MP.sensor_path, np.empty_like(clean.data))
-             for noise in noises]
     return ([t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
-            + [t.data.tobytes() for t in added])
+            + [data.tobytes() for data in added(clean, noises)])
 
 
 default_block_traces = functools.cache(block_size_traces)
@@ -235,6 +247,90 @@ def test_traces_do_not_depend_on_the_block_size(block):
     assert got[3:5] == got[5:] == got[:2]
 
 
+HELD = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+
+
+def test_noisy_traces_joins_its_helper_when_closed_early():
+    # the helper starts with the iteration, not before, and an early close()
+    # joins it although it holds a queued draw
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    baseline = threading.active_count()
+    jobs = (((clean.data,), NoiseSpec(snr_db=20.0, seed=seed)) for seed in range(5))
+    traces = noisy_traces(jobs, WF_SMALL, MP.sensor_path)
+    assert threading.active_count() == baseline
+    first = next(traces)
+    assert threading.active_count() == baseline + 1
+    want = synthesize(WF_SMALL, SCHEME, HELD, MP, NoiseSpec(snr_db=20.0, seed=0),
+                      GEOM, MECH)
+    assert first.data.tobytes() == want.data.tobytes()
+    traces.close()
+    assert threading.active_count() == baseline
+
+
+def test_noisy_traces_under_stress_match_synthesize():
+    # a short switch interval interleaves the helper's draws with a slow
+    # consumer: a draw landing in the array of a trace still in use, or a
+    # draw taken out of order, would change a trace's bytes
+    wf = WaveformConfig(n_subcarriers=64, n_snapshots=200)
+    clean = synthesize(wf, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    noises = [NoiseSpec(snr_db=None if seed % 7 == 3 else 15.0, seed=seed,
+                        quantize_bits=10 if seed % 2 else None) for seed in range(40)]
+    want = [synthesize(wf, SCHEME, HELD, MP, noise, GEOM, MECH).data.tobytes()
+            for noise in noises]
+    got = []
+
+    def consume():
+        jobs = (((clean.data,), noise) for noise in noises)
+        with closing(noisy_traces(jobs, wf, MP.sensor_path)) as traces:
+            for trace in traces:
+                first = trace.data.tobytes()
+                time.sleep(0.0002)
+                got.append((first, trace.data.tobytes()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=consume)
+        worker.start()
+        worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert [a for a, _ in got] == [b for _, b in got] == want
+
+
+def test_noisy_traces_raises_a_failed_draw_on_the_calling_thread(monkeypatch):
+    def fails(*args):
+        raise FloatingPointError("draw failed")
+    monkeypatch.setattr(chansim, "_draw", fails)
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        added(clean, [NoiseSpec(snr_db=20.0, seed=1)] * 3)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="CPU affinity is not exposed here")
+def test_noise_helper_keeps_off_the_callers_cpu(monkeypatch):
+    # a helper woken onto the caller's CPU may stay there for a whole sweep,
+    # so it may run on every CPU the caller may use but the caller's own
+    allowed, seen, draw = os.sched_getaffinity(0), [], chansim._draw
+
+    def record(*args):
+        seen.append(os.sched_getaffinity(0))
+        return draw(*args)
+    monkeypatch.setattr(chansim, "_draw", record)
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(3)])
+    assert len(seen) == 3
+    for cpus in seen:
+        if len(allowed) > 1:
+            assert cpus < allowed and len(cpus) == len(allowed) - 1
+        else:
+            assert cpus == allowed
+    assert os.sched_getaffinity(0) == allowed  # the caller's is untouched
+
+
 def test_synthesis_holds_one_array_plus_a_block():
     # H is allocated once and filled, perturbed and quantized in row blocks;
     # a whole-array noise draw or isfinite temporary would exceed this bound
@@ -250,12 +346,20 @@ def test_synthesis_holds_one_array_plus_a_block():
     assert peak <= bound
     _, peak = traced_peak(lambda: quantized(pair, 8))
     assert peak <= bound
-    # into a reused out, add_noise (here also quantizing) holds only blocks
-    out = np.empty_like(trace.data)
-    _, peak = traced_peak(lambda: add_noise(
-        trace, NoiseSpec(snr_db=20.0, seed=4, quantize_bits=8), MP.sensor_path, out))
-    assert peak <= bound
-    assert peak <= 2 * 2 ** 20  # no trace-sized temporary (20 MB here)
+    # noisy_traces (here also quantizing) holds its two reused arrays (one
+    # for one trace) and only blocks beside them: no trace-sized temporary
+    # (20 MB here)
+    def drain(n):
+        jobs = (((trace.data,), NoiseSpec(snr_db=20.0, seed=4 + i, quantize_bits=8))
+                for i in range(n))
+        with closing(noisy_traces(jobs, wf, MP.sensor_path)) as traces:
+            for _ in traces:
+                pass
+    for n in (1, 3):
+        _, peak = traced_peak(lambda: drain(n))
+        assert peak <= min(n, 2) * trace.data.nbytes + 2 * 2 ** 20
+        if n == 1:
+            assert peak <= bound
 
 
 @pytest.mark.parametrize("n_snapshots", [2 * BLOCK_FLOATS + 3, 8 * BLOCK_FLOATS + 12])

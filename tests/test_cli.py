@@ -237,6 +237,20 @@ def test_impedance_needs_arguments():
     assert cli.main(["impedance", "--height-mm", "0.63"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--target-ohm", "0"], ["--target-ohm", "nan"], ["--target-ohm", "1e6"],
+    ["--target-ohm", "50", "--height-mm", "-1"],
+    ["--height-mm", "0", "--width-mm", "1"], ["--height-mm", "1", "--width-mm", "-1"],
+    ["--height-mm", "inf", "--width-mm", "1"]],
+    ids=["target-zero", "target-nan", "target-unrealizable", "target-height",
+         "height-zero", "width-negative", "ratio-inf"])
+def test_impedance_bad_argument_is_a_usage_error(argv, capsys):
+    # a bad argument is a usage error (exit 2) that prints nothing to stdout
+    assert cli.main(["impedance", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_sweep_force_mode(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "force.csv")
@@ -358,6 +372,41 @@ def test_sigterm_stops_simulate_without_leaving_a_file(tmp_path):
         proc.kill()
         proc.wait()
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def thread_count(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc to see the noise helper thread start")
+def test_sigterm_stops_a_force_sweep_and_joins_its_helper(tmp_path):
+    # with BLAS on one thread, a second thread is the noise helper, so the
+    # sweep loop is running; SIGTERM unwinds it, the helper is joined and no
+    # CSV is written
+    cfg = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = tmp_path / "force.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forcelink.cli", "sweep", "--config", cfg,
+         "--mode", "force", "--trials", "1000000", "--out", str(out)],
+        env=env, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while thread_count(proc.pid) < 2:
+            assert proc.poll() is None, "sweep ended before its loop"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60.0) == 143
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not out.exists()
 
 
 def test_main_restores_sigterm_and_runs_off_the_main_thread(capsys):

@@ -1,15 +1,18 @@
 """Experiment engines: closed-loop trials, SNR sweeps, crosstalk isolation."""
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from forcelink import chansim, sweeps
 from forcelink.chansim import NoiseSpec, TouchTimeline, synthesize
 from forcelink.decoder import group_phases
 from forcelink.sweeps import (calibrate, measure_step_errors, no_touch_phase,
                               run_crosstalk, run_force_sweep, run_snr_sweep,
-                              run_touch_trial, snr_meeting_threshold)
+                              run_touch_trial, snr_meeting_threshold,
+                              touch_trace)
 from forcelink.transducer import ShortingState, TouchEvent, port_phases
 
 
@@ -36,8 +39,11 @@ def test_no_touch_phase_matches_transducer(default_cfg):
 
 
 def test_run_touch_trial_is_deterministic(default_cfg, model):
-    r1 = run_touch_trial(default_cfg, model, 3.0, 45.0, seed=42)
-    r2 = run_touch_trial(default_cfg, model, 3.0, 45.0, seed=42)
+    def trial(seed):
+        trace = touch_trace(default_cfg, 3.0, 45.0, seed=seed)
+        return run_touch_trial(default_cfg, model, 3.0, 45.0, trace)
+    r1 = trial(42)
+    r2 = trial(42)
     assert r1 == r2
     assert set(r1) == {"true_force_n", "true_location_mm", "est_force_n",
                        "est_location_mm", "force_err_n", "location_err_mm",
@@ -45,8 +51,18 @@ def test_run_touch_trial_is_deterministic(default_cfg, model):
     assert r1["reliable"] is True
     assert r1["force_err_n"] < 0.2
     assert r1["location_err_mm"] < 0.5
-    r3 = run_touch_trial(default_cfg, model, 3.0, 45.0, seed=43)
+    r3 = trial(43)
     assert r3["est_force_n"] != r1["est_force_n"]
+
+
+def test_touch_trace_holds_a_quiet_group_then_the_press(default_cfg):
+    trace = touch_trace(default_cfg, 3.0, 45.0, seed=42)
+    wf = replace(default_cfg.waveform, n_snapshots=3 * 625)
+    timeline = TouchTimeline(entries=((0, None), (625, TouchEvent(3.0, 45.0))))
+    want = synthesize(wf, default_cfg.scheme, timeline, default_cfg.multipath,
+                      replace(default_cfg.noise, seed=42), default_cfg.geometry,
+                      default_cfg.mechanics)
+    assert trace.data.tobytes() == want.data.tobytes()
 
 
 def test_run_force_sweep_structure(default_cfg):
@@ -59,6 +75,90 @@ def test_run_force_sweep_structure(default_cfg):
     assert kinds == ["median", "p90"]
     assert aggregates[0]["force_err_n"] < 0.3
     assert aggregates[0]["location_err_mm"] < 0.6
+
+
+GRID = [pytest.mark.parametrize("K", [1, 64]),
+        pytest.mark.parametrize("group_size", [None, 1250], ids=["auto", "1250"]),
+        pytest.mark.parametrize("bits", [None, 10], ids=["float", "10bit"]),
+        pytest.mark.parametrize("snr_db", [None, 0.0, 25.0],
+                                ids=["noiseless", "0dB", "25dB"])]
+
+
+def on_grid(test):
+    """The GRID marks stacked as decorators, in that order."""
+    for mark in reversed(GRID):
+        test = mark(test)
+    return test
+
+
+def grid_cfg(cfg, snr_db, bits, group_size, K):
+    return replace(cfg, group_size=group_size,
+                   noise=replace(cfg.noise, snr_db=snr_db, quantize_bits=bits),
+                   waveform=replace(cfg.waveform, n_subcarriers=K))
+
+
+@on_grid
+def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
+                                                             bits, group_size, K):
+    # the next trial's noise is drawn while this one decodes; every row must
+    # still be the serial decode and inversion of synthesize's trace for
+    # that trial's press and seed, bit for bit
+    cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
+    rows, _ = run_force_sweep(cfg, trials=3, seed=5)
+    rng = np.random.default_rng(5)
+    Ng = group_size or 625
+    wf = replace(cfg.waveform, n_snapshots=3 * Ng)
+    model = calibrate(cfg)
+    for i, row in enumerate(rows):
+        F = float(rng.uniform(*cfg.sweep.force_range_n))
+        loc = float(rng.choice(cfg.sweep.test_locations_mm))
+        seed = int(rng.integers(0, 2 ** 62))
+        timeline = TouchTimeline(entries=((0, None), (Ng, TouchEvent(F, loc))))
+        trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath,
+                           NoiseSpec(snr_db, seed, bits), cfg.geometry, cfg.mechanics)
+        assert row == {**run_touch_trial(cfg, model, F, loc, trace),
+                       "kind": "trial", "trial": i}
+
+
+def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
+    # the noise helper is joined on a full sweep, on no seeds, and when the
+    # consumer raises mid-sweep
+    baseline = threading.active_count()
+    run_force_sweep(default_cfg, trials=3, seed=1)
+    assert threading.active_count() == baseline
+    assert measure_step_errors(default_cfg, 10.0, []).shape == (0, 2)
+    assert threading.active_count() == baseline
+    trial, calls = sweeps.run_touch_trial, []
+
+    def fails_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("consumer failed")
+        return trial(*args)
+    monkeypatch.setattr(sweeps, "run_touch_trial", fails_second)
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        run_force_sweep(default_cfg, trials=5, seed=1)
+    assert len(calls) == 2
+    assert threading.active_count() == baseline
+
+
+def test_only_the_noise_draw_leaves_the_calling_thread(default_cfg, monkeypatch):
+    # traced spans must nest on one thread: the helper runs _draw and
+    # nothing else, and every draw runs there
+    threads = {}
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(chansim, "_draw", record("draw", chansim._draw))
+    monkeypatch.setattr(chansim, "_gate", record("gate", chansim._gate))
+    monkeypatch.setattr(sweeps, "group_phases", record("decode", sweeps.group_phases))
+    run_force_sweep(default_cfg, trials=3, seed=1)
+    main = threading.current_thread().name
+    assert threads == {"draw": {"forcelink-noise"}, "gate": {main},
+                       "decode": {main}}
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -111,18 +211,13 @@ def test_measure_step_errors_rejects_zero_subcarriers(default_cfg):
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
-@pytest.mark.parametrize("K", [1, 64])
-@pytest.mark.parametrize("group_size", [None, 1250], ids=["auto", "1250"])
-@pytest.mark.parametrize("bits", [None, 10], ids=["float", "10bit"])
-@pytest.mark.parametrize("snr_db", [None, 0.0, 25.0], ids=["noiseless", "0dB", "25dB"])
+@on_grid
 def test_measure_step_errors_rows_match_one_synthesis_per_seed(default_cfg, snr_db,
                                                                bits, group_size, K):
     # the noiseless trace is made once per call and each seed's noise added
     # to it; every row must still be the serial decode of synthesize's
     # trace for that seed, bit for bit (a repeated seed included)
-    cfg = replace(default_cfg, group_size=group_size,
-                  noise=replace(default_cfg.noise, quantize_bits=bits),
-                  waveform=replace(default_cfg.waveform, n_subcarriers=K))
+    cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
     seeds = [11, 2 ** 62 - 1, 11]
     got = measure_step_errors(cfg, snr_db, seeds)
     assert got.shape == (3, 2) and got.dtype == np.float64

@@ -40,7 +40,7 @@ def test_solve_width_ratio_roundtrip():
     # a closed form, not a search: the round trip is as good as impedance's
     # own rounding, a few ulps of 60 (the log's argument) and of Z, and the
     # ratio solves the quadratic
-    for target in [30.0, 50.0, 75.0, 120.0] + np.geomspace(0.5, 1000.0, 401).tolist():
+    for target in [30.0, 50.0, 75.0, 120.0] + np.geomspace(1e-6, 1000.0, 801).tolist():
         ratio = solve_width_ratio(target)
         assert type(ratio) is float
         assert abs(impedance(1.0, ratio) - target) <= 1e-15 * (60.0 + target), target
@@ -61,6 +61,13 @@ def test_impedance_validation():
         impedance(0.0, 1.0)
     with pytest.raises(ValueError):
         impedance(1.0, -2.0)
+    # h/w past float range is a ValueError; a huge finite one squares nothing
+    # (Z ~ 60 ln 8x), and a thin line keeps its digits (Z ~ 360x)
+    with pytest.raises(ValueError):
+        impedance(1e308, 1e-308)
+    assert impedance(1e300, 1.0) == pytest.approx(60.0 * math.log(8e300),
+                                                  rel=1e-15, abs=0.0)
+    assert impedance(1e-20, 1.0) == pytest.approx(3.6e-18, rel=1e-15, abs=0.0)
     # a ratio past float range is a ValueError, never an OverflowError
     for target in (0.0, -5.0, math.nan, 5e-324, 1e6, math.inf):
         with pytest.raises(ValueError):
