@@ -160,6 +160,18 @@ def test_quantize_applied_by_synthesize():
     assert not np.array_equal(coarse.data, exact.data)
 
 
+def test_noiseless_blocks_match_synthesize_and_check_nyquist():
+    # the force sweep adds its noise to these rows: they must be the
+    # noiseless trace synthesize makes, and refuse a scheme over Nyquist
+    # before any row is made
+    mp = MultipathProfile(paths=(Path(0.3 + 0.1j, 2.0),), sensor_path=MP.sensor_path)
+    rows = noiseless_blocks(WF_SMALL, SCHEME, LAYOUT_TIMELINE, mp, GEOM, MECH)
+    want = synthesize(WF_SMALL, SCHEME, LAYOUT_TIMELINE, mp, QUIET, GEOM, MECH)
+    assert b"".join(b.tobytes() for b in rows) == want.data.tobytes()
+    with pytest.raises(NyquistError):
+        noiseless_blocks(WF_SMALL, make_scheme(2500.0), LAYOUT_TIMELINE, mp, GEOM, MECH)
+
+
 def test_quantized_synthesize_makes_the_trace_once():
     # the quantizer's full scale comes from the collected array, not from a
     # replay of the reflection and noise stages; the rows match the stream's
