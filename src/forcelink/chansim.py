@@ -18,14 +18,18 @@ independent of the trace length; synthesize and add_second_sensor collect
 the blocks into one (N, K) array, and synthesize quantizes it in place, so
 the first two stages run once.
 
-noisy_traces makes a sequence of traces, as the sweeps do, on two cores: a
-helper thread, kept off the caller's CPU, draws the next trace's seeded
-noise into one of two alternating (N, K) arrays while the caller adds the
-current trace's clean rows, quantizes it in place and decodes it.  numpy
-releases the GIL inside the draw, so the draw, the floor of a sweep trial,
-overlaps the rest.  A BLAS that spins its own threads (OpenBLAS unpinned)
-takes that second core; pin it to one thread (OPENBLAS_NUM_THREADS=1) for
-the overlap to pay.  _draw is the one standard_normal call, for both.
+noisy_traces makes a sequence of traces, as the sweeps do, on two cores.
+Each trace's seeded noise is drawn into its own (N, K) array, one of three
+taken in turn, so two jobs ahead of the trace in use are queued or being
+drawn.  A helper thread, kept off the caller's CPU, runs the queued draws in
+order; the caller adds the current trace's clean rows, quantizes it in place
+and decodes it, and when the next trace's draw is not done yet it runs the
+earliest queued draw itself instead of waiting.  numpy releases the GIL
+inside the draw, the floor of a sweep trial, so a trial can cost as little
+as half of draw plus decode rather than the larger of the two.  A BLAS that
+spins its own threads (OpenBLAS unpinned) takes that second core; pin it to
+one thread (OPENBLAS_NUM_THREADS=1) for the overlap to pay.  _draw is the
+one standard_normal call, for the block pipeline and noisy_traces alike.
 """
 from __future__ import annotations
 
@@ -395,6 +399,12 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                         geometry=geom, provenance=prov)
 
 
+# noisy_traces' (N, K) arrays: the trace in use and the next two jobs' draws,
+# so each core has a draw to run while the caller works on a trace; a fourth
+# would only hold another trace-sized array
+_RING = 3
+
+
 def _keep_off_this_cpu(thread: threading.Thread) -> None:
     """Let thread run on every CPU this one may use but the one it is on,
     where the OS says which (Linux); elsewhere, or with one CPU, leave it.
@@ -424,69 +434,94 @@ def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
     noise from its NoiseSpec() twin's rows (noiseless_blocks' blocks, or a
     noiseless trace's data as one block); sensor_path sets the noise level.
 
-    One helper thread, started when iteration starts and joined when it ends
-    (exhausted, closed or unwound by an exception), fills one of two
-    alternating (N, K) arrays with default_rng(seed)'s scaled normals while
-    the caller works on the trace in the other; it runs nothing but _draw.
-    The next job's draw is queued as soon as its array is free, when the
-    caller asks for the next trace, so a helper slower than the caller
-    goes from draw to draw without sleeping.  The calling thread adds the
-    clean rows (copies them for snr_db None) and quantizes in place, so each
-    trace's bytes are synthesize's.  A trace wraps one of the two arrays,
-    which the draw for the job after next overwrites: it is valid until the
-    next is asked for.  Close the generator (contextlib.closing) when
-    leaving early.
+    The seeded draws run on two threads.  Each job's draw (default_rng(seed)'s
+    scaled normals into its own (N, K) array, one of _RING taken in turn) is
+    queued as soon as its array is free, which keeps the two jobs after the
+    one in use queued or drawn.  One helper thread, started when iteration
+    starts and joined when it ends (exhausted, closed or unwound by an
+    exception), takes queued draws in order and runs nothing but _draw.  When
+    the trace asked for is still being drawn, the calling thread takes the
+    earliest queued draw and runs it itself rather than wait, so both cores
+    draw.  The calling thread adds the clean rows (copies them for snr_db
+    None) and quantizes in place; a draw's bytes do not depend on which thread
+    ran it, so each trace's bytes are synthesize's.  A trace wraps one of the
+    arrays, which the draw for a later job overwrites: it is valid until the
+    next is asked for.  A failed draw raises on the calling thread.  Close the
+    generator (contextlib.closing) when leaving early.
     """
     jobs, shape = iter(jobs), (config.n_snapshots, config.n_subcarriers)
-    bufs: list[np.ndarray | None] = [None, None]  # the second made when needed
-    draws: deque = deque()  # posted, not yet taken; none left: stop
-    failed: list = []
-    posted, drawn = threading.Semaphore(0), threading.Semaphore(0)
+    ring: list[np.ndarray | None] = [None] * _RING  # each made when first needed
+    posted: deque = deque()  # (index, clean, noise, scale, array), not yet yielded
+    queued: deque = deque()  # (index, rng, scale, array): draws nobody has started
+    drawn: dict = {}  # index -> None, or the exception the helper's draw raised
+    changed, stopping = threading.Condition(), False
 
     def helper() -> None:
         while True:
-            posted.acquire()
-            try:
-                args = draws.popleft()
-            except IndexError:  # no draw left: stop
-                return
+            with changed:
+                while not (queued or stopping):
+                    changed.wait()
+                if stopping:
+                    return
+                i, *args = queued.popleft()
             try:
                 _draw(*args)
+                failure = None
             except BaseException as e:  # re-raised on the calling thread
-                failed.append(e)
-            drawn.release()
+                failure = e
+            with changed:
+                drawn[i] = failure
+                changed.notify()
 
-    def post(i: int):
-        """Job i's (clean, noise, scale, out), its draw queued; None past the end."""
+    def post(i: int) -> None:
+        """Job i, its draw queued, unless the jobs have run out."""
         job = next(jobs, None)
         if job is None:
-            return None
+            return
         clean, noise = job
         scale = noise_scale(sensor_path, noise.snr_db)
-        if bufs[i % 2] is None:
-            bufs[i % 2] = np.empty(shape, dtype=np.complex128)
+        if ring[i % _RING] is None:
+            ring[i % _RING] = np.empty(shape, dtype=np.complex128)
+        out = ring[i % _RING]
         if scale is not None:
             # seeded here, so numpy.random's lazy import stays on this thread
-            draws.append((np.random.default_rng(noise.seed), scale, bufs[i % 2]))
-            posted.release()
-        return clean, noise, scale, bufs[i % 2]
+            rng = np.random.default_rng(noise.seed)
+            with changed:
+                queued.append((i, rng, scale, out))
+                changed.notify()
+        posted.append((i, clean, noise, scale, out))
+
+    def await_draw(i: int) -> None:
+        """Job i's noise in its array: drawn by the helper, or by this thread,
+        which runs the earliest queued draw while job i's is not done."""
+        while True:
+            with changed:
+                if i in drawn:
+                    failure = drawn.pop(i)
+                    if failure is not None:
+                        raise failure
+                    return
+                if not queued:
+                    changed.wait()
+                    continue
+                j, *args = queued.popleft()
+            _draw(*args)
+            with changed:
+                drawn[j] = None
 
     thread = threading.Thread(target=helper, name="forcelink-noise", daemon=True)
     thread.start()
     try:
         _keep_off_this_cpu(thread)
-        pending, i = post(0), 0
-        while pending is not None:
-            i += 1
-            ahead = post(i)  # trace i - 2's array is free now
-            clean, noise, scale, H = pending
-            if scale is not None:
-                drawn.acquire()
-                if failed:
-                    raise failed.pop()
+        for i in range(_RING - 1):
+            post(i)
+        while posted:
+            i, clean, noise, scale, H = posted.popleft()
+            post(i + _RING - 1)  # into trace i - 1's array, free now
             if scale is None:
                 _collect(clean, H)
             else:
+                await_draw(i)
                 start_row = 0
                 for block in clean:
                     H[start_row:start_row + len(block)] += block
@@ -494,10 +529,11 @@ def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
             _quantize_in_place(H, noise.quantize_bits)
             yield ChannelTrace(config=config, data=H, schemes=schemes,
                                geometry=geometry)
-            pending = ahead
     finally:
-        draws.clear()
-        posted.release()  # the helper finds no draw left and returns
+        with changed:
+            stopping = True
+            queued.clear()
+            changed.notify()
         thread.join()
 
 

@@ -184,6 +184,24 @@ def _odd_bins(group_size: int) -> tuple[np.ndarray, np.ndarray]:
     return m, half_turn
 
 
+def _median(a: np.ndarray, axis: int | tuple[int, ...]) -> np.ndarray:
+    """np.median(a, axis) of a float array, bit for bit, without the numpy.ma
+    import (12-15 ms) that np.median's NaN check makes in a fresh process.
+
+    As np.median does: the reduced axes are flattened into one axis of n
+    values, np.partition puts the middle value (odd n) or the two middle
+    values (even n) in place and the largest last, the median is np.mean of
+    the middle slice, and a NaN, which sorts last, makes it NaN.
+    """
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    a = np.moveaxis(a, axes, tuple(range(-len(axes), 0)))
+    a = a.reshape(a.shape[:a.ndim - len(axes)] + (-1,))
+    n = a.shape[-1]
+    part = np.partition(a, sorted({(n - 1) // 2, n // 2, n - 1}), axis=-1)
+    mid = np.mean(part[..., (n - 1) // 2:n // 2 + 1], axis=-1)
+    return np.where(np.isnan(part[..., -1]), part[..., -1], mid)
+
+
 def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
                  group_size: int | None = None) -> PhaseSeries:
     """Decode both ports of a trace, in memory or opened with traceio.open_trace,
@@ -233,13 +251,13 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
             # even bins of a two-group window; odd bin 2m + 1 is bin m of
             # the groups' difference turned by e^{-j pi n / N_g}
             odd = np.fft.fft((rows[:-1] - rows[1:]) * half_turn, axis=1)[:, m]
-            pair_noise.append(np.median(np.abs(odd / (2 * Ng)) ** 2, axis=(1, 2)))
+            pair_noise.append(_median(np.abs(odd / (2 * Ng)) ** 2, (1, 2)))
         last = P[-1:], rows[-1:]
     per_bin = float(np.concatenate(pair_noise).min())
     # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
     return PhaseSeries(scheme, Ng, Ng * config.frame_period_s,
                        np.concatenate(steps), np.concatenate(phases),
-                       np.median(np.concatenate(energy), axis=0),
+                       _median(np.concatenate(energy), 0),
                        per_bin / math.log(2.0) * (2 * Ng))
 
 

@@ -6,13 +6,16 @@ derives from one seed, the config's noise.seed unless one is passed, so a
 sweep run from the library matches forcelink sweep on the same file.
 
 The force and SNR sweeps get their traces from chansim.noisy_traces, which
-draws the next trial's seeded noise on a second core while this thread
-decodes (and, for a force trial, inverts) the current one; every trace is
-bit for bit the one synthesize makes with that trial's seed.  Pin BLAS to
-one thread (OPENBLAS_NUM_THREADS=1): an OpenBLAS left to spin its own
-threads takes the second core and the overlap gains nothing.  An SNR point
-varies only the noise, so measure_step_errors makes the group size and the
-noiseless trace once per call and adds each seed's noise to it.
+draws the next trials' seeded noise on a second core while this thread
+decodes (and, for a force trial, inverts) the current one, and has this
+thread draw too whenever it would otherwise wait; every trace is bit for bit
+the one synthesize makes with that trial's seed.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1): an OpenBLAS left to spin its own threads takes the
+second core and the overlap gains nothing.  SNR trials vary only the noise,
+so measure_step_errors makes the group size and the held-press noiseless
+trace once per call and adds each seed's noise to it, and run_snr_sweep
+measures its whole grid in one call: one noiseless trace and one pass of
+noisy_traces per sweep.
 """
 from __future__ import annotations
 
@@ -90,7 +93,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     Presses and trial seeds are drawn from seed, cfg.noise.seed for None.
     Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
     bit for bit; the traces come from chansim.noisy_traces, which draws the
-    next trial's noise while this one decodes and inverts.
+    next trials' noise while this one decodes and inverts.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -101,7 +104,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=3 * Ng)
-    presses = deque()  # drawn, not yet decoded: noisy_traces reads one ahead
+    presses = deque()  # drawn, not yet decoded: noisy_traces reads ahead
 
     def jobs():
         for _ in range(trials):
@@ -130,24 +133,29 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     return rows, aggregates
 
 
-def measure_step_errors(cfg: ExperimentConfig, snr_db: float | None,
+def measure_step_errors(cfg: ExperimentConfig,
+                        snr_db: float | None | Sequence[float | None],
                         seeds: Sequence[int]) -> np.ndarray:
     """Decoded dphi for a held press (truth is zero), rad: one row per seed,
     one column per port; an empty seeds gives a (0, 2) array.
 
-    The trace holds two groups of cfg.group_size (auto for None) snapshots.
-    Row i is bit for bit the decode of synthesize's trace with
-    NoiseSpec(snr_db, seeds[i], cfg.noise.quantize_bits).  Only the noise
-    differs between seeds, so the group size and the noiseless trace are
-    made once per call (the config is checked even for no seeds); each seed
-    then gets its trace from chansim.noisy_traces over that noiseless trace.
+    snr_db is one SNR for every seed, or one per seed.  The trace holds two
+    groups of cfg.group_size (auto for None) snapshots.  Row i is bit for
+    bit the decode of synthesize's trace with NoiseSpec(snr_db (or its
+    i-th entry), seeds[i], cfg.noise.quantize_bits).  Only the noise differs
+    between seeds, so the group size and the noiseless trace are made once
+    per call (the config is checked even for no seeds); each seed then gets
+    its trace from chansim.noisy_traces over that noiseless trace.
     """
+    snrs = [snr_db] * len(seeds) if np.ndim(snr_db) == 0 else list(snr_db)
+    if len(snrs) != len(seeds):
+        raise ValueError(f"{len(snrs)} SNRs for {len(seeds)} seeds")
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
                        cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
-    jobs = (((clean.data,), NoiseSpec(snr_db, int(seed), cfg.noise.quantize_bits))
-            for seed in seeds)
+    jobs = (((clean.data,), NoiseSpec(snr, int(seed), cfg.noise.quantize_bits))
+            for snr, seed in zip(snrs, seeds))
     errs = np.empty((len(seeds), 2))
     with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, clean.schemes,
                               clean.geometry)) as traces:
@@ -162,23 +170,26 @@ def run_snr_sweep(cfg: ExperimentConfig, trials: int | None = None,
 
     The press phase is constant, so each decoded step is pure error; its
     standard deviation over seeds (trials per point, 50 for None) is the
-    per-group phase noise.  Each point's seeds are drawn from seed
-    (cfg.noise.seed for None) and measured in one measure_step_errors call.
+    per-group phase noise.  The seeds are drawn from seed (cfg.noise.seed
+    for None), a point's trials after the previous point's, and the whole
+    grid is measured in one measure_step_errors call.
     """
     trials = trials if trials is not None else 50
     if trials < 2:
         raise ConfigError("an SNR sweep needs at least 2 trials per point for a "
                           f"spread, got {trials}")
     rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
+    grid = cfg.sweep.snr_grid_db
+    seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials * len(grid))]
+    errs = measure_step_errors(cfg, [snr for snr in grid for _ in range(trials)],
+                               seeds)
     rows, aggregates = [], []
-    for snr in cfg.sweep.snr_grid_db:
-        seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials)]
-        errs = measure_step_errors(cfg, snr, seeds)
-        for i, (e1, e2) in enumerate(errs.tolist()):
+    for snr, point in zip(grid, errs.reshape(len(grid), trials, 2)):
+        for i, (e1, e2) in enumerate(point.tolist()):
             rows.append({"kind": "trial", "snr_db": snr, "trial": i,
                          "dphi1_deg": math.degrees(e1),
                          "dphi2_deg": math.degrees(e2)})
-        arr = np.degrees(errs)
+        arr = np.degrees(point)
         aggregates.append({"kind": "aggregate", "snr_db": snr,
                            "phase_std1_deg": float(arr[:, 0].std(ddof=1)),
                            "phase_std2_deg": float(arr[:, 1].std(ddof=1))})

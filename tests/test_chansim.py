@@ -321,25 +321,99 @@ def test_noisy_traces_raises_a_failed_draw_on_the_calling_thread(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def slowed_helper(monkeypatch, seconds):
+    """_draw patched to sleep seconds first on the helper thread only; the
+    returned list gets the name of the thread running each draw."""
+    draw, ran = chansim._draw, []
+
+    def slowed(*args):
+        ran.append(threading.current_thread().name)
+        if ran[-1] == "forcelink-noise":
+            time.sleep(seconds)
+        return draw(*args)
+    monkeypatch.setattr(chansim, "_draw", slowed)
+    return ran
+
+
+def test_the_caller_draws_while_the_helper_is_busy(monkeypatch):
+    # a helper slower than the caller leaves queued draws, which the caller
+    # runs itself rather than wait; which thread drew a trace's noise must
+    # not show in its bytes
+    wf = WaveformConfig(n_subcarriers=64, n_snapshots=200)
+    clean = synthesize(wf, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    noises = [NoiseSpec(snr_db=None if seed % 5 == 2 else 15.0, seed=seed,
+                        quantize_bits=10 if seed % 3 == 1 else None)
+              for seed in range(12)]
+    want = [synthesize(wf, SCHEME, HELD, MP, noise, GEOM, MECH).data.tobytes()
+            for noise in noises]
+    ran = slowed_helper(monkeypatch, 0.02)
+    assert [data.tobytes() for data in added(clean, noises)] == want
+    main = threading.current_thread().name
+    assert main in ran and set(ran) <= {main, "forcelink-noise"}
+    assert len(ran) == sum(noise.snr_db is not None for noise in noises)
+
+
+def test_a_draw_failing_on_the_calling_thread_raises_there(monkeypatch):
+    # the helper sleeps through its draw, so the caller takes the next queued
+    # one, which fails
+    draw, main = chansim._draw, threading.current_thread().name
+
+    def fails_on_the_caller(*args):
+        if threading.current_thread().name == main:
+            raise FloatingPointError("caller's draw failed")
+        time.sleep(0.05)
+        return draw(*args)
+    monkeypatch.setattr(chansim, "_draw", fails_on_the_caller)
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError, match="caller's draw failed"):
+        added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(6)])
+    assert threading.active_count() == baseline
+
+
+def test_closing_with_the_ring_full_leaves_no_thread_behind(monkeypatch):
+    # after the first trace every array is taken: the trace in use and the
+    # next two jobs' draws, queued or under way on the slowed helper
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    ran = slowed_helper(monkeypatch, 0.05)
+    baseline = threading.active_count()
+    jobs = (((clean.data,), NoiseSpec(snr_db=20.0, seed=seed)) for seed in range(8))
+    traces = noisy_traces(jobs, WF_SMALL, MP.sensor_path)
+    next(traces)
+    assert threading.active_count() == baseline + 1
+    traces.close()
+    assert threading.active_count() == baseline
+    assert "forcelink-noise" not in {t.name for t in threading.enumerate()}
+    assert 1 <= len(ran) <= 3  # only the posted jobs' draws ever started
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="CPU affinity is not exposed here")
 def test_noise_helper_keeps_off_the_callers_cpu(monkeypatch):
     # a helper woken onto the caller's CPU may stay there for a whole sweep,
-    # so it may run on every CPU the caller may use but the caller's own
+    # so it may run on every CPU the caller may use but the caller's own;
+    # the caller's own draws (slowed, so that the helper gets some) keep the
+    # caller's affinity
     allowed, seen, draw = os.sched_getaffinity(0), [], chansim._draw
+    main = threading.current_thread().name
 
     def record(*args):
-        seen.append(os.sched_getaffinity(0))
+        seen.append((threading.current_thread().name, os.sched_getaffinity(0)))
+        if seen[-1][0] == main:
+            time.sleep(0.02)
         return draw(*args)
     monkeypatch.setattr(chansim, "_draw", record)
     clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(3)])
-    assert len(seen) == 3
-    for cpus in seen:
+    added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(6)])
+    assert len(seen) == 6
+    helper = [cpus for name, cpus in seen if name == "forcelink-noise"]
+    assert helper
+    for cpus in helper:
         if len(allowed) > 1:
             assert cpus < allowed and len(cpus) == len(allowed) - 1
         else:
             assert cpus == allowed
+    assert all(cpus == allowed for name, cpus in seen if name == main)
     assert os.sched_getaffinity(0) == allowed  # the caller's is untouched
 
 
@@ -358,7 +432,7 @@ def test_synthesis_holds_one_array_plus_a_block():
     assert peak <= bound
     _, peak = traced_peak(lambda: quantized(pair, 8))
     assert peak <= bound
-    # noisy_traces (here also quantizing) holds its two reused arrays (one
+    # noisy_traces (here also quantizing) holds its three reused arrays (one
     # for one trace) and only blocks beside them: no trace-sized temporary
     # (20 MB here)
     def drain(n):
@@ -367,9 +441,9 @@ def test_synthesis_holds_one_array_plus_a_block():
         with closing(noisy_traces(jobs, wf, MP.sensor_path)) as traces:
             for _ in traces:
                 pass
-    for n in (1, 3):
+    for n in (1, 4):
         _, peak = traced_peak(lambda: drain(n))
-        assert peak <= min(n, 2) * trace.data.nbytes + 2 * 2 ** 20
+        assert peak <= min(n, 3) * trace.data.nbytes + 2 * 2 ** 20
         if n == 1:
             assert peak <= bound
 

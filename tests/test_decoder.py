@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
-from forcelink.decoder import (_whole_cycle_size, anchor, auto_group_size,
+from forcelink import decoder
+from forcelink.decoder import (_median, _whole_cycle_size, anchor, auto_group_size,
                                group_phases, noise_power, project_groups,
                                read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
@@ -308,3 +316,54 @@ def test_anchored_error_does_not_grow_along_the_trace(default_cfg):
     # spread over seeds, pooled over both ports: first group vs last group
     first, last = np.sqrt((np.array(errs).std(axis=0, ddof=1) ** 2).mean(axis=1))
     assert last <= 1.25 * first, (math.degrees(first), math.degrees(last))
+
+
+def same_bits(got, want):
+    """Equal bit for bit, NaN matching NaN whatever its payload."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
+                        elements=ANY_FLOAT),
+       energy=hnp.arrays(float, st.tuples(st.integers(1, 9), st.just(2)),
+                         elements=ANY_FLOAT))
+def test_median_is_numpys_bit_for_bit(pairs, energy):
+    # on the axes group_phases reduces: (1, 2) for each group pair's odd
+    # bins, 0 for the tones' group energies; odd and even counts, with NaN,
+    # infinities and signed zeros among the values
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(_median(pairs, (1, 2)), np.median(pairs, axis=(1, 2)))
+        assert same_bits(_median(energy, 0), np.median(energy, axis=0))
+
+
+def test_group_phases_leaves_numpy_ma_unimported():
+    # np.median's NaN check imports numpy.ma (12-15 ms) on its first call in
+    # a process, inside every decode child and timed sweep
+    script = textwrap.dedent("""
+        import sys
+        from forcelink.chansim import (MultipathProfile, NoiseSpec,
+                                       TouchTimeline, WaveformConfig, synthesize)
+        from forcelink.clocks import make_scheme
+        from forcelink.decoder import group_phases
+        from forcelink.transducer import MechanicalParams, SensorGeometry
+        scheme = make_scheme(1000.0)
+        trace = synthesize(WaveformConfig(n_snapshots=3 * 625), scheme,
+                           TouchTimeline.constant(None), MultipathProfile(),
+                           NoiseSpec(20.0, seed=1), SensorGeometry(),
+                           MechanicalParams())
+        group_phases(trace, scheme, 625)
+        print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+    """)
+    src = os.path.dirname(os.path.dirname(decoder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

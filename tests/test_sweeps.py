@@ -100,7 +100,7 @@ def grid_cfg(cfg, snr_db, bits, group_size, K):
 @on_grid
 def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
                                                              bits, group_size, K):
-    # the next trial's noise is drawn while this one decodes; every row must
+    # the next trials' noise is drawn while this one decodes; every row must
     # still be the serial decode and inversion of synthesize's trace for
     # that trial's press and seed, bit for bit
     cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
@@ -144,7 +144,8 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
 
 def test_only_the_noise_draw_leaves_the_calling_thread(default_cfg, monkeypatch):
     # traced spans must nest on one thread: the helper runs _draw and
-    # nothing else, and every draw runs there
+    # nothing else; a draw runs there or, when the caller would otherwise
+    # wait, on the calling thread
     threads = {}
 
     def record(name, fn):
@@ -156,9 +157,10 @@ def test_only_the_noise_draw_leaves_the_calling_thread(default_cfg, monkeypatch)
     monkeypatch.setattr(chansim, "_gate", record("gate", chansim._gate))
     monkeypatch.setattr(sweeps, "group_phases", record("decode", sweeps.group_phases))
     run_force_sweep(default_cfg, trials=3, seed=1)
+    run_snr_sweep(with_grid(default_cfg, 10.0, 20.0), trials=3, seed=1)
     main = threading.current_thread().name
-    assert threads == {"draw": {"forcelink-noise"}, "gate": {main},
-                       "decode": {main}}
+    assert threads.pop("draw") <= {"forcelink-noise", main}
+    assert threads == {"gate": {main}, "decode": {main}}
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -237,6 +239,49 @@ def test_measure_step_errors_of_no_seeds_is_empty_but_checked(default_cfg):
     assert got.shape == (0, 2) and got.dtype == np.float64
     with pytest.raises(ValueError, match="not a positive multiple of 625"):
         measure_step_errors(replace(default_cfg, group_size=600), 10.0, [])
+
+
+def test_measure_step_errors_takes_one_snr_per_seed(default_cfg):
+    # one call over mixed SNRs gives each row of the call for its SNR alone
+    snrs, seeds = [25.0, None, 0.0, 25.0], [3, 4, 5, 6]
+    got = measure_step_errors(default_cfg, snrs, seeds)
+    for row, snr, seed in zip(got, snrs, seeds):
+        assert row.tobytes() == measure_step_errors(default_cfg, snr, [seed]).tobytes()
+    with pytest.raises(ValueError, match="3 SNRs for 4 seeds"):
+        measure_step_errors(default_cfg, snrs[:3], seeds)
+
+
+def test_run_snr_sweep_measures_its_grid_in_one_pass(default_cfg, monkeypatch):
+    # one noiseless trace and one noisy_traces pass per sweep; every row and
+    # summary still those of one measure_step_errors call per point, with
+    # each point's seeds drawn after the previous point's
+    cfg, trials = with_grid(default_cfg, 30.0, 5.0, 15.0), 4
+    rng, want, want_aggs = np.random.default_rng(9), [], []
+    for snr in cfg.sweep.snr_grid_db:
+        seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials)]
+        errs = measure_step_errors(cfg, snr, seeds)
+        for i, (e1, e2) in enumerate(errs.tolist()):
+            want.append({"kind": "trial", "snr_db": snr, "trial": i,
+                         "dphi1_deg": math.degrees(e1),
+                         "dphi2_deg": math.degrees(e2)})
+        arr = np.degrees(errs)
+        want_aggs.append({"kind": "aggregate", "snr_db": snr,
+                          "phase_std1_deg": float(arr[:, 0].std(ddof=1)),
+                          "phase_std2_deg": float(arr[:, 1].std(ddof=1))})
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(sweeps, "synthesize", counted("synthesize", sweeps.synthesize))
+    monkeypatch.setattr(sweeps, "noisy_traces",
+                        counted("noisy_traces", sweeps.noisy_traces))
+    rows, aggs = run_snr_sweep(cfg, trials=trials, seed=9)
+    assert calls == ["synthesize", "noisy_traces"]
+    assert rows == want
+    assert aggs == want_aggs
 
 
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
