@@ -14,17 +14,19 @@ x gate + base, the static multipath or an existing trace), the noise stage
 clean block) and the quantizer (the full scale from a first pass over a
 replayable block source, then each block gridded in place).
 synthesis_blocks streams the chain, so cli simulate holds memory
-independent of the trace length; synthesize and add_second_sensor collect
-the blocks into one (N, K) array, and synthesize quantizes it in place, so
-the first two stages run once.
+independent of the trace length.  A trace held in memory is finished in one
+place, _finish: its (N, K) array, holding the seeded noise drawn in one call
+(or nothing, when noiseless), gets the reflection stage's blocks added (or
+copied) in and is quantized in place, so each stage runs once.  synthesize,
+add_second_sensor and noisy_traces all end in it.
 
 noisy_traces makes a sequence of traces, as the sweeps do, on two cores.
 Each trace's seeded noise is drawn into its own (N, K) array, one of three
 taken in turn, so two jobs ahead of the trace in use are queued or being
 drawn.  A helper thread, kept off the caller's CPU, runs the queued draws in
-order; the caller adds the current trace's clean rows, quantizes it in place
-and decodes it, and when the next trace's draw is not done yet it runs the
-earliest queued draw itself instead of waiting.  numpy releases the GIL
+order; the caller finishes the current trace and decodes it, and when the
+next trace's draw is not done yet it runs the earliest queued draw itself
+instead of waiting.  numpy releases the GIL
 inside the draw, the floor of a sweep trial, so a trial can cost as little
 as half of draw plus decode rather than the larger of the two.  A BLAS that
 spins its own threads (OpenBLAS unpinned) takes that second core; pin it to
@@ -303,19 +305,23 @@ def _quantized(source: Callable[[], Iterable[np.ndarray]],
     return map(grid, source())
 
 
-def _quantize_in_place(H: np.ndarray, bits: int | None) -> None:
-    """The quantizer over an (n, K) complex128 array's row blocks, in place."""
+def _finish(H: np.ndarray, clean: Iterable[np.ndarray], noisy: bool,
+            bits: int | None) -> np.ndarray:
+    """H, an (N, K) complex128 array, with clean's consecutive row blocks
+    added in (copied in when not noisy, H then being uninitialized), then
+    quantized in place over its row blocks: the last stage of every trace
+    held in memory."""
+    start = 0
+    for block in clean:
+        rows = H[start:start + len(block)]
+        if noisy:
+            rows += block
+        else:
+            rows[...] = block
+        start += len(block)
     for _ in _quantized(lambda: (H[b] for b in _row_blocks(*H.shape)), bits):
         pass
-
-
-def _collect(blocks: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """out, filled row by row with consecutive blocks."""
-    start = 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
+    return H
 
 
 def noise_scale(sensor_path: Path, snr_db: float | None) -> float | None:
@@ -346,21 +352,14 @@ def noiseless_blocks(config: WaveformConfig, scheme: ClockScheme,
                               timeline, multipath.sensor_path, geom, mech)
 
 
-def _unquantized(config: WaveformConfig, scheme: ClockScheme,
-                 timeline: TouchTimeline, multipath: MultipathProfile,
-                 noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-                 ) -> tuple[dict, Callable[[], Iterator[np.ndarray]]]:
-    """The provenance and a replayable source of the reflection and noise
-    stages' blocks; the inputs are checked before this returns."""
-    nyquist_check(config, scheme)
+def _provenance(config: WaveformConfig, scheme: ClockScheme,
+                timeline: TouchTimeline, multipath: MultipathProfile,
+                noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
+                ) -> dict:
+    """The seed and a digest of every input: synthesize's provenance."""
     blob = json.dumps((config, scheme, multipath, noise, timeline, geom, mech),
                       sort_keys=True, default=repr).encode()
-    prov = {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}
-
-    def unquantized() -> Iterator[np.ndarray]:
-        return _noisy(noiseless_blocks(config, scheme, timeline, multipath, geom, mech),
-                      noise, multipath.sensor_path)
-    return prov, unquantized
+    return {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}
 
 
 def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
@@ -374,9 +373,11 @@ def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
     the three stages chained, where the quantizer's first pass replays the
     same seeded stream.  The inputs are checked before this returns.
     """
-    prov, unquantized = _unquantized(config, scheme, timeline, multipath, noise,
-                                     geom, mech)
-    return prov, _quantized(unquantized, noise.quantize_bits)
+    def unquantized() -> Iterator[np.ndarray]:
+        return _noisy(noiseless_blocks(config, scheme, timeline, multipath, geom, mech),
+                      noise, multipath.sensor_path)
+    return (_provenance(config, scheme, timeline, multipath, noise, geom, mech),
+            _quantized(unquantized, noise.quantize_bits))
 
 
 def synthesize(config: WaveformConfig, scheme: ClockScheme,
@@ -388,15 +389,20 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     H = static multipath + sensor reflection gated by the exact switch states,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed: the rows
-    of synthesis_blocks, collected before quantization and then quantized in
-    place, so the trace is made once.
+    of synthesis_blocks.  The noise is drawn into H in one call, then
+    _finish adds noiseless_blocks' rows and quantizes in place, as
+    noisy_traces does for each of its traces, so the trace is made once.
     """
-    prov, unquantized = _unquantized(config, scheme, timeline, multipath, noise,
-                                     geom, mech)
+    clean = noiseless_blocks(config, scheme, timeline, multipath, geom, mech)
+    scale = noise_scale(multipath.sensor_path, noise.snr_db)
     H = np.empty((config.n_snapshots, config.n_subcarriers), dtype=np.complex128)
-    _quantize_in_place(_collect(unquantized(), H), noise.quantize_bits)
-    return ChannelTrace(config=config, data=H, schemes=(scheme,),
-                        geometry=geom, provenance=prov)
+    if scale is not None:
+        _draw(np.random.default_rng(noise.seed), scale, H)
+    return ChannelTrace(config=config,
+                        data=_finish(H, clean, scale is not None, noise.quantize_bits),
+                        schemes=(scheme,), geometry=geom,
+                        provenance=_provenance(config, scheme, timeline, multipath,
+                                               noise, geom, mech))
 
 
 # noisy_traces' (N, K) arrays: the trace in use and the next two jobs' draws,
@@ -426,6 +432,22 @@ def _keep_off_this_cpu(thread: threading.Thread) -> None:
         pass
 
 
+class _Draw(threading.Event):
+    """One queued noise draw, run once by whichever thread takes it first:
+    _draw(*args), then the event set; failure keeps what the draw raised."""
+
+    def __init__(self, *args) -> None:
+        super().__init__()
+        self.args, self.failure = args, None
+
+    def __call__(self) -> None:
+        try:
+            _draw(*self.args)
+        except BaseException as e:  # re-raised on the calling thread at its trace
+            self.failure = e
+        self.set()
+
+
 def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
                  config: WaveformConfig, sensor_path: Path,
                  schemes: tuple[ClockScheme, ...] = (),
@@ -439,39 +461,36 @@ def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
     queued as soon as its array is free, which keeps the two jobs after the
     one in use queued or drawn.  One helper thread, started when iteration
     starts and joined when it ends (exhausted, closed or unwound by an
-    exception), takes queued draws in order and runs nothing but _draw.  When
-    the trace asked for is still being drawn, the calling thread takes the
-    earliest queued draw and runs it itself rather than wait, so both cores
-    draw.  The calling thread adds the clean rows (copies them for snr_db
-    None) and quantizes in place; a draw's bytes do not depend on which thread
-    ran it, so each trace's bytes are synthesize's.  A trace wraps one of the
-    arrays, which the draw for a later job overwrites: it is valid until the
-    next is asked for.  A failed draw raises on the calling thread.  Close the
-    generator (contextlib.closing) when leaving early.
+    exception), runs the earliest queued draw each time it is woken, and
+    nothing but _draw.  Until the draw of the trace asked for is done, the
+    calling thread runs the earliest queued draws itself, so both cores draw;
+    then it waits for that draw.  _finish adds the clean rows (copies them
+    for snr_db None) and quantizes in place; a draw's bytes do not depend on
+    which thread ran it, so each trace's bytes are synthesize's.  A trace
+    wraps one of the arrays, which the draw for a later job overwrites: it is
+    valid until the next is asked for.  A failed draw, whichever thread ran
+    it, is raised on the calling thread when its trace is asked for; the
+    traces before it come out whole.  Close the generator
+    (contextlib.closing) when leaving early.
     """
     jobs, shape = iter(jobs), (config.n_snapshots, config.n_subcarriers)
     ring: list[np.ndarray | None] = [None] * _RING  # each made when first needed
-    posted: deque = deque()  # (index, clean, noise, scale, array), not yet yielded
-    queued: deque = deque()  # (index, rng, scale, array): draws nobody has started
-    drawn: dict = {}  # index -> None, or the exception the helper's draw raised
-    changed, stopping = threading.Condition(), False
+    posted: deque = deque()  # (index, clean, noise, draw, array), not yet yielded
+    queued: deque = deque()  # the posted draws nobody has started, in order
+    wake, stop = threading.Semaphore(0), False  # one release per queued draw
+
+    def run_earliest() -> bool:
+        """Run the earliest queued draw; False if none was left to run."""
+        try:
+            draw = queued.popleft()
+        except IndexError:  # taken by the other thread
+            return False
+        draw()
+        return True
 
     def helper() -> None:
-        while True:
-            with changed:
-                while not (queued or stopping):
-                    changed.wait()
-                if stopping:
-                    return
-                i, *args = queued.popleft()
-            try:
-                _draw(*args)
-                failure = None
-            except BaseException as e:  # re-raised on the calling thread
-                failure = e
-            with changed:
-                drawn[i] = failure
-                changed.notify()
+        while wake.acquire() and not stop:
+            run_earliest()
 
     def post(i: int) -> None:
         """Job i, its draw queued, unless the jobs have run out."""
@@ -482,32 +501,13 @@ def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
         scale = noise_scale(sensor_path, noise.snr_db)
         if ring[i % _RING] is None:
             ring[i % _RING] = np.empty(shape, dtype=np.complex128)
-        out = ring[i % _RING]
+        out, draw = ring[i % _RING], None
         if scale is not None:
             # seeded here, so numpy.random's lazy import stays on this thread
-            rng = np.random.default_rng(noise.seed)
-            with changed:
-                queued.append((i, rng, scale, out))
-                changed.notify()
-        posted.append((i, clean, noise, scale, out))
-
-    def await_draw(i: int) -> None:
-        """Job i's noise in its array: drawn by the helper, or by this thread,
-        which runs the earliest queued draw while job i's is not done."""
-        while True:
-            with changed:
-                if i in drawn:
-                    failure = drawn.pop(i)
-                    if failure is not None:
-                        raise failure
-                    return
-                if not queued:
-                    changed.wait()
-                    continue
-                j, *args = queued.popleft()
-            _draw(*args)
-            with changed:
-                drawn[j] = None
+            draw = _Draw(np.random.default_rng(noise.seed), scale, out)
+            queued.append(draw)
+            wake.release()
+        posted.append((i, clean, noise, draw, out))
 
     thread = threading.Thread(target=helper, name="forcelink-noise", daemon=True)
     thread.start()
@@ -516,24 +516,21 @@ def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
         for i in range(_RING - 1):
             post(i)
         while posted:
-            i, clean, noise, scale, H = posted.popleft()
+            i, clean, noise, draw, H = posted.popleft()
             post(i + _RING - 1)  # into trace i - 1's array, free now
-            if scale is None:
-                _collect(clean, H)
-            else:
-                await_draw(i)
-                start_row = 0
-                for block in clean:
-                    H[start_row:start_row + len(block)] += block
-                    start_row += len(block)
-            _quantize_in_place(H, noise.quantize_bits)
+            if draw is not None:
+                while not draw.is_set() and run_earliest():
+                    pass
+                draw.wait()
+                if draw.failure is not None:
+                    raise draw.failure
+            _finish(H, clean, draw is not None, noise.quantize_bits)
             yield ChannelTrace(config=config, data=H, schemes=schemes,
                                geometry=geometry)
     finally:
-        with changed:
-            stopping = True
-            queued.clear()
-            changed.notify()
+        stop = True
+        queued.clear()
+        wake.release()
         thread.join()
 
 
@@ -550,9 +547,9 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     clash = existing.intersection(scheme2.read_freqs)
     if clash:
         raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
-    data = _collect(_reflection_blocks(trace.data, trace.config, scheme2, timeline2,
-                                       sensor_path2, geom2, mech2),
-                    np.empty_like(trace.data))
+    data = _finish(np.empty_like(trace.data),
+                   _reflection_blocks(trace.data, trace.config, scheme2, timeline2,
+                                      sensor_path2, geom2, mech2), False, None)
     prov = dict(trace.provenance)
     prov["sensors"] = len(trace.schemes) + 1
     return ChannelTrace(config=trace.config, data=data,

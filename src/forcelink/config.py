@@ -32,6 +32,11 @@ class ConfigError(ValueError):
 
 _type_hints = functools.cache(typing.get_type_hints)  # once per dataclass
 
+# most forces a calibration.forces_n range spec may expand to (the default
+# grid has 15): each is a calibration point at every location, and a spec
+# such as {start 0, stop 1e12, step 1} must be refused before its list is built
+MAX_RANGE_FORCES = 10_000
+
 
 def _take(d, section: str, known: set[str]) -> None:
     if not isinstance(d, dict):
@@ -196,7 +201,12 @@ def _force_range(spec) -> list[float]:
                          for k in ("start", "stop", "step"))
     if not (step > 0.0 and stop >= start):
         raise ConfigError("calibration.forces_n needs step > 0 and stop >= start")
-    return [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+    # clamped before round(), which an infinite count would overflow
+    count = round(min((stop - start) / step, MAX_RANGE_FORCES)) + 1
+    if count > MAX_RANGE_FORCES:
+        raise ConfigError(f"calibration.forces_n expands to more than "
+                          f"{MAX_RANGE_FORCES} forces")
+    return [start + i * step for i in range(count)]
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

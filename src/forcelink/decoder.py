@@ -202,6 +202,31 @@ def _median(a: np.ndarray, axis: int | tuple[int, ...]) -> np.ndarray:
     return np.where(np.isnan(part[..., -1]), part[..., -1], mid)
 
 
+def _quantile(a: np.ndarray, q: float) -> float:
+    """np.quantile(a, q) of a 1-D float array (method "linear"), bit for bit,
+    without the numpy.ma import np.quantile makes in a fresh process.
+
+    As np.quantile does: the virtual index v = (n - 1) q has neighbours
+    floor(v) and floor(v) + 1, both the last for v >= n - 1, and weight
+    t = v - (the lower neighbour's index, -1 for the last); np.partition,
+    given the same kth (which decides where equal values such as 0.0 and
+    -0.0 land), puts the neighbours, the least and the largest value in
+    place, they are
+    interpolated from the nearer end (b - (b - a)(1 - t) for t >= 0.5, else
+    a + (b - a) t), and a NaN, which sorts last, is the result.
+    """
+    n = len(a)
+    virtual = (n - 1) * q
+    lo = -1 if virtual >= n - 1 else math.floor(virtual)
+    hi = -1 if lo == -1 else lo + 1
+    t = virtual - lo
+    part = np.partition(a, sorted({0, -1, lo, hi}))  # np.quantile's kth, as given
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    x, y = float(part[lo]), float(part[hi])
+    return y - (y - x) * (1 - t) if t >= 0.5 else x + (y - x) * t
+
+
 def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
                  group_size: int | None = None) -> PhaseSeries:
     """Decode both ports of a trace, in memory or opened with traceio.open_trace,

@@ -20,7 +20,6 @@ noisy_traces per sweep.
 from __future__ import annotations
 
 import math
-from collections import deque
 from contextlib import closing
 from dataclasses import replace
 from typing import Sequence
@@ -33,7 +32,8 @@ from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
                       noisy_traces, synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
-from .decoder import anchor, auto_group_size, group_phases, resolve_group_size
+from .decoder import (_median, _quantile, anchor, auto_group_size, group_phases,
+                      resolve_group_size)
 from .transducer import ShortingState, TouchEvent, port_phases
 
 
@@ -90,10 +90,12 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
-    Presses and trial seeds are drawn from seed, cfg.noise.seed for None.
+    Presses and trial seeds are drawn from seed, cfg.noise.seed for None,
+    all before the first trial: each trial's force, location, then seed.
     Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
     bit for bit; the traces come from chansim.noisy_traces, which draws the
-    next trials' noise while this one decodes and inverts.
+    next trials' noise while this one decodes and inverts.  The median and
+    p90 rows are np.median's and np.quantile's, bit for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -104,31 +106,26 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=3 * Ng)
-    presses = deque()  # drawn, not yet decoded: noisy_traces reads ahead
-
-    def jobs():
-        for _ in range(trials):
-            F = float(rng.uniform(f_lo, f_hi))
-            loc = float(rng.choice(locations))
-            presses.append((F, loc))
-            yield (noiseless_blocks(wf, cfg.scheme, _press_timeline(Ng, F, loc),
-                                    cfg.multipath, cfg.geometry, cfg.mechanics),
-                   replace(cfg.noise, seed=int(rng.integers(0, 2 ** 62))))
+    presses = [(float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations)),
+                int(rng.integers(0, 2 ** 62))) for _ in range(trials)]
+    jobs = ((noiseless_blocks(wf, cfg.scheme, _press_timeline(Ng, F, loc),
+                              cfg.multipath, cfg.geometry, cfg.mechanics),
+             replace(cfg.noise, seed=s)) for F, loc, s in presses)
     rows = []
-    with closing(noisy_traces(jobs(), wf, cfg.multipath.sensor_path, (cfg.scheme,),
+    with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, (cfg.scheme,),
                               cfg.geometry)) as traces:
-        for i, trace in enumerate(traces):
-            r = run_touch_trial(cfg, model, *presses.popleft(), trace)
+        for i, ((F, loc, _), trace) in enumerate(zip(presses, traces)):
+            r = run_touch_trial(cfg, model, F, loc, trace)
             r["kind"] = "trial"
             r["trial"] = i
             rows.append(r)
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [
-        {"kind": "median", "force_err_n": float(np.median(f_err)),
-         "location_err_mm": float(np.median(l_err))},
-        {"kind": "p90", "force_err_n": float(np.quantile(f_err, 0.9)),
-         "location_err_mm": float(np.quantile(l_err, 0.9))},
+        {"kind": "median", "force_err_n": float(_median(f_err, 0)),
+         "location_err_mm": float(_median(l_err, 0))},
+        {"kind": "p90", "force_err_n": _quantile(f_err, 0.9),
+         "location_err_mm": _quantile(l_err, 0.9)},
     ]
     return rows, aggregates
 
@@ -253,5 +250,5 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
                          if r["victim_sensor"] == victim])
         aggregates.append({"kind": "aggregate", "victim_sensor": victim,
                            "max_crosstalk_deg": float(vals.max()),
-                           "median_crosstalk_deg": float(np.median(vals))})
+                           "median_crosstalk_deg": float(_median(vals, 0))})
     return rows, aggregates

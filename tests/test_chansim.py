@@ -371,6 +371,37 @@ def test_a_draw_failing_on_the_calling_thread_raises_there(monkeypatch):
     assert threading.active_count() == baseline
 
 
+@pytest.mark.parametrize("helper_delay", [0.0, 0.02])
+def test_a_failed_draw_raises_when_its_trace_is_asked_for(monkeypatch, helper_delay):
+    # only job 2's draw fails, on whichever thread runs it (a slowed helper
+    # leaves more draws to the caller): traces 0 and 1 still come out whole,
+    # asking for trace 2 raises, and the helper is joined
+    draw = chansim._draw
+
+    def fails_for_job_2(rng, scale, out):
+        if threading.current_thread().name == "forcelink-noise":
+            time.sleep(helper_delay)
+        if rng.bit_generator.seed_seq.entropy == 2:
+            raise FloatingPointError("draw 2 failed")
+        return draw(rng, scale, out)
+    monkeypatch.setattr(chansim, "_draw", fails_for_job_2)
+    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    noises = [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(5)]
+    baseline = threading.active_count()
+    traces = noisy_traces((((clean.data,), noise) for noise in noises),
+                          WF_SMALL, MP.sensor_path)
+    for noise in noises[:2]:
+        got = next(traces).data.tobytes()
+        assert got == synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM,
+                                 MECH).data.tobytes()
+    with pytest.raises(FloatingPointError, match="draw 2 failed"):
+        next(traces)
+    assert threading.active_count() == baseline
+    assert "forcelink-noise" not in {t.name for t in threading.enumerate()}
+    with pytest.raises(StopIteration):
+        next(traces)
+
+
 def test_closing_with_the_ring_full_leaves_no_thread_behind(monkeypatch):
     # after the first trace every array is taken: the trace in use and the
     # next two jobs' draws, queued or under way on the slowed helper

@@ -1,11 +1,14 @@
 """Config document parsing, validation, and error mapping."""
 import json
+import math
 
 import pytest
 
 from forcelink import cli
-from forcelink.config import (ConfigError, default_config_dict, load_config,
-                              parse_config)
+from forcelink.config import (MAX_RANGE_FORCES, ConfigError, default_config_dict,
+                              load_config, parse_config)
+
+from conftest import traced_peak
 
 
 def test_default_document_parses():
@@ -173,6 +176,20 @@ def test_load_config_file_errors(tmp_path):
 def forces_range(start, stop, step):
     return {"calibration": {"forces_n": {"start": start, "stop": stop,
                                          "step": step}}}
+
+
+def test_a_range_spec_is_bounded_before_it_is_expanded():
+    # 10^12 forces (8 TB as a list), or an infinite count, are refused from
+    # the spec alone: nothing near that size is ever allocated
+    forces = parse_config(forces_range(0.0, MAX_RANGE_FORCES - 1, 1.0)).calibration
+    assert len(forces.forces_n) == MAX_RANGE_FORCES
+
+    def refused(stop):
+        with pytest.raises(ConfigError, match=f"more than {MAX_RANGE_FORCES}"):
+            parse_config(forces_range(0.0, stop, 1.0))
+    for stop in (MAX_RANGE_FORCES, 1e12, math.inf):
+        _, peak = traced_peak(lambda: refused(stop))
+        assert peak < 2 ** 20, stop
 
 
 @pytest.mark.parametrize("doc", [

@@ -16,9 +16,9 @@ from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                WaveformConfig, nyquist_check, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink import decoder
-from forcelink.decoder import (_median, _whole_cycle_size, anchor, auto_group_size,
-                               group_phases, noise_power, project_groups,
-                               read_sensor_snr)
+from forcelink.decoder import (_median, _quantile, _whole_cycle_size, anchor,
+                               auto_group_size, group_phases, noise_power,
+                               project_groups, read_sensor_snr)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -341,6 +341,17 @@ def test_median_is_numpys_bit_for_bit(pairs, energy):
     with np.errstate(invalid="ignore", over="ignore"):
         assert same_bits(_median(pairs, (1, 2)), np.median(pairs, axis=(1, 2)))
         assert same_bits(_median(energy, 0), np.median(energy, axis=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(float, st.integers(1, 40),
+                        elements=st.one_of(st.sampled_from([0.0, -0.0]), ANY_FLOAT)),
+       q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)))
+def test_quantile_is_numpys_bit_for_bit(values, q):
+    # the force sweep's p90 row; with NaN, infinities, signed zeros and
+    # repeated values, whose order after the partition shows in the result
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(_quantile(values, q), np.quantile(values, q))
 
 
 def test_group_phases_leaves_numpy_ma_unimported():

@@ -1,5 +1,9 @@
 """Experiment engines: closed-loop trials, SNR sweeps, crosstalk isolation."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -75,6 +79,29 @@ def test_run_force_sweep_structure(default_cfg):
     assert kinds == ["median", "p90"]
     assert aggregates[0]["force_err_n"] < 0.3
     assert aggregates[0]["location_err_mm"] < 0.6
+    # the summary rows are numpy's, bit for bit
+    for key in ("force_err_n", "location_err_mm"):
+        errs = np.array([r[key] for r in rows])
+        assert [a[key] for a in aggregates] == [float(np.median(errs)),
+                                                float(np.quantile(errs, 0.9))]
+
+
+def test_run_force_sweep_leaves_numpy_ma_unimported():
+    # np.median and np.quantile import numpy.ma (12-15 ms) on their first
+    # call in a process, inside the timed sweep
+    script = textwrap.dedent("""
+        import sys
+        from forcelink.config import parse_config
+        from forcelink.sweeps import run_force_sweep
+        run_force_sweep(parse_config({}), trials=3, seed=1)
+        print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+    """)
+    src = os.path.dirname(os.path.dirname(sweeps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 GRID = [pytest.mark.parametrize("K", [1, 64]),
