@@ -15,17 +15,18 @@ or opened from a file (traceio.TraceFile); both yield their rows through
 blocks(group_size).  Given the scheme whose read tones it projects on, it
 computes every figure (steps, phases, tone energies, noise power) in one
 pass over snapshot-major blocks of whole groups, carrying only group 0's
-and a block's last group's projections to the next, so memory follows the
-block size, not the trace length: a trace file streams through it a chunk
-of about 1 MiB at a time, an in-memory trace goes through as one block.
+projections and a block's last group (its projections, and its rows as a
+view of the block) to the next, so memory follows the block size, not the
+trace length: a trace file streams through it a chunk of about 1 MiB at a
+time, an in-memory trace goes through as one block.
 
 A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
 size holding whole cycles of every read tone.  Setup that depends only on
 such small keys is worked out once and shared by every decode: the auto
-size per (frame period, read tones, cap), the noise estimate's bins and
-half-bin turn per group size.  The tone weights depend on a block's first
-snapshot, which a streamed decode never repeats, so they are not kept.
+size per (frame period, read tones, cap).  The tone weights depend on a
+block's first snapshot, which a streamed decode never repeats, so they are
+not kept.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ GROUP_SIZE_CAP = 100_000
 SLEW_SUSPECT_LIMIT = 0.9 * math.pi
 SNR_CAP_DB = 200.0
 SNR_FLOOR_DB = 0.0
-NOISE_SUBCARRIERS = 8  # the noise floor is read from the first few only
 
 
 def auto_group_size(config: WaveformConfig,
@@ -107,7 +107,9 @@ class PhaseSeries:
     steps[g, t] is the phase change from group g to g + 1 and phases[g, t]
     group g's phase relative to group 0 (phases[0] is 0), both in [-pi, pi].
     signal[t] is the tone's median group projection energy, sigma2 the
-    per-sample noise power.
+    per-sample noise power: the least over consecutive group pairs of the
+    mean |difference|^2 over all subcarriers, halved, which reads high when
+    every pair holds a step.
     """
 
     scheme: ClockScheme
@@ -169,37 +171,20 @@ def project_groups(block: np.ndarray, n0: int, read_freqs: Sequence[float],
     return w @ np.asarray(block[:g * Ng], np.complex128).reshape(g, Ng, -1) / Ng
 
 
-@functools.lru_cache(maxsize=16)
-def _odd_bins(group_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """What the noise estimate reads at a group size, shared by every decode.
+def _median(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0) of a float array, bit for bit, without the
+    numpy.ma import (12-15 ms) that np.median's NaN check makes in a fresh
+    process.
 
-    m: at most 97 indices spread evenly over range(group_size), so that
-    odd bins 2m + 1 of a two-group window are read; half_turn: the (N_g, 1)
-    column e^{-j pi n / N_g} that moves those bins onto bins m of one group.
-    Both are read-only.
+    As np.median does: np.partition puts the middle value (odd n) or the two
+    middle values (even n) of the n rows in place and the largest last, the
+    median is np.mean of the middle slice, and a NaN, which sorts last,
+    makes it NaN.
     """
-    m = np.linspace(0, group_size - 1, min(group_size, 97)).astype(int)
-    half_turn = np.exp(-1j * np.pi * np.arange(group_size) / group_size)[:, None]
-    m.flags.writeable = half_turn.flags.writeable = False
-    return m, half_turn
-
-
-def _median(a: np.ndarray, axis: int | tuple[int, ...]) -> np.ndarray:
-    """np.median(a, axis) of a float array, bit for bit, without the numpy.ma
-    import (12-15 ms) that np.median's NaN check makes in a fresh process.
-
-    As np.median does: the reduced axes are flattened into one axis of n
-    values, np.partition puts the middle value (odd n) or the two middle
-    values (even n) in place and the largest last, the median is np.mean of
-    the middle slice, and a NaN, which sorts last, makes it NaN.
-    """
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    a = np.moveaxis(a, axes, tuple(range(-len(axes), 0)))
-    a = a.reshape(a.shape[:a.ndim - len(axes)] + (-1,))
-    n = a.shape[-1]
-    part = np.partition(a, sorted({(n - 1) // 2, n // 2, n - 1}), axis=-1)
-    mid = np.mean(part[..., (n - 1) // 2:n // 2 + 1], axis=-1)
-    return np.where(np.isnan(part[..., -1]), part[..., -1], mid)
+    n = len(a)
+    part = np.partition(a, sorted({(n - 1) // 2, n // 2, n - 1}), axis=0)
+    mid = np.mean(part[(n - 1) // 2:n // 2 + 1], axis=0)
+    return np.where(np.isnan(part[-1]), part[-1], mid)
 
 
 def _quantile(a: np.ndarray, q: float) -> float:
@@ -227,6 +212,15 @@ def _quantile(a: np.ndarray, q: float) -> float:
     return y - (y - x) * (1 - t) if t >= 0.5 else x + (y - x) * t
 
 
+def _sum_squares(z: np.ndarray) -> float:
+    """sum |z|^2 of a contiguous complex array, by numpy's pairwise sum rather
+    than BLAS, so a group pair's figure depends on neither how the trace was
+    split into blocks nor the BLAS thread count."""
+    x = z.view(np.float64)
+    x *= x
+    return float(x.sum())
+
+
 def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
                  group_size: int | None = None) -> PhaseSeries:
     """Decode both ports of a trace, in memory or opened with traceio.open_trace,
@@ -238,10 +232,13 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     P[g+1, k] conj(P[g, k]) averaged over subcarriers, so the projection
     magnitudes drop out, and a phase that of P[g, k] conj(P[0, k]); the trace
     needs 2 groups.  A tone's signal is the median group energy, which a
-    mid-group step cannot drag down.  sigma^2 is the minimum over group pairs
-    of the median energy at odd bins, unbiased by ln 2.  A step inside a pair
-    leaks into its odd bins, so sigma^2 relies on at least one group pair with
-    no step inside it; a trace whose every pair holds a step reads it high.
+    mid-group step cannot drag down.  Static paths and whole-cycle clock lines
+    repeat each group exactly, so the difference of two consecutive groups
+    holds only noise, 2 sigma^2 per entry: sigma^2 is the least over group
+    pairs of sum |rows[g] - rows[g+1]|^2 / (2 N_g K), over all K subcarriers.
+    A step inside a pair adds to its sum, so sigma^2 relies on at least one
+    group pair with no step inside it; a trace whose every pair holds a step
+    reads it high.
     """
     if scheme is None:
         if not trace.schemes:
@@ -252,38 +249,32 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     G = config.n_snapshots // Ng
     if G < 2:
         raise ValueError(f"need at least 2 groups, trace holds {G} at size {Ng}")
-    m, half_turn = _odd_bins(Ng)
     # P0: group 0's conjugate projections; last: the previous group's
-    # projections and noise rows
+    # projections and its rows, a view of the source block
     n0, P0, last = 0, None, None
-    steps, phases, energy, pair_noise = [], [], [], []
+    steps, phases, energy, pair_sums = [], [], [], []
     for block in trace.blocks(Ng):  # whole groups, then any tail
         g, start, n0 = len(block) // Ng, n0, n0 + len(block)
         if not g:
             continue
-        P = project_groups(block, start, scheme.read_freqs, config.frame_period_s, Ng)
-        rows = np.asarray(block[:g * Ng, :NOISE_SUBCARRIERS],
-                          dtype=np.complex128).reshape(g, Ng, -1)
+        H = np.asarray(block[:g * Ng], np.complex128)
+        P = project_groups(H, start, scheme.read_freqs, config.frame_period_s, Ng)
+        groups = list(H.reshape(g, Ng, -1))
         energy.append(np.mean(np.abs(P) ** 2, axis=-1))
         if P0 is None:
             P0 = P[0].conj()
         phases.append(np.angle((P * P0).mean(axis=-1)))
         if last is not None:
-            P, rows = np.concatenate((last[0], P)), np.concatenate((last[1], rows))
+            P = np.concatenate((last[0], P))
+            groups.insert(0, last[1])
         steps.append(np.angle((P[1:] * P[:-1].conj()).mean(axis=-1)))
-        if len(rows) > 1:
-            # clock lines repeat each group exactly, so they land only on
-            # even bins of a two-group window; odd bin 2m + 1 is bin m of
-            # the groups' difference turned by e^{-j pi n / N_g}
-            odd = np.fft.fft((rows[:-1] - rows[1:]) * half_turn, axis=1)[:, m]
-            pair_noise.append(_median(np.abs(odd / (2 * Ng)) ** 2, (1, 2)))
-        last = P[-1:], rows[-1:]
-    per_bin = float(np.concatenate(pair_noise).min())
-    # median of exponential energies = ln 2 x mean; per-bin mean = sigma^2/n
+        pair_sums += [_sum_squares(a - b) for a, b in zip(groups, groups[1:])]
+        last = P[-1:], block[(g - 1) * Ng:g * Ng]
+        del H, groups  # free this block's copy before the next is made
     return PhaseSeries(scheme, Ng, Ng * config.frame_period_s,
                        np.concatenate(steps), np.concatenate(phases),
-                       _median(np.concatenate(energy), 0),
-                       per_bin / math.log(2.0) * (2 * Ng))
+                       _median(np.concatenate(energy)),
+                       min(pair_sums) / (2 * Ng * config.n_subcarriers))
 
 
 def noise_power(trace: ChannelTrace, group_size: int) -> float:

@@ -19,6 +19,7 @@ noisy_traces per sweep.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import closing
 from dataclasses import replace
@@ -91,7 +92,9 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
     Presses and trial seeds are drawn from seed, cfg.noise.seed for None,
-    all before the first trial: each trial's force, location, then seed.
+    one trial at a time as the trials need them: each trial's force,
+    location, then seed, so a long sweep starts at once and holds only the
+    presses drawn ahead.
     Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
     bit for bit; the traces come from chansim.noisy_traces, which draws the
     next trials' noise while this one decodes and inverts.  The median and
@@ -106,15 +109,17 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     wf = replace(cfg.waveform, n_snapshots=3 * Ng)
-    presses = [(float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations)),
-                int(rng.integers(0, 2 ** 62))) for _ in range(trials)]
+    # one lazy draw per trial, read by the jobs and again for the rows' truth
+    presses, truth = itertools.tee(
+        (float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations)),
+         int(rng.integers(0, 2 ** 62))) for _ in range(trials))
     jobs = ((noiseless_blocks(wf, cfg.scheme, _press_timeline(Ng, F, loc),
                               cfg.multipath, cfg.geometry, cfg.mechanics),
              replace(cfg.noise, seed=s)) for F, loc, s in presses)
     rows = []
     with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, (cfg.scheme,),
                               cfg.geometry)) as traces:
-        for i, ((F, loc, _), trace) in enumerate(zip(presses, traces)):
+        for i, ((F, loc, _), trace) in enumerate(zip(truth, traces)):
             r = run_touch_trial(cfg, model, F, loc, trace)
             r["kind"] = "trial"
             r["trial"] = i
@@ -122,8 +127,8 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [
-        {"kind": "median", "force_err_n": float(_median(f_err, 0)),
-         "location_err_mm": float(_median(l_err, 0))},
+        {"kind": "median", "force_err_n": float(_median(f_err)),
+         "location_err_mm": float(_median(l_err))},
         {"kind": "p90", "force_err_n": _quantile(f_err, 0.9),
          "location_err_mm": _quantile(l_err, 0.9)},
     ]
@@ -250,5 +255,5 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
                          if r["victim_sensor"] == victim])
         aggregates.append({"kind": "aggregate", "victim_sensor": victim,
                            "max_crosstalk_deg": float(vals.max()),
-                           "median_crosstalk_deg": float(_median(vals, 0))})
+                           "median_crosstalk_deg": float(_median(vals))})
     return rows, aggregates

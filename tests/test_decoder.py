@@ -7,18 +7,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from forcelink.chansim import (ChannelTrace, MultipathProfile, NoiseSpec,
                                NyquistError, Path, TouchTimeline,
-                               WaveformConfig, nyquist_check, synthesize)
+                               WaveformConfig, nyquist_check, synthesis_blocks,
+                               synthesize)
 from forcelink.clocks import make_scheme
 from forcelink import decoder
 from forcelink.decoder import (_median, _quantile, _whole_cycle_size, anchor,
                                auto_group_size, group_phases, noise_power,
                                project_groups, read_sensor_snr)
+from forcelink.traceio import open_trace, write_trace_blocks
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment, wrap_phase)
@@ -275,6 +277,32 @@ def test_noise_power_from_the_shortest_decodable_trace():
         group_phases(one, SCHEME, NG)
 
 
+@settings(max_examples=3, deadline=None)
+@given(groups=st.integers(2, 400), snr_db=st.sampled_from((10.0, 25.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(groups=2, snr_db=10.0, seed=1)
+@example(groups=2, snr_db=25.0, seed=1)
+@example(groups=400, snr_db=10.0, seed=1)
+@example(groups=400, snr_db=25.0, seed=2)
+def test_noise_power_holds_within_3_percent_at_any_trace_length(
+        default_cfg, tmp_path_factory, groups, snr_db, seed):
+    # a held press on the default 64 subcarriers: sigma^2 is the least of
+    # groups - 1 pair figures, each the mean of 2 N_g K = 80 000 squares, so
+    # it must not drift low as the pairs multiply.  The trace streams to a
+    # file and back, as a 400-group one would take 256 MB in memory.
+    path = tmp_path_factory.mktemp("sigma2") / "held.trace"
+    wf = replace(default_cfg.waveform, n_snapshots=groups * NG)
+    provenance, blocks = synthesis_blocks(
+        wf, SCHEME, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
+        default_cfg.multipath, NoiseSpec(snr_db, seed=seed), GEOM, MECH)
+    write_trace_blocks(path, blocks, wf, (SCHEME,), GEOM, provenance)
+    got = group_phases(open_trace(path), SCHEME, NG).sigma2
+    path.unlink()
+    alpha2 = abs(default_cfg.multipath.sensor_path.amplitude) ** 2
+    want = alpha2 * 10.0 ** (-snr_db / 10.0)
+    assert got == pytest.approx(want, rel=0.03), got / want
+
+
 def test_decode_rejects_non_positive_group_size():
     trace = default_noisy_trace(20.0, 5)
     for size in (0, -NG):
@@ -335,12 +363,12 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
        energy=hnp.arrays(float, st.tuples(st.integers(1, 9), st.just(2)),
                          elements=ANY_FLOAT))
 def test_median_is_numpys_bit_for_bit(pairs, energy):
-    # on the axes group_phases reduces: (1, 2) for each group pair's odd
-    # bins, 0 for the tones' group energies; odd and even counts, with NaN,
-    # infinities and signed zeros among the values
+    # along axis 0, the one axis _median reduces: of a 3-d array, and of the
+    # tones' (groups, 2) energies as group_phases has them; odd and even
+    # counts, with NaN, infinities and signed zeros among the values
     with np.errstate(invalid="ignore", over="ignore"):
-        assert same_bits(_median(pairs, (1, 2)), np.median(pairs, axis=(1, 2)))
-        assert same_bits(_median(energy, 0), np.median(energy, axis=0))
+        assert same_bits(_median(pairs), np.median(pairs, axis=0))
+        assert same_bits(_median(energy), np.median(energy, axis=0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,6 +19,8 @@ from forcelink.sweeps import (calibrate, measure_step_errors, no_touch_phase,
                               touch_trace)
 from forcelink.transducer import ShortingState, TouchEvent, port_phases
 
+from conftest import traced_peak
+
 
 def with_grid(cfg, *snr_db):
     return replace(cfg, sweep=replace(cfg.sweep, snr_grid_db=snr_db))
@@ -167,6 +169,31 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
         run_force_sweep(default_cfg, trials=5, seed=1)
     assert len(calls) == 2
     assert threading.active_count() == baseline
+
+
+def test_force_sweep_draws_its_presses_as_the_trials_need_them(default_cfg,
+                                                                monkeypatch):
+    # 2e5 presses drawn up front would hold about 35 MB before the first
+    # trial; drawn lazily, a sweep stopped at its 3rd trial holds a few
+    # traces of 2 subcarriers.  A 1-trial sweep first makes the one-time
+    # imports and caches, which are not the sweep's to bound.
+    cfg = replace(default_cfg, waveform=replace(default_cfg.waveform, n_subcarriers=2))
+    run_force_sweep(cfg, trials=1, seed=1)
+    trial, calls = sweeps.run_touch_trial, []
+
+    def fails_third(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("consumer failed")
+        return trial(*args)
+    monkeypatch.setattr(sweeps, "run_touch_trial", fails_third)
+
+    def stopped_sweep():
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_force_sweep(cfg, trials=200_000, seed=1)
+    _, peak = traced_peak(stopped_sweep)
+    assert len(calls) == 3
+    assert peak < 2 ** 20
 
 
 def test_only_the_noise_draw_leaves_the_calling_thread(default_cfg, monkeypatch):
