@@ -48,6 +48,12 @@ def _info(msg: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_seeded(args.config, args.seed)
     wf = cfg.waveform
+    # decode needs 2 groups at the auto size, the least any decode takes;
+    # sweep and calibrate size their own traces, so only simulate checks
+    Ng = resolve_group_size(wf, cfg.scheme)
+    if wf.n_snapshots < 2 * Ng:
+        raise ConfigError(f"waveform.n_snapshots {wf.n_snapshots} holds fewer than "
+                          f"the 2 groups of {Ng} snapshots a decode needs")
     provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
                                           cfg.noise, cfg.geometry, cfg.mechanics)
     traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,

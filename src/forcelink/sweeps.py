@@ -60,10 +60,13 @@ def _press_timeline(Ng: int, force_n: float, location_mm: float) -> TouchTimelin
 def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
                 seed: int) -> ChannelTrace:
     """The trace of one closed-loop trial, synthesized with noise seed seed:
-    three groups of cfg.group_size (auto for None) snapshots, the press
-    landing exactly on the first group boundary."""
+    two groups of cfg.group_size (auto for None) snapshots, a quiet group 0
+    and the press landing exactly on the group boundary.  The noise is drawn
+    row-major, so these are the first two groups of a longer trace with the
+    same seed, bit for bit (unquantized; a quantizer's full scale spans the
+    whole trace)."""
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    return synthesize(replace(cfg.waveform, n_snapshots=3 * Ng), cfg.scheme,
+    return synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
                       _press_timeline(Ng, force_n, location_mm), cfg.multipath,
                       replace(cfg.noise, seed=int(seed)), cfg.geometry, cfg.mechanics)
 
@@ -73,11 +76,12 @@ def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
     """One closed-loop pass over a trial's trace (touch_trace's, or one
     run_force_sweep made the same way): decode it, invert the phases.
 
-    The final group's anchored phases feed the inversion; force_n and
-    location_mm are the press's truth, for the error columns.
+    Group 1's anchored phases, the pressed group against the quiet group 0,
+    feed the inversion; force_n and location_mm are the press's truth, for
+    the error columns.
     """
     series = group_phases(trace, cfg.scheme, cfg.group_size)
-    phi1, phi2 = anchor(series, no_touch_phase(cfg))[-1]
+    phi1, phi2 = anchor(series, no_touch_phase(cfg))[1]
     est = calib.invert(model, float(phi1), float(phi2))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             "est_force_n": est.force_n, "est_location_mm": est.location_mm,
@@ -96,9 +100,10 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     location, then seed, so a long sweep starts at once and holds only the
     presses drawn ahead.
     Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
-    bit for bit; the traces come from chansim.noisy_traces, which draws the
-    next trials' noise while this one decodes and inverts.  The median and
-    p90 rows are np.median's and np.quantile's, bit for bit.
+    bit for bit: a quiet group and one pressed group, as no trial reads a
+    second pressed group.  The traces come from chansim.noisy_traces, which
+    draws the next trials' noise while this one decodes and inverts.  The
+    median and p90 rows are np.median's and np.quantile's, bit for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -108,7 +113,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    wf = replace(cfg.waveform, n_snapshots=3 * Ng)
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     # one lazy draw per trial, read by the jobs and again for the rows' truth
     presses, truth = itertools.tee(
         (float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations)),

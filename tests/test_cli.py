@@ -197,6 +197,28 @@ def test_simulate_rejects_clocks_with_an_unreadable_port(tmp_path, capsys, clock
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def test_simulate_rejects_a_trace_too_short_to_decode(tmp_path, capsys):
+    # decode needs 2 groups at the auto size, 625 snapshots by default: one
+    # short of 1250 is refused before any write, 1250 decodes
+    cfg = write_config(tmp_path, {"waveform": {"n_snapshots": 1249}})
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "run.trace")]) == 2
+    assert ("waveform.n_snapshots 1249 holds fewer than the 2 groups of 625"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    cfg = write_config(tmp_path, {"waveform": {"n_snapshots": 1250}})
+    trace = str(tmp_path / "run.trace")
+    assert cli.main(["simulate", "--config", cfg, "--out", trace]) == 0
+    assert cli.main(["decode", "--trace", trace,
+                     "--out", str(tmp_path / "run.csv")]) == 0
+    # sweep and calibrate size their own traces and take the same config
+    cfg = write_config(tmp_path, {"waveform": {"n_snapshots": 1000}})
+    assert cli.main(["sweep", "--config", cfg, "--mode", "force", "--trials", "1",
+                     "--out", str(tmp_path / "force.csv")]) == 0
+    assert cli.main(["calibrate", "--config", cfg,
+                     "--out", str(tmp_path / "model.json")]) == 0
+
+
 def test_decode_scheme_index_out_of_range(tmp_path):
     cfg = write_config(tmp_path)
     trace_path = str(tmp_path / "run.trace")
