@@ -28,10 +28,10 @@ order; the caller finishes the current trace and decodes it, and when the
 next trace's draw is not done yet it runs the earliest queued draw itself
 instead of waiting.  numpy releases the GIL
 inside the draw, the floor of a sweep trial, so a trial can cost as little
-as half of draw plus decode rather than the larger of the two.  A BLAS that
-spins its own threads (OpenBLAS unpinned) takes that second core; pin it to
-one thread (OPENBLAS_NUM_THREADS=1) for the overlap to pay.  _draw is the
-one standard_normal call, for the block pipeline and noisy_traces alike.
+as half of draw plus decode rather than the larger of the two.  The decode
+makes no BLAS call, so an OpenBLAS left to spin its own threads has no work
+to take that second core with.  _draw is the one standard_normal call, for
+the block pipeline and noisy_traces alike.
 """
 from __future__ import annotations
 

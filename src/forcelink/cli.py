@@ -29,7 +29,7 @@ from dataclasses import replace
 from . import calib, sweeps, traceio
 from .chansim import synthesis_blocks
 from .config import ConfigError, ExperimentConfig, load_config
-from .decoder import anchor, group_phases, resolve_group_size
+from .decoder import MIN_GROUPS, anchor, group_phases, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
@@ -48,12 +48,12 @@ def _info(msg: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_seeded(args.config, args.seed)
     wf = cfg.waveform
-    # decode needs 2 groups at the auto size, the least any decode takes;
-    # sweep and calibrate size their own traces, so only simulate checks
+    # a decode needs MIN_GROUPS groups at the auto size, the least any decode
+    # takes; sweep and calibrate size their own traces, so only simulate checks
     Ng = resolve_group_size(wf, cfg.scheme)
-    if wf.n_snapshots < 2 * Ng:
+    if wf.n_snapshots < MIN_GROUPS * Ng:
         raise ConfigError(f"waveform.n_snapshots {wf.n_snapshots} holds fewer than "
-                          f"the 2 groups of {Ng} snapshots a decode needs")
+                          f"the {MIN_GROUPS} groups of {Ng} snapshots a decode needs")
     provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
                                           cfg.noise, cfg.geometry, cfg.mechanics)
     traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,

@@ -24,9 +24,11 @@ A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
 size holding whole cycles of every read tone.  Setup that depends only on
 such small keys is worked out once and shared by every decode: the auto
-size per (frame period, read tones, cap).  The tone weights depend on a
-block's first snapshot, which a streamed decode never repeats, so they are
-not kept.
+size per (frame period, read tones, cap), and, since a group holds whole
+tone cycles, one group's tone weights per (frame period, read tones, group
+size).  The projection sums each group with numpy's own loops, not BLAS, so
+decoded bytes depend neither on how the trace was split into blocks nor on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ if TYPE_CHECKING:
     from .traceio import TraceFile
 
 GROUP_SIZE_CAP = 100_000
+# a phase pairs a group with group 0, so a decode needs two groups
+MIN_GROUPS = 2
 # steps this close to the wrap boundary are flagged as possible aliases
 SLEW_SUSPECT_LIMIT = 0.9 * math.pi
 SNR_CAP_DB = 200.0
@@ -155,20 +159,44 @@ def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
     return series.phases + (no_touch.phi1, no_touch.phi2)
 
 
-def project_groups(block: np.ndarray, n0: int, read_freqs: Sequence[float],
+@functools.lru_cache(maxsize=16)
+def _tone_table(T: float, freqs: tuple[float, ...], Ng: int) -> np.ndarray:
+    """(2 t, Ng) read-only weights of t read tones over one group: the rows of
+    Re e^{-j 2 pi f n T}, then those of Im, for n in 0 .. Ng - 1."""
+    w = np.exp(-2j * np.pi * np.asarray(freqs)[:, None] * np.arange(Ng) * T)
+    table = np.concatenate((w.real, w.imag))
+    table.flags.writeable = False
+    return table
+
+
+def project_groups(block: np.ndarray, read_freqs: Sequence[float],
                    frame_period_s: float, group_size: int) -> np.ndarray:
     """Project each whole group of a snapshot-major (n, K) block on each tone.
 
-    With n0 the block's absolute first snapshot, P[g, t, k] = (1/N_g) *
-    sum_{n in group g} H[n, k] e^{-j 2 pi f_t n T}.  With an integer number
-    of tone cycles per group any constant-in-n term sums to exactly zero.
+    With the block starting on a group boundary at absolute snapshot n0,
+    P[g, t, k] = (1/N_g) sum_{n in group g} H[n, k] e^{-j 2 pi f_t n T}.  A
+    group holds whole cycles of every tone, so its weights are one group's
+    table whatever n0 is, and any constant-in-n term sums to exactly zero.
+    Each group is summed on its own by numpy's einsum over real views, never
+    BLAS, so a group's figure is the same bytes in any block and with any
+    BLAS thread count.
     """
     Ng = group_size
     g = len(block) // Ng
-    n = np.arange(n0, n0 + g * Ng).reshape(g, 1, Ng)
-    f = np.asarray(read_freqs, dtype=float)[:, None]
-    w = np.exp(-2j * np.pi * f * n * frame_period_s)
-    return w @ np.asarray(block[:g * Ng], np.complex128).reshape(g, Ng, -1) / Ng
+    W = _tone_table(frame_period_s, tuple(read_freqs), Ng)
+    x = np.ascontiguousarray(block[:g * Ng], np.complex128).view(np.float64)
+    x = x.reshape(g, Ng, -1)
+    # sums, read as [g, s, t, k, c]: tone t's cos (s = 0) or sin (s = 1) row
+    # against the real (c = 0) or imaginary (c = 1) part of H[., k]
+    sums = np.empty((g, len(W), x.shape[-1]))
+    for out, group in zip(sums, x):
+        np.einsum("tn,nj->tj", W, group, out=out)
+    cos, sin = sums.reshape(g, 2, len(W) // 2, -1, 2).swapaxes(0, 1)
+    P = np.empty(cos.shape[:-1], np.complex128)
+    P.real = cos[..., 0] - sin[..., 1]
+    P.imag = cos[..., 1] + sin[..., 0]
+    P /= Ng
+    return P
 
 
 def _median(a: np.ndarray) -> np.ndarray:
@@ -231,14 +259,14 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     snapshots past the last whole group are ignored.  A step is the angle of
     P[g+1, k] conj(P[g, k]) averaged over subcarriers, so the projection
     magnitudes drop out, and a phase that of P[g, k] conj(P[0, k]); the trace
-    needs 2 groups.  A tone's signal is the median group energy, which a
-    mid-group step cannot drag down.  Static paths and whole-cycle clock lines
-    repeat each group exactly, so the difference of two consecutive groups
-    holds only noise, 2 sigma^2 per entry: sigma^2 is the least over group
-    pairs of sum |rows[g] - rows[g+1]|^2 / (2 N_g K), over all K subcarriers.
-    A step inside a pair adds to its sum, so sigma^2 relies on at least one
-    group pair with no step inside it; a trace whose every pair holds a step
-    reads it high.
+    needs MIN_GROUPS groups.  A tone's signal is the median group energy,
+    which a mid-group step cannot drag down.  Static paths and whole-cycle
+    clock lines repeat each group exactly, so the difference of two
+    consecutive groups holds only noise, 2 sigma^2 per entry: sigma^2 is the
+    least over group pairs of sum |rows[g] - rows[g+1]|^2 / (2 N_g K), over
+    all K subcarriers.  A step inside a pair adds to its sum, so sigma^2
+    relies on at least one group pair with no step inside it; a trace whose
+    every pair holds a step reads it high.
     """
     if scheme is None:
         if not trace.schemes:
@@ -247,18 +275,19 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     config = trace.config
     Ng = resolve_group_size(config, (*trace.schemes, scheme), group_size)
     G = config.n_snapshots // Ng
-    if G < 2:
-        raise ValueError(f"need at least 2 groups, trace holds {G} at size {Ng}")
+    if G < MIN_GROUPS:
+        raise ValueError(f"need at least {MIN_GROUPS} groups, trace holds {G} "
+                         f"at size {Ng}")
     # P0: group 0's conjugate projections; last: the previous group's
     # projections and its rows, a view of the source block
-    n0, P0, last = 0, None, None
+    P0, last = None, None
     steps, phases, energy, pair_sums = [], [], [], []
     for block in trace.blocks(Ng):  # whole groups, then any tail
-        g, start, n0 = len(block) // Ng, n0, n0 + len(block)
+        g = len(block) // Ng
         if not g:
             continue
         H = np.asarray(block[:g * Ng], np.complex128)
-        P = project_groups(H, start, scheme.read_freqs, config.frame_period_s, Ng)
+        P = project_groups(H, scheme.read_freqs, config.frame_period_s, Ng)
         groups = list(H.reshape(g, Ng, -1))
         energy.append(np.mean(np.abs(P) ** 2, axis=-1))
         if P0 is None:

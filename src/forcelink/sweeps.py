@@ -9,13 +9,12 @@ The force and SNR sweeps get their traces from chansim.noisy_traces, which
 draws the next trials' seeded noise on a second core while this thread
 decodes (and, for a force trial, inverts) the current one, and has this
 thread draw too whenever it would otherwise wait; every trace is bit for bit
-the one synthesize makes with that trial's seed.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1): an OpenBLAS left to spin its own threads takes the
-second core and the overlap gains nothing.  SNR trials vary only the noise,
-so measure_step_errors makes the group size and the held-press noiseless
-trace once per call and adds each seed's noise to it, and run_snr_sweep
-measures its whole grid in one call: one noiseless trace and one pass of
-noisy_traces per sweep.
+the one synthesize makes with that trial's seed, and no row depends on the
+BLAS thread count, since the decode makes no BLAS call.  SNR trials vary
+only the noise, so measure_step_errors makes the group size and the
+held-press noiseless trace once per call and adds each seed's noise to it,
+and run_snr_sweep measures its whole grid in one call: one noiseless trace
+and one pass of noisy_traces per sweep.
 """
 from __future__ import annotations
 

@@ -431,6 +431,33 @@ def test_sigterm_stops_a_force_sweep_and_joins_its_helper(tmp_path):
     assert not out.exists()
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a product differently per thread count; the decode
+    # makes no BLAS call, so a force sweep and a decode --model write the
+    # same bytes with BLAS on one thread and on two
+    cfg = write_config(tmp_path)
+    trace, model = str(tmp_path / "run.trace"), str(tmp_path / "model.json")
+    assert cli.main(["simulate", "--config", cfg, "--out", trace, "--seed", "7"]) == 0
+    assert cli.main(["calibrate", "--config", cfg, "--out", model]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    outputs = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        force = tmp_path / f"force_{threads}.csv"
+        presses = tmp_path / f"presses_{threads}.csv"
+        for args in (["sweep", "--config", cfg, "--mode", "force", "--trials", "20",
+                      "--seed", "7", "--out", str(force)],
+                     ["decode", "--trace", trace, "--model", model,
+                      "--out", str(presses)]):
+            subprocess.run([sys.executable, "-m", "forcelink.cli", *args], env=env,
+                           check=True, stderr=subprocess.DEVNULL, timeout=120)
+        outputs.append((force.read_bytes(), presses.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_main_restores_sigterm_and_runs_off_the_main_thread(capsys):
     before = signal.getsignal(signal.SIGTERM)
     assert cli.main(["impedance", "--target-ohm", "50"]) == 0

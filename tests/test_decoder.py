@@ -114,12 +114,11 @@ def test_projection_single_group_matches_matrix_slice():
                           sensor_path=Path(1.0, 1.0))
     trace = synthesize(wf, SCHEME, timeline, mp, NoiseSpec(None), GEOM, MECH)
     rows, T = trace.data, wf.frame_period_s
-    whole = project_groups(rows, 0, SCHEME.read_freqs, T, NG)
+    whole = project_groups(rows, SCHEME.read_freqs, T, NG)
     assert whole.shape == (3, 2, 4)
     for g in range(3):
-        # one group on its own, at its absolute snapshot index
-        P = project_groups(rows[g * NG:(g + 1) * NG], g * NG,
-                           SCHEME.read_freqs, T, NG)
+        # one group on its own, against its absolute snapshot index
+        P = project_groups(rows[g * NG:(g + 1) * NG], SCHEME.read_freqs, T, NG)
         assert P.shape == (1, 2, 4)
         np.testing.assert_array_equal(P[0], whole[g])
         n = np.arange(g * NG, (g + 1) * NG)

@@ -113,18 +113,11 @@ GRID = [pytest.mark.parametrize("K", [1, 64]),
                                 ids=["noiseless", "0dB", "25dB"])]
 
 
-def on_grid(test, leave_out=()):
-    """The GRID marks stacked as decorators, in that order, but those for
-    the argument names in leave_out."""
+def on_grid(test):
+    """The GRID marks stacked as decorators, in that order."""
     for mark in reversed(GRID):
-        if mark.args[0] not in leave_out:
-            test = mark(test)
+        test = mark(test)
     return test
-
-
-def on_unquantized_grid(test):
-    """The GRID marks but bits: every case's trace is left unquantized."""
-    return on_grid(test, leave_out=("bits",))
 
 
 def grid_cfg(cfg, snr_db, bits, group_size, K):
@@ -138,7 +131,12 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
                                                              bits, group_size, K):
     # the next trials' noise is drawn while this one decodes; every row must
     # still be the serial decode and inversion of synthesize's trace for
-    # that trial's press and seed, bit for bit
+    # that trial's press and seed, bit for bit.  That trace is a quiet group
+    # and one pressed group; the noise is drawn row-major, so unquantized it
+    # is the first two groups of the three-group trace with the same seed,
+    # and the row inverts that trace's group-1 phases.  A quantizer's full
+    # scale spans the whole trace, so the 10-bit cases differ between two
+    # and three groups and are left out of that check on purpose
     cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
     rows, _ = run_force_sweep(cfg, trials=3, seed=5)
     rng = np.random.default_rng(5)
@@ -154,36 +152,16 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
                            NoiseSpec(snr_db, seed, bits), cfg.geometry, cfg.mechanics)
         assert row == {**run_touch_trial(cfg, model, F, loc, trace),
                        "kind": "trial", "trial": i}
-
-
-@on_unquantized_grid
-def test_run_force_sweep_rows_read_group_1_of_a_three_group_trace(
-        default_cfg, snr_db, group_size, K):
-    # a trial is a quiet group and one pressed group; the noise is drawn
-    # row-major, so that is the first two groups of the three-group trace
-    # with the same seed, and each row is the inversion of that longer
-    # trace's group-1 anchored phases, bit for bit.  10-bit cases are left
-    # out on purpose: a quantizer's full scale spans the whole trace, so it
-    # differs between two and three groups
-    cfg = grid_cfg(default_cfg, snr_db, None, group_size, K)
-    rows, _ = run_force_sweep(cfg, trials=3, seed=5)
-    rng = np.random.default_rng(5)
-    Ng = group_size or 625
-    wf = replace(cfg.waveform, n_snapshots=3 * Ng)
-    model = calibrate(cfg)
-    for row in rows:
-        F = float(rng.uniform(*cfg.sweep.force_range_n))
-        loc = float(rng.choice(cfg.sweep.test_locations_mm))
-        seed = int(rng.integers(0, 2 ** 62))
-        timeline = TouchTimeline(entries=((0, None), (Ng, TouchEvent(F, loc))))
-        trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath,
-                           NoiseSpec(snr_db, seed), cfg.geometry, cfg.mechanics)
-        series = group_phases(trace, cfg.scheme, cfg.group_size)
-        phi1, phi2 = anchor(series, no_touch_phase(cfg))[1]
-        est = calib.invert(model, float(phi1), float(phi2))
-        assert (row["est_force_n"], row["est_location_mm"], row["residual_rad2"],
-                row["reliable"]) == (est.force_n, est.location_mm,
-                                     est.residual_rad2, est.reliable)
+        if bits is None:
+            longer = synthesize(replace(wf, n_snapshots=3 * Ng), cfg.scheme, timeline,
+                                cfg.multipath, NoiseSpec(snr_db, seed), cfg.geometry,
+                                cfg.mechanics)
+            phi1, phi2 = anchor(group_phases(longer, cfg.scheme, cfg.group_size),
+                                no_touch_phase(cfg))[1]
+            est = calib.invert(model, float(phi1), float(phi2))
+            assert (row["est_force_n"], row["est_location_mm"], row["residual_rad2"],
+                    row["reliable"]) == (est.force_n, est.location_mm,
+                                         est.residual_rad2, est.reliable)
 
 
 def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
