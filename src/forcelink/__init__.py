@@ -19,8 +19,8 @@ from .config import ConfigError, ExperimentConfig, default_config_dict, \
     load_config, parse_config
 from .decoder import PhaseSeries, anchor, auto_group_size, group_phases
 from .traceio import (open_trace, read_dataset, read_model, read_trace,
-                      write_dataset, write_model, write_phase_csv, write_trace,
-                      write_trace_blocks)
+                      write_dataset, write_model, write_phase_csv, write_rows,
+                      write_trace, write_trace_blocks)
 from .transducer import (MechanicalParams, PortPhases, SensorGeometry,
                          ShortingState, TouchEvent, impedance, phase_per_mm,
                          port_phases, propagation_constant, shorting_segment,
@@ -41,7 +41,8 @@ __all__ = [
     "parse_config",
     "PhaseSeries", "anchor", "auto_group_size", "group_phases",
     "open_trace", "read_dataset", "read_model", "read_trace", "write_dataset",
-    "write_model", "write_phase_csv", "write_trace", "write_trace_blocks",
+    "write_model", "write_phase_csv", "write_rows", "write_trace",
+    "write_trace_blocks",
     "MechanicalParams", "PortPhases", "SensorGeometry", "ShortingState",
     "TouchEvent", "impedance", "phase_per_mm", "port_phases",
     "propagation_constant", "shorting_segment", "solve_width_ratio",

@@ -18,7 +18,6 @@ Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import signal
 import sys
@@ -109,11 +108,7 @@ def cmd_calibrate(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("calibrate needs --config or --from-dataset")
-        cfg = load_config(args.config)
-        data = calib.generate_sweep(cfg.calibration.locations_mm,
-                                    cfg.calibration.forces_n,
-                                    cfg.geometry, cfg.mechanics,
-                                    cfg.waveform.carrier_hz)
+        data = sweeps.calibration_data(load_config(args.config))
     if args.dataset is not None:
         traceio.write_dataset(data, args.dataset)
     model = calib.fit_model(data)
@@ -135,15 +130,6 @@ _SWEEP_FIELDS = {
 }
 
 
-def _write_rows(path, fieldnames, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fieldnames, restval="",
-                           lineterminator="\n")
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: row.get(k, "") for k in fieldnames})
-
-
 def cmd_sweep(args) -> int:
     if args.mode == "crosstalk" and args.trials is not None:
         raise ConfigError("--mode crosstalk takes no --trials")
@@ -154,7 +140,7 @@ def cmd_sweep(args) -> int:
         rows, aggregates = sweeps.run_snr_sweep(cfg, args.trials)
     else:
         rows, aggregates = sweeps.run_crosstalk(cfg)
-    _write_rows(args.out, _SWEEP_FIELDS[args.mode], rows + aggregates)
+    traceio.write_rows(args.out, _SWEEP_FIELDS[args.mode], rows + aggregates)
     _info(f"wrote {args.out}: {len(rows)} trial rows, {len(aggregates)} "
           f"summary rows (mode {args.mode}, seed {cfg.noise.seed})")
     return 0
@@ -233,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _sigterm_unwinds():
     """Within, SIGTERM raises SystemExit(143) as Ctrl-C raises
-    KeyboardInterrupt, so cleanup (a simulate's temporary file) runs; the
+    KeyboardInterrupt, so cleanup (an output's temporary file) runs; the
     previous handler is restored after.  Only the main thread may set it."""
     if threading.current_thread() is not threading.main_thread():
         yield

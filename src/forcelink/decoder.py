@@ -24,7 +24,7 @@ A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
 size holding whole cycles of every read tone.  Setup that depends only on
 such small keys is worked out once and shared by every decode: the auto
-size per (frame period, read tones, cap), and, since a group holds whole
+size per (frame period, read tones), and, since a group holds whole
 tone cycles, one group's tone weights per (frame period, read tones, group
 size).  The projection sums each group with numpy's own loops, not BLAS, so
 decoded bytes depend neither on how the trace was split into blocks nor on
@@ -57,31 +57,31 @@ SNR_FLOOR_DB = 0.0
 
 
 def auto_group_size(config: WaveformConfig,
-                    schemes: Iterable[ClockScheme] | ClockScheme,
-                    cap: int = GROUP_SIZE_CAP) -> int:
+                    schemes: Iterable[ClockScheme] | ClockScheme) -> int:
     """Smallest group size giving an integer cycle count at every read tone.
 
     Rationalizes T * f for each read frequency and takes the lcm of the
-    denominators; errors out if no integral grouping exists below cap.
-    Only T and the read tones matter, so the size is worked out once per
-    (T, tones, cap) and remembered; a failure is not, and raises every call.
+    denominators; errors out if no integral grouping exists below
+    GROUP_SIZE_CAP.  Only T and the read tones matter, so the size is
+    worked out once per (T, tones) and remembered; a failure is not, and
+    raises every call.
     """
     if isinstance(schemes, ClockScheme):
         schemes = (schemes,)
     freqs = tuple(dict.fromkeys(f for s in schemes for f in s.read_freqs))
-    return _whole_cycle_size(config.frame_period_s, freqs, cap)
+    return _whole_cycle_size(config.frame_period_s, freqs)
 
 
 @functools.lru_cache(maxsize=64)
-def _whole_cycle_size(T: float, freqs: tuple[float, ...], cap: int) -> int:
+def _whole_cycle_size(T: float, freqs: tuple[float, ...]) -> int:
     size = 1
     for f in freqs:
         r = Fraction(T) * Fraction(f)
-        r = r.limit_denominator(cap)
+        r = r.limit_denominator(GROUP_SIZE_CAP)
         size = math.lcm(size, r.denominator)
-        if size > cap:
-            raise ValueError(
-                f"no integer-cycle group size below {cap} for read tones {list(freqs)}")
+        if size > GROUP_SIZE_CAP:
+            raise ValueError(f"no integer-cycle group size below {GROUP_SIZE_CAP} "
+                             f"for read tones {list(freqs)}")
     for f in freqs:
         cycles = size * T * f
         if abs(cycles - round(cycles)) > 1e-6:

@@ -37,13 +37,17 @@ from .decoder import (_median, _quantile, anchor, auto_group_size, group_phases,
 from .transducer import ShortingState, TouchEvent, port_phases
 
 
-def calibrate(cfg: ExperimentConfig) -> calib.SensorModel:
-    """Fit the sensor model from the config's calibration grid."""
-    data = calib.generate_sweep(cfg.calibration.locations_mm,
+def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
+    """The config's calibration grid, simulated: the data calibrate fits."""
+    return calib.generate_sweep(cfg.calibration.locations_mm,
                                 cfg.calibration.forces_n,
                                 cfg.geometry, cfg.mechanics,
                                 cfg.waveform.carrier_hz)
-    return calib.fit_model(data)
+
+
+def calibrate(cfg: ExperimentConfig) -> calib.SensorModel:
+    """Fit the sensor model from the config's calibration grid."""
+    return calib.fit_model(calibration_data(cfg))
 
 
 def no_touch_phase(cfg: ExperimentConfig):

@@ -1,13 +1,19 @@
-"""Bit-exact persistence: binary channel traces, model JSON, phase CSV.
+"""Bit-exact persistence: binary channel traces, model and dataset JSON, CSVs.
+
+Every file is written through one path, _replacing: under a temporary name
+beside its destination, renamed into place only once complete, so a failed
+or interrupted write leaves no partial file and never replaces an existing
+one.  The CSVs (a decode's phase rows, a sweep's rows) go through write_rows,
+the model and dataset through _write_json.
 
 Trace file layout: 8-byte magic "WFTRACE1", one newline-terminated UTF-8 JSON
 header line, then little-endian float32 (re, im) pairs, snapshot-major (n
 outer, k inner) as ChannelTrace stores them, so a group of snapshots is one
-contiguous byte range.  write_trace_blocks is the one writer: it takes the
-header fields and the rows as an iterator of blocks, converts and checks
-each block as it comes and renames the file into place only once complete,
-so cli simulate streams a trace straight from synthesis and write_trace
-passes an in-memory trace in chunks of about CHUNK_BYTES (1 MiB).
+contiguous byte range.  write_trace_blocks is the one trace writer: it takes
+the header fields and the rows as an iterator of blocks and converts and
+checks each block as it comes, so cli simulate streams a trace straight from
+synthesis and write_trace passes an in-memory trace in chunks of about
+CHUNK_BYTES (1 MiB).
 open_trace maps the payload unread and TraceFile.blocks streams it in chunks
 of whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
 CHUNK_BYTES of any trace, and its complex128 copy, whatever the length.
@@ -15,6 +21,7 @@ A malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
 
+import csv
 import json
 import mmap
 import os
@@ -22,7 +29,7 @@ import pathlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -65,6 +72,47 @@ def _json_object(what: str, path, raw: bytes) -> Iterator[dict]:
         raise ValueError(f"bad {what} in {path}: {e}") from None
 
 
+@contextmanager
+def _replacing(path, binary: bool = False) -> Iterator[IO]:
+    """Yield a new file to write path's contents to, UTF-8 text with the
+    newlines as written unless binary; it is renamed to path once the block
+    completes and removed if the block raises, so path is replaced whole or
+    not at all.  A link is followed, so its target is replaced.  A path
+    that exists must be a regular file: a rename would replace a device
+    such as /dev/stdout, not write to it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"{path} is not a regular file")
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8", newline="")) as f:
+            yield f
+        os.replace(tmp, path)
+    except FileExistsError:
+        raise  # the random name is another writer's file: leave it
+    except BaseException:
+        with suppress(FileNotFoundError):  # SIGTERM can land as open returns
+            os.unlink(tmp)
+        raise
+
+
+def write_rows(path, fieldnames, rows: Iterable[dict]) -> None:
+    """CSV of rows (dicts keyed by fieldnames) under a fieldnames header, LF
+    newlines; a field a row lacks is a blank cell."""
+    with _replacing(path) as f:
+        w = csv.DictWriter(f, fieldnames, restval="", lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+
+
+def _write_json(path, doc: dict) -> None:
+    with _replacing(path) as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+
 def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfig,
                        schemes: tuple[ClockScheme, ...] = (),
                        geometry: SensorGeometry | None = None,
@@ -86,34 +134,24 @@ def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfi
         "provenance": provenance or {},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as f:
-            f.write(MAGIC)
-            f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-            f.write(b"\n")
-            done = 0
-            for block in blocks:
-                with np.errstate(over="ignore"):  # overflow is reported below
-                    c8 = np.asarray(block).astype(_PAYLOAD_DTYPE)
-                if c8.ndim != 2 or c8.shape[1] != K or done + len(c8) > N:
-                    raise ValueError(f"block of shape {c8.shape} does not fit a "
-                                     f"({N}, {K}) trace after {done} snapshots")
-                if not np.isfinite(c8.view(np.float32)).all():
-                    raise ValueError("trace entries must all be finite in float32 "
-                                     f"(snapshots {done} to {done + len(c8) - 1})")
-                f.write(c8)
-                done += len(c8)
+    with _replacing(path, binary=True) as f:
+        f.write(MAGIC)
+        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+        f.write(b"\n")
+        done = 0
+        for block in blocks:
+            with np.errstate(over="ignore"):  # overflow is reported below
+                c8 = np.asarray(block).astype(_PAYLOAD_DTYPE)
+            if c8.ndim != 2 or c8.shape[1] != K or done + len(c8) > N:
+                raise ValueError(f"block of shape {c8.shape} does not fit a "
+                                 f"({N}, {K}) trace after {done} snapshots")
+            if not np.isfinite(c8.view(np.float32)).all():
+                raise ValueError("trace entries must all be finite in float32 "
+                                 f"(snapshots {done} to {done + len(c8) - 1})")
+            f.write(c8)
+            done += len(c8)
         if done != N:
             raise ValueError(f"blocks hold {done} snapshots, the trace {N}")
-        os.replace(tmp, path)
-    except FileExistsError:
-        raise  # the random name is another writer's file: leave it
-    except BaseException:
-        with suppress(FileNotFoundError):  # SIGTERM can land as open returns
-            os.unlink(tmp)
-        raise
 
 
 def write_trace(trace: ChannelTrace, path) -> None:
@@ -186,7 +224,7 @@ def read_trace(path) -> ChannelTrace:
 
 
 def write_model(model: SensorModel, path) -> None:
-    doc = {
+    _write_json(path, {
         "carrier_hz": model.carrier_hz,
         "locations_mm": model.locations(),
         "force_range_n": list(model.force_range_n),
@@ -198,10 +236,7 @@ def write_model(model: SensorModel, path) -> None:
             }
             for fit in model.fits
         ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    })
 
 
 def read_model(path) -> SensorModel:
@@ -219,13 +254,10 @@ def read_model(path) -> SensorModel:
 
 
 def write_dataset(data: CalibrationDataset, path) -> None:
-    doc = {"carrier_hz": data.carrier_hz, "source": data.source,
-           "samples": [{"force_n": s.force_n, "location_mm": s.location_mm,
-                        "phi1_rad": s.phi1, "phi2_rad": s.phi2}
-                       for s in data.samples]}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(path, {"carrier_hz": data.carrier_hz, "source": data.source,
+                       "samples": [{"force_n": s.force_n, "location_mm": s.location_mm,
+                                    "phi1_rad": s.phi1, "phi2_rad": s.phi2}
+                                   for s in data.samples]})
 
 
 def read_dataset(path) -> CalibrationDataset:
@@ -241,19 +273,20 @@ def write_phase_csv(series: PhaseSeries, path, phases: np.ndarray | None = None,
     Row g carries the step into group g (0 for the first group), the
     anchored phases (anchor's (n_groups, 2) output; blank cells when phases
     is None) and the decode's per-port SNR estimates.  extra_columns maps
-    name -> sequence of len n_groups (e.g. inversion output).
+    name -> sequence of n_groups values (e.g. inversion output); a column of
+    any other length is a ValueError, raised before anything is written.
     """
-    steps = np.degrees(np.concatenate((np.zeros((1, 2)), series.steps)))
-    phi = np.degrees(phases) if phases is not None else None
-    snr = [repr(s) for s in series.snr_db]
-    t = series.group_times()
+    n = series.n_groups
     extra = extra_columns or {}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(PHASE_CSV_COLUMNS + tuple(extra)) + "\n")
-        for g in range(series.n_groups):
-            row = [str(g), repr(float(t[g]))]
-            row += [repr(float(x)) for x in steps[g]]
-            row += [repr(float(x)) for x in phi[g]] if phi is not None else ["", ""]
-            row += snr
-            row += [repr(float(extra[name][g])) for name in extra]
-            f.write(",".join(row) + "\n")
+    for name, values in extra.items():
+        if len(values) != n:
+            raise ValueError(f"column {name!r} has {len(values)} values for {n} groups")
+    steps = np.degrees(np.concatenate((np.zeros((1, 2)), series.steps)))
+    columns = {"t_seconds": series.group_times(),
+               "dphi1_deg": steps[:, 0], "dphi2_deg": steps[:, 1], **extra}
+    if phases is not None:  # else the phi cells are left blank
+        columns["phi1_deg"], columns["phi2_deg"] = np.degrees(phases).T
+    snr1, snr2 = series.snr_db
+    rows = ({"group_index": g, "snr1_db": snr1, "snr2_db": snr2,
+             **{name: float(v[g]) for name, v in columns.items()}} for g in range(n))
+    write_rows(path, PHASE_CSV_COLUMNS + tuple(extra), rows)

@@ -53,7 +53,7 @@ def test_auto_group_size_incommensurate_raises():
 
 
 def test_auto_group_size_ungroupable_raises_every_call():
-    # the size is remembered per (frame period, read tones, cap), a failure
+    # the size is remembered per (frame period, read tones), a failure
     # is not: a clock that fits no whole cycles must fail each time
     scheme = make_scheme(1001.3)
     for _ in range(3):

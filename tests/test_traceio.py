@@ -1,6 +1,8 @@
-"""File formats: binary traces, model and dataset JSON, phase CSV."""
+"""File formats: binary traces, model and dataset JSON, phase and sweep CSVs."""
 import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from forcelink.clocks import make_scheme
 from forcelink.decoder import PhaseSeries
 from forcelink.traceio import (MAGIC, PHASE_CSV_COLUMNS, read_dataset,
                                read_model, read_trace, write_dataset,
-                               write_model, write_phase_csv, write_trace,
-                               write_trace_blocks)
+                               write_model, write_phase_csv, write_rows,
+                               write_trace, write_trace_blocks)
 from forcelink.transducer import MechanicalParams, SensorGeometry, TouchEvent
 
 
@@ -262,3 +264,81 @@ def test_phase_csv_blank_cells_without_anchor(tmp_path):
     assert len(rows) == 3
     for r in rows:
         assert r[4] == "" and r[5] == ""  # no anchored phases
+
+
+def _fails_after(first):
+    yield first
+    raise RuntimeError("stopped part-way")
+
+
+def _bad_last_fit(model):
+    """The model with a value JSON cannot hold in its last fit."""
+    fit = replace(model.fits[-1], c_port1=(0.0, 0.0, 0.0, 1j))
+    return replace(model, fits=model.fits[:-1] + (fit,))
+
+
+def _bad_last_sample(data):
+    """The dataset with a value JSON cannot hold in its last sample."""
+    sample = replace(data.samples[-1], phi2=1j)
+    return replace(data, samples=data.samples[:-1] + (sample,))
+
+
+def _phase_csv_with(est_force_n):
+    return lambda path: write_phase_csv(phase_series(), path, ANCHORED,
+                                        extra_columns={"est_force_n": est_force_n})
+
+
+# each writer, made to fail after it has written part of its file (or, for
+# an extra column of the wrong length, before it writes), what it raises and
+# what the message says
+FAILING_WRITES = {
+    "trace_blocks": (RuntimeError, "part-way", lambda path: write_trace_blocks(
+        path, _fails_after(np.zeros((3, 3))), small_config())),
+    "phase_csv": (ValueError, "not a number",
+                  _phase_csv_with([0.0, "not a number", 4.0])),
+    "phase_csv_short_column": (ValueError, "'est_force_n' has 2 values for 3",
+                               _phase_csv_with([0.0, 3.5])),
+    "phase_csv_long_column": (ValueError, "'est_force_n' has 5 values for 3",
+                              _phase_csv_with([0.0, 3.5, 4.0, 4.5, 5.0])),
+    "rows": (RuntimeError, "part-way", lambda path: write_rows(
+        path, ("trial", "force_n"), _fails_after({"trial": 0, "force_n": 1.0}))),
+    "model": (TypeError, "complex", lambda path: write_model(
+        _bad_last_fit(fitted_model()[1]), path)),
+    "dataset": (TypeError, "complex", lambda path: write_dataset(
+        _bad_last_sample(fitted_model()[0]), path)),
+}
+
+
+@pytest.mark.parametrize("writer", FAILING_WRITES)
+def test_every_writer_replaces_its_file_whole_or_not_at_all(tmp_path, writer):
+    raises, says, write = FAILING_WRITES[writer]
+    path = tmp_path / "out"
+    path.write_bytes(b"previous run")
+    with pytest.raises(raises, match=says):
+        write(path)
+    assert list(tmp_path.iterdir()) == [path]  # no .*.tmp left beside it
+    assert path.read_bytes() == b"previous run"
+
+
+def test_writers_refuse_a_path_that_is_not_a_regular_file(tmp_path):
+    # renaming over a FIFO (or a device such as /dev/stdout) would replace
+    # it with a regular file, not write to it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match="not a regular file"):
+        write_rows(fifo, ("trial",), [{"trial": 0}])
+    with pytest.raises(ValueError, match="not a regular file"):
+        write_rows(tmp_path, ("trial",), [{"trial": 0}])
+    assert list(tmp_path.iterdir()) == [fifo]
+    assert fifo.is_fifo()
+
+
+def test_writers_replace_a_links_target_and_keep_the_link(tmp_path):
+    (tmp_path / "runs").mkdir()
+    target = tmp_path / "runs" / "sweep.csv"
+    target.write_bytes(b"previous run")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    write_rows(link, ("trial",), [{"trial": 0}])
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "trial\n0\n"
