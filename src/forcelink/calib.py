@@ -39,8 +39,9 @@ class Sample:
 class CalibrationDataset:
     """Phase samples over a (force, location) grid.
 
-    Needs at least two distinct locations and at least four distinct forces
-    per location (a cubic has four coefficients).
+    Needs a positive carrier_hz, finite samples, at least two distinct
+    locations and at least four distinct forces per location (a cubic has
+    four coefficients), so that fit_model makes a valid SensorModel.
     """
 
     samples: tuple[Sample, ...]
@@ -50,6 +51,11 @@ class CalibrationDataset:
     def __post_init__(self):
         if self.source not in ("simulated", "imported"):
             raise ValueError("source must be 'simulated' or 'imported'")
+        if not self.carrier_hz > 0.0:
+            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
+        if not all(math.isfinite(v) for s in self.samples
+                   for v in (s.force_n, s.location_mm, s.phi1, s.phi2)):
+            raise ValueError("samples must all be finite")
         locs = {s.location_mm for s in self.samples}
         if len(locs) < 2:
             raise ValueError("calibration needs at least 2 distinct locations")
@@ -76,22 +82,30 @@ class LocationFit:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Per-location fits, interpolated between locations; at least 2 fits,
-    their locations strictly increasing, and force_range_n increasing."""
+    """Per-location fits, interpolated between locations: a positive
+    carrier_hz; at least 2 fits, their locations and coefficients finite and
+    the locations strictly increasing; a finite, increasing force_range_n."""
 
     carrier_hz: float
     fits: tuple[LocationFit, ...]
     force_range_n: tuple[float, float]
 
     def __post_init__(self):
+        if not self.carrier_hz > 0.0:
+            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
         locs = self.locations()
         if len(locs) < 2:
             raise ValueError(f"needs at least 2 locations, got {len(locs)}")
+        for f in self.fits:
+            if not all(map(math.isfinite, (f.location_mm, *f.c_port1, *f.c_port2))):
+                raise ValueError(f"fit at {f.location_mm} mm must be finite, got "
+                                 f"coefficients {f.c_port1} and {f.c_port2}")
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError(f"locations must strictly increase, got {locs}")
         lo, hi = self.force_range_n
-        if not lo < hi:
-            raise ValueError(f"force_range_n must increase, got {self.force_range_n}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError("force_range_n must be finite and increase, got "
+                             f"{self.force_range_n}")
 
     def locations(self) -> list[float]:
         return [f.location_mm for f in self.fits]

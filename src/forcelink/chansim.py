@@ -122,6 +122,8 @@ class NoiseSpec:
     quantize_bits: int | None = None
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.quantize_bits is not None and not 4 <= self.quantize_bits <= 24:
             raise ValueError("quantize_bits must lie in [4, 24]")
 

@@ -37,7 +37,10 @@ def _load_seeded(path, seed: int | None) -> ExperimentConfig:
     cfg = load_config(path)
     if seed is None:
         return cfg
-    return replace(cfg, noise=replace(cfg.noise, seed=seed))
+    try:
+        return replace(cfg, noise=replace(cfg.noise, seed=seed))
+    except ValueError as e:
+        raise ConfigError(f"bad --seed: {e}") from e
 
 
 def _info(msg: str) -> None:

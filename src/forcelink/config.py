@@ -5,8 +5,9 @@ plus optional grouping, calibration and sweep blocks.  A section's keys are
 the fields of the dataclass it builds (clocks use freq/duty/offset) and keys
 it omits take the reference defaults.  read_section is the one JSON ->
 dataclass step: unknown keys and missing or malformed values are ConfigErrors
-naming the section (CLI exit 2).  traceio reads trace headers and datasets
-with it too and re-raises its errors as ValueErrors naming the file (exit 1).
+naming the section (CLI exit 2).  traceio reads trace headers, datasets and
+sensor models with it too and re-raises its errors as ValueErrors naming the
+file (exit 1).
 load_config is the one loader of a config file, for the CLI and the library
 alike, so one file gives one run: the same seed, the same trace.
 """

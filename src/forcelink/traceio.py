@@ -17,7 +17,10 @@ CHUNK_BYTES (1 MiB).
 open_trace maps the payload unread and TraceFile.blocks streams it in chunks
 of whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
 CHUNK_BYTES of any trace, and its complex128 copy, whatever the length.
-A malformed header, model or dataset is a ValueError naming its file.
+The JSON a trace header, a model or a dataset holds is read with
+config.read_section, as a config is: its keys are its dataclasses' fields, so
+a model file is asdict(SensorModel) with fits under the key per_location.  A
+malformed header, model or dataset is a ValueError naming its file.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .calib import CalibrationDataset, LocationFit, SensorModel
+from .calib import CalibrationDataset, SensorModel
 from .chansim import BLOCK_FLOATS, ChannelTrace, WaveformConfig
 from .clocks import ClockScheme, SwitchClock
 from .config import parse_scheme, read_section
@@ -224,33 +227,13 @@ def read_trace(path) -> ChannelTrace:
 
 
 def write_model(model: SensorModel, path) -> None:
-    _write_json(path, {
-        "carrier_hz": model.carrier_hz,
-        "locations_mm": model.locations(),
-        "force_range_n": list(model.force_range_n),
-        "per_location": [
-            {
-                **{f"c{i}_port1": fit.c_port1[i] for i in range(4)},
-                **{f"c{i}_port2": fit.c_port2[i] for i in range(4)},
-                "rms_deg": float(np.degrees(fit.rms_rad)),
-            }
-            for fit in model.fits
-        ],
-    })
+    doc = asdict(model)
+    _write_json(path, {"per_location": doc.pop("fits"), **doc})
 
 
 def read_model(path) -> SensorModel:
     with _json_object("model", path, pathlib.Path(path).read_bytes()) as doc:
-        fits = tuple(
-            LocationFit(location_mm=float(loc),
-                        c_port1=tuple(float(row[f"c{i}_port1"]) for i in range(4)),
-                        c_port2=tuple(float(row[f"c{i}_port2"]) for i in range(4)),
-                        rms_rad=float(np.radians(row["rms_deg"])))
-            for loc, row in zip(doc["locations_mm"], doc["per_location"],
-                                strict=True))
-        f_lo, f_hi = doc["force_range_n"]
-        return SensorModel(carrier_hz=float(doc["carrier_hz"]), fits=fits,
-                           force_range_n=(float(f_lo), float(f_hi)))
+        return read_section(SensorModel, doc, "model", {}, {"per_location": "fits"})
 
 
 def write_dataset(data: CalibrationDataset, path) -> None:

@@ -589,9 +589,17 @@ def test_equivalent_doppler_velocity():
 def test_waveform_validation():
     with pytest.raises(ValueError):
         WaveformConfig(n_subcarriers=0)
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        WaveformConfig(subcarrier_spacing_hz=0.0)
     with pytest.raises(ValueError):
         WaveformConfig(frame_period_s=0.0)
+    with pytest.raises(ValueError, match="carrier must be positive"):
+        WaveformConfig(carrier_hz=-2.4e9)
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        WaveformConfig(n_snapshots=0)
     with pytest.raises(ValueError):
         NoiseSpec(quantize_bits=25)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        NoiseSpec(seed=-1)
     with pytest.raises(ValueError):
         Path(amplitude=1.0, distance_m=-1.0)

@@ -9,13 +9,14 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from forcelink import cli, sweeps
-from forcelink.chansim import synthesize
+from forcelink.chansim import ChannelTrace, WaveformConfig, synthesize
 from forcelink.config import default_config_dict, load_config
 from forcelink.traceio import (PHASE_CSV_COLUMNS, read_dataset, read_model,
-                               read_trace)
+                               read_trace, write_trace)
 
 
 def write_config(tmp_path, doc=None, name="config.json"):
@@ -99,6 +100,11 @@ def test_calibrate_writes_model_and_dataset(tmp_path):
     assert read_model(model2_path).fits == model.fits
 
 
+# two locations of four forces: the least a dataset may hold
+GRID_SAMPLES = [{"force_n": F, "location_mm": loc, "phi1_rad": 0.1 * F, "phi2_rad": 0.2}
+                for loc in (20.0, 60.0) for F in (1.0, 2.0, 3.0, 4.0)]
+
+
 @pytest.mark.parametrize("dataset", [
     {"carrier_hz": 2.4e9, "source": "imported"},
     "samples",
@@ -106,7 +112,11 @@ def test_calibrate_writes_model_and_dataset(tmp_path):
                                        "phi1_rad": 0.1}]},
     {"carrier_hz": 2.4e9, "samples": [{"force_n": "1", "location_mm": 20.0,
                                        "phi1_rad": 0.1, "phi2_rad": 0.2}]},
-], ids=["no-samples", "string-root", "sample-no-phi2", "string-force"])
+    {"carrier_hz": -2.4e9, "samples": GRID_SAMPLES},
+    {"carrier_hz": 2.4e9,
+     "samples": [dict(GRID_SAMPLES[0], phi1_rad=math.nan)] + GRID_SAMPLES[1:]},
+], ids=["no-samples", "string-root", "sample-no-phi2", "string-force",
+        "negative-carrier", "nan-phase"])
 def test_malformed_dataset_fails_calibrate(tmp_path, capsys, dataset):
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(dataset))
@@ -138,6 +148,21 @@ def test_seed_precedence(tmp_path, capsys):
     assert cli.main(["sweep", "--config", cfg_noseed, "--mode", "crosstalk",
                      "--out", str(tmp_path / "x.csv")]) == 0
     assert capsys.readouterr().err.endswith("(mode crosstalk, seed 1)\n")
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--mode", "force",
+                                                    "--trials", "2"]],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("doc, flag, says", [
+    ({"noise": {"seed": -3}}, [], "bad noise: seed must be >= 0, got -3"),
+    ({}, ["--seed", "-1"], "bad --seed: seed must be >= 0, got -1"),
+], ids=["config", "flag"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command, doc, flag, says):
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([*command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     *flag]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 @pytest.mark.parametrize("doc", [{}, {"noise": {"snr_db": 25.0}}],
@@ -226,6 +251,16 @@ def test_decode_scheme_index_out_of_range(tmp_path):
     ret = cli.main(["decode", "--trace", trace_path,
                     "--out", str(tmp_path / "x.csv"), "--scheme-index", "3"])
     assert ret == 2
+
+
+def test_decode_of_a_trace_without_schemes_fails(tmp_path, capsys):
+    wf = WaveformConfig(n_subcarriers=2, n_snapshots=1250)
+    trace_path = tmp_path / "bare.trace"
+    write_trace(ChannelTrace(config=wf, data=np.ones((1250, 2))), trace_path)
+    out = tmp_path / "x.csv"
+    assert cli.main(["decode", "--trace", str(trace_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {trace_path} lists no modulation schemes\n"
+    assert list(tmp_path.iterdir()) == [trace_path]
 
 
 def test_missing_inputs_map_to_exit_codes(tmp_path):

@@ -148,6 +148,17 @@ def test_unshifted_double_clock_overlaps_by_an_eighth():
     assert rep.overlap_fraction == Fraction(1, 8)
 
 
+def test_an_on_window_wrapping_past_the_period_end_overlaps_at_the_start():
+    # clock_b's second window opens at (1 + 0.9) / 2 of the common period and
+    # stays on 1/8 of it: the part past the end wraps into clock_a's [0, 1/4)
+    scheme = ClockScheme(clock_a=SwitchClock(F_S, 0.25, 0.0),
+                         clock_b=SwitchClock(2.0 * F_S, 0.25, 0.9))
+    rep = verify_disjoint(scheme)
+    assert rep.disjoint is False
+    assert rep.overlap_fraction == (1 + Fraction(0.9)) / 2 + Fraction(1, 8) - 1
+    assert float(rep.overlap_fraction) == pytest.approx(0.075, abs=1e-15)
+
+
 def test_switch_states_never_both_on():
     scheme = make_scheme(F_S)
     t = np.linspace(0.0, 5.0 / F_S, 4001)

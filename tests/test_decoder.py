@@ -61,6 +61,14 @@ def test_auto_group_size_ungroupable_raises_every_call():
             auto_group_size(WF, scheme)
 
 
+def test_auto_group_size_refuses_a_near_miss():
+    # 1111 snapshots hold 63.99999936 cycles of 1000.1 Hz, within the 1e-6
+    # tolerance, but 255.99999744 of its 4 f_s tone: no size holds both whole
+    with pytest.raises(ValueError, match=r"4000\.4 Hz cannot be grouped integrally "
+                       r"\(best size 1111 gives 255\.99999744 cycles\)"):
+        auto_group_size(WF, make_scheme(1000.1))
+
+
 def test_auto_group_size_ignores_what_cannot_change_it():
     # only the frame period and the read tones set the size, so waveforms
     # that differ in their subcarriers or length share one remembered size

@@ -1,6 +1,7 @@
 """Streamed decode: the CLI reads the trace file a chunk of whole groups at a
 time and must write exactly what an in-memory decode of the same file does."""
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -204,33 +205,65 @@ def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, say
     assert not out.exists()
 
 
-ZERO_FIT = {f"c{i}_port{p}": 0.0 for i in range(4) for p in (1, 2)} | {"rms_deg": 0.1}
+def model_doc():
+    """A model file that loads: two zero fits, at 20 and 60 mm."""
+    fit = {"c_port1": [0.0] * 4, "c_port2": [0.0] * 4, "rms_rad": 0.001}
+    return {"carrier_hz": 2.4e9, "force_range_n": [1, 8],
+            "per_location": [{"location_mm": 20.0, **fit},
+                             {"location_mm": 60.0, **fit}]}
 
 
-@pytest.mark.parametrize("model", [
-    {"carrier_hz": 2.4e9, "locations_mm": [20.0, 60.0], "force_range_n": [1, 8]},
-    [1, 2],
-    {"carrier_hz": 2.4e9, "locations_mm": [20.0], "force_range_n": [1, 8],
-     "per_location": [{f"c{i}_port{p}": "x" for i in range(4) for p in (1, 2)}
-                      | {"rms_deg": 0.1}]},
-    {"carrier_hz": 2.4e9, "locations_mm": [], "force_range_n": [1, 8],
-     "per_location": []},
-    {"carrier_hz": 2.4e9, "locations_mm": [40.0, 40.0], "force_range_n": [1, 8],
-     "per_location": [ZERO_FIT, ZERO_FIT]},
-    {"carrier_hz": 2.4e9, "locations_mm": [60.0, 20.0], "force_range_n": [1, 8],
-     "per_location": [ZERO_FIT, ZERO_FIT]},
-    {"carrier_hz": 2.4e9, "locations_mm": [20.0, 60.0], "force_range_n": [8, 1],
-     "per_location": [ZERO_FIT, ZERO_FIT]},
-], ids=["no-per_location", "list-root", "string-coefficient", "no-locations",
-        "duplicate-locations", "reversed-locations", "reversed-force-range"])
-def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, model):
+def model_edit(key, value, at=None):
+    """model_doc with key set to value, in per_location[at] unless at is None."""
+    def edit(doc):
+        (doc if at is None else doc["per_location"][at])[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("change, says", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "per_location"},
+     "missing keys in 'model': ['per_location']"),
+    (lambda doc: [1, 2], "expected a JSON object, got list"),
+    (model_edit("locations_mm", [20.0, 60.0]),
+     "unknown keys in 'model': ['locations_mm']"),
+    (model_edit("rms_deg", 0.1, at=1),
+     "unknown keys in 'model.per_location[1]': ['rms_deg']"),
+    (model_edit("c_port1", ["x", 0.0, 0.0, 0.0], at=0),
+     "bad model.per_location[0].c_port1[0]: expected float, got 'x'"),
+    (model_edit("c_port2", [0.0, "1e3", 0.0, 0.0], at=1),
+     "bad model.per_location[1].c_port2[1]: expected float, got '1e3'"),
+    (model_edit("c_port1", [0.0, 0.0, True, 0.0], at=1),
+     "bad model.per_location[1].c_port1[2]: expected float, got True"),
+    (model_edit("c_port2", [0.0, 0.0, 0.0], at=0),
+     "bad model.per_location[0].c_port2: expected a list of 4 values, "
+     "got [0.0, 0.0, 0.0]"),
+    (model_edit("c_port1", [0.0, 0.0, 0.0, math.nan], at=1),
+     "bad model: fit at 60.0 mm must be finite, got coefficients "
+     "(0.0, 0.0, 0.0, nan) and (0.0, 0.0, 0.0, 0.0)"),
+    (model_edit("carrier_hz", -2.4e9),
+     "bad model: carrier_hz must be positive, got -2400000000.0"),
+    (model_edit("carrier_hz", 0), "bad model: carrier_hz must be positive, got 0.0"),
+    (model_edit("per_location", []), "bad model: needs at least 2 locations, got 0"),
+    (model_edit("location_mm", 60.0, at=0),
+     "bad model: locations must strictly increase, got [60.0, 60.0]"),
+    (model_edit("location_mm", 80.0, at=0),
+     "bad model: locations must strictly increase, got [80.0, 60.0]"),
+    (model_edit("force_range_n", [8, 1]),
+     "bad model: force_range_n must be finite and increase, got (8.0, 1.0)"),
+], ids=["no-per_location", "list-root", "unknown-key", "unknown-fit-key",
+        "string-coefficient", "string-number", "boolean-coefficient",
+        "three-coefficients", "nan-coefficient", "negative-carrier", "zero-carrier",
+        "no-locations", "duplicate-locations", "reversed-locations",
+        "reversed-force-range"])
+def test_malformed_model_fails_decode(trace_path, tmp_path, capsys, change, says):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model))
+    path.write_text(json.dumps(change(model_doc())))
     out = tmp_path / "phases.csv"
     assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
                      "--model", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: bad model in {path}")
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: bad model in {path}: {says}\n"
+    assert list(tmp_path.iterdir()) == [path]  # no CSV, no .*.tmp
 
 
 def test_model_is_read_before_the_trace_streams(trace_path, tmp_path):

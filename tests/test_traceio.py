@@ -3,6 +3,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,15 +191,8 @@ def test_model_json_roundtrip(tmp_path):
     data, model = fitted_model()
     path = tmp_path / "model.json"
     write_model(model, path)
-    back = read_model(path)
-    assert back.carrier_hz == model.carrier_hz
-    assert back.force_range_n == model.force_range_n
-    assert back.locations() == model.locations()
-    for got, want in zip(back.fits, model.fits):
-        assert got.c_port1 == want.c_port1  # repr-exact JSON floats
-        assert got.c_port2 == want.c_port2
-        assert math.isclose(got.rms_rad, want.rms_rad, rel_tol=1e-12,
-                            abs_tol=1e-15)
+    assert read_model(path) == model  # repr-exact JSON floats
+    assert len(json.loads(path.read_text())["per_location"]) == 3
 
 
 def test_dataset_json_roundtrip(tmp_path):
@@ -318,6 +312,19 @@ def test_every_writer_replaces_its_file_whole_or_not_at_all(tmp_path, writer):
         write(path)
     assert list(tmp_path.iterdir()) == [path]  # no .*.tmp left beside it
     assert path.read_bytes() == b"previous run"
+
+
+def test_a_temporary_name_another_writer_holds_is_left_alone(tmp_path):
+    # the temporary name is random; should it be taken, the write fails and
+    # the file holding it is neither replaced nor removed
+    path = tmp_path / "out.csv"
+    taken = tmp_path / ".out.csv.00000000.tmp"
+    taken.write_bytes(b"another writer's")
+    with mock.patch("os.urandom", return_value=bytes(4)):
+        with pytest.raises(FileExistsError):
+            write_rows(path, ("trial",), [{"trial": 0}])
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_bytes() == b"another writer's"
 
 
 def test_writers_refuse_a_path_that_is_not_a_regular_file(tmp_path):

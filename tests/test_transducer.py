@@ -146,6 +146,12 @@ def test_shorted_phases_encode_edge_distances():
     assert pp.phi1 == pytest.approx(-2.0 * beta * a * 1e-3 + math.pi, abs=1e-12)
     assert pp.phi2 == pytest.approx(
         -2.0 * beta * (GEOM.length_mm - b) * 1e-3 + math.pi, abs=1e-12)
+    # each port's wrapped phase is its own phase mod 2 pi, in (-pi, pi]
+    assert pp.phi1_wrapped != pp.phi2_wrapped
+    for phi, wrapped in ((pp.phi1, pp.phi1_wrapped), (pp.phi2, pp.phi2_wrapped)):
+        assert -math.pi < wrapped <= math.pi
+        assert math.remainder(phi - wrapped, 2.0 * math.pi) == pytest.approx(
+            0.0, abs=1e-12)
 
 
 def test_port_phases_validation():
@@ -177,3 +183,9 @@ def test_geometry_validation():
         SensorGeometry(eps_eff=0.5)
     with pytest.raises(ValueError):
         MechanicalParams(force_scale_n=0.0)
+    with pytest.raises(ValueError, match="contact_threshold_n"):
+        MechanicalParams(contact_threshold_n=-0.1)
+    with pytest.raises(ValueError, match="max_halfwidth_mm"):
+        MechanicalParams(max_halfwidth_mm=0.0)
+    with pytest.raises(ValueError, match="asymmetry_exponent"):
+        MechanicalParams(asymmetry_exponent=-1.0)
