@@ -144,6 +144,12 @@ class Estimate:
     in_range: bool
     reliable: bool
 
+    def columns(self) -> dict:
+        """The inversion columns of the decode --model and force-sweep CSVs,
+        reliable as 0 or 1."""
+        return {"est_force_n": self.force_n, "est_location_mm": self.location_mm,
+                "residual_rad2": self.residual_rad2, "reliable": int(self.reliable)}
+
 
 def generate_sweep(locations_mm: Sequence[float], forces_n: Sequence[float],
                    geom: SensorGeometry, mech: MechanicalParams,

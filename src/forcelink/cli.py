@@ -91,13 +91,9 @@ def cmd_decode(args) -> int:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
                                             trace.config.carrier_hz))
     if model is not None:
-        ests = [calib.invert(model, float(p1), float(p2)) for p1, p2 in phases]
-        extra = {
-            "est_force_n": [e.force_n for e in ests],
-            "est_location_mm": [e.location_mm for e in ests],
-            "residual_rad2": [e.residual_rad2 for e in ests],
-            "reliable": [int(e.reliable) for e in ests],
-        }
+        cells = [calib.invert(model, float(p1), float(p2)).columns()
+                 for p1, p2 in phases]
+        extra = {name: [c[name] for c in cells] for name in cells[0]}
     traceio.write_phase_csv(series, args.out, phases, extra_columns=extra)
     snr1, snr2 = series.snr_db
     _info(f"wrote {args.out}: {series.n_groups} groups of {series.group_size} "
@@ -122,17 +118,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-_SWEEP_FIELDS = {
-    "force": ("kind", "trial", "true_force_n", "true_location_mm",
-              "est_force_n", "est_location_mm", "force_err_n",
-              "location_err_mm", "residual_rad2", "reliable"),
-    "snr": ("kind", "snr_db", "trial", "dphi1_deg", "dphi2_deg",
-            "phase_std1_deg", "phase_std2_deg"),
-    "crosstalk": ("kind", "victim_sensor", "port", "group", "crosstalk_deg",
-                  "max_crosstalk_deg", "median_crosstalk_deg"),
-}
-
-
 def cmd_sweep(args) -> int:
     if args.mode == "crosstalk" and args.trials is not None:
         raise ConfigError("--mode crosstalk takes no --trials")
@@ -143,7 +128,7 @@ def cmd_sweep(args) -> int:
         rows, aggregates = sweeps.run_snr_sweep(cfg, args.trials)
     else:
         rows, aggregates = sweeps.run_crosstalk(cfg)
-    traceio.write_rows(args.out, _SWEEP_FIELDS[args.mode], rows + aggregates)
+    traceio.write_rows(args.out, sweeps.CSV_COLUMNS[args.mode], rows + aggregates)
     _info(f"wrote {args.out}: {len(rows)} trial rows, {len(aggregates)} "
           f"summary rows (mode {args.mode}, seed {cfg.noise.seed})")
     return 0

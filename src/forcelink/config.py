@@ -1,13 +1,14 @@
 """Experiment configuration: one JSON document describing a whole run.
 
 Sections: waveform, clocks, geometry, mechanics, multipath, noise, timeline,
-plus optional grouping, calibration and sweep blocks.  A section's keys are
-the fields of the dataclass it builds (clocks use freq/duty/offset) and keys
-it omits take the reference defaults.  read_section is the one JSON ->
-dataclass step: unknown keys and missing or malformed values are ConfigErrors
-naming the section (CLI exit 2).  traceio reads trace headers, datasets and
-sensor models with it too and re-raises its errors as ValueErrors naming the
-file (exit 1).
+grouping, calibration and sweep, each listed in default_config_dict().  A
+section's keys are the fields of the dataclass it builds (clocks use
+freq/duty/offset, the layout scheme_to_dict writes) and keys it omits take
+that document's values.  read_section is the one JSON -> dataclass step:
+unknown keys and missing or malformed values are ConfigErrors naming the
+section (CLI exit 2).  traceio reads trace headers, datasets and sensor
+models with it too and re-raises its errors as ValueErrors naming the file
+(exit 1).
 load_config is the one loader of a config file, for the CLI and the library
 alike, so one file gives one run: the same seed, the same trace.
 """
@@ -18,7 +19,7 @@ import json
 import numbers
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
@@ -140,13 +141,14 @@ class ExperimentConfig:
     multipath: MultipathProfile
     noise: NoiseSpec
     timeline: TouchTimeline
-    group_size: int | None = None  # None means auto
-    calibration: CalibrationSettings = field(default_factory=CalibrationSettings)
-    sweep: SweepSettings = field(default_factory=SweepSettings)
+    group_size: int | None  # None means auto
+    calibration: CalibrationSettings
+    sweep: SweepSettings
 
 
 def default_config_dict() -> dict:
-    """The reference desk-scale setup, serializable and editable."""
+    """The reference desk-scale setup, serializable and editable: every
+    section, and so every key parse_config knows."""
     return {
         "waveform": asdict(WaveformConfig()),
         "clocks": {"f_s_hz": 1000.0},
@@ -162,7 +164,20 @@ def default_config_dict() -> dict:
         "timeline": [{"start_snapshot": 0, "touch": None},
                      {"start_snapshot": 625,
                       "touch": {"force_n": 4.0, "location_mm": 40.0}}],
+        "grouping": {"group_size": "auto"},
+        "calibration": asdict(CalibrationSettings()),
+        "sweep": asdict(SweepSettings()),
     }
+
+
+# a clock's JSON keys and the SwitchClock fields they hold, read and written
+_CLOCK_KEYS = {"freq": "frequency", "duty": "duty", "offset": "phase_offset"}
+
+
+def scheme_to_dict(scheme: ClockScheme) -> dict:
+    """The explicit clocks layout parse_scheme reads back as scheme."""
+    return {name: {k: getattr(getattr(scheme, name), f) for k, f in _CLOCK_KEYS.items()}
+            for name in ("clock_a", "clock_b")}
 
 
 def parse_scheme(d, section: str = "clocks") -> ClockScheme:
@@ -174,7 +189,7 @@ def parse_scheme(d, section: str = "clocks") -> ClockScheme:
                 f"{section} needs both clock_a and clock_b, or just f_s_hz")
         return _build(ClockScheme, section, *(
             read_section(SwitchClock, d[name], f"{section}.{name}", {"offset": 0.0},
-                         {"freq": "frequency", "offset": "phase_offset"})
+                         _CLOCK_KEYS)
             for name in ("clock_a", "clock_b")))
     if "f_s_hz" not in d:
         raise ConfigError(f"{section} needs f_s_hz or explicit clock_a/clock_b")
@@ -210,41 +225,35 @@ def _force_range(spec) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+# the dataclass sections, each named as its ExperimentConfig field
+_SECTIONS = {"waveform": WaveformConfig, "geometry": SensorGeometry,
+             "mechanics": MechanicalParams, "multipath": MultipathProfile,
+             "noise": NoiseSpec, "calibration": CalibrationSettings,
+             "sweep": SweepSettings}
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document and build the typed experiment description."""
-    _take(doc, "config", {"waveform", "clocks", "geometry", "mechanics",
-                          "multipath", "noise", "timeline", "grouping",
-                          "calibration", "sweep"})
+    """Validate a config document and build the typed experiment description.
+
+    A dataclass section (or grouping) merges key by key over its section of
+    default_config_dict(); clocks and timeline replace theirs whole.
+    """
     base = default_config_dict()
-
-    def section(cls, name, defaults):
-        return read_section(cls, doc.get(name, {}), name, defaults)
-
-    grouping = doc.get("grouping", {})
-    _take(grouping, "grouping", {"group_size"})
-    gs = grouping.get("group_size", "auto")
-    group_size = None if gs == "auto" else _convert(int, gs, "grouping.group_size")
-
-    calibration = doc.get("calibration", {})
+    _take(doc, "config", set(base))
+    doc = {**base, **doc}
+    grouping = doc["grouping"]
+    _take(grouping, "grouping", set(base["grouping"]))
+    gs = {**base["grouping"], **grouping}["group_size"]
+    calibration = doc["calibration"]
     if isinstance(calibration, dict) and isinstance(calibration.get("forces_n"), dict):
-        calibration = {**calibration,
-                       "forces_n": _force_range(calibration["forces_n"])}
-
+        doc["calibration"] = {**calibration,
+                              "forces_n": _force_range(calibration["forces_n"])}
     cfg = ExperimentConfig(
-        waveform=section(WaveformConfig, "waveform", base["waveform"]),
-        scheme=parse_scheme(doc.get("clocks", base["clocks"])),
-        geometry=section(SensorGeometry, "geometry", base["geometry"]),
-        mechanics=section(MechanicalParams, "mechanics", base["mechanics"]),
-        multipath=read_section(
-            MultipathProfile, doc.get("multipath", base["multipath"]),
-            "multipath", {"paths": [],
-                          "sensor_path": base["multipath"]["sensor_path"]}),
-        noise=section(NoiseSpec, "noise", base["noise"]),
-        timeline=_parse_timeline(doc.get("timeline", base["timeline"])),
-        group_size=group_size,
-        calibration=read_section(CalibrationSettings, calibration, "calibration",
-                                 asdict(CalibrationSettings())),
-        sweep=section(SweepSettings, "sweep", asdict(SweepSettings())))
+        **{name: read_section(cls, doc[name], name, base[name])
+           for name, cls in _SECTIONS.items()},
+        scheme=parse_scheme(doc["clocks"]),
+        timeline=_parse_timeline(doc["timeline"]),
+        group_size=None if gs == "auto" else _convert(int, gs, "grouping.group_size"))
     validate(cfg)
     return cfg
 

@@ -37,6 +37,18 @@ from .decoder import (_median, _quantile, anchor, auto_group_size, group_phases,
 from .transducer import ShortingState, TouchEvent, port_phases
 
 
+# each sweep mode's CSV columns, in order; a row leaves blank what it lacks
+CSV_COLUMNS = {
+    "force": ("kind", "trial", "true_force_n", "true_location_mm",
+              "est_force_n", "est_location_mm", "force_err_n",
+              "location_err_mm", "residual_rad2", "reliable"),
+    "snr": ("kind", "snr_db", "trial", "dphi1_deg", "dphi2_deg",
+            "phase_std1_deg", "phase_std2_deg"),
+    "crosstalk": ("kind", "victim_sensor", "port", "group", "crosstalk_deg",
+                  "max_crosstalk_deg", "median_crosstalk_deg"),
+}
+
+
 def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
     """The config's calibration grid, simulated: the data calibrate fits."""
     return calib.generate_sweep(cfg.calibration.locations_mm,
@@ -87,11 +99,8 @@ def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
     phi1, phi2 = anchor(series, no_touch_phase(cfg))[1]
     est = calib.invert(model, float(phi1), float(phi2))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
-            "est_force_n": est.force_n, "est_location_mm": est.location_mm,
-            "force_err_n": abs(est.force_n - force_n),
-            "location_err_mm": abs(est.location_mm - location_mm),
-            "residual_rad2": est.residual_rad2,
-            "reliable": est.reliable}
+            **est.columns(), "force_err_n": abs(est.force_n - force_n),
+            "location_err_mm": abs(est.location_mm - location_mm)}
 
 
 def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,

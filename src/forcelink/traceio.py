@@ -19,8 +19,10 @@ of whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
 CHUNK_BYTES of any trace, and its complex128 copy, whatever the length.
 The JSON a trace header, a model or a dataset holds is read with
 config.read_section, as a config is: its keys are its dataclasses' fields, so
-a model file is asdict(SensorModel) with fits under the key per_location.  A
-malformed header, model or dataset is a ValueError naming its file.
+a model file is asdict(SensorModel) with fits under the key per_location,
+and a header's schemes are config.scheme_to_dict's clock_a/clock_b.  A
+malformed header, model or dataset is a ValueError naming its file once,
+then the section or field at fault.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ import numpy as np
 
 from .calib import CalibrationDataset, SensorModel
 from .chansim import BLOCK_FLOATS, ChannelTrace, WaveformConfig
-from .clocks import ClockScheme, SwitchClock
-from .config import parse_scheme, read_section
+from .clocks import ClockScheme
+from .config import parse_scheme, read_section, scheme_to_dict
 from .decoder import PhaseSeries
 from .transducer import SensorGeometry
 
@@ -52,27 +54,20 @@ PHASE_CSV_COLUMNS = ("group_index", "t_seconds", "dphi1_deg", "dphi2_deg",
                      "phi1_deg", "phi2_deg", "snr1_db", "snr2_db")
 
 
-def scheme_to_dict(scheme: ClockScheme) -> dict:
-    def clock(c: SwitchClock) -> dict:
-        return {"freq": c.frequency, "duty": c.duty, "offset": c.phase_offset}
-    return {"f_s_hz": scheme.f_s,
-            "clock_a": clock(scheme.clock_a),
-            "clock_b": clock(scheme.clock_b)}
-
-
 @contextmanager
 def _json_object(what: str, path, raw: bytes) -> Iterator[dict]:
-    """Yield the JSON object in raw; what reading it raises (KeyError,
-    TypeError, ValueError, ConfigError) becomes one ValueError naming path."""
+    """Yield the JSON object in raw; what reading it raises (TypeError,
+    ValueError, ConfigError) becomes one ValueError prefixed "bad {what} in
+    {path}: ".  That prefix says what is bad, so an error located by
+    read_section keeps only its location after it: "bad model.per_location:
+    ..." reads "model.per_location: ..."."""
     try:
         doc = json.loads(raw)
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         yield doc
-    except KeyError as e:
-        raise ValueError(f"bad {what} in {path}: missing key {e}") from None
     except (TypeError, ValueError) as e:
-        raise ValueError(f"bad {what} in {path}: {e}") from None
+        raise ValueError(f"bad {what} in {path}: {str(e).removeprefix('bad ')}") from None
 
 
 @contextmanager
@@ -258,6 +253,8 @@ def write_phase_csv(series: PhaseSeries, path, phases: np.ndarray | None = None,
     is None) and the decode's per-port SNR estimates.  extra_columns maps
     name -> sequence of n_groups values (e.g. inversion output); a column of
     any other length is a ValueError, raised before anything is written.
+    An int value is written as an int (calib.Estimate.columns' reliable, 0
+    or 1), any other as a float.
     """
     n = series.n_groups
     extra = extra_columns or {}
@@ -271,5 +268,6 @@ def write_phase_csv(series: PhaseSeries, path, phases: np.ndarray | None = None,
         columns["phi1_deg"], columns["phi2_deg"] = np.degrees(phases).T
     snr1, snr2 = series.snr_db
     rows = ({"group_index": g, "snr1_db": snr1, "snr2_db": snr2,
-             **{name: float(v[g]) for name, v in columns.items()}} for g in range(n))
+             **{name: v[g] if isinstance(v[g], int) else float(v[g])
+                for name, v in columns.items()}} for g in range(n))
     write_rows(path, PHASE_CSV_COLUMNS + tuple(extra), rows)

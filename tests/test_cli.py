@@ -66,7 +66,7 @@ def test_decode_with_model_inverts_press(tmp_path):
     last = rows[-1]  # held press: 4 N at 40 mm
     assert abs(float(last["est_force_n"]) - 4.0) < 0.3
     assert abs(float(last["est_location_mm"]) - 40.0) < 1.0
-    assert float(last["reliable"]) == 1.0
+    assert last["reliable"] == "1"
 
 
 def test_decode_rejects_model_without_anchor(tmp_path):
@@ -320,7 +320,7 @@ def test_sweep_force_mode(tmp_path):
     for r in trial_rows:
         assert float(r["force_err_n"]) < 0.5
         assert float(r["location_err_mm"]) < 1.0
-        assert r["reliable"] == "True"
+        assert r["reliable"] == "1"
 
 
 def test_sweep_snr_mode(tmp_path):

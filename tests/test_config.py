@@ -38,6 +38,28 @@ def test_partial_section_merges_with_defaults():
     assert cfg.waveform.subcarrier_spacing_hz == 195312.5
 
 
+# one key of each dataclass section, and a valid value other than its default
+ONE_KEY = {
+    "waveform": ("n_snapshots", 5000),
+    "geometry": ("height_mm", 0.7),
+    "mechanics": ("force_scale_n", 5.0),
+    "multipath": ("sensor_path", {"amplitude": [0.5, 0.0], "distance_m": 2.0}),
+    "noise": ("snr_db", 10.0),
+    "calibration": ("forces_n", [1.0, 2.0, 3.0, 4.0]),
+    "sweep": ("trials", 12),
+}
+
+
+@pytest.mark.parametrize("section", ONE_KEY)
+def test_a_section_given_one_key_keeps_its_other_defaults(section):
+    key, value = ONE_KEY[section]
+    full = default_config_dict()
+    full[section][key] = value
+    cfg = parse_config({section: {key: value}})
+    assert cfg == parse_config(full)
+    assert cfg != parse_config({})
+
+
 @pytest.mark.parametrize("doc", [
     {"wave": {}},
     {"waveform": {"n_carriers": 8}},
@@ -254,8 +276,8 @@ def test_section_errors_name_the_section():
 
 
 def test_default_document_bytes_are_pinned():
-    # its waveform, geometry and mechanics sections come from the dataclass
-    # defaults, so changing one of those must show here
+    # its waveform, geometry, mechanics, calibration and sweep sections come
+    # from the dataclass defaults, so changing one of those must show here
     assert json.dumps(default_config_dict()) == (
         '{"waveform": {"n_subcarriers": 64, "subcarrier_spacing_hz": 195312.5, '
         '"frame_period_s": 5.76e-05, "carrier_hz": 2400000000.0, '
@@ -270,4 +292,12 @@ def test_default_document_bytes_are_pinned():
         '"sensor_path": {"amplitude": [1.0, 0.0], "distance_m": 1.0}}, '
         '"noise": {"snr_db": 25.0, "seed": 1, "quantize_bits": null}, '
         '"timeline": [{"start_snapshot": 0, "touch": null}, '
-        '{"start_snapshot": 625, "touch": {"force_n": 4.0, "location_mm": 40.0}}]}')
+        '{"start_snapshot": 625, "touch": {"force_n": 4.0, "location_mm": 40.0}}], '
+        '"grouping": {"group_size": "auto"}, '
+        '"calibration": {"locations_mm": [20.0, 30.0, 40.0, 50.0, 60.0], '
+        '"forces_n": [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, '
+        '7.0, 7.5, 8.0]}, '
+        '"sweep": {"test_locations_mm": [20.0, 40.0, 55.0, 60.0], '
+        '"force_range_n": [1.0, 8.0], "trials": 500, '
+        '"snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0], '
+        '"second_f_s_hz": 1400.0}}')

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcelink import cli, traceio
-from forcelink.config import default_config_dict
+from forcelink.config import default_config_dict, parse_config
 from forcelink.decoder import anchor, group_phases
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
 from forcelink.transducer import ShortingState, port_phases
@@ -191,7 +191,7 @@ def extra_geometry_key(header):
     (drop("schemes", "clock_b"),
      "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
     (drop("waveform", "carrier_hz"), "missing keys in 'waveform': ['carrier_hz']"),
-    (half_duty_clock_b, "bad schemes[0]: clock_b duty 0.5 nulls its 2nd harmonic, "
+    (half_duty_clock_b, "schemes[0]: clock_b duty 0.5 nulls its 2nd harmonic, "
      "port 2's 4 f_s read tone; 2 x duty must not be whole"),
     (extra_geometry_key, "unknown keys in 'geometry': ['width_mm']"),
     (lambda header: [header], "expected a JSON object, got list"),
@@ -203,6 +203,28 @@ def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, say
     assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: bad trace header in {bad}: {says}\n"
     assert not out.exists()
+
+
+def with_f_s_hz(header):
+    """The header as it was written before schemes held only their clocks."""
+    for scheme in header["schemes"]:
+        scheme["f_s_hz"] = 1000.0
+    return header
+
+
+def test_header_schemes_hold_only_their_clocks(trace_path, tmp_path):
+    raw = Path(trace_path).read_bytes()
+    header = json.loads(raw[len(traceio.MAGIC):raw.index(b"\n")])
+    assert [set(s) for s in header["schemes"]] == [{"clock_a", "clock_b"}]
+    assert "f_s_hz" not in json.dumps(header)
+    scheme = parse_config(default_config_dict()).scheme
+    assert open_trace(trace_path).schemes == (scheme,)
+    # a trace whose header still carries f_s_hz decodes to the same bytes
+    old = damaged_copy(trace_path, tmp_path / "old.trace", header_edit(with_f_s_hz))
+    assert open_trace(old).schemes == (scheme,)
+    for name, path in (("new.csv", trace_path), ("old.csv", old)):
+        assert cli.main(["decode", "--trace", path, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 def model_doc():
@@ -230,27 +252,27 @@ def model_edit(key, value, at=None):
     (model_edit("rms_deg", 0.1, at=1),
      "unknown keys in 'model.per_location[1]': ['rms_deg']"),
     (model_edit("c_port1", ["x", 0.0, 0.0, 0.0], at=0),
-     "bad model.per_location[0].c_port1[0]: expected float, got 'x'"),
+     "model.per_location[0].c_port1[0]: expected float, got 'x'"),
     (model_edit("c_port2", [0.0, "1e3", 0.0, 0.0], at=1),
-     "bad model.per_location[1].c_port2[1]: expected float, got '1e3'"),
+     "model.per_location[1].c_port2[1]: expected float, got '1e3'"),
     (model_edit("c_port1", [0.0, 0.0, True, 0.0], at=1),
-     "bad model.per_location[1].c_port1[2]: expected float, got True"),
+     "model.per_location[1].c_port1[2]: expected float, got True"),
     (model_edit("c_port2", [0.0, 0.0, 0.0], at=0),
-     "bad model.per_location[0].c_port2: expected a list of 4 values, "
+     "model.per_location[0].c_port2: expected a list of 4 values, "
      "got [0.0, 0.0, 0.0]"),
     (model_edit("c_port1", [0.0, 0.0, 0.0, math.nan], at=1),
-     "bad model: fit at 60.0 mm must be finite, got coefficients "
+     "model: fit at 60.0 mm must be finite, got coefficients "
      "(0.0, 0.0, 0.0, nan) and (0.0, 0.0, 0.0, 0.0)"),
     (model_edit("carrier_hz", -2.4e9),
-     "bad model: carrier_hz must be positive, got -2400000000.0"),
-    (model_edit("carrier_hz", 0), "bad model: carrier_hz must be positive, got 0.0"),
-    (model_edit("per_location", []), "bad model: needs at least 2 locations, got 0"),
+     "model: carrier_hz must be positive, got -2400000000.0"),
+    (model_edit("carrier_hz", 0), "model: carrier_hz must be positive, got 0.0"),
+    (model_edit("per_location", []), "model: needs at least 2 locations, got 0"),
     (model_edit("location_mm", 60.0, at=0),
-     "bad model: locations must strictly increase, got [60.0, 60.0]"),
+     "model: locations must strictly increase, got [60.0, 60.0]"),
     (model_edit("location_mm", 80.0, at=0),
-     "bad model: locations must strictly increase, got [80.0, 60.0]"),
+     "model: locations must strictly increase, got [80.0, 60.0]"),
     (model_edit("force_range_n", [8, 1]),
-     "bad model: force_range_n must be finite and increase, got (8.0, 1.0)"),
+     "model: force_range_n must be finite and increase, got (8.0, 1.0)"),
 ], ids=["no-per_location", "list-root", "unknown-key", "unknown-fit-key",
         "string-coefficient", "string-number", "boolean-coefficient",
         "three-coefficients", "nan-coefficient", "negative-carrier", "zero-carrier",

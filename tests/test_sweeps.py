@@ -54,7 +54,7 @@ def test_run_touch_trial_is_deterministic(default_cfg, model):
     assert set(r1) == {"true_force_n", "true_location_mm", "est_force_n",
                        "est_location_mm", "force_err_n", "location_err_mm",
                        "residual_rad2", "reliable"}
-    assert r1["reliable"] is True
+    assert str(r1["reliable"]) == "1"  # as the force-sweep CSV writes it
     assert r1["force_err_n"] < 0.2
     assert r1["location_err_mm"] < 0.5
     r3 = trial(43)
