@@ -7,16 +7,18 @@ measured phase pair is a root of a degree-6 polynomial in force, and phases
 no press explains fall back to the nearest point on the cell edges.  Here the
 whole loop runs against simulated traces at 25 dB SNR, including locations
 and forces the calibration never saw.  A spot check synthesizes its trace
-with touch_trace; the sweep makes the same traces, drawing each next
-trial's noise on a second core while the current one decodes.
+with touch_trace and decodes it (the full path); the sweep makes only the
+two projections per read tone and subcarrier that a trial's decode reads,
+the noiseless part in closed form plus noise of the same distribution
+(the projection domain), so it never builds a trace.
 
 Run: python3 demos/calibrate_and_invert.py
 """
 import numpy as np
 
 from forcelink.config import default_config_dict, parse_config
-from forcelink.sweeps import (calibrate, run_force_sweep, run_touch_trial,
-                              touch_trace)
+from forcelink.sweeps import (calibrate, pressed_phases, run_force_sweep,
+                              run_touch_trial, touch_trace)
 
 cfg = parse_config(default_config_dict())
 model = calibrate(cfg)
@@ -29,7 +31,8 @@ print("spot checks (single trials, 25 dB):")
 print("  true F, l      estimated F, l       errors")
 for F, loc, seed in ((1.5, 22.0, 3), (4.0, 40.0, 4), (6.2, 55.0, 5),
                      (7.5, 58.5, 6)):
-    r = run_touch_trial(cfg, model, F, loc, touch_trace(cfg, F, loc, seed))
+    phases = pressed_phases(cfg, touch_trace(cfg, F, loc, seed))
+    r = run_touch_trial(model, F, loc, phases)
     print(f"  {F:4.1f} N {loc:5.1f} mm -> {r['est_force_n']:5.2f} N "
           f"{r['est_location_mm']:6.2f} mm   {r['force_err_n']:.3f} N, "
           f"{r['location_err_mm']:.3f} mm")

@@ -17,30 +17,16 @@ synthesis_blocks streams the chain, so cli simulate holds memory
 independent of the trace length.  A trace held in memory is finished in one
 place, _finish: its (N, K) array, holding the seeded noise drawn in one call
 (or nothing, when noiseless), gets the reflection stage's blocks added (or
-copied) in and is quantized in place, so each stage runs once.  synthesize,
-add_second_sensor and noisy_traces all end in it.
-
-noisy_traces makes a sequence of traces, as the sweeps do, on two cores.
-Each trace's seeded noise is drawn into its own (N, K) array, one of three
-taken in turn, so two jobs ahead of the trace in use are queued or being
-drawn.  A helper thread, kept off the caller's CPU, runs the queued draws in
-order; the caller finishes the current trace and decodes it, and when the
-next trace's draw is not done yet it runs the earliest queued draw itself
-instead of waiting.  numpy releases the GIL
-inside the draw, the floor of a sweep trial, so a trial can cost as little
-as half of draw plus decode rather than the larger of the two.  The decode
-makes no BLAS call, so an OpenBLAS left to spin its own threads has no work
-to take that second core with.  _draw is the one standard_normal call, for
-the block pipeline and noisy_traces alike.
+copied) in and is quantized in place, so each stage runs once.  synthesize
+and add_second_sensor both end in it.  _draw is the one standard_normal
+call, for the block pipeline, synthesize and the noise the sweeps draw in
+the projection domain alike.  Everything runs on the calling thread.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -392,8 +378,8 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed: the rows
     of synthesis_blocks.  The noise is drawn into H in one call, then
-    _finish adds noiseless_blocks' rows and quantizes in place, as
-    noisy_traces does for each of its traces, so the trace is made once.
+    _finish adds noiseless_blocks' rows and quantizes in place, so the
+    trace is made once.
     """
     clean = noiseless_blocks(config, scheme, timeline, multipath, geom, mech)
     scale = noise_scale(multipath.sensor_path, noise.snr_db)
@@ -405,135 +391,6 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                         schemes=(scheme,), geometry=geom,
                         provenance=_provenance(config, scheme, timeline, multipath,
                                                noise, geom, mech))
-
-
-# noisy_traces' (N, K) arrays: the trace in use and the next two jobs' draws,
-# so each core has a draw to run while the caller works on a trace; a fourth
-# would only hold another trace-sized array
-_RING = 3
-
-
-def _keep_off_this_cpu(thread: threading.Thread) -> None:
-    """Let thread run on every CPU this one may use but the one it is on,
-    where the OS says which (Linux); elsewhere, or with one CPU, leave it.
-
-    A thread that wakes another may get it placed on its own CPU (wake
-    affinity), and once there a busy pair is seldom split: on a 2-vCPU VM
-    the noise helper and the caller then shared one CPU for a whole sweep
-    (no migration, ~3 involuntary switches of the helper per trial) and
-    the overlap gained nothing (7.3-8.6 ms per force trial against 7.2-8.3
-    serial); kept apart, 5.1-5.6 ms.
-    """
-    try:
-        with open("/proc/thread-self/stat", "rb") as f:
-            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(thread.native_id, others)
-    except (AttributeError, OSError, ValueError, IndexError):
-        pass
-
-
-class _Draw(threading.Event):
-    """One queued noise draw, run once by whichever thread takes it first:
-    _draw(*args), then the event set; failure keeps what the draw raised."""
-
-    def __init__(self, *args) -> None:
-        super().__init__()
-        self.args, self.failure = args, None
-
-    def __call__(self) -> None:
-        try:
-            _draw(*self.args)
-        except BaseException as e:  # re-raised on the calling thread at its trace
-            self.failure = e
-        self.set()
-
-
-def noisy_traces(jobs: Iterable[tuple[Iterable[np.ndarray], NoiseSpec]],
-                 config: WaveformConfig, sensor_path: Path,
-                 schemes: tuple[ClockScheme, ...] = (),
-                 geometry: SensorGeometry | None = None) -> Iterator[ChannelTrace]:
-    """For each (clean rows, noise) job, the trace synthesize makes with that
-    noise from its NoiseSpec() twin's rows (noiseless_blocks' blocks, or a
-    noiseless trace's data as one block); sensor_path sets the noise level.
-
-    The seeded draws run on two threads.  Each job's draw (default_rng(seed)'s
-    scaled normals into its own (N, K) array, one of _RING taken in turn) is
-    queued as soon as its array is free, which keeps the two jobs after the
-    one in use queued or drawn.  One helper thread, started when iteration
-    starts and joined when it ends (exhausted, closed or unwound by an
-    exception), runs the earliest queued draw each time it is woken, and
-    nothing but _draw.  Until the draw of the trace asked for is done, the
-    calling thread runs the earliest queued draws itself, so both cores draw;
-    then it waits for that draw.  _finish adds the clean rows (copies them
-    for snr_db None) and quantizes in place; a draw's bytes do not depend on
-    which thread ran it, so each trace's bytes are synthesize's.  A trace
-    wraps one of the arrays, which the draw for a later job overwrites: it is
-    valid until the next is asked for.  A failed draw, whichever thread ran
-    it, is raised on the calling thread when its trace is asked for; the
-    traces before it come out whole.  Close the generator
-    (contextlib.closing) when leaving early.
-    """
-    jobs, shape = iter(jobs), (config.n_snapshots, config.n_subcarriers)
-    ring: list[np.ndarray | None] = [None] * _RING  # each made when first needed
-    posted: deque = deque()  # (index, clean, noise, draw, array), not yet yielded
-    queued: deque = deque()  # the posted draws nobody has started, in order
-    wake, stop = threading.Semaphore(0), False  # one release per queued draw
-
-    def run_earliest() -> bool:
-        """Run the earliest queued draw; False if none was left to run."""
-        try:
-            draw = queued.popleft()
-        except IndexError:  # taken by the other thread
-            return False
-        draw()
-        return True
-
-    def helper() -> None:
-        while wake.acquire() and not stop:
-            run_earliest()
-
-    def post(i: int) -> None:
-        """Job i, its draw queued, unless the jobs have run out."""
-        job = next(jobs, None)
-        if job is None:
-            return
-        clean, noise = job
-        scale = noise_scale(sensor_path, noise.snr_db)
-        if ring[i % _RING] is None:
-            ring[i % _RING] = np.empty(shape, dtype=np.complex128)
-        out, draw = ring[i % _RING], None
-        if scale is not None:
-            # seeded here, so numpy.random's lazy import stays on this thread
-            draw = _Draw(np.random.default_rng(noise.seed), scale, out)
-            queued.append(draw)
-            wake.release()
-        posted.append((i, clean, noise, draw, out))
-
-    thread = threading.Thread(target=helper, name="forcelink-noise", daemon=True)
-    thread.start()
-    try:
-        _keep_off_this_cpu(thread)
-        for i in range(_RING - 1):
-            post(i)
-        while posted:
-            i, clean, noise, draw, H = posted.popleft()
-            post(i + _RING - 1)  # into trace i - 1's array, free now
-            if draw is not None:
-                while not draw.is_set() and run_earliest():
-                    pass
-                draw.wait()
-                if draw.failure is not None:
-                    raise draw.failure
-            _finish(H, clean, draw is not None, noise.quantize_bits)
-            yield ChannelTrace(config=config, data=H, schemes=schemes,
-                               geometry=geometry)
-    finally:
-        stop = True
-        queued.clear()
-        wake.release()
-        thread.join()
 
 
 def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,

@@ -26,9 +26,10 @@ size holding whole cycles of every read tone.  Setup that depends only on
 such small keys is worked out once and shared by every decode: the auto
 size per (frame period, read tones), and, since a group holds whole
 tone cycles, one group's tone weights per (frame period, read tones, group
-size).  The projection sums each group with numpy's own loops, not BLAS, so
-decoded bytes depend neither on how the trace was split into blocks nor on
-the BLAS thread count.
+size), as is the switch states' projection table the sweeps' projection
+domain builds its trials from.  The projection sums each group with
+numpy's own loops, not BLAS, so decoded bytes depend neither on how the
+trace was split into blocks nor on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -165,6 +166,25 @@ def _tone_table(T: float, freqs: tuple[float, ...], Ng: int) -> np.ndarray:
     Re e^{-j 2 pi f n T}, then those of Im, for n in 0 .. Ng - 1."""
     w = np.exp(-2j * np.pi * np.asarray(freqs)[:, None] * np.arange(Ng) * T)
     table = np.concatenate((w.real, w.imag))
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _gate_table(scheme: ClockScheme, T: float, Ng: int) -> np.ndarray:
+    """(MIN_GROUPS, 2, 2) read-only projections of each port's switch state
+    over each group of a two-group trace on each read tone:
+    G[g, t, p] = (1/N_g) sum_{n in group g} s_p(nT) e^{-j 2 pi f_t n T}.
+
+    So a two-group trace whose groups hold port phases phi[g] projects to
+    a_k (G[g] e^{j phi[g]})_t on subcarrier k, a_k its sensor path's phasor,
+    with the sampled gates' port leak (the off-diagonal entries) kept.  A
+    group holds whole clock cycles, so the groups' tables agree in exact
+    arithmetic; each is its own, as a switch edge landing on a sample may
+    round differently in each.
+    """
+    states = np.stack(scheme.switch_states(np.arange(MIN_GROUPS * Ng) * T), axis=-1)
+    table = project_groups(states.astype(np.complex128), scheme.read_freqs, T, Ng)
     table.flags.writeable = False
     return table
 

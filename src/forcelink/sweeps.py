@@ -5,22 +5,30 @@ the acceptance checks can drive them without shelling out.  All randomness
 derives from one seed, the config's noise.seed unless one is passed, so a
 sweep run from the library matches forcelink sweep on the same file.
 
-The force and SNR sweeps get their traces from chansim.noisy_traces, which
-draws the next trials' seeded noise on a second core while this thread
-decodes (and, for a force trial, inverts) the current one, and has this
-thread draw too whenever it would otherwise wait; every trace is bit for bit
-the one synthesize makes with that trial's seed, and no row depends on the
-BLAS thread count, since the decode makes no BLAS call.  SNR trials vary
-only the noise, so measure_step_errors makes the group size and the
-held-press noiseless trace once per call and adds each seed's noise to it,
-and run_snr_sweep measures its whole grid in one call: one noiseless trace
-and one pass of noisy_traces per sweep.
+A force or SNR trial reads nothing of its trace but two groups' projections
+P[g, t, k] on the two read tones, so for an unquantized config the sweeps
+make those projections and not the trace (the projection domain): the clean
+part in closed form, a_k (G[g] e^{j phi(g)})_t with G decoder._gate_table
+and a_k the sensor path's subcarrier phasor, plus i.i.d. CN(0, sigma^2/N_g)
+noise, 2 x 2 x K complex normals drawn by chansim._draw from the trial's
+seed where the trace takes 2 N_g K.  That is exact: a group holds whole
+cycles of both read tones and of their difference, so static paths cancel,
+the tones are orthogonal over a group and the projected noise is
+independent across groups, tones and subcarriers, with variance sigma^2/N_g.
+Once per sweep call the closed form is checked against group_phases of one
+noiseless full-path trace, so a change to the reflection stage that the
+closed form does not follow fails the sweep instead of drifting from it.
+
+A quantized config keeps the full path, whose quantizer's full scale spans
+the whole trace: each trial's trace is synthesize's (touch_trace for a
+force trial), decoded by group_phases, one trial at a time.  That path is
+also the oracle the tests hold the projection domain to.  Neither path
+starts a thread or decodes through BLAS, so no row depends on the BLAS
+thread count.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from contextlib import closing
 from dataclasses import replace
 from typing import Sequence
 
@@ -28,13 +36,14 @@ import numpy as np
 
 from . import calib
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
-                      TouchTimeline, add_second_sensor, noiseless_blocks,
-                      noisy_traces, synthesize)
+                      TouchTimeline, _draw, _subcarrier_phasor,
+                      add_second_sensor, noise_scale, synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
-from .decoder import (_median, _quantile, anchor, auto_group_size, group_phases,
-                      resolve_group_size)
-from .transducer import ShortingState, TouchEvent, port_phases
+from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
+                      group_phases, resolve_group_size)
+from .transducer import (ShortingState, TouchEvent, port_phases,
+                         shorting_segment, wrap_phase)
 
 
 # each sweep mode's CSV columns, in order; a row leaves blank what it lacks
@@ -47,6 +56,12 @@ CSV_COLUMNS = {
     "crosstalk": ("kind", "victim_sensor", "port", "group", "crosstalk_deg",
                   "max_crosstalk_deg", "median_crosstalk_deg"),
 }
+
+# the SNR trials' held press, and the press the projection domain is checked on
+HELD_PRESS = TouchEvent(4.0, 40.0)
+# largest gap between the projection domain's clean phases (rad) and tone
+# energies (relative) and the full path's decode of the same noiseless trace
+CLOSED_FORM_TOLERANCE = 1e-9
 
 
 def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
@@ -74,33 +89,95 @@ def _press_timeline(Ng: int, force_n: float, location_mm: float) -> TouchTimelin
 
 def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
                 seed: int) -> ChannelTrace:
-    """The trace of one closed-loop trial, synthesized with noise seed seed:
-    two groups of cfg.group_size (auto for None) snapshots, a quiet group 0
-    and the press landing exactly on the group boundary.  The noise is drawn
-    row-major, so these are the first two groups of a longer trace with the
-    same seed, bit for bit (unquantized; a quantizer's full scale spans the
-    whole trace)."""
+    """The full-path trace of one closed-loop trial, synthesized with noise
+    seed seed: two groups of cfg.group_size (auto for None) snapshots, a
+    quiet group 0 and the press landing exactly on the group boundary.  The
+    noise is drawn row-major, so these are the first two groups of a longer
+    trace with the same seed, bit for bit (unquantized; a quantizer's full
+    scale spans the whole trace)."""
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     return synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
                       _press_timeline(Ng, force_n, location_mm), cfg.multipath,
                       replace(cfg.noise, seed=int(seed)), cfg.geometry, cfg.mechanics)
 
 
-def run_touch_trial(cfg: ExperimentConfig, model: calib.SensorModel,
-                    force_n: float, location_mm: float, trace: ChannelTrace) -> dict:
-    """One closed-loop pass over a trial's trace (touch_trace's, or one
-    run_force_sweep made the same way): decode it, invert the phases.
+def pressed_phases(cfg: ExperimentConfig, trace: ChannelTrace) -> np.ndarray:
+    """A trial trace's (touch_trace's) anchored group-1 phases (phi1, phi2):
+    the pressed group against the quiet group 0, plus the open-line phase."""
+    return anchor(group_phases(trace, cfg.scheme, cfg.group_size),
+                  no_touch_phase(cfg))[1]
 
-    Group 1's anchored phases, the pressed group against the quiet group 0,
-    feed the inversion; force_n and location_mm are the press's truth, for
-    the error columns.
-    """
-    series = group_phases(trace, cfg.scheme, cfg.group_size)
-    phi1, phi2 = anchor(series, no_touch_phase(cfg))[1]
-    est = calib.invert(model, float(phi1), float(phi2))
+
+def run_touch_trial(model: calib.SensorModel, force_n: float, location_mm: float,
+                    phases: Sequence[float]) -> dict:
+    """One closed-loop inversion: a trial's row from its anchored pressed-group
+    phases (phi1, phi2), pressed_phases' or the projection domain's, and
+    the press's truth force_n and location_mm, for the error columns."""
+    est = calib.invert(model, float(phases[0]), float(phases[1]))
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             **est.columns(), "force_err_n": abs(est.force_n - force_n),
             "location_err_mm": abs(est.location_mm - location_mm)}
+
+
+def _relative_phases(P: np.ndarray) -> np.ndarray:
+    """Group 1's phases against group 0's from a two-group trial's (2, 2, K)
+    projections, as group_phases takes them: the angle of the subcarrier
+    mean of P[1] conj(P[0])."""
+    return np.angle((P[1] * P[0].conj()).mean(axis=-1))
+
+
+class _ProjectionDomain:
+    """A two-group trial's projections P[g, t, k], as project_groups gives
+    them for its trace, made without the trace (unquantized configs only).
+
+    Built once per sweep call, it checks its closed form against the full
+    path: group_phases of the noiseless trace of a quiet group and then
+    HELD_PRESS must agree with it to CLOSED_FORM_TOLERANCE in group 1's
+    phases and in each tone's energy, or ValueError.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, Ng: int):
+        self.cfg, self.Ng = cfg, Ng
+        self.gate = _gate_table(cfg.scheme, cfg.waveform.frame_period_s, Ng)
+        self.phasor = _subcarrier_phasor(cfg.waveform, cfg.multipath.sensor_path)
+        P = self.clean((None, HELD_PRESS))
+        trace = synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
+                           _press_timeline(Ng, HELD_PRESS.force_n,
+                                           HELD_PRESS.location_mm),
+                           cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
+        series = group_phases(trace, cfg.scheme, Ng)
+        signal = _median(np.mean(np.abs(P) ** 2, axis=-1))
+        phase_gap = max(abs(wrap_phase(float(a - b)))
+                        for a, b in zip(_relative_phases(P), series.phases[1]))
+        energy_gap = float(np.max(np.abs(signal - series.signal)
+                                  / np.maximum(series.signal, np.finfo(float).tiny)))
+        if max(phase_gap, energy_gap) > CLOSED_FORM_TOLERANCE:
+            raise ValueError(
+                "the projection domain disagrees with the full-path decode of a "
+                f"noiseless trial: phases by {phase_gap:.3g} rad, tone energies by "
+                f"{energy_gap:.3g} (relative); at most {CLOSED_FORM_TOLERANCE:g}")
+
+    def clean(self, touches: Sequence[TouchEvent | None]) -> np.ndarray:
+        """(2, 2, K) noiseless projections of groups under touches[0], [1]."""
+        cfg = self.cfg
+        phases = [port_phases(shorting_segment(touch, cfg.mechanics, cfg.geometry),
+                              cfg.geometry, cfg.waveform.carrier_hz)
+                  for touch in touches]
+        u = np.exp(1j * np.array([(pp.phi1, pp.phi2) for pp in phases]))
+        tones = (self.gate * u[:, None, :]).sum(axis=-1)
+        return tones[..., None] * self.phasor
+
+    def noisy(self, clean: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
+        """clean plus default_rng(seed)'s projected noise at snr_db, in
+        project_groups' (g, t, k) order with re, im innermost; clean itself
+        for snr_db None."""
+        scale = noise_scale(self.cfg.multipath.sensor_path, snr_db)
+        if scale is None:
+            return clean
+        P = np.empty_like(clean)
+        _draw(np.random.default_rng(seed), scale / math.sqrt(self.Ng), P)
+        P += clean
+        return P
 
 
 def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
@@ -109,13 +186,13 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
 
     Presses and trial seeds are drawn from seed, cfg.noise.seed for None,
     one trial at a time as the trials need them: each trial's force,
-    location, then seed, so a long sweep starts at once and holds only the
-    presses drawn ahead.
-    Trial i's row is run_touch_trial of touch_trace(cfg, F_i, l_i, seed_i),
-    bit for bit: a quiet group and one pressed group, as no trial reads a
-    second pressed group.  The traces come from chansim.noisy_traces, which
-    draws the next trials' noise while this one decodes and inverts.  The
-    median and p90 rows are np.median's and np.quantile's, bit for bit.
+    location, then seed, so a long sweep starts at once and holds only its
+    rows.  Trial i's row is run_touch_trial of its anchored pressed-group
+    phases: for a quantized config pressed_phases of touch_trace(cfg, F_i,
+    l_i, seed_i), bit for bit; otherwise the projection domain's, from the
+    quiet group's and the press's clean projections plus seed_i's projected
+    noise.  The median and p90 rows are np.median's and np.quantile's, bit
+    for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -125,22 +202,23 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
-    # one lazy draw per trial, read by the jobs and again for the rows' truth
-    presses, truth = itertools.tee(
-        (float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations)),
-         int(rng.integers(0, 2 ** 62))) for _ in range(trials))
-    jobs = ((noiseless_blocks(wf, cfg.scheme, _press_timeline(Ng, F, loc),
-                              cfg.multipath, cfg.geometry, cfg.mechanics),
-             replace(cfg.noise, seed=s)) for F, loc, s in presses)
+    if cfg.noise.quantize_bits is None:
+        domain, open_phase = _ProjectionDomain(cfg, Ng), no_touch_phase(cfg)
+
+        def phases(F: float, loc: float, s: int) -> np.ndarray:
+            P = domain.noisy(domain.clean((None, TouchEvent(F, loc))),
+                             cfg.noise.snr_db, s)
+            return _relative_phases(P) + (open_phase.phi1, open_phase.phi2)
+    else:
+        def phases(F: float, loc: float, s: int) -> np.ndarray:
+            return pressed_phases(cfg, touch_trace(cfg, F, loc, s))
     rows = []
-    with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, (cfg.scheme,),
-                              cfg.geometry)) as traces:
-        for i, ((F, loc, _), trace) in enumerate(zip(truth, traces)):
-            r = run_touch_trial(cfg, model, F, loc, trace)
-            r["kind"] = "trial"
-            r["trial"] = i
-            rows.append(r)
+    for i in range(trials):
+        F, loc = float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations))
+        r = run_touch_trial(model, F, loc, phases(F, loc, int(rng.integers(0, 2 ** 62))))
+        r["kind"] = "trial"
+        r["trial"] = i
+        rows.append(r)
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [
@@ -158,28 +236,32 @@ def measure_step_errors(cfg: ExperimentConfig,
     """Decoded dphi for a held press (truth is zero), rad: one row per seed,
     one column per port; an empty seeds gives a (0, 2) array.
 
-    snr_db is one SNR for every seed, or one per seed.  The trace holds two
-    groups of cfg.group_size (auto for None) snapshots.  Row i is bit for
-    bit the decode of synthesize's trace with NoiseSpec(snr_db (or its
-    i-th entry), seeds[i], cfg.noise.quantize_bits).  Only the noise differs
-    between seeds, so the group size and the noiseless trace are made once
-    per call (the config is checked even for no seeds); each seed then gets
-    its trace from chansim.noisy_traces over that noiseless trace.
+    snr_db is one SNR for every seed, or one per seed.  A trial holds two
+    groups of cfg.group_size (auto for None) snapshots, both pressed by
+    HELD_PRESS.  For a quantized config row i is bit for bit the decode of
+    synthesize's trace with NoiseSpec(snr_db (or its i-th entry), seeds[i],
+    cfg.noise.quantize_bits); otherwise it is the projection domain's, one
+    clean projection per call plus each seed's projected noise.  The config
+    is checked even for no seeds.
     """
     snrs = [snr_db] * len(seeds) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(seeds):
         raise ValueError(f"{len(snrs)} SNRs for {len(seeds)} seeds")
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
-    clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
-                       cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
-    jobs = (((clean.data,), NoiseSpec(snr, int(seed), cfg.noise.quantize_bits))
-            for snr, seed in zip(snrs, seeds))
     errs = np.empty((len(seeds), 2))
-    with closing(noisy_traces(jobs, wf, cfg.multipath.sensor_path, clean.schemes,
-                              clean.geometry)) as traces:
-        for i, trace in enumerate(traces):
-            errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
+    if cfg.noise.quantize_bits is None:
+        domain = _ProjectionDomain(cfg, Ng)
+        clean = domain.clean((HELD_PRESS, HELD_PRESS))
+        for i, (snr, seed) in enumerate(zip(snrs, seeds)):
+            errs[i] = _relative_phases(domain.noisy(clean, snr, int(seed)))
+        return errs
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
+    for i, (snr, seed) in enumerate(zip(snrs, seeds)):
+        trace = synthesize(wf, cfg.scheme, TouchTimeline.constant(HELD_PRESS),
+                           cfg.multipath,
+                           NoiseSpec(snr, int(seed), cfg.noise.quantize_bits),
+                           cfg.geometry, cfg.mechanics)
+        errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
     return errs
 
 

@@ -184,14 +184,16 @@ class TraceFile:
 
 
 def open_trace(path) -> TraceFile:
-    """Check a trace file's magic, header and payload size; map the payload."""
+    """Check a trace file's magic, header and payload size; map the payload.
+    Every check that fails names the file: "bad trace in {path}: ..." (or
+    "bad trace header in {path}: ..." for the header's JSON)."""
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise ValueError(f"bad trace in {path}: magic {magic!r}, expected {MAGIC!r}")
         line = f.readline()
         if not line.endswith(b"\n"):
-            raise ValueError("truncated header")
+            raise ValueError(f"bad trace in {path}: truncated header")
         offset = f.tell()
         size = os.fstat(f.fileno()).st_size - offset
     with _json_object("trace header", path, line) as header:
@@ -203,9 +205,10 @@ def open_trace(path) -> TraceFile:
             geometry = read_section(SensorGeometry, geometry, "geometry", {})
     expected = cfg.n_subcarriers * cfg.n_snapshots * _PAYLOAD_DTYPE.itemsize
     if size < expected:
-        raise ValueError(f"truncated payload: {size} bytes, expected {expected}")
+        raise ValueError(f"bad trace in {path}: truncated payload: {size} bytes, "
+                         f"expected {expected}")
     if size > expected:
-        raise ValueError("trailing bytes after payload")
+        raise ValueError(f"bad trace in {path}: trailing bytes after payload")
     return TraceFile(
         config=cfg,
         data=np.memmap(path, dtype=_PAYLOAD_DTYPE, mode="r", offset=offset,

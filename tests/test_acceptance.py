@@ -18,13 +18,13 @@ from scipy.stats import spearmanr
 
 from forcelink import cli
 from forcelink.calib import fit_model, generate_sweep, model_forward
-from forcelink.chansim import (ChannelTrace, NyquistError, WaveformConfig,
-                               nyquist_check)
+from forcelink.chansim import (ChannelTrace, NoiseSpec, NyquistError,
+                               TouchTimeline, WaveformConfig, nyquist_check,
+                               synthesize)
 from forcelink.clocks import SwitchClock, make_scheme, verify_disjoint
 from forcelink.config import ConfigError, default_config_dict, parse_config
 from forcelink.decoder import group_phases
-from forcelink.sweeps import (measure_step_errors, run_crosstalk,
-                              run_force_sweep, run_snr_sweep,
+from forcelink.sweeps import (run_crosstalk, run_force_sweep, run_snr_sweep,
                               snr_meeting_threshold)
 from forcelink.traceio import read_trace, write_trace
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
@@ -121,11 +121,17 @@ def test_04_averaging_gain(default_cfg):
     t0 = time.perf_counter()
     n_seeds = 400
 
+    cfg, held = default_cfg, TouchTimeline.constant(TouchEvent(4.0, 40.0))
+
     def stds(k, ng):
-        cfg = replace(default_cfg, group_size=ng,
-                      waveform=replace(default_cfg.waveform, n_subcarriers=k))
-        errs = measure_step_errors(cfg, 10.0, range(1000, 1000 + n_seeds))
-        return errs.std(axis=0, ddof=1)
+        # the averaging gain is what the sweeps' projection domain assumes,
+        # so it is measured on the full path: synthesize's two-group traces
+        wf = replace(cfg.waveform, n_subcarriers=k, n_snapshots=2 * ng)
+        errs = [group_phases(synthesize(wf, cfg.scheme, held, cfg.multipath,
+                                        NoiseSpec(10.0, seed), cfg.geometry,
+                                        cfg.mechanics), cfg.scheme, ng).steps[0]
+                for seed in range(1000, 1000 + n_seeds)]
+        return np.std(errs, axis=0, ddof=1)
 
     s_k1 = stds(1, 625)
     s_k16 = stds(16, 625)

@@ -1,11 +1,7 @@
 import functools
 import json
 import math
-import os
-import sys
 import threading
-import time
-from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -13,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcelink import chansim, cli
+from forcelink import chansim, cli, sweeps
 from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                NoiseSpec,
                                NyquistError, Path, TouchTimeline,
                                WaveformConfig, add_second_sensor,
                                equivalent_doppler_velocity, noiseless_blocks,
-                               noisy_traces, synthesis_blocks, synthesize)
+                               synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
-from forcelink.config import default_config_dict
+from forcelink.config import default_config_dict, parse_config
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
                                   SensorGeometry, TouchEvent, port_phases,
                                   shorting_segment)
@@ -119,20 +115,12 @@ def test_zero_sensor_amplitude_rejected_with_noise_on():
                    NoiseSpec(snr_db=20.0), GEOM, MECH)
 
 
-def added(clean, noises):
-    """The data of noisy_traces' trace for each of noises over clean's rows,
-    copied, since each trace is overwritten after the next."""
-    jobs = (((clean.data,), noise) for noise in noises)
-    with closing(noisy_traces(jobs, clean.config, MP.sensor_path)) as traces:
-        return [trace.data.copy() for trace in traces]
-
-
 def quantized(trace, bits):
-    """trace through the quantizer alone: noisy_traces with the noise off,
-    one trace, which nothing overwrites once the generator is closed."""
-    jobs = [((trace.data,), NoiseSpec(quantize_bits=bits))]
-    with closing(noisy_traces(jobs, trace.config, MP.sensor_path)) as traces:
-        return next(traces)
+    """trace through the quantizer alone: the last stage of synthesize,
+    _finish, with the noise off (NoiseSpec checks bits)."""
+    noise = NoiseSpec(quantize_bits=bits)
+    return ChannelTrace(trace.config, chansim._finish(
+        np.empty_like(trace.data), (trace.data,), False, noise.quantize_bits))
 
 
 def test_quantize_bounds_and_grid():
@@ -227,8 +215,7 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
 
 def block_size_traces():
     """Noisy, noisy 10-bit and two-sensor traces at the current BLOCK_FLOATS,
-    then the noisy and 10-bit ones as synthesis_blocks streams them, then
-    as noisy_traces adds their noise to the noiseless trace."""
+    then the noisy and 10-bit ones as synthesis_blocks streams them."""
     wf = layout_waveform(LAYOUT_SHAPES[""])
     noises = [NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits)
               for bits in (None, 10)]
@@ -238,9 +225,7 @@ def block_size_traces():
                              Path(0.5 - 0.3j, 1.7), GEOM, MECH)
     streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a)[1])
                 for a in args]
-    clean = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP, QUIET, GEOM, MECH)
-    return ([t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
-            + [data.tobytes() for data in added(clean, noises)])
+    return [t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
 
 
 default_block_traces = functools.cache(block_size_traces)
@@ -255,197 +240,52 @@ def test_traces_do_not_depend_on_the_block_size(block):
     with mock.patch.object(chansim, "BLOCK_FLOATS", block):
         got = block_size_traces()
     assert got == default_block_traces()
-    # the streamed rows and the added noise are synthesize's
-    assert got[3:5] == got[5:] == got[:2]
+    # the streamed rows are synthesize's
+    assert got[3:] == got[:2]
 
 
 HELD = TouchTimeline.constant(TouchEvent(4.0, 40.0))
 
 
-def test_noisy_traces_joins_its_helper_when_closed_early():
-    # the helper starts with the iteration, not before, and an early close()
-    # joins it although it holds a queued draw
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+def test_chansim_starts_no_thread(monkeypatch):
+    # every trace, its seeded draw included, is made on the calling thread
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert not hasattr(chansim, "threading")
     baseline = threading.active_count()
-    jobs = (((clean.data,), NoiseSpec(snr_db=20.0, seed=seed)) for seed in range(5))
-    traces = noisy_traces(jobs, WF_SMALL, MP.sensor_path)
+    for bits in (None, 10):
+        noise = NoiseSpec(snr_db=20.0, seed=3, quantize_bits=bits)
+        trace = synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH)
+        add_second_sensor(trace, make_scheme(1400.0), HELD, Path(0.5 - 0.3j, 1.7),
+                          GEOM, MECH)
+        for _ in synthesis_blocks(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH)[1]:
+            pass
     assert threading.active_count() == baseline
-    first = next(traces)
-    assert threading.active_count() == baseline + 1
-    want = synthesize(WF_SMALL, SCHEME, HELD, MP, NoiseSpec(snr_db=20.0, seed=0),
-                      GEOM, MECH)
-    assert first.data.tobytes() == want.data.tobytes()
-    traces.close()
-    assert threading.active_count() == baseline
-
-
-def test_noisy_traces_under_stress_match_synthesize():
-    # a short switch interval interleaves the helper's draws with a slow
-    # consumer: a draw landing in the array of a trace still in use, or a
-    # draw taken out of order, would change a trace's bytes
-    wf = WaveformConfig(n_subcarriers=64, n_snapshots=200)
-    clean = synthesize(wf, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    noises = [NoiseSpec(snr_db=None if seed % 7 == 3 else 15.0, seed=seed,
-                        quantize_bits=10 if seed % 2 else None) for seed in range(40)]
-    want = [synthesize(wf, SCHEME, HELD, MP, noise, GEOM, MECH).data.tobytes()
-            for noise in noises]
-    got = []
-
-    def consume():
-        jobs = (((clean.data,), noise) for noise in noises)
-        with closing(noisy_traces(jobs, wf, MP.sensor_path)) as traces:
-            for trace in traces:
-                first = trace.data.tobytes()
-                time.sleep(0.0002)
-                got.append((first, trace.data.tobytes()))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        worker = threading.Thread(target=consume)
-        worker.start()
-        worker.join(timeout=120.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    assert [a for a, _ in got] == [b for _, b in got] == want
-
-
-def test_noisy_traces_raises_a_failed_draw_on_the_calling_thread(monkeypatch):
-    def fails(*args):
-        raise FloatingPointError("draw failed")
-    monkeypatch.setattr(chansim, "_draw", fails)
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    baseline = threading.active_count()
-    with pytest.raises(FloatingPointError, match="draw failed"):
-        added(clean, [NoiseSpec(snr_db=20.0, seed=1)] * 3)
-    assert threading.active_count() == baseline
-
-
-def slowed_helper(monkeypatch, seconds):
-    """_draw patched to sleep seconds first on the helper thread only; the
-    returned list gets the name of the thread running each draw."""
-    draw, ran = chansim._draw, []
-
-    def slowed(*args):
-        ran.append(threading.current_thread().name)
-        if ran[-1] == "forcelink-noise":
-            time.sleep(seconds)
-        return draw(*args)
-    monkeypatch.setattr(chansim, "_draw", slowed)
-    return ran
-
-
-def test_the_caller_draws_while_the_helper_is_busy(monkeypatch):
-    # a helper slower than the caller leaves queued draws, which the caller
-    # runs itself rather than wait; which thread drew a trace's noise must
-    # not show in its bytes
-    wf = WaveformConfig(n_subcarriers=64, n_snapshots=200)
-    clean = synthesize(wf, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    noises = [NoiseSpec(snr_db=None if seed % 5 == 2 else 15.0, seed=seed,
-                        quantize_bits=10 if seed % 3 == 1 else None)
-              for seed in range(12)]
-    want = [synthesize(wf, SCHEME, HELD, MP, noise, GEOM, MECH).data.tobytes()
-            for noise in noises]
-    ran = slowed_helper(monkeypatch, 0.02)
-    assert [data.tobytes() for data in added(clean, noises)] == want
-    main = threading.current_thread().name
-    assert main in ran and set(ran) <= {main, "forcelink-noise"}
-    assert len(ran) == sum(noise.snr_db is not None for noise in noises)
 
 
 def test_a_draw_failing_on_the_calling_thread_raises_there(monkeypatch):
-    # the helper sleeps through its draw, so the caller takes the next queued
-    # one, which fails
-    draw, main = chansim._draw, threading.current_thread().name
+    # the one noise draw runs on the calling thread, so what it raises is
+    # raised there: by synthesize, by the streamed pipeline and by both
+    # sweeps' projected noise; a noiseless trace draws nothing
+    ran = []
 
-    def fails_on_the_caller(*args):
-        if threading.current_thread().name == main:
-            raise FloatingPointError("caller's draw failed")
-        time.sleep(0.05)
-        return draw(*args)
-    monkeypatch.setattr(chansim, "_draw", fails_on_the_caller)
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    baseline = threading.active_count()
-    with pytest.raises(FloatingPointError, match="caller's draw failed"):
-        added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(6)])
-    assert threading.active_count() == baseline
-
-
-@pytest.mark.parametrize("helper_delay", [0.0, 0.02])
-def test_a_failed_draw_raises_when_its_trace_is_asked_for(monkeypatch, helper_delay):
-    # only job 2's draw fails, on whichever thread runs it (a slowed helper
-    # leaves more draws to the caller): traces 0 and 1 still come out whole,
-    # asking for trace 2 raises, and the helper is joined
-    draw = chansim._draw
-
-    def fails_for_job_2(rng, scale, out):
-        if threading.current_thread().name == "forcelink-noise":
-            time.sleep(helper_delay)
-        if rng.bit_generator.seed_seq.entropy == 2:
-            raise FloatingPointError("draw 2 failed")
-        return draw(rng, scale, out)
-    monkeypatch.setattr(chansim, "_draw", fails_for_job_2)
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    noises = [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(5)]
-    baseline = threading.active_count()
-    traces = noisy_traces((((clean.data,), noise) for noise in noises),
-                          WF_SMALL, MP.sensor_path)
-    for noise in noises[:2]:
-        got = next(traces).data.tobytes()
-        assert got == synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM,
-                                 MECH).data.tobytes()
-    with pytest.raises(FloatingPointError, match="draw 2 failed"):
-        next(traces)
-    assert threading.active_count() == baseline
-    assert "forcelink-noise" not in {t.name for t in threading.enumerate()}
-    with pytest.raises(StopIteration):
-        next(traces)
-
-
-def test_closing_with_the_ring_full_leaves_no_thread_behind(monkeypatch):
-    # after the first trace every array is taken: the trace in use and the
-    # next two jobs' draws, queued or under way on the slowed helper
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    ran = slowed_helper(monkeypatch, 0.05)
-    baseline = threading.active_count()
-    jobs = (((clean.data,), NoiseSpec(snr_db=20.0, seed=seed)) for seed in range(8))
-    traces = noisy_traces(jobs, WF_SMALL, MP.sensor_path)
-    next(traces)
-    assert threading.active_count() == baseline + 1
-    traces.close()
-    assert threading.active_count() == baseline
-    assert "forcelink-noise" not in {t.name for t in threading.enumerate()}
-    assert 1 <= len(ran) <= 3  # only the posted jobs' draws ever started
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="CPU affinity is not exposed here")
-def test_noise_helper_keeps_off_the_callers_cpu(monkeypatch):
-    # a helper woken onto the caller's CPU may stay there for a whole sweep,
-    # so it may run on every CPU the caller may use but the caller's own;
-    # the caller's own draws (slowed, so that the helper gets some) keep the
-    # caller's affinity
-    allowed, seen, draw = os.sched_getaffinity(0), [], chansim._draw
-    main = threading.current_thread().name
-
-    def record(*args):
-        seen.append((threading.current_thread().name, os.sched_getaffinity(0)))
-        if seen[-1][0] == main:
-            time.sleep(0.02)
-        return draw(*args)
-    monkeypatch.setattr(chansim, "_draw", record)
-    clean = synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
-    added(clean, [NoiseSpec(snr_db=20.0, seed=seed) for seed in range(6)])
-    assert len(seen) == 6
-    helper = [cpus for name, cpus in seen if name == "forcelink-noise"]
-    assert helper
-    for cpus in helper:
-        if len(allowed) > 1:
-            assert cpus < allowed and len(cpus) == len(allowed) - 1
-        else:
-            assert cpus == allowed
-    assert all(cpus == allowed for name, cpus in seen if name == main)
-    assert os.sched_getaffinity(0) == allowed  # the caller's is untouched
+    def fails(*args):
+        ran.append(threading.current_thread())
+        raise FloatingPointError("draw failed")
+    monkeypatch.setattr(chansim, "_draw", fails)
+    monkeypatch.setattr(sweeps, "_draw", fails)  # imported by name
+    noise = NoiseSpec(snr_db=20.0, seed=1)
+    synthesize(WF_SMALL, SCHEME, HELD, MP, QUIET, GEOM, MECH)
+    cfg = parse_config({"noise": {"snr_db": 20.0}})
+    for make in (lambda: synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH),
+                 lambda: list(synthesis_blocks(WF_SMALL, SCHEME, HELD, MP, noise,
+                                               GEOM, MECH)[1]),
+                 lambda: sweeps.run_force_sweep(cfg, trials=3, seed=1),
+                 lambda: sweeps.measure_step_errors(cfg, 20.0, [1, 2])):
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            make()
+    assert ran == [threading.current_thread()] * 4
 
 
 def test_synthesis_holds_one_array_plus_a_block():
@@ -463,20 +303,6 @@ def test_synthesis_holds_one_array_plus_a_block():
     assert peak <= bound
     _, peak = traced_peak(lambda: quantized(pair, 8))
     assert peak <= bound
-    # noisy_traces (here also quantizing) holds its three reused arrays (one
-    # for one trace) and only blocks beside them: no trace-sized temporary
-    # (20 MB here)
-    def drain(n):
-        jobs = (((trace.data,), NoiseSpec(snr_db=20.0, seed=4 + i, quantize_bits=8))
-                for i in range(n))
-        with closing(noisy_traces(jobs, wf, MP.sensor_path)) as traces:
-            for _ in traces:
-                pass
-    for n in (1, 4):
-        _, peak = traced_peak(lambda: drain(n))
-        assert peak <= min(n, 3) * trace.data.nbytes + 2 * 2 ** 20
-        if n == 1:
-            assert peak <= bound
 
 
 @pytest.mark.parametrize("n_snapshots", [2 * BLOCK_FLOATS + 3, 8 * BLOCK_FLOATS + 12])

@@ -1,4 +1,5 @@
 """Experiment engines: closed-loop trials, SNR sweeps, crosstalk isolation."""
+import functools
 import math
 import os
 import subprocess
@@ -10,13 +11,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from forcelink import calib, chansim, sweeps
-from forcelink.chansim import NoiseSpec, TouchTimeline, synthesize
-from forcelink.decoder import anchor, group_phases
-from forcelink.sweeps import (calibrate, measure_step_errors, no_touch_phase,
-                              run_crosstalk, run_force_sweep, run_snr_sweep,
-                              run_touch_trial, snr_meeting_threshold,
-                              touch_trace)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
+
+from forcelink import chansim, sweeps
+from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
+                               noise_scale, synthesize)
+from forcelink.clocks import make_scheme
+from forcelink.config import parse_config
+from forcelink.decoder import (_tone_table, auto_group_size, group_phases,
+                              project_groups)
+from forcelink.sweeps import (HELD_PRESS, calibrate, measure_step_errors,
+                              no_touch_phase, pressed_phases, run_crosstalk,
+                              run_force_sweep, run_snr_sweep, run_touch_trial,
+                              snr_meeting_threshold, touch_trace)
 from forcelink.transducer import ShortingState, TouchEvent, port_phases
 
 from conftest import traced_peak
@@ -47,7 +56,7 @@ def test_no_touch_phase_matches_transducer(default_cfg):
 def test_run_touch_trial_is_deterministic(default_cfg, model):
     def trial(seed):
         trace = touch_trace(default_cfg, 3.0, 45.0, seed=seed)
-        return run_touch_trial(default_cfg, model, 3.0, 45.0, trace)
+        return run_touch_trial(model, 3.0, 45.0, pressed_phases(default_cfg, trace))
     r1 = trial(42)
     r2 = trial(42)
     assert r1 == r2
@@ -126,52 +135,98 @@ def grid_cfg(cfg, snr_db, bits, group_size, K):
                    waveform=replace(cfg.waveform, n_subcarriers=K))
 
 
+def projection_oracle(cfg, Ng, touches, snr_db, seed):
+    """A two-group trial's projections as the projection domain defines
+    them, made another way: project_groups of synthesize's noiseless trace
+    (quiet or pressed groups per touches) plus default_rng(seed)'s
+    (2, 2, K, 2) normals times noise_scale / sqrt(N_g), re and im innermost."""
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
+    timeline = TouchTimeline(entries=((0, touches[0]), (Ng, touches[1])))
+    clean = synthesize(wf, cfg.scheme, timeline, cfg.multipath, NoiseSpec(),
+                       cfg.geometry, cfg.mechanics)
+    P = project_groups(clean.data, cfg.scheme.read_freqs, wf.frame_period_s, Ng)
+    scale = noise_scale(cfg.multipath.sensor_path, snr_db)
+    if scale is not None:
+        d = np.random.default_rng(seed).standard_normal(P.shape + (2,))
+        P = P + scale / math.sqrt(Ng) * (d[..., 0] + 1j * d[..., 1])
+    return np.angle((P[1] * P[0].conj()).mean(axis=-1))
+
+
+def drawn_presses(cfg, trials, seed):
+    """The (force, location, seed) of each trial, drawn as a force sweep
+    draws them."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(*cfg.sweep.force_range_n)),
+             float(rng.choice(cfg.sweep.test_locations_mm)),
+             int(rng.integers(0, 2 ** 62))) for _ in range(trials)]
+
+
+# trials per path in the grid's distributional checks; each KS test there
+# must not reject at KS_GRID_LEVEL, a level that holds the whole grid's 32
+# comparisons near a 3 % chance of any false alarm
+GRID_TRIALS, KS_GRID_LEVEL = 120, 0.001
+
+
 @on_grid
 def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
                                                              bits, group_size, K):
-    # the next trials' noise is drawn while this one decodes; every row must
-    # still be the serial decode and inversion of synthesize's trace for
-    # that trial's press and seed, bit for bit.  That trace is a quiet group
-    # and one pressed group; the noise is drawn row-major, so unquantized it
-    # is the first two groups of the three-group trace with the same seed,
-    # and the row inverts that trace's group-1 phases.  A quantizer's full
-    # scale spans the whole trace, so the 10-bit cases differ between two
-    # and three groups and are left out of that check on purpose
+    # quantized, the sweep stays on the full path: every row is the serial
+    # decode and inversion of synthesize's trace for that trial's press and
+    # seed, bit for bit.  Unquantized, it works in the projection domain:
+    # the truth columns keep their bytes, the estimates match a
+    # projection-domain oracle built from project_groups, and the errors
+    # match the full path's in distribution (noiseless: to 1e-9)
     cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
-    rows, _ = run_force_sweep(cfg, trials=3, seed=5)
-    rng = np.random.default_rng(5)
-    Ng = group_size or 625
-    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     model = calibrate(cfg)
-    for i, row in enumerate(rows):
-        F = float(rng.uniform(*cfg.sweep.force_range_n))
-        loc = float(rng.choice(cfg.sweep.test_locations_mm))
-        seed = int(rng.integers(0, 2 ** 62))
-        timeline = TouchTimeline(entries=((0, None), (Ng, TouchEvent(F, loc))))
-        trace = synthesize(wf, cfg.scheme, timeline, cfg.multipath,
-                           NoiseSpec(snr_db, seed, bits), cfg.geometry, cfg.mechanics)
-        assert row == {**run_touch_trial(cfg, model, F, loc, trace),
-                       "kind": "trial", "trial": i}
-        if bits is None:
-            longer = synthesize(replace(wf, n_snapshots=3 * Ng), cfg.scheme, timeline,
-                                cfg.multipath, NoiseSpec(snr_db, seed), cfg.geometry,
-                                cfg.mechanics)
-            phi1, phi2 = anchor(group_phases(longer, cfg.scheme, cfg.group_size),
-                                no_touch_phase(cfg))[1]
-            est = calib.invert(model, float(phi1), float(phi2))
-            assert (row["est_force_n"], row["est_location_mm"], row["residual_rad2"],
-                    row["reliable"]) == (est.force_n, est.location_mm,
-                                         est.residual_rad2, est.reliable)
+    Ng = group_size or 625
+    noisy_float = bits is None and snr_db is not None
+    trials = GRID_TRIALS if noisy_float else 3
+    rows, _ = run_force_sweep(cfg, trials=trials, seed=5)
+    presses = drawn_presses(cfg, trials, 5)
+    open_phase = no_touch_phase(cfg)
+    for i, (row, (F, loc, seed)) in enumerate(zip(rows, presses)):
+        assert (row["kind"], row["trial"], row["true_force_n"],
+                row["true_location_mm"]) == ("trial", i, F, loc)
+        if bits is not None:
+            trace = touch_trace(cfg, F, loc, seed)
+            assert row == {**run_touch_trial(model, F, loc, pressed_phases(cfg, trace)),
+                           "kind": "trial", "trial": i}
+        elif i < 3:
+            phases = projection_oracle(cfg, Ng, (None, TouchEvent(F, loc)), snr_db,
+                                       seed) + (open_phase.phi1, open_phase.phi2)
+            want = run_touch_trial(model, F, loc, phases)
+            assert row["reliable"] == want["reliable"]
+            for key in ("est_force_n", "est_location_mm", "residual_rad2"):
+                assert row[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
+    if noisy_float:
+        # the full path's rows for the same presses, with seeds of their own
+        full = [run_touch_trial(model, F, loc, pressed_phases(
+                    cfg, touch_trace(cfg, F, loc, seed + 1)))
+                for F, loc, seed in presses]
+        for key in ("force_err_n", "location_err_mm"):
+            got = [r[key] for r in rows]
+            assert ks_2samp(got, [r[key] for r in full]).pvalue > KS_GRID_LEVEL, key
 
 
 def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
-    # the noise helper is joined on a full sweep, on no seeds, and when the
-    # consumer raises mid-sweep
-    baseline = threading.active_count()
-    run_force_sweep(default_cfg, trials=3, seed=1)
-    assert threading.active_count() == baseline
-    assert measure_step_errors(default_cfg, 10.0, []).shape == (0, 2)
-    assert threading.active_count() == baseline
+    # both sweeps, on either path (unquantized, 10-bit), run every stage on
+    # the calling thread and start none: on a full sweep, on no seeds, and
+    # when a trial raises mid-sweep
+    threads = set()
+
+    def record(fn):
+        def wrapped(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(chansim, "_draw", record(chansim._draw))
+    monkeypatch.setattr(sweeps, "_draw", record(sweeps._draw))
+    monkeypatch.setattr(chansim, "_gate", record(chansim._gate))
+    monkeypatch.setattr(sweeps, "group_phases", record(sweeps.group_phases))
     trial, calls = sweeps.run_touch_trial, []
 
     def fails_second(*args):
@@ -179,10 +234,19 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
         if len(calls) == 2:
             raise RuntimeError("consumer failed")
         return trial(*args)
-    monkeypatch.setattr(sweeps, "run_touch_trial", fails_second)
-    with pytest.raises(RuntimeError, match="consumer failed"):
-        run_force_sweep(default_cfg, trials=5, seed=1)
-    assert len(calls) == 2
+    baseline = threading.active_count()
+    for bits in (None, 10):
+        cfg = replace(default_cfg, noise=replace(default_cfg.noise, quantize_bits=bits))
+        run_force_sweep(cfg, trials=3, seed=1)
+        run_snr_sweep(with_grid(cfg, 10.0, 20.0), trials=3, seed=1)
+        assert measure_step_errors(cfg, 10.0, []).shape == (0, 2)
+        with monkeypatch.context() as m:
+            m.setattr(sweeps, "run_touch_trial", fails_second)
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                run_force_sweep(cfg, trials=5, seed=1)
+        assert len(calls) == 2
+        calls.clear()
+    assert threads == {threading.current_thread()}
     assert threading.active_count() == baseline
 
 
@@ -209,27 +273,6 @@ def test_force_sweep_draws_its_presses_as_the_trials_need_them(default_cfg,
     _, peak = traced_peak(stopped_sweep)
     assert len(calls) == 3
     assert peak < 2 ** 20
-
-
-def test_only_the_noise_draw_leaves_the_calling_thread(default_cfg, monkeypatch):
-    # traced spans must nest on one thread: the helper runs _draw and
-    # nothing else; a draw runs there or, when the caller would otherwise
-    # wait, on the calling thread
-    threads = {}
-
-    def record(name, fn):
-        def wrapped(*args, **kwargs):
-            threads.setdefault(name, set()).add(threading.current_thread().name)
-            return fn(*args, **kwargs)
-        return wrapped
-    monkeypatch.setattr(chansim, "_draw", record("draw", chansim._draw))
-    monkeypatch.setattr(chansim, "_gate", record("gate", chansim._gate))
-    monkeypatch.setattr(sweeps, "group_phases", record("decode", sweeps.group_phases))
-    run_force_sweep(default_cfg, trials=3, seed=1)
-    run_snr_sweep(with_grid(default_cfg, 10.0, 20.0), trials=3, seed=1)
-    main = threading.current_thread().name
-    assert threads.pop("draw") <= {"forcelink-noise", main}
-    assert threads == {"gate": {main}, "decode": {main}}
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -282,24 +325,133 @@ def test_measure_step_errors_rejects_zero_subcarriers(default_cfg):
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
 
+def full_path_steps(cfg, Ng, snr_db, seeds):
+    """The held press's decoded steps, one row per seed: group_phases of
+    synthesize's two-group trace with that seed and cfg's quantizer."""
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
+    held = TouchTimeline.constant(HELD_PRESS)
+    return np.array([group_phases(synthesize(
+        wf, cfg.scheme, held, cfg.multipath,
+        NoiseSpec(snr_db, seed, cfg.noise.quantize_bits), cfg.geometry,
+        cfg.mechanics), cfg.scheme, Ng).steps[0] for seed in seeds])
+
+
 @on_grid
 def test_measure_step_errors_rows_match_one_synthesis_per_seed(default_cfg, snr_db,
                                                                bits, group_size, K):
-    # the noiseless trace is made once per call and each seed's noise added
-    # to it; every row must still be the serial decode of synthesize's
-    # trace for that seed, bit for bit (a repeated seed included)
+    # quantized, every row is the serial decode of synthesize's trace for
+    # that seed, bit for bit (a repeated seed included).  Unquantized, rows
+    # are the projection domain's: a repeated seed repeats its row, each
+    # row matches a projection-domain oracle built from project_groups, and
+    # the rows match the full path's in distribution (noiseless: to 1e-9)
     cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
     seeds = [11, 2 ** 62 - 1, 11]
     got = measure_step_errors(cfg, snr_db, seeds)
     assert got.shape == (3, 2) and got.dtype == np.float64
     Ng = group_size or 625
-    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
-    held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+    if bits is not None:
+        assert got.tobytes() == full_path_steps(cfg, Ng, snr_db, seeds).tobytes()
+        return
+    assert got[0].tobytes() == got[2].tobytes()
     for row, seed in zip(got, seeds):
-        trace = synthesize(wf, cfg.scheme, held, cfg.multipath,
-                           NoiseSpec(snr_db, seed, bits), cfg.geometry, cfg.mechanics)
-        want = group_phases(trace, cfg.scheme, Ng).steps[0]
-        assert row.tobytes() == want.tobytes()
+        want = projection_oracle(cfg, Ng, (HELD_PRESS, HELD_PRESS), snr_db, seed)
+        assert np.abs(row - want).max() <= 1e-9
+    if snr_db is not None:
+        projected = measure_step_errors(cfg, snr_db, range(GRID_TRIALS))
+        full = full_path_steps(cfg, Ng, snr_db, range(GRID_TRIALS, 2 * GRID_TRIALS))
+        for port in (0, 1):
+            assert ks_2samp(projected[:, port], full[:, port]).pvalue > KS_GRID_LEVEL
+
+
+def phasors(magnitude):
+    """Complex amplitudes of at most magnitude."""
+    return st.builds(lambda r, a: r * complex(math.cos(a), math.sin(a)),
+                     st.floats(0.0, magnitude), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A config and two groups' touches: f_s = c / (N T) for whole c cycles
+    in N snapshots with 4 f_s under Nyquist, the group size a multiple of
+    the auto size, K in 1..8, up to three static paths as strong as the
+    default's direct path, a press or none in each group."""
+    cfg = draw(st.sampled_from([parse_config({})]))
+    T = cfg.waveform.frame_period_s
+    n = draw(st.integers(16, 1000))
+    f_s = draw(st.integers(1, (n - 1) // 8)) / (n * T)
+    scheme = make_scheme(f_s)
+    wf = replace(cfg.waveform, n_subcarriers=draw(st.integers(1, 8)))
+    auto = auto_group_size(wf, scheme)
+    Ng = auto * draw(st.integers(1, max(1, 2000 // auto)))
+    paths = draw(st.lists(st.builds(Path, phasors(100.0), st.floats(0.0, 10.0)),
+                          max_size=3))
+    sensor = Path(draw(phasors(2.0).filter(lambda a: abs(a) > 0.1)),
+                  draw(st.floats(0.0, 5.0)))
+    touches = draw(st.lists(st.none() | st.builds(
+        TouchEvent, st.floats(0.0, 9.0), st.floats(0.0, 80.0)),
+        min_size=2, max_size=2))
+    return replace(cfg, waveform=wf, scheme=scheme, group_size=Ng,
+                   multipath=MultipathProfile(tuple(paths), sensor)), touches
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_form_cases())
+def test_closed_form_projections_match_project_groups(case):
+    # the projection domain's clean projections are project_groups of
+    # synthesize's noiseless two-group trace: static paths cancel and the
+    # sampled gates' port leak is kept.  They agree to 1e-12 of the trace's
+    # largest entry, the scale of project_groups' rounding (a static path
+    # 100 times the sensor's leaves it at about 1e-13).  Over one group the
+    # read tones are orthogonal, their Gram matrix N_g I
+    cfg, touches = case
+    Ng, wf = cfg.group_size, cfg.waveform
+    P = sweeps._ProjectionDomain(cfg, Ng).clean(touches)
+    timeline = TouchTimeline(entries=((0, touches[0]), (Ng, touches[1])))
+    trace = synthesize(replace(wf, n_snapshots=2 * Ng), cfg.scheme, timeline,
+                       cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
+    want = project_groups(trace.data, cfg.scheme.read_freqs, wf.frame_period_s, Ng)
+    assert np.abs(P - want).max() <= 1e-12 * np.abs(trace.data).max()
+    table = _tone_table(wf.frame_period_s, cfg.scheme.read_freqs, Ng)
+    tones = table[:2] + 1j * table[2:]
+    gram = tones @ tones.conj().T
+    assert np.abs(gram - Ng * np.eye(2)).max() <= 1e-12 * Ng
+
+
+@functools.cache
+def projected_noise(freqs, T, K, Ng, n, batch=250):
+    """(n, 2, 2, K) projections of n two-group traces of chansim._draw's
+    unit-scale noise, batch traces at a time through one project_groups
+    call; shared by the SNR levels below, as a trace's projections are
+    linear in its rows."""
+    rng, H, out = np.random.default_rng(n), np.empty((batch * 2 * Ng, K), complex), []
+    for _ in range(n // batch):
+        chansim._draw(rng, 1.0, H)
+        out.append(project_groups(H, freqs, T, Ng).reshape(batch, 2, 2, K))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
+def test_projection_domain_matches_the_full_path_in_distribution(default_cfg, snr_db):
+    # 20 000 held-press trials per path at K = 2, N_g = 625: on each port the
+    # projection domain's step errors have the full path's std to 3 % (the
+    # ratio's 1 sigma is 0.7 %) and a two-sample KS test does not reject at
+    # 1 %.  A full-path trial is synthesize's noiseless trace plus drawn
+    # noise at noise_scale, projected and decoded as group_phases does
+    n, K, Ng = 20_000, 2, 625
+    cfg = replace(default_cfg, waveform=replace(default_cfg.waveform, n_subcarriers=K))
+    projected = measure_step_errors(cfg, snr_db, range(n))
+    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
+    clean = synthesize(wf, cfg.scheme, TouchTimeline.constant(HELD_PRESS),
+                       cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
+    freqs, T = cfg.scheme.read_freqs, wf.frame_period_s
+    P = (project_groups(clean.data, freqs, T, Ng)
+         + noise_scale(cfg.multipath.sensor_path, snr_db)
+         * projected_noise(freqs, T, K, Ng, n))
+    full = np.angle((P[:, 1] * P[:, 0].conj()).mean(axis=-1))
+    for port in (0, 1):
+        ratio = projected[:, port].std(ddof=1) / full[:, port].std(ddof=1)
+        assert abs(ratio - 1.0) <= 0.03, (port, ratio)
+        assert ks_2samp(projected[:, port], full[:, port]).pvalue > 0.01, port
 
 
 def test_measure_step_errors_of_no_seeds_is_empty_but_checked(default_cfg):
@@ -321,36 +473,42 @@ def test_measure_step_errors_takes_one_snr_per_seed(default_cfg):
 
 
 def test_run_snr_sweep_measures_its_grid_in_one_pass(default_cfg, monkeypatch):
-    # one noiseless trace and one noisy_traces pass per sweep; every row and
-    # summary still those of one measure_step_errors call per point, with
-    # each point's seeds drawn after the previous point's
-    cfg, trials = with_grid(default_cfg, 30.0, 5.0, 15.0), 4
-    rng, want, want_aggs = np.random.default_rng(9), [], []
-    for snr in cfg.sweep.snr_grid_db:
-        seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials)]
-        errs = measure_step_errors(cfg, snr, seeds)
-        for i, (e1, e2) in enumerate(errs.tolist()):
-            want.append({"kind": "trial", "snr_db": snr, "trial": i,
-                         "dphi1_deg": math.degrees(e1),
-                         "dphi2_deg": math.degrees(e2)})
-        arr = np.degrees(errs)
-        want_aggs.append({"kind": "aggregate", "snr_db": snr,
-                          "phase_std1_deg": float(arr[:, 0].std(ddof=1)),
-                          "phase_std2_deg": float(arr[:, 1].std(ddof=1))})
-    calls = []
+    # every row and summary is that of one measure_step_errors call per
+    # point, with each point's seeds drawn after the previous point's, bit
+    # for bit on either path.  The projection domain (unquantized)
+    # synthesizes and decodes one noiseless trace per sweep, its closed-form
+    # check; the full path (10-bit) one trace per trial
+    trials = 4
+    for bits, traces in ((None, 1), (10, 3 * trials)):
+        cfg = with_grid(default_cfg, 30.0, 5.0, 15.0)
+        cfg = replace(cfg, noise=replace(cfg.noise, quantize_bits=bits))
+        rng, want, want_aggs = np.random.default_rng(9), [], []
+        for snr in cfg.sweep.snr_grid_db:
+            seeds = [int(rng.integers(0, 2 ** 62)) for _ in range(trials)]
+            errs = measure_step_errors(cfg, snr, seeds)
+            for i, (e1, e2) in enumerate(errs.tolist()):
+                want.append({"kind": "trial", "snr_db": snr, "trial": i,
+                             "dphi1_deg": math.degrees(e1),
+                             "dphi2_deg": math.degrees(e2)})
+            arr = np.degrees(errs)
+            want_aggs.append({"kind": "aggregate", "snr_db": snr,
+                              "phase_std1_deg": float(arr[:, 0].std(ddof=1)),
+                              "phase_std2_deg": float(arr[:, 1].std(ddof=1))})
+        calls = []
 
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-    monkeypatch.setattr(sweeps, "synthesize", counted("synthesize", sweeps.synthesize))
-    monkeypatch.setattr(sweeps, "noisy_traces",
-                        counted("noisy_traces", sweeps.noisy_traces))
-    rows, aggs = run_snr_sweep(cfg, trials=trials, seed=9)
-    assert calls == ["synthesize", "noisy_traces"]
-    assert rows == want
-    assert aggs == want_aggs
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+        with monkeypatch.context() as m:
+            m.setattr(sweeps, "synthesize", counted("synthesize", sweeps.synthesize))
+            m.setattr(sweeps, "group_phases",
+                      counted("group_phases", sweeps.group_phases))
+            rows, aggs = run_snr_sweep(cfg, trials=trials, seed=9)
+        assert calls == ["synthesize", "group_phases"] * traces
+        assert rows == want
+        assert aggs == want_aggs
 
 
 def test_run_snr_sweep_noise_shrinks_with_snr(default_cfg):
