@@ -146,16 +146,27 @@ ORACLE_MECHS = {"default": MECH, "asym0": replace(MECH, asymmetry_exponent=0.0),
                 "asym2": replace(MECH, asymmetry_exponent=2.0)}
 
 
+def dense_grid(m):
+    """m's phases on a 0.05 N by 0.25 mm grid over the box, from
+    model_forward alone."""
+    return np.array([[(fw.phi1, fw.phi2) for fw in (model_forward(m, F, loc)
+                                                    for F in np.linspace(1.0, 8.0, 141))]
+                     for loc in np.linspace(20.0, 60.0, 161)])
+
+
+def grid_residual(grid, phi):
+    """The least squared phase distance from phi to any grid point, whole
+    turns aside."""
+    err = np.angle(np.exp(1j * (grid - phi)))
+    return float(np.min(np.sum(err ** 2, axis=-1)))
+
+
 @functools.cache
 def oracle(name):
-    """A model and its phases on a 0.05 N by 0.25 mm grid over the box, from
-    model_forward alone."""
+    """A model and its dense grid."""
     m = fit_model(generate_sweep(LOCATIONS, FORCES, GEOM, ORACLE_MECHS[name],
                                  CARRIER))
-    grid = [[(fw.phi1, fw.phi2) for fw in (model_forward(m, F, loc)
-                                           for F in np.linspace(1.0, 8.0, 141))]
-            for loc in np.linspace(20.0, 60.0, 161)]
-    return m, np.array(grid)
+    return m, dense_grid(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,13 +182,65 @@ def test_invert_is_no_worse_than_a_dense_grid(name, F, loc, noise_deg, turns):
     phi = (np.array([pp.phi1, pp.phi2]) + np.radians(noise_deg)
            + 2.0 * math.pi * np.array(turns))
     est = invert(m, *phi)
-    err = np.angle(np.exp(1j * (grid - phi)))
-    assert est.residual_rad2 <= float(np.min(np.sum(err ** 2, axis=-1))) + 1e-12
+    assert est.residual_rad2 <= grid_residual(grid, phi) + 1e-12
     fw = model_forward(m, est.force_n, est.location_mm)
     assert math.isclose(est.residual_rad2,
                         sum(float(np.angle(np.exp(1j * (p - q)))) ** 2
                             for p, q in zip((fw.phi1, fw.phi2), phi)),
                         rel_tol=1e-9, abs_tol=1e-15)
+
+
+@functools.cache
+def quadratic_oracle():
+    """The default model with every fit's cubic coefficients zeroed, and its
+    dense grid."""
+    m = oracle("default")[0]
+    m = replace(m, fits=tuple(replace(f, c_port1=(*f.c_port1[:3], 0.0),
+                                      c_port2=(*f.c_port2[:3], 0.0)) for f in m.fits))
+    return m, dense_grid(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=st.floats(1.0, 2.0) | st.floats(1.0, 8.0), loc=st.floats(20.0, 60.0),
+       push=st.floats(0.1, 0.8),
+       turns=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_invert_drops_degrees_on_a_quadratic_model(F, loc, push, turns):
+    # with every cubic coefficient zero the two leading coefficients of
+    # each sextic and each quintic vanish, so every root search drops
+    # degrees.  A
+    # noiseless press is an exact root; each port's quadratic peaks near
+    # 5.1 N, so a press under 2.2 N has no twin in the box and comes back
+    # itself.  phi1 + phi2 depends on force alone and is least at 1 N over
+    # the box, so the 1 N edge's phases moved down on both ports lie outside
+    # the image: out of range, and no worse than the dense grid
+    m, grid = quadratic_oracle()
+    fw = model_forward(m, F, loc)
+    est = invert(m, fw.phi1, fw.phi2)
+    assert est.in_range and est.reliable and est.residual_rad2 < 1e-20
+    back = model_forward(m, est.force_n, est.location_mm)
+    assert abs(back.phi1 - fw.phi1) < 1e-9 and abs(back.phi2 - fw.phi2) < 1e-9
+    if F <= 2.0:
+        assert abs(est.force_n - F) < 1e-9 and abs(est.location_mm - loc) < 1e-9
+    edge = model_forward(m, 1.0, loc)
+    phi = np.array([edge.phi1, edge.phi2]) - push + 2.0 * math.pi * np.array(turns)
+    est = invert(m, *phi)
+    assert not est.in_range
+    assert est.residual_rad2 <= grid_residual(grid, phi) + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="the edge fallback searches the box's "
+                   "boundary only; a fold inside the box can lie nearer")
+def test_invert_finds_the_nearest_point_past_a_fold():
+    # the quadratic model folds along 5.1 N, where phi1 + phi2 peaks.  Phases
+    # pushed past that peak lie nearest the fold, inside the box (0.377 rad^2
+    # at 5.1 N, 22.5 mm on the grid), but the fallback returns the best point
+    # of the box's boundary (0.537 rad^2 at 5.1 N, 20 mm)
+    m, grid = quadratic_oracle()
+    fw = model_forward(m, 1.0, 20.0)
+    phi = np.array([fw.phi1, fw.phi2]) + 1.0
+    est = invert(m, *phi)
+    assert not est.in_range
+    assert est.residual_rad2 <= grid_residual(grid, phi) + 1e-12
 
 
 def test_two_ended_principle_on_the_default_model(model):

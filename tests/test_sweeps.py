@@ -430,6 +430,31 @@ def projected_noise(freqs, T, K, Ng, n, batch=250):
     return np.concatenate(out)
 
 
+def test_projection_domain_sweeps_under_a_strong_direct_path(default_cfg):
+    # a direct path of amplitude 1e6, 120 dB over the sensor's, rounds the
+    # full path's projections of the noiseless check trace to about 6e-9 rad;
+    # the check's tolerance scales with that rounding, so the sweeps run.
+    # Static paths cancel over a group, so their rows are the default's
+    strong = replace(default_cfg, multipath=replace(
+        default_cfg.multipath, paths=(Path(amplitude=1e6, distance_m=1.0),)))
+    assert run_force_sweep(strong, trials=4, seed=3) == run_force_sweep(
+        default_cfg, trials=4, seed=3)
+    grid = with_grid(strong, 10.0, 20.0)
+    assert run_snr_sweep(grid, trials=3, seed=3) == run_snr_sweep(
+        with_grid(default_cfg, 10.0, 20.0), trials=3, seed=3)
+
+
+def test_projection_domain_refuses_a_wrong_closed_form(default_cfg, monkeypatch):
+    # a gate table off by 1e-6 is a closed form the full path does not
+    # follow: both sweeps refuse it before their first trial
+    table = sweeps._gate_table
+    monkeypatch.setattr(sweeps, "_gate_table", lambda *args: table(*args) + 1e-6)
+    with pytest.raises(ValueError, match="disagrees with the full-path decode"):
+        run_force_sweep(default_cfg, trials=1, seed=1)
+    with pytest.raises(ValueError, match="disagrees with the full-path decode"):
+        measure_step_errors(default_cfg, 10.0, [1])
+
+
 @pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
 def test_projection_domain_matches_the_full_path_in_distribution(default_cfg, snr_db):
     # 20 000 held-press trials per path at K = 2, N_g = 625: on each port the
