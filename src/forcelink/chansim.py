@@ -14,13 +14,13 @@ x gate + base, the static multipath or an existing trace), the noise stage
 clean block) and the quantizer (the full scale from a first pass over a
 replayable block source, then each block gridded in place).
 synthesis_blocks streams the chain, so cli simulate holds memory
-independent of the trace length.  A trace held in memory is finished in one
-place, _finish: its (N, K) array, holding the seeded noise drawn in one call
-(or nothing, when noiseless), gets the reflection stage's blocks added (or
-copied) in and is quantized in place, so each stage runs once.  synthesize
-and add_second_sensor both end in it.  _draw is the one standard_normal
-call, for the block pipeline, synthesize and the noise the sweeps draw in
-the projection domain alike.  Everything runs on the calling thread.
+independent of the trace length.  A trace held in memory reads the same
+stream: synthesize collects the noise stage's blocks into its (N, K) array
+and quantizes that array in place over its own row blocks, so each stage
+runs once; add_second_sensor collects the reflection stage's blocks over an
+existing trace.  _draw is the one standard_normal call, for the block
+pipeline and the noise the sweeps draw in the projection domain alike.
+Everything runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -293,22 +293,14 @@ def _quantized(source: Callable[[], Iterable[np.ndarray]],
     return map(grid, source())
 
 
-def _finish(H: np.ndarray, clean: Iterable[np.ndarray], noisy: bool,
-            bits: int | None) -> np.ndarray:
-    """H, an (N, K) complex128 array, with clean's consecutive row blocks
-    added in (copied in when not noisy, H then being uninitialized), then
-    quantized in place over its row blocks: the last stage of every trace
-    held in memory."""
+def _collected(blocks: Iterable[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """A new complex128 array of the given shape holding blocks'
+    consecutive row blocks, copied in as they come."""
+    H = np.empty(shape, dtype=np.complex128)
     start = 0
-    for block in clean:
-        rows = H[start:start + len(block)]
-        if noisy:
-            rows += block
-        else:
-            rows[...] = block
+    for block in blocks:
+        H[start:start + len(block)] = block
         start += len(block)
-    for _ in _quantized(lambda: (H[b] for b in _row_blocks(*H.shape)), bits):
-        pass
     return H
 
 
@@ -377,20 +369,29 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     H = static multipath + sensor reflection gated by the exact switch states,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed: the rows
-    of synthesis_blocks.  The noise is drawn into H in one call, then
-    _finish adds noiseless_blocks' rows and quantizes in place, so the
-    trace is made once.
+    of synthesis_blocks, whose noisy blocks are collected into H once and
+    quantized in place over H's row blocks, so the trace is made once.
     """
-    clean = noiseless_blocks(config, scheme, timeline, multipath, geom, mech)
-    scale = noise_scale(multipath.sensor_path, noise.snr_db)
-    H = np.empty((config.n_snapshots, config.n_subcarriers), dtype=np.complex128)
-    if scale is not None:
-        _draw(np.random.default_rng(noise.seed), scale, H)
-    return ChannelTrace(config=config,
-                        data=_finish(H, clean, scale is not None, noise.quantize_bits),
-                        schemes=(scheme,), geometry=geom,
+    H = _collected(_noisy(noiseless_blocks(config, scheme, timeline, multipath,
+                                           geom, mech), noise, multipath.sensor_path),
+                   (config.n_snapshots, config.n_subcarriers))
+    for _ in _quantized(lambda: (H[b] for b in _row_blocks(*H.shape)),
+                        noise.quantize_bits):
+        pass
+    return ChannelTrace(config=config, data=H, schemes=(scheme,), geometry=geom,
                         provenance=_provenance(config, scheme, timeline, multipath,
                                                noise, geom, mech))
+
+
+def check_added_scheme(config: WaveformConfig, schemes: Iterable[ClockScheme],
+                       scheme: ClockScheme) -> None:
+    """ValueError (NyquistError) unless scheme stays under the Nyquist bound
+    and reuses no read frequency of schemes."""
+    nyquist_check(config, scheme)
+    existing = {f for s in schemes for f in s.read_freqs}
+    clash = existing.intersection(scheme.read_freqs)
+    if clash:
+        raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
 
 
 def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
@@ -398,17 +399,11 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
                       geom2: SensorGeometry, mech2: MechanicalParams) -> ChannelTrace:
     """Superpose another sensor's modulated reflection onto an existing trace.
 
-    The new sensor must stay under the Nyquist bound and must not reuse any
-    read frequency already present in the trace.
+    scheme2 is checked by check_added_scheme against the trace's schemes.
     """
-    nyquist_check(trace.config, scheme2)
-    existing = {f for s in trace.schemes for f in s.read_freqs}
-    clash = existing.intersection(scheme2.read_freqs)
-    if clash:
-        raise ValueError(f"read frequency collision at {sorted(clash)} Hz")
-    data = _finish(np.empty_like(trace.data),
-                   _reflection_blocks(trace.data, trace.config, scheme2, timeline2,
-                                      sensor_path2, geom2, mech2), False, None)
+    check_added_scheme(trace.config, trace.schemes, scheme2)
+    data = _collected(_reflection_blocks(trace.data, trace.config, scheme2, timeline2,
+                                         sensor_path2, geom2, mech2), trace.data.shape)
     prov = dict(trace.provenance)
     prov["sensors"] = len(trace.schemes) + 1
     return ChannelTrace(config=trace.config, data=data,

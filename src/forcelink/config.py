@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import numbers
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -60,6 +61,9 @@ def _convert(tp, v, name: str, keys: dict | None = None):
                        or float(v).is_integer()))
         if not ok:
             raise ConfigError(f"bad {name}: expected {tp.__name__}, got {v!r}")
+        # json reads NaN, Infinity and integers past float's range
+        if tp is float and not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"bad {name}: expected a finite number, got {v!r}")
         return tp(v)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
@@ -116,6 +120,9 @@ class SweepSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        lo, hi = self.force_range_n
+        if not 0.0 <= lo <= hi:
+            raise ValueError(f"force_range_n needs 0 <= lo <= hi, got {self.force_range_n}")
         for key in ("test_locations_mm", "snr_grid_db"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")

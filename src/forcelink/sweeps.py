@@ -20,8 +20,8 @@ noiseless full-path trace, so a change to the reflection stage that the
 closed form does not follow fails the sweep instead of drifting from it.
 
 A quantized config keeps the full path, whose quantizer's full scale spans
-the whole trace: each trial's trace is synthesize's (touch_trace for a
-force trial), decoded by group_phases, one trial at a time.  That path is
+the whole trace: each trial's trace is _trial_trace's (touch_trace's for
+a force trial), decoded by group_phases, one trial at a time.  That path is
 also the oracle the tests hold the projection domain to.  Neither path
 starts a thread or decodes through BLAS, so no row depends on the BLAS
 thread count.
@@ -37,7 +37,8 @@ import numpy as np
 from . import calib
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
                       TouchTimeline, _draw, _subcarrier_phasor,
-                      add_second_sensor, noise_scale, synthesize)
+                      add_second_sensor, check_added_scheme, noise_scale,
+                      synthesize)
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
@@ -83,10 +84,15 @@ def no_touch_phase(cfg: ExperimentConfig):
     return port_phases(ShortingState.open(), cfg.geometry, cfg.waveform.carrier_hz)
 
 
-def _press_timeline(Ng: int, force_n: float, location_mm: float) -> TouchTimeline:
-    """One quiet lead group, then the press from the group boundary on."""
-    return TouchTimeline(entries=(
-        (0, None), (Ng, TouchEvent(force_n=force_n, location_mm=location_mm))))
+def _trial_trace(cfg: ExperimentConfig, Ng: int,
+                 touches: tuple[TouchEvent | None, TouchEvent | None],
+                 noise: NoiseSpec) -> ChannelTrace:
+    """The full-path trace of a two-group trial, synthesized with noise: Ng
+    snapshots under touches[0] (None: open), then Ng under touches[1] from
+    the group boundary on: every force and SNR trial's full-path trace."""
+    return synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
+                      TouchTimeline(entries=((0, touches[0]), (Ng, touches[1]))),
+                      cfg.multipath, noise, cfg.geometry, cfg.mechanics)
 
 
 def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
@@ -98,9 +104,8 @@ def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
     trace with the same seed, bit for bit (unquantized; a quantizer's full
     scale spans the whole trace)."""
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    return synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
-                      _press_timeline(Ng, force_n, location_mm), cfg.multipath,
-                      replace(cfg.noise, seed=int(seed)), cfg.geometry, cfg.mechanics)
+    return _trial_trace(cfg, Ng, (None, TouchEvent(force_n, location_mm)),
+                        replace(cfg.noise, seed=int(seed)))
 
 
 def pressed_phases(cfg: ExperimentConfig, trace: ChannelTrace) -> np.ndarray:
@@ -145,10 +150,7 @@ class _ProjectionDomain:
         self.gate = _gate_table(cfg.scheme, cfg.waveform.frame_period_s, Ng)
         self.phasor = _subcarrier_phasor(cfg.waveform, cfg.multipath.sensor_path)
         P = self.clean((None, HELD_PRESS))
-        trace = synthesize(replace(cfg.waveform, n_snapshots=2 * Ng), cfg.scheme,
-                           _press_timeline(Ng, HELD_PRESS.force_n,
-                                           HELD_PRESS.location_mm),
-                           cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
+        trace = _trial_trace(cfg, Ng, (None, HELD_PRESS), NoiseSpec())
         series = group_phases(trace, cfg.scheme, Ng)
         signal = _median(np.mean(np.abs(P) ** 2, axis=-1))
         phase_gap = max(abs(wrap_phase(float(a - b)))
@@ -265,12 +267,9 @@ def measure_step_errors(cfg: ExperimentConfig,
         for i, (snr, seed) in enumerate(zip(snrs, seeds)):
             errs[i] = _relative_phases(domain.noisy(clean, snr, int(seed)))
         return errs
-    wf = replace(cfg.waveform, n_snapshots=2 * Ng)
     for i, (snr, seed) in enumerate(zip(snrs, seeds)):
-        trace = synthesize(wf, cfg.scheme, TouchTimeline.constant(HELD_PRESS),
-                           cfg.multipath,
-                           NoiseSpec(snr, int(seed), cfg.noise.quantize_bits),
-                           cfg.geometry, cfg.mechanics)
+        trace = _trial_trace(cfg, Ng, (HELD_PRESS, HELD_PRESS),
+                             NoiseSpec(snr, int(seed), cfg.noise.quantize_bits))
         errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
     return errs
 
@@ -335,8 +334,13 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
     the identical noise realization (seeded by seed, cfg.noise.seed for
     None) so only the interference remains.
     """
-    scheme2 = make_scheme(cfg.sweep.second_f_s_hz)
-    Ng = auto_group_size(cfg.waveform, (cfg.scheme, scheme2))
+    try:  # before any trace is made: a clock that cannot join is a config error
+        scheme2 = make_scheme(cfg.sweep.second_f_s_hz)
+        check_added_scheme(cfg.waveform, (cfg.scheme,), scheme2)
+        Ng = auto_group_size(cfg.waveform, (cfg.scheme, scheme2))
+    except ValueError as e:
+        raise ConfigError(f"bad sweep.second_f_s_hz {cfg.sweep.second_f_s_hz}: "
+                          f"{e}") from e
     wf = replace(cfg.waveform, n_snapshots=n_groups * Ng)
     noise = cfg.noise if seed is None else replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,

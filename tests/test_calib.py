@@ -370,3 +370,11 @@ def test_model_requires_an_increasing_force_range(model, force_range):
     # a reversed range would pin every inverted force to one of its edges
     with pytest.raises(ValueError, match="force_range_n"):
         replace(model, force_range_n=force_range)
+
+
+def test_model_requires_finite_coefficients(model):
+    # the file reader refuses a NaN before this check; a model built in
+    # code still meets it
+    fits = (replace(model.fits[0], c_port1=(0.0, 0.0, 0.0, math.nan)),) + model.fits[1:]
+    with pytest.raises(ValueError, match="must be finite"):
+        replace(model, fits=fits)

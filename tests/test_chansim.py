@@ -116,11 +116,14 @@ def test_zero_sensor_amplitude_rejected_with_noise_on():
 
 
 def quantized(trace, bits):
-    """trace through the quantizer alone: the last stage of synthesize,
-    _finish, with the noise off (NoiseSpec checks bits)."""
+    """trace through the quantizer alone, as synthesize's last stage runs it:
+    _quantized over a copy's row blocks, in place (NoiseSpec checks bits)."""
     noise = NoiseSpec(quantize_bits=bits)
-    return ChannelTrace(trace.config, chansim._finish(
-        np.empty_like(trace.data), (trace.data,), False, noise.quantize_bits))
+    H = trace.data.copy()
+    for _ in chansim._quantized(lambda: (H[b] for b in chansim._row_blocks(*H.shape)),
+                                noise.quantize_bits):
+        pass
+    return ChannelTrace(trace.config, H)
 
 
 def test_quantize_bounds_and_grid():

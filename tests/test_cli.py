@@ -397,6 +397,22 @@ def test_sweep_crosstalk_mode(tmp_path):
         assert float(r["max_crosstalk_deg"]) < 0.5
 
 
+@pytest.mark.parametrize("f_s, says", [(1000.0, "collision"), (3000.0, "Nyquist"),
+                                       (1001.3, "group size")],
+                         ids=["read-tone-collision", "past-nyquist", "ungroupable"])
+def test_sweep_crosstalk_rejects_a_bad_second_clock(tmp_path, capsys, f_s, says):
+    # the second clock is checked before any trace is made: a usage error
+    # naming the key, no CSV
+    cfg = write_config(tmp_path, {"sweep": {"second_f_s_hz": f_s}})
+    out = tmp_path / "xtalk.csv"
+    assert cli.main(["sweep", "--config", cfg, "--mode", "crosstalk",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad sweep.second_f_s_hz")
+    assert says in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["force", "snr", "crosstalk"])
 @pytest.mark.parametrize("doc", [{}, {"noise": {"seed": 5}}], ids=["empty", "seed-5"])
 def test_sweep_writes_the_rows_the_library_makes(tmp_path, doc, mode):

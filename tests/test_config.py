@@ -201,16 +201,20 @@ def forces_range(start, stop, step):
 
 
 def test_a_range_spec_is_bounded_before_it_is_expanded():
-    # 10^12 forces (8 TB as a list), or an infinite count, are refused from
-    # the spec alone: nothing near that size is ever allocated
+    # 10^12 forces (8 TB as a list), or an infinite count from finite ends,
+    # are refused from the spec alone: nothing near that size is ever
+    # allocated; an infinite end is refused as no finite number
     forces = parse_config(forces_range(0.0, MAX_RANGE_FORCES - 1, 1.0)).calibration
     assert len(forces.forces_n) == MAX_RANGE_FORCES
 
-    def refused(stop):
-        with pytest.raises(ConfigError, match=f"more than {MAX_RANGE_FORCES}"):
-            parse_config(forces_range(0.0, stop, 1.0))
-    for stop in (MAX_RANGE_FORCES, 1e12, math.inf):
-        _, peak = traced_peak(lambda: refused(stop))
+    def refused(start, stop, says):
+        with pytest.raises(ConfigError, match=says):
+            parse_config(forces_range(start, stop, 1.0))
+    too_many = f"more than {MAX_RANGE_FORCES}"
+    for start, stop, says in ((0.0, MAX_RANGE_FORCES, too_many), (0.0, 1e12, too_many),
+                              (-1e308, 1e308, too_many),
+                              (0.0, math.inf, "expected a finite number")):
+        _, peak = traced_peak(lambda: refused(start, stop, says))
         assert peak < 2 ** 20, stop
 
 
@@ -246,6 +250,11 @@ def test_a_range_spec_is_bounded_before_it_is_expanded():
                 "clock_b": {"freq": 2000.0, "duty": 0.25, "offset": 0.5}}},
     {"clocks": {"clock_a": {"freq": 1000.0, "duty": 0.25},
                 "clock_b": {"freq": 2000.0, "duty": 0.5, "offset": 0.5}}},
+    {"noise": {"snr_db": math.nan}},
+    {"waveform": {"subcarrier_spacing_hz": math.inf}},
+    {"timeline": [{"start_snapshot": 0,
+                   "touch": {"force_n": math.nan, "location_mm": 40.0}}]},
+    {"sweep": {"force_range_n": [-1.0, 8.0]}},
 ], ids=["null-float", "section-list", "section-string", "row-no-start",
         "timeline-object", "step-zero", "step-negative", "stop-below-start",
         "range-no-step", "trials-string", "trials-fraction", "range-one-value",
@@ -253,7 +262,8 @@ def test_a_range_spec_is_bounded_before_it_is_expanded():
         "paths-number", "seed-bool", "trials-zero", "trials-negative",
         "ungroupable-f_s", "halfwidth-past-half-line", "three-forces",
         "one-distinct-location", "calibration-past-line", "test-location-past-line",
-        "clock_a-4th-on-port-2", "clock_b-2nd-null"])
+        "clock_a-4th-on-port-2", "clock_b-2nd-null", "snr-nan", "spacing-infinity",
+        "timeline-force-nan", "force-range-negative"])
 def test_malformed_config_is_a_config_error(doc, tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config(doc)

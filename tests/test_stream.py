@@ -187,6 +187,11 @@ def extra_geometry_key(header):
     return header
 
 
+def infinite_carrier(header):
+    header["waveform"]["carrier_hz"] = math.inf  # json writes Infinity
+    return header
+
+
 @pytest.mark.parametrize("change, says", [
     (drop("schemes", "clock_b"),
      "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
@@ -195,8 +200,9 @@ def extra_geometry_key(header):
      "port 2's 4 f_s read tone; 2 x duty must not be whole"),
     (extra_geometry_key, "unknown keys in 'geometry': ['width_mm']"),
     (lambda header: [header], "expected a JSON object, got list"),
+    (infinite_carrier, "waveform.carrier_hz: expected a finite number, got inf"),
 ], ids=["no-clock_b", "no-carrier", "clock_b-2nd-null", "extra-geometry-key",
-        "list-header"])
+        "list-header", "infinite-carrier"])
 def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, says):
     bad = damaged_copy(trace_path, tmp_path / "bad.trace", header_edit(change))
     out = tmp_path / "phases.csv"
@@ -261,8 +267,7 @@ def model_edit(key, value, at=None):
      "model.per_location[0].c_port2: expected a list of 4 values, "
      "got [0.0, 0.0, 0.0]"),
     (model_edit("c_port1", [0.0, 0.0, 0.0, math.nan], at=1),
-     "model: fit at 60.0 mm must be finite, got coefficients "
-     "(0.0, 0.0, 0.0, nan) and (0.0, 0.0, 0.0, 0.0)"),
+     "model.per_location[1].c_port1[3]: expected a finite number, got nan"),
     (model_edit("carrier_hz", -2.4e9),
      "model: carrier_hz must be positive, got -2400000000.0"),
     (model_edit("carrier_hz", 0), "model: carrier_hz must be positive, got 0.0"),
