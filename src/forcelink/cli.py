@@ -32,6 +32,9 @@ from .decoder import MIN_GROUPS, anchor, group_phases, resolve_group_size
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
+SEED_HELP = "overrides the config's noise.seed; must be >= 0"
+
+
 def _load_seeded(path, seed: int | None) -> ExperimentConfig:
     """The config at path, its noise.seed replaced by --seed when one is given."""
     cfg = load_config(path)
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="render a channel trace")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     sim.set_defaults(func=cmd_simulate)
 
     dec = sub.add_parser("decode", help="trace -> per-group phase CSV")
@@ -192,8 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mode", required=True,
                     choices=("force", "snr", "crosstalk"))
     sw.add_argument("--out", required=True)
-    sw.add_argument("--trials", type=int, default=None)
-    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--trials", type=int, default=None,
+                    help="trials (per SNR point for snr): default the config's "
+                         "sweep.trials for force, 50 for snr; at least 1 for "
+                         "force, 2 for snr; crosstalk takes none")
+    sw.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     sw.set_defaults(func=cmd_sweep)
 
     imp = sub.add_parser("impedance", help="microstrip impedance helper")

@@ -18,6 +18,9 @@ independent across groups, tones and subcarriers, with variance sigma^2/N_g.
 Once per sweep call the closed form is checked against group_phases of one
 noiseless full-path trace, so a change to the reflection stage that the
 closed form does not follow fails the sweep instead of drifting from it.
+The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
+each trial's seeded noise draw, its press's port_phases and a force trial's
+inversion stay per trial, and a trial's row is the same bytes in any chunk.
 
 A quantized config keeps the full path, whose quantizer's full scale spans
 the whole trace: each trial's trace is _trial_trace's (touch_trace's for
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +68,9 @@ HELD_PRESS = TouchEvent(4.0, 40.0)
 # per unit of that trace's largest entry over the sensor's tone projection:
 # project_groups rounds in proportion to it, about 1e-15 per unit
 CLOSED_FORM_TOLERANCE = 1e-12
+# trials the projection domain makes in one vectorised pass: a force sweep
+# draws a chunk's presses, then runs them
+SWEEP_CHUNK = 128
 
 
 def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
@@ -126,16 +132,9 @@ def run_touch_trial(model: calib.SensorModel, force_n: float, location_mm: float
             "location_err_mm": abs(est.location_mm - location_mm)}
 
 
-def _relative_phases(P: np.ndarray) -> np.ndarray:
-    """Group 1's phases against group 0's from a two-group trial's (2, 2, K)
-    projections, as group_phases takes them: the angle of the subcarrier
-    mean of P[1] conj(P[0])."""
-    return np.angle((P[1] * P[0].conj()).mean(axis=-1))
-
-
 class _ProjectionDomain:
-    """A two-group trial's projections P[g, t, k], as project_groups gives
-    them for its trace, made without the trace (unquantized configs only).
+    """Two-group trials' projections P[g, t, k], as project_groups gives them
+    for their traces, made without the traces (unquantized configs only).
 
     Built once per sweep call, it checks its closed form against the full
     path: group_phases of the noiseless trace of a quiet group and then
@@ -149,12 +148,12 @@ class _ProjectionDomain:
         self.cfg, self.Ng = cfg, Ng
         self.gate = _gate_table(cfg.scheme, cfg.waveform.frame_period_s, Ng)
         self.phasor = _subcarrier_phasor(cfg.waveform, cfg.multipath.sensor_path)
-        P = self.clean((None, HELD_PRESS))
+        P0, P1 = self.clean(None, (HELD_PRESS,))
         trace = _trial_trace(cfg, Ng, (None, HELD_PRESS), NoiseSpec())
         series = group_phases(trace, cfg.scheme, Ng)
-        signal = _median(np.mean(np.abs(P) ** 2, axis=-1))
-        phase_gap = max(abs(wrap_phase(float(a - b)))
-                        for a, b in zip(_relative_phases(P), series.phases[1]))
+        signal = _median(np.mean(np.abs(np.stack([P0, P1[0]])) ** 2, axis=-1))
+        phase_gap = max(abs(wrap_phase(float(a - b))) for a, b in zip(
+            self.phases(None, (HELD_PRESS,), (None,), (0,))[0], series.phases[1]))
         tiny = np.finfo(float).tiny
         energy_gap = float(np.max(np.abs(signal - series.signal)
                                   / np.maximum(series.signal, tiny)))
@@ -166,44 +165,59 @@ class _ProjectionDomain:
                 f"noiseless trial: phases by {phase_gap:.3g} rad, tone energies by "
                 f"{energy_gap:.3g} (relative); at most {tol:.3g}")
 
-    def clean(self, touches: Sequence[TouchEvent | None]) -> np.ndarray:
-        """(2, 2, K) noiseless projections of groups under touches[0], [1]."""
-        return np.stack([self.group(g, touch) for g, touch in enumerate(touches)])
-
-    def group(self, g: int, touch: TouchEvent | None) -> np.ndarray:
-        """(2, K) noiseless projections of group g under touch (None: open)."""
+    def clean(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Noiseless projections of group 0 under touch0, (2, K), and of group
+        1 under each of touches1, (n, 2, K) (None: open): one port_phases
+        per distinct touch, then one broadcast."""
         cfg = self.cfg
-        pp = port_phases(shorting_segment(touch, cfg.mechanics, cfg.geometry),
-                         cfg.geometry, cfg.waveform.carrier_hz)
-        tones = (self.gate[g] * np.exp(1j * np.array([pp.phi1, pp.phi2]))).sum(axis=-1)
-        return tones[:, None] * self.phasor
+        pp = {t: port_phases(shorting_segment(t, cfg.mechanics, cfg.geometry),
+                             cfg.geometry, cfg.waveform.carrier_hz)
+              for t in dict.fromkeys((touch0, *touches1))}
+        e = np.exp(1j * np.array([(pp[t].phi1, pp[t].phi2) for t in (touch0, *touches1)]))
+        tones0 = (self.gate[0] * e[0]).sum(axis=-1)
+        tones1 = (self.gate[1] * e[1:, None, :]).sum(axis=-1)
+        return tones0[:, None] * self.phasor, tones1[..., None] * self.phasor
 
-    def noisy(self, clean: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
-        """clean plus default_rng(seed)'s projected noise at snr_db, in
-        project_groups' (g, t, k) order with re, im innermost; clean itself
-        for snr_db None."""
-        scale = noise_scale(self.cfg.multipath.sensor_path, snr_db)
-        if scale is None:
-            return clean
-        P = np.empty_like(clean)
-        _draw(np.random.default_rng(seed), scale / math.sqrt(self.Ng), P)
-        P += clean
-        return P
+    def phases(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None],
+               snrs: Sequence[float | None], seeds: Sequence[int]) -> np.ndarray:
+        """(n, 2) phases of group 1 against group 0 of n trials, as
+        group_phases takes them: the angle of the subcarrier mean of P[1]
+        conj(P[0]), where trial i's P is clean(touch0, touches1)'s plus
+        default_rng(seeds[i])'s projected noise at snrs[i], drawn into the
+        trial's own (2, 2, K) row in project_groups' (g, t, k) order with
+        re, im innermost; the clean projections alone for an SNR of None.
+        A trial's row is the same bytes in any chunk."""
+        clean0, clean1 = self.clean(touch0, touches1)
+        noise = np.empty((len(seeds), 2) + clean0.shape, dtype=complex)
+        for row, snr, seed in zip(noise, snrs, seeds):
+            scale = noise_scale(self.cfg.multipath.sensor_path, snr)
+            if scale is None:  # x + -0.0 is x, a signed zero too: clean unchanged
+                row[...] = complex(-0.0, -0.0)
+            else:
+                _draw(np.random.default_rng(int(seed)), scale / math.sqrt(self.Ng), row)
+        P0, P1 = noise[:, 0] + clean0, noise[:, 1] + clean1
+        # conjugated in place: numpy reuses a temporary operand of 256 KiB or
+        # more as the output, as conj(P0) * P1, and a complex product's
+        # rounding is not symmetric in its operands
+        np.conjugate(P0, out=P0)
+        return np.angle((P1 * P0).mean(axis=-1))
 
 
 def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
-    Presses and trial seeds are drawn from seed, cfg.noise.seed for None,
-    one trial at a time as the trials need them: each trial's force,
-    location, then seed, so a long sweep starts at once and holds only its
-    rows.  Trial i's row is run_touch_trial of its anchored pressed-group
-    phases: for a quantized config pressed_phases of touch_trace(cfg, F_i,
-    l_i, seed_i), bit for bit; otherwise the projection domain's, from the
-    quiet group's clean projections (made once per call) and the press's,
-    plus seed_i's projected noise.  The median and p90 rows are np.median's
-    and np.quantile's, bit for bit.
+    Presses and trial seeds are drawn from seed, cfg.noise.seed for None, a
+    chunk of SWEEP_CHUNK trials at a time and in a serial loop's order (each
+    trial's force, location, then seed), so a long sweep starts at once and
+    holds only its rows and one chunk.  Trial i's row is run_touch_trial of
+    its anchored pressed-group phases: for a quantized config pressed_phases
+    of touch_trace(cfg, F_i, l_i, seed_i), bit for bit, one trial at a time;
+    otherwise the projection domain's, the chunk's in one pass: the quiet
+    group's and each press's clean projections plus seed_i's projected
+    noise.  The median and p90 rows are np.median's and np.quantile's, bit
+    for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -215,22 +229,28 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
     if cfg.noise.quantize_bits is None:
         domain, open_phase = _ProjectionDomain(cfg, Ng), no_touch_phase(cfg)
-        quiet = domain.group(0, None)  # every trial's quiet group 0
 
-        def phases(F: float, loc: float, s: int) -> np.ndarray:
-            P = domain.noisy(np.stack([quiet, domain.group(1, TouchEvent(F, loc))]),
-                             cfg.noise.snr_db, s)
-            return _relative_phases(P) + (open_phase.phi1, open_phase.phi2)
+        def phases(presses: list[tuple[float, float, int]]) -> np.ndarray:
+            touches = [TouchEvent(F, loc) for F, loc, _ in presses]
+            return domain.phases(None, touches, [cfg.noise.snr_db] * len(presses),
+                                 [s for _, _, s in presses]) + (open_phase.phi1,
+                                                                open_phase.phi2)
     else:
-        def phases(F: float, loc: float, s: int) -> np.ndarray:
-            return pressed_phases(cfg, touch_trace(cfg, F, loc, s))
+        def phases(presses: list[tuple[float, float, int]]) -> Iterator[np.ndarray]:
+            return (pressed_phases(cfg, touch_trace(cfg, F, loc, s))
+                    for F, loc, s in presses)
     rows = []
-    for i in range(trials):
-        F, loc = float(rng.uniform(f_lo, f_hi)), float(rng.choice(locations))
-        r = run_touch_trial(model, F, loc, phases(F, loc, int(rng.integers(0, 2 ** 62))))
-        r["kind"] = "trial"
-        r["trial"] = i
-        rows.append(r)
+    for start in range(0, trials, SWEEP_CHUNK):
+        # locations[integers(n)] is rng.choice(locations)'s stream, at a fifth the cost
+        presses = [(float(rng.uniform(f_lo, f_hi)),
+                    float(locations[int(rng.integers(len(locations)))]),
+                    int(rng.integers(0, 2 ** 62)))
+                   for _ in range(min(SWEEP_CHUNK, trials - start))]
+        for i, ((F, loc, _), p) in enumerate(zip(presses, phases(presses)), start):
+            r = run_touch_trial(model, F, loc, p)
+            r["kind"] = "trial"
+            r["trial"] = i
+            rows.append(r)
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [
@@ -252,9 +272,9 @@ def measure_step_errors(cfg: ExperimentConfig,
     groups of cfg.group_size (auto for None) snapshots, both pressed by
     HELD_PRESS.  For a quantized config row i is bit for bit the decode of
     synthesize's trace with NoiseSpec(snr_db (or its i-th entry), seeds[i],
-    cfg.noise.quantize_bits); otherwise it is the projection domain's, one
-    clean projection per call plus each seed's projected noise.  The config
-    is checked even for no seeds.
+    cfg.noise.quantize_bits); otherwise it is the projection domain's, the
+    held press's clean projections plus each seed's projected noise, a chunk
+    of SWEEP_CHUNK seeds per pass.  The config is checked even for no seeds.
     """
     snrs = [snr_db] * len(seeds) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(seeds):
@@ -263,9 +283,10 @@ def measure_step_errors(cfg: ExperimentConfig,
     errs = np.empty((len(seeds), 2))
     if cfg.noise.quantize_bits is None:
         domain = _ProjectionDomain(cfg, Ng)
-        clean = domain.clean((HELD_PRESS, HELD_PRESS))
-        for i, (snr, seed) in enumerate(zip(snrs, seeds)):
-            errs[i] = _relative_phases(domain.noisy(clean, snr, int(seed)))
+        for start in range(0, len(seeds), SWEEP_CHUNK):
+            chunk = slice(start, start + SWEEP_CHUNK)
+            errs[chunk] = domain.phases(HELD_PRESS, [HELD_PRESS] * len(errs[chunk]),
+                                        snrs[chunk], seeds[chunk])
         return errs
     for i, (snr, seed) in enumerate(zip(snrs, seeds)):
         trace = _trial_trace(cfg, Ng, (HELD_PRESS, HELD_PRESS),

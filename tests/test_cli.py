@@ -150,6 +150,17 @@ def test_seed_precedence(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("(mode crosstalk, seed 1)\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_help_describes_trials_and_seed(capsys, command):
+    # --help names what each option defaults to and what it accepts
+    assert cli.main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "overrides the config's noise.seed; must be >= 0" in text
+    if command == "sweep":
+        assert ("default the config's sweep.trials for force, 50 for snr; "
+                "at least 1 for force, 2 for snr") in text
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--mode", "force",
                                                     "--trials", "2"]],
                          ids=["simulate", "sweep"])

@@ -253,9 +253,10 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
 def test_force_sweep_draws_its_presses_as_the_trials_need_them(default_cfg,
                                                                 monkeypatch):
     # 2e5 presses drawn up front would hold about 35 MB before the first
-    # trial; drawn lazily, a sweep stopped at its 3rd trial holds a few
-    # traces of 2 subcarriers.  A 1-trial sweep first makes the one-time
-    # imports and caches, which are not the sweep's to bound.
+    # trial; drawn a chunk of trials at a time, a sweep stopped at its 3rd
+    # trial holds one chunk's presses and projections of 2 subcarriers.  A
+    # 1-trial sweep first makes the one-time imports and caches, which are
+    # not the sweep's to bound.
     cfg = replace(default_cfg, waveform=replace(default_cfg.waveform, n_subcarriers=2))
     run_force_sweep(cfg, trials=1, seed=1)
     trial, calls = sweeps.run_touch_trial, []
@@ -405,7 +406,8 @@ def test_closed_form_projections_match_project_groups(case):
     # read tones are orthogonal, their Gram matrix N_g I
     cfg, touches = case
     Ng, wf = cfg.group_size, cfg.waveform
-    P = sweeps._ProjectionDomain(cfg, Ng).clean(touches)
+    P0, P1 = sweeps._ProjectionDomain(cfg, Ng).clean(touches[0], touches[1:])
+    P = np.stack([P0, P1[0]])
     timeline = TouchTimeline(entries=((0, touches[0]), (Ng, touches[1])))
     trace = synthesize(replace(wf, n_snapshots=2 * Ng), cfg.scheme, timeline,
                        cfg.multipath, NoiseSpec(), cfg.geometry, cfg.mechanics)
@@ -428,6 +430,41 @@ def projected_noise(freqs, T, K, Ng, n, batch=250):
         chansim._draw(rng, 1.0, H)
         out.append(project_groups(H, freqs, T, Ng).reshape(batch, 2, 2, K))
     return np.concatenate(out)
+
+
+def chunk_case(cfg, name):
+    """The default config, or one config of closed_form_cases' kind: whole
+    cycles of f_s = 7 / (125 T), K = 5, group size 1250 (ten auto groups),
+    two strong static paths and a rotated sensor path."""
+    if name == "default":
+        return cfg
+    return replace(cfg, scheme=make_scheme(7 / (125 * cfg.waveform.frame_period_s)),
+                   waveform=replace(cfg.waveform, n_subcarriers=5), group_size=1250,
+                   multipath=MultipathProfile(
+                       (Path(60 - 40j, 2.5), Path(-8 + 3j, 9.0)), Path(0.6 + 0.9j, 3.7)))
+
+
+@pytest.mark.parametrize("case", ["default", "closed_form"])
+def test_a_force_trial_row_does_not_depend_on_its_chunk(default_cfg, case):
+    # the projection domain makes a chunk of trials in one pass; every
+    # shorter sweep is the head of a longer one with the same seed, bit for
+    # bit, wherever its chunks end
+    cfg, B = chunk_case(default_cfg, case), sweeps.SWEEP_CHUNK
+    rows, _ = run_force_sweep(cfg, trials=3 * B, seed=8)
+    for n in (1, B - 1, B, B + 1, 2 * B + 1):
+        assert run_force_sweep(cfg, trials=n, seed=8)[0] == rows[:n], n
+
+
+@pytest.mark.parametrize("case", ["default", "closed_form"])
+def test_a_step_error_row_does_not_depend_on_its_chunk(default_cfg, case):
+    # one call over seeds that straddle chunk boundaries, at mixed SNRs
+    # (noiseless among them), gives each row of a one-seed call, bit for bit
+    cfg, B = chunk_case(default_cfg, case), sweeps.SWEEP_CHUNK
+    seeds = range(B - 2, 3 * B + 3)
+    snrs = [(25.0, None, 0.0, 10.0)[s % 4] for s in seeds]
+    got = measure_step_errors(cfg, snrs, seeds)
+    for row, snr, seed in zip(got, snrs, seeds):
+        assert row.tobytes() == measure_step_errors(cfg, snr, [seed]).tobytes(), seed
 
 
 def test_projection_domain_sweeps_under_a_strong_direct_path(default_cfg):
