@@ -8,7 +8,8 @@ phases from them, and maps phases back to force and contact location.
 """
 
 from .calib import (CalibrationDataset, Estimate, Sample, SensorModel,
-                    fit_model, generate_sweep, invert, model_forward)
+                    fit_model, generate_sweep, invert, invert_many,
+                    model_forward)
 from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, NyquistError,
                       Path, TouchTimeline, WaveformConfig, add_second_sensor,
                       equivalent_doppler_velocity, nyquist_check,
@@ -30,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationDataset", "Estimate", "Sample", "SensorModel",
-    "fit_model", "generate_sweep", "invert", "model_forward",
+    "fit_model", "generate_sweep", "invert", "invert_many", "model_forward",
     "ChannelTrace", "MultipathProfile", "NoiseSpec", "NyquistError", "Path",
     "TouchTimeline", "WaveformConfig", "add_second_sensor",
     "equivalent_doppler_velocity", "nyquist_check", "synthesis_blocks",

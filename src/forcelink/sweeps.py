@@ -19,8 +19,9 @@ Once per sweep call the closed form is checked against group_phases of one
 noiseless full-path trace, so a change to the reflection stage that the
 closed form does not follow fails the sweep instead of drifting from it.
 The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
-each trial's seeded noise draw, its press's port_phases and a force trial's
-inversion stay per trial, and a trial's row is the same bytes in any chunk.
+each trial's seeded noise draw and its press's port_phases stay per trial.
+A force sweep inverts each chunk with one calib.invert_many call, on either
+path, and a trial's row is the same bytes in any chunk.
 
 A quantized config keeps the full path, whose quantizer's full scale spans
 the whole trace: each trial's trace is _trial_trace's (touch_trace's for
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,7 +127,12 @@ def run_touch_trial(model: calib.SensorModel, force_n: float, location_mm: float
     """One closed-loop inversion: a trial's row from its anchored pressed-group
     phases (phi1, phi2), pressed_phases' or the projection domain's, and
     the press's truth force_n and location_mm, for the error columns."""
-    est = calib.invert(model, float(phases[0]), float(phases[1]))
+    return _trial_row(force_n, location_mm,
+                      calib.invert(model, float(phases[0]), float(phases[1])))
+
+
+def _trial_row(force_n: float, location_mm: float, est: calib.Estimate) -> dict:
+    """A force trial's row: its truth, its estimate's columns and both errors."""
     return {"true_force_n": force_n, "true_location_mm": location_mm,
             **est.columns(), "force_err_n": abs(est.force_n - force_n),
             "location_err_mm": abs(est.location_mm - location_mm)}
@@ -211,13 +217,15 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     Presses and trial seeds are drawn from seed, cfg.noise.seed for None, a
     chunk of SWEEP_CHUNK trials at a time and in a serial loop's order (each
     trial's force, location, then seed), so a long sweep starts at once and
-    holds only its rows and one chunk.  Trial i's row is run_touch_trial of
-    its anchored pressed-group phases: for a quantized config pressed_phases
-    of touch_trace(cfg, F_i, l_i, seed_i), bit for bit, one trial at a time;
-    otherwise the projection domain's, the chunk's in one pass: the quiet
-    group's and each press's clean projections plus seed_i's projected
-    noise.  The median and p90 rows are np.median's and np.quantile's, bit
-    for bit.
+    holds only its rows and one chunk.  Trial i's row is run_touch_trial's
+    for its anchored pressed-group phases: for a quantized config
+    pressed_phases of touch_trace(cfg, F_i, l_i, seed_i), bit for bit, one
+    trial at a time; otherwise the projection domain's, the chunk's in one
+    pass: the quiet group's and each press's clean projections plus seed_i's
+    projected noise.  Each chunk's phases are inverted in one
+    calib.invert_many call; trial 0 is inverted once more through
+    run_touch_trial, and a batch row that differs from it raises ValueError.
+    The median and p90 rows are np.median's and np.quantile's, bit for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
@@ -236,9 +244,9 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                                  [s for _, _, s in presses]) + (open_phase.phi1,
                                                                 open_phase.phi2)
     else:
-        def phases(presses: list[tuple[float, float, int]]) -> Iterator[np.ndarray]:
-            return (pressed_phases(cfg, touch_trace(cfg, F, loc, s))
-                    for F, loc, s in presses)
+        def phases(presses: list[tuple[float, float, int]]) -> np.ndarray:
+            return np.array([pressed_phases(cfg, touch_trace(cfg, F, loc, s))
+                             for F, loc, s in presses])
     rows = []
     for start in range(0, trials, SWEEP_CHUNK):
         # locations[integers(n)] is rng.choice(locations)'s stream, at a fifth the cost
@@ -246,11 +254,15 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     float(locations[int(rng.integers(len(locations)))]),
                     int(rng.integers(0, 2 ** 62)))
                    for _ in range(min(SWEEP_CHUNK, trials - start))]
-        for i, ((F, loc, _), p) in enumerate(zip(presses, phases(presses)), start):
-            r = run_touch_trial(model, F, loc, p)
-            r["kind"] = "trial"
-            r["trial"] = i
-            rows.append(r)
+        p = phases(presses)
+        chunk = [_trial_row(F, loc, est) for (F, loc, _), est in
+                 zip(presses, calib.invert_many(model, p[:, 0], p[:, 1]))]
+        if start == 0:  # trial 0 again, by run_touch_trial's one-point invert
+            one = run_touch_trial(model, *presses[0][:2], p[0])
+            if chunk[0] != one:
+                raise ValueError("the batched inversion disagrees with the one-point "
+                                 f"inversion on trial 0: {chunk[0]} against {one}")
+        rows += [{**r, "kind": "trial", "trial": i} for i, r in enumerate(chunk, start)]
     f_err = np.array([r["force_err_n"] for r in rows])
     l_err = np.array([r["location_err_mm"] for r in rows])
     aggregates = [

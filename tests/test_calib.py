@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcelink.calib import (RESIDUAL_THRESHOLD_RAD2, CalibrationDataset,
-                             Sample, fit_model, generate_sweep, invert,
-                             model_forward)
+from forcelink.calib import (RESIDUAL_THRESHOLD_RAD2, _WIDEN, CalibrationDataset,
+                             Sample, _pairs, fit_model, generate_sweep, invert,
+                             invert_many, model_forward)
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, port_phases,
                                   shorting_segment)
@@ -281,10 +281,15 @@ def test_invert_ignores_whole_turn_phase_offsets(model):
             assert off.reliable, key
 
 
+@functools.cache
+def other_model():
+    """A model with another force range, location span and carrier."""
+    return fit_model(generate_sweep((10.0, 35.0, 70.0), FORCES[2:], GEOM, MECH, 2.0e9))
+
+
 def test_invert_cell_cache_is_per_model(model):
     # another force range, span and carrier: different cached cells
-    other = fit_model(generate_sweep((10.0, 35.0, 70.0), FORCES[2:], GEOM,
-                                     MECH, 2.0e9))
+    other = other_model()
     for m, (F, loc) in ((model, (3.5, 35.0)), (other, (2.5, 12.0)),
                         (model, (6.2, 52.0)), (other, (7.5, 66.0))):
         fw = model_forward(m, F, loc)
@@ -292,6 +297,70 @@ def test_invert_cell_cache_is_per_model(model):
         # an equal model whose caches are still empty
         assert est == invert(replace(m), fw.phi1, fw.phi2)
         assert abs(est.force_n - F) < 0.05 and abs(est.location_mm - loc) < 0.05
+
+
+@settings(max_examples=100, deadline=None)
+@given(other=st.booleans(),
+       presses=st.lists(st.tuples(st.floats(-0.1, 1.1), st.floats(0.0, 1.0),
+                                  st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                                  st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                        max_size=10),
+       uniform=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+                        max_size=6),
+       data=st.data())
+def test_invert_many_is_the_one_point_inversion_in_any_chunks(model, other, presses,
+                                                               uniform, data):
+    # noisy model images (forces a little past the box too) whole turns
+    # away, and uniform phases: the batch gives each point invert's
+    # estimate, field for field, however the batch is split
+    m = other_model() if other else model
+    (f_lo, f_hi), locs = m.force_range_n, m.locations()
+    phi = uniform + [
+        (fw.phi1 + n1 + 2.0 * math.pi * k1, fw.phi2 + n2 + 2.0 * math.pi * k2)
+        for f, l, n1, n2, k1, k2 in presses
+        for fw in [model_forward(m, f_lo + f * (f_hi - f_lo),
+                                 locs[0] + l * (locs[-1] - locs[0]))]]
+    phi = data.draw(st.permutations(phi))
+    want = [invert(m, a, b) for a, b in phi]
+    p1, p2 = [a for a, _ in phi], [b for _, b in phi]
+    assert invert_many(m, p1, p2) == want
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(phi)), max_size=4)))
+    assert [est for a, b in zip([0, *cuts], [*cuts, len(phi)])
+            for est in invert_many(m, p1[a:b], p2[a:b])] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(other=st.booleans(), phi=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+       widen=st.floats(0.0, math.pi))
+def test_branch_pairs_are_every_whole_turn_within_the_bounds(model, other, phi, widen):
+    # a cell's or knot's bounds widened by up to pi (the edge fallback's
+    # most) hold no more branches on a port than the cached slots: the
+    # pairs are the float loops' (p + 2 pi k1, q + 2 pi k2), in their order
+    m = other_model() if other else model
+    (_, cells, *_), (_, knots, *_), _, slots = m._cells
+    tau, (p, q) = 2.0 * math.pi, phi
+
+    def turns(lo, hi, x):
+        return range(math.ceil((lo - x) / tau), math.floor((hi - x) / tau) + 1)
+    for b in (cells + widen * _WIDEN, knots + widen * _WIDEN):
+        (owner,), y = _pairs(b, np.array(phi), slots)
+        want = [(s, p + tau * k1, q + tau * k2)
+                for s, ((l1, l2), (h1, h2)) in enumerate(b.tolist())
+                for k1 in turns(l1, h1, p) for k2 in turns(l2, h2, q)]
+        assert [(s, *ys) for s, ys in zip(owner.tolist(), y.tolist())] == want
+
+
+def test_invert_many_checks_its_batch(model):
+    assert invert_many(model, [], []) == []
+    with pytest.raises(ValueError, match="one length"):
+        invert_many(model, [0.1, 0.2, 0.3], [0.1, 0.2])
+    with pytest.raises(ValueError, match="1-D"):
+        invert_many(model, np.full((3, 1), 0.5), np.full((3, 1), 0.5))
+    for bad in (math.nan, 2e6):
+        good, worse = [0.5] * 6, [0.5, 0.4, 0.3, bad, 0.2, math.nan]
+        for p1, p2 in ((good, worse), (worse, good)):
+            with pytest.raises(ValueError, match="finite.* at index 3$"):
+                invert_many(model, p1, p2)
 
 
 def test_invert_reliable_flag_follows_threshold(model):

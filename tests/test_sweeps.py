@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from forcelink import chansim, sweeps
+from forcelink import calib, chansim, sweeps
 from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                                noise_scale, synthesize)
 from forcelink.clocks import make_scheme
@@ -208,10 +209,17 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
             assert ks_2samp(got, [r[key] for r in full]).pvalue > KS_GRID_LEVEL, key
 
 
+def patch_batch(monkeypatch, fn):
+    """Let the sweeps call fn where they call calib.invert_many; calib.invert,
+    and so run_touch_trial's check of trial 0, keeps the real batch."""
+    monkeypatch.setattr(sweeps, "calib",
+                        SimpleNamespace(**{**vars(calib), "invert_many": fn}))
+
+
 def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
     # both sweeps, on either path (unquantized, 10-bit), run every stage on
     # the calling thread and start none: on a full sweep, on no seeds, and
-    # when a trial raises mid-sweep
+    # when a later chunk's inversion raises mid-sweep (chunks of 2 trials)
     threads = set()
 
     def record(fn):
@@ -227,13 +235,13 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
     monkeypatch.setattr(sweeps, "_draw", record(sweeps._draw))
     monkeypatch.setattr(chansim, "_gate", record(chansim._gate))
     monkeypatch.setattr(sweeps, "group_phases", record(sweeps.group_phases))
-    trial, calls = sweeps.run_touch_trial, []
+    batch, calls = calib.invert_many, []
 
     def fails_second(*args):
         calls.append(1)
         if len(calls) == 2:
             raise RuntimeError("consumer failed")
-        return trial(*args)
+        return batch(*args)
     baseline = threading.active_count()
     for bits in (None, 10):
         cfg = replace(default_cfg, noise=replace(default_cfg.noise, quantize_bits=bits))
@@ -241,7 +249,8 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
         run_snr_sweep(with_grid(cfg, 10.0, 20.0), trials=3, seed=1)
         assert measure_step_errors(cfg, 10.0, []).shape == (0, 2)
         with monkeypatch.context() as m:
-            m.setattr(sweeps, "run_touch_trial", fails_second)
+            patch_batch(m, fails_second)
+            m.setattr(sweeps, "SWEEP_CHUNK", 2)
             with pytest.raises(RuntimeError, match="consumer failed"):
                 run_force_sweep(cfg, trials=5, seed=1)
         assert len(calls) == 2
@@ -253,27 +262,44 @@ def test_sweeps_leave_no_thread_behind(default_cfg, monkeypatch):
 def test_force_sweep_draws_its_presses_as_the_trials_need_them(default_cfg,
                                                                 monkeypatch):
     # 2e5 presses drawn up front would hold about 35 MB before the first
-    # trial; drawn a chunk of trials at a time, a sweep stopped at its 3rd
-    # trial holds one chunk's presses and projections of 2 subcarriers.  A
-    # 1-trial sweep first makes the one-time imports and caches, which are
-    # not the sweep's to bound.
+    # trial; drawn a chunk of trials at a time, a sweep stopped at its 2nd
+    # chunk's inversion holds one chunk's rows, presses and projections of
+    # 2 subcarriers.  A 1-trial sweep first makes the one-time imports and
+    # caches, which are not the sweep's to bound.
     cfg = replace(default_cfg, waveform=replace(default_cfg.waveform, n_subcarriers=2))
     run_force_sweep(cfg, trials=1, seed=1)
-    trial, calls = sweeps.run_touch_trial, []
+    batch, calls = calib.invert_many, []
 
-    def fails_third(*args):
+    def fails_second(*args):
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise RuntimeError("consumer failed")
-        return trial(*args)
-    monkeypatch.setattr(sweeps, "run_touch_trial", fails_third)
+        return batch(*args)
+    patch_batch(monkeypatch, fails_second)
 
     def stopped_sweep():
         with pytest.raises(RuntimeError, match="consumer failed"):
             run_force_sweep(cfg, trials=200_000, seed=1)
     _, peak = traced_peak(stopped_sweep)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("bits", [None, 10])
+def test_force_sweep_refuses_a_batch_that_disagrees_on_trial_0(default_cfg,
+                                                                monkeypatch, bits):
+    # each sweep inverts its trial 0 a second time, alone, through
+    # run_touch_trial; a batch whose estimate differs from it in the last
+    # bit fails the sweep
+    cfg = replace(default_cfg, noise=replace(default_cfg.noise, quantize_bits=bits))
+    batch = calib.invert_many
+
+    def perturbed(*args):
+        first, *rest = batch(*args)
+        return [replace(first, force_n=math.nextafter(first.force_n, math.inf)), *rest]
+    patch_batch(monkeypatch, perturbed)
+    with pytest.raises(ValueError, match="disagrees with the one-point inversion"):
+        run_force_sweep(cfg, trials=3, seed=1)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
