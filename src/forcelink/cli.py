@@ -93,9 +93,12 @@ def cmd_decode(args) -> int:
     if anchored:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
                                             trace.config.carrier_hz))
-    if model is not None:
-        cells = [calib.invert(model, float(p1), float(p2)).columns()
-                 for p1, p2 in phases]
+    if model is not None:  # every group in one batch, group 0 again alone
+        ests = calib.invert_many(model, phases[:, 0], phases[:, 1])
+        if ests[0] != (one := calib.invert(model, *map(float, phases[0]))):
+            raise ValueError("the batched inversion disagrees with the one-point "
+                             f"inversion on group 0: {ests[0]} against {one}")
+        cells = [e.columns() for e in ests]
         extra = {name: [c[name] for c in cells] for name in cells[0]}
     traceio.write_phase_csv(series, args.out, phases, extra_columns=extra)
     snr1, snr2 = series.snr_db

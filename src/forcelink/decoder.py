@@ -24,12 +24,13 @@ A group size is a plain int from config to decode, held to one rule,
 resolve_group_size: a positive multiple of auto_group_size, the smallest
 size holding whole cycles of every read tone.  Setup that depends only on
 such small keys is worked out once and shared by every decode: the auto
-size per (frame period, read tones), and, since a group holds whole
-tone cycles, one group's tone weights per (frame period, read tones, group
-size), as is the switch states' projection table the sweeps' projection
-domain builds its trials from.  The projection sums each group with
-numpy's own loops, not BLAS, so decoded bytes depend neither on how the
-trace was split into blocks nor on the BLAS thread count.
+size per (frame period, read tones), one group's tone weights per (frame
+period, read tones, group size), and the switch states' projection table
+the sweeps' projection domain builds its trials from.  The projection sums
+each group with numpy's own loops, not BLAS, and every phase is
+phase_against's, whose products keep named operands, so decoded bytes
+depend neither on how the trace was split into blocks nor on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -219,6 +220,14 @@ def project_groups(block: np.ndarray, read_freqs: Sequence[float],
     return P
 
 
+def phase_against(P: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The angle of the subcarrier mean of P conj(ref), broadcast.  The conjugate
+    is named: numpy reuses a temporary of 256 KiB or more as the output,
+    swapping a complex product's operands, whose rounding is not symmetric."""
+    ref_conj = np.conjugate(ref)
+    return np.angle((P * ref_conj).mean(axis=-1))
+
+
 def _median(a: np.ndarray) -> np.ndarray:
     """np.median(a, axis=0) of a float array, bit for bit, without the
     numpy.ma import (12-15 ms) that np.median's NaN check makes in a fresh
@@ -276,17 +285,16 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
 
     group_size must hold whole cycles of every scheme's read tones in the
     trace, not just the decoded one's, so the other sensors' tones cancel;
-    snapshots past the last whole group are ignored.  A step is the angle of
-    P[g+1, k] conj(P[g, k]) averaged over subcarriers, so the projection
-    magnitudes drop out, and a phase that of P[g, k] conj(P[0, k]); the trace
-    needs MIN_GROUPS groups.  A tone's signal is the median group energy,
-    which a mid-group step cannot drag down.  Static paths and whole-cycle
-    clock lines repeat each group exactly, so the difference of two
-    consecutive groups holds only noise, 2 sigma^2 per entry: sigma^2 is the
-    least over group pairs of sum |rows[g] - rows[g+1]|^2 / (2 N_g K), over
-    all K subcarriers.  A step inside a pair adds to its sum, so sigma^2
-    relies on at least one group pair with no step inside it; a trace whose
-    every pair holds a step reads it high.
+    snapshots past the last whole group are ignored.  A step is
+    phase_against(P[g+1], P[g]) and a phase phase_against(P[g], P[0]); the
+    trace needs MIN_GROUPS groups.  A tone's signal is the median group
+    energy, which a mid-group step cannot drag down.  Static paths and
+    whole-cycle clock lines repeat each group exactly, so the difference of
+    two consecutive groups holds only noise, 2 sigma^2 per entry: sigma^2 is
+    the least over group pairs of sum |rows[g] - rows[g+1]|^2 / (2 N_g K),
+    over all K subcarriers.  A step inside a pair adds to its sum, so
+    sigma^2 relies on at least one step-free group pair; a trace whose every
+    pair holds a step reads it high.
     """
     if scheme is None:
         if not trace.schemes:
@@ -298,8 +306,8 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     if G < MIN_GROUPS:
         raise ValueError(f"need at least {MIN_GROUPS} groups, trace holds {G} "
                          f"at size {Ng}")
-    # P0: group 0's conjugate projections; last: the previous group's
-    # projections and its rows, a view of the source block
+    # P0: group 0's projections; last: the previous group's projections and
+    # its rows, a view of the source block
     P0, last = None, None
     steps, phases, energy, pair_sums = [], [], [], []
     for block in trace.blocks(Ng):  # whole groups, then any tail
@@ -311,12 +319,12 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
         groups = list(H.reshape(g, Ng, -1))
         energy.append(np.mean(np.abs(P) ** 2, axis=-1))
         if P0 is None:
-            P0 = P[0].conj()
-        phases.append(np.angle((P * P0).mean(axis=-1)))
+            P0 = P[0]
+        phases.append(phase_against(P, P0))
         if last is not None:
             P = np.concatenate((last[0], P))
             groups.insert(0, last[1])
-        steps.append(np.angle((P[1:] * P[:-1].conj()).mean(axis=-1)))
+        steps.append(phase_against(P[1:], P[:-1]))
         pair_sums += [_sum_squares(a - b) for a, b in zip(groups, groups[1:])]
         last = P[-1:], block[(g - 1) * Ng:g * Ng]
         del H, groups  # free this block's copy before the next is made

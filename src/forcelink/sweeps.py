@@ -15,20 +15,21 @@ seed where the trace takes 2 N_g K.  That is exact: a group holds whole
 cycles of both read tones and of their difference, so static paths cancel,
 the tones are orthogonal over a group and the projected noise is
 independent across groups, tones and subcarriers, with variance sigma^2/N_g.
-Once per sweep call the closed form is checked against group_phases of one
-noiseless full-path trace, so a change to the reflection stage that the
-closed form does not follow fails the sweep instead of drifting from it.
+Once per sweep call the closed form's projections are compared with
+project_groups' of one noiseless full-path trace, so a change to the
+reflection stage that the closed form does not follow fails the sweep
+instead of drifting from it; both paths take phases by decoder.phase_against.
 The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
 each trial's seeded noise draw and its press's port_phases stay per trial.
 A force sweep inverts each chunk with one calib.invert_many call, on either
 path, and a trial's row is the same bytes in any chunk.
 
 A quantized config keeps the full path, whose quantizer's full scale spans
-the whole trace: each trial's trace is _trial_trace's (touch_trace's for
-a force trial), decoded by group_phases, one trial at a time.  That path is
-also the oracle the tests hold the projection domain to.  Neither path
-starts a thread or decodes through BLAS, so no row depends on the BLAS
-thread count.
+the whole trace: each trial's trace is _trial_trace's, decoded by
+group_phases, one trial at a time; _chunk_phases picks the path.  That path
+(touch_trace, pressed_phases) is also the oracle the tests hold the
+projection domain to.  Neither path starts a thread or decodes through BLAS,
+so no row depends on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -46,9 +47,10 @@ from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
-                      group_phases, resolve_group_size)
+                      group_phases, phase_against, project_groups,
+                      resolve_group_size)
 from .transducer import (ShortingState, TouchEvent, port_phases,
-                         shorting_segment, wrap_phase)
+                         shorting_segment)
 
 
 # each sweep mode's CSV columns, in order; a row leaves blank what it lacks
@@ -64,10 +66,10 @@ CSV_COLUMNS = {
 
 # the SNR trials' held press, and the press the projection domain is checked on
 HELD_PRESS = TouchEvent(4.0, 40.0)
-# largest gap between the projection domain's clean phases (rad) and tone
-# energies (relative) and the full path's decode of the same noiseless trace,
-# per unit of that trace's largest entry over the sensor's tone projection:
-# project_groups rounds in proportion to it, about 1e-15 per unit
+# largest gap between the projection domain's clean projections and
+# project_groups' of the same noiseless trace, entry by entry, per unit of
+# that trace's largest entry: project_groups rounds in proportion to it,
+# about 1e-15 per unit
 CLOSED_FORM_TOLERANCE = 1e-12
 # trials the projection domain makes in one vectorised pass: a force sweep
 # draws a chunk's presses, then runs them
@@ -143,11 +145,10 @@ class _ProjectionDomain:
     for their traces, made without the traces (unquantized configs only).
 
     Built once per sweep call, it checks its closed form against the full
-    path: group_phases of the noiseless trace of a quiet group and then
-    HELD_PRESS must agree with it in group 1's phases and in each tone's
-    energy, or ValueError, to CLOSED_FORM_TOLERANCE times that trace's
-    largest entry over the square root of the closed form's weaker tone
-    energy (a strong static path scales the full path's rounding up).
+    path: its projections of a quiet group and then HELD_PRESS must be
+    project_groups' of that noiseless trace, entry by entry, to
+    CLOSED_FORM_TOLERANCE times the trace's largest entry (a strong static
+    path scales the full path's rounding up), or ValueError.
     """
 
     def __init__(self, cfg: ExperimentConfig, Ng: int):
@@ -156,20 +157,13 @@ class _ProjectionDomain:
         self.phasor = _subcarrier_phasor(cfg.waveform, cfg.multipath.sensor_path)
         P0, P1 = self.clean(None, (HELD_PRESS,))
         trace = _trial_trace(cfg, Ng, (None, HELD_PRESS), NoiseSpec())
-        series = group_phases(trace, cfg.scheme, Ng)
-        signal = _median(np.mean(np.abs(np.stack([P0, P1[0]])) ** 2, axis=-1))
-        phase_gap = max(abs(wrap_phase(float(a - b))) for a, b in zip(
-            self.phases(None, (HELD_PRESS,), (None,), (0,))[0], series.phases[1]))
-        tiny = np.finfo(float).tiny
-        energy_gap = float(np.max(np.abs(signal - series.signal)
-                                  / np.maximum(series.signal, tiny)))
-        tol = CLOSED_FORM_TOLERANCE * float(np.abs(trace.data).max()
-                                            / np.sqrt(max(signal.min(), tiny)))
-        if not (phase_gap <= tol and energy_gap <= tol):  # NaN fails too
+        gap = float(np.abs(np.stack([P0, P1[0]]) - project_groups(
+            trace.data, cfg.scheme.read_freqs, cfg.waveform.frame_period_s, Ng)).max())
+        tol = CLOSED_FORM_TOLERANCE * float(np.abs(trace.data).max())
+        if not gap <= tol:  # NaN fails too
             raise ValueError(
                 "the projection domain disagrees with the full-path decode of a "
-                f"noiseless trial: phases by {phase_gap:.3g} rad, tone energies by "
-                f"{energy_gap:.3g} (relative); at most {tol:.3g}")
+                f"noiseless trial: projections by {gap:.3g}; at most {tol:.3g}")
 
     def clean(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,12 +182,12 @@ class _ProjectionDomain:
     def phases(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None],
                snrs: Sequence[float | None], seeds: Sequence[int]) -> np.ndarray:
         """(n, 2) phases of group 1 against group 0 of n trials, as
-        group_phases takes them: the angle of the subcarrier mean of P[1]
-        conj(P[0]), where trial i's P is clean(touch0, touches1)'s plus
-        default_rng(seeds[i])'s projected noise at snrs[i], drawn into the
-        trial's own (2, 2, K) row in project_groups' (g, t, k) order with
-        re, im innermost; the clean projections alone for an SNR of None.
-        A trial's row is the same bytes in any chunk."""
+        group_phases takes them, phase_against(P[1], P[0]): trial i's P is
+        clean(touch0, touches1)'s plus default_rng(seeds[i])'s projected
+        noise at snrs[i], drawn into the trial's own (2, 2, K) row in
+        project_groups' (g, t, k) order with re, im innermost; the clean
+        projections alone for an SNR of None.  A trial's row is the same
+        bytes in any chunk."""
         clean0, clean1 = self.clean(touch0, touches1)
         noise = np.empty((len(seeds), 2) + clean0.shape, dtype=complex)
         for row, snr, seed in zip(noise, snrs, seeds):
@@ -202,12 +196,22 @@ class _ProjectionDomain:
                 row[...] = complex(-0.0, -0.0)
             else:
                 _draw(np.random.default_rng(int(seed)), scale / math.sqrt(self.Ng), row)
-        P0, P1 = noise[:, 0] + clean0, noise[:, 1] + clean1
-        # conjugated in place: numpy reuses a temporary operand of 256 KiB or
-        # more as the output, as conj(P0) * P1, and a complex product's
-        # rounding is not symmetric in its operands
-        np.conjugate(P0, out=P0)
-        return np.angle((P1 * P0).mean(axis=-1))
+        return phase_against(noise[:, 1] + clean1, noise[:, 0] + clean0)
+
+
+def _chunk_phases(cfg: ExperimentConfig, Ng: int):
+    """The sweeps' one choice of path: the function giving a chunk's (n, 2)
+    phases of group 1 against group 0, as _ProjectionDomain.phases does.
+    Unquantized, that method (its check made here); quantized, group_phases
+    of each trial's _trial_trace with NoiseSpec(snrs[i], seeds[i], bits)."""
+    if cfg.noise.quantize_bits is None:
+        return _ProjectionDomain(cfg, Ng).phases
+
+    def full_path(touch0, touches1, snrs, seeds) -> np.ndarray:
+        return np.array([group_phases(_trial_trace(
+            cfg, Ng, (touch0, t), NoiseSpec(snr, int(seed), cfg.noise.quantize_bits)),
+            cfg.scheme, Ng).phases[1] for t, snr, seed in zip(touches1, snrs, seeds)])
+    return full_path
 
 
 def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
@@ -218,11 +222,11 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     chunk of SWEEP_CHUNK trials at a time and in a serial loop's order (each
     trial's force, location, then seed), so a long sweep starts at once and
     holds only its rows and one chunk.  Trial i's row is run_touch_trial's
-    for its anchored pressed-group phases: for a quantized config
-    pressed_phases of touch_trace(cfg, F_i, l_i, seed_i), bit for bit, one
-    trial at a time; otherwise the projection domain's, the chunk's in one
-    pass: the quiet group's and each press's clean projections plus seed_i's
-    projected noise.  Each chunk's phases are inverted in one
+    for its anchored pressed-group phases, one _chunk_phases call a chunk:
+    for a quantized config pressed_phases of touch_trace(cfg, F_i, l_i,
+    seed_i), bit for bit; otherwise the projection domain's, the quiet
+    group's and each press's clean projections plus seed_i's projected
+    noise.  Each chunk's phases are inverted in one
     calib.invert_many call; trial 0 is inverted once more through
     run_touch_trial, and a batch row that differs from it raises ValueError.
     The median and p90 rows are np.median's and np.quantile's, bit for bit.
@@ -235,18 +239,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    if cfg.noise.quantize_bits is None:
-        domain, open_phase = _ProjectionDomain(cfg, Ng), no_touch_phase(cfg)
-
-        def phases(presses: list[tuple[float, float, int]]) -> np.ndarray:
-            touches = [TouchEvent(F, loc) for F, loc, _ in presses]
-            return domain.phases(None, touches, [cfg.noise.snr_db] * len(presses),
-                                 [s for _, _, s in presses]) + (open_phase.phi1,
-                                                                open_phase.phi2)
-    else:
-        def phases(presses: list[tuple[float, float, int]]) -> np.ndarray:
-            return np.array([pressed_phases(cfg, touch_trace(cfg, F, loc, s))
-                             for F, loc, s in presses])
+    phases, open_phase = _chunk_phases(cfg, Ng), no_touch_phase(cfg)
     rows = []
     for start in range(0, trials, SWEEP_CHUNK):
         # locations[integers(n)] is rng.choice(locations)'s stream, at a fifth the cost
@@ -254,7 +247,9 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     float(locations[int(rng.integers(len(locations)))]),
                     int(rng.integers(0, 2 ** 62)))
                    for _ in range(min(SWEEP_CHUNK, trials - start))]
-        p = phases(presses)
+        p = phases(None, [TouchEvent(F, loc) for F, loc, _ in presses],
+                   [cfg.noise.snr_db] * len(presses), [s for _, _, s in presses])
+        p += (open_phase.phi1, open_phase.phi2)
         chunk = [_trial_row(F, loc, est) for (F, loc, _), est in
                  zip(presses, calib.invert_many(model, p[:, 0], p[:, 1]))]
         if start == 0:  # trial 0 again, by run_touch_trial's one-point invert
@@ -282,28 +277,21 @@ def measure_step_errors(cfg: ExperimentConfig,
 
     snr_db is one SNR for every seed, or one per seed.  A trial holds two
     groups of cfg.group_size (auto for None) snapshots, both pressed by
-    HELD_PRESS.  For a quantized config row i is bit for bit the decode of
-    synthesize's trace with NoiseSpec(snr_db (or its i-th entry), seeds[i],
-    cfg.noise.quantize_bits); otherwise it is the projection domain's, the
-    held press's clean projections plus each seed's projected noise, a chunk
-    of SWEEP_CHUNK seeds per pass.  The config is checked even for no seeds.
+    HELD_PRESS; a chunk of SWEEP_CHUNK rows is one _chunk_phases call.  For
+    a quantized config row i is bit for bit the decode of synthesize's trace
+    with NoiseSpec(snr_db (or its i-th entry), seeds[i], quantize_bits);
+    otherwise the projection domain's, the held press's clean projections
+    plus each seed's projected noise.  The config is checked even for no seeds.
     """
     snrs = [snr_db] * len(seeds) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(seeds):
         raise ValueError(f"{len(snrs)} SNRs for {len(seeds)} seeds")
     Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
-    errs = np.empty((len(seeds), 2))
-    if cfg.noise.quantize_bits is None:
-        domain = _ProjectionDomain(cfg, Ng)
-        for start in range(0, len(seeds), SWEEP_CHUNK):
-            chunk = slice(start, start + SWEEP_CHUNK)
-            errs[chunk] = domain.phases(HELD_PRESS, [HELD_PRESS] * len(errs[chunk]),
-                                        snrs[chunk], seeds[chunk])
-        return errs
-    for i, (snr, seed) in enumerate(zip(snrs, seeds)):
-        trace = _trial_trace(cfg, Ng, (HELD_PRESS, HELD_PRESS),
-                             NoiseSpec(snr, int(seed), cfg.noise.quantize_bits))
-        errs[i] = group_phases(trace, cfg.scheme, Ng).steps[0]
+    phases, errs = _chunk_phases(cfg, Ng), np.empty((len(seeds), 2))
+    for start in range(0, len(seeds), SWEEP_CHUNK):
+        chunk = slice(start, start + SWEEP_CHUNK)
+        errs[chunk] = phases(HELD_PRESS, [HELD_PRESS] * len(errs[chunk]),
+                             snrs[chunk], seeds[chunk])
     return errs
 
 

@@ -8,11 +8,13 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from forcelink import cli, sweeps
+from forcelink import calib, cli, sweeps
 from forcelink.chansim import ChannelTrace, WaveformConfig, synthesize
 from forcelink.config import default_config_dict, load_config
 from forcelink.traceio import (MAGIC, PHASE_CSV_COLUMNS, read_dataset,
@@ -67,6 +69,30 @@ def test_decode_with_model_inverts_press(tmp_path):
     assert abs(float(last["est_force_n"]) - 4.0) < 0.3
     assert abs(float(last["est_location_mm"]) - 40.0) < 1.0
     assert last["reliable"] == "1"
+
+
+def test_decode_with_model_refuses_a_batch_that_disagrees_on_group_0(tmp_path,
+                                                                     monkeypatch,
+                                                                     capsys):
+    # decode --model inverts every group in one batch and group 0 once more
+    # alone; a batch whose group-0 estimate differs in the last bit fails
+    # the command (exit 1) and writes no CSV
+    cfg = write_config(tmp_path)
+    trace, model = str(tmp_path / "run.trace"), str(tmp_path / "model.json")
+    out = tmp_path / "presses.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", trace]) == 0
+    assert cli.main(["calibrate", "--config", cfg, "--out", model]) == 0
+    batch = calib.invert_many
+
+    def perturbed(*args):
+        first, *rest = batch(*args)
+        return [replace(first, force_n=math.nextafter(first.force_n, math.inf)), *rest]
+    monkeypatch.setattr(cli, "calib", SimpleNamespace(**{**vars(calib),
+                                                         "invert_many": perturbed}))
+    assert cli.main(["decode", "--trace", trace, "--out", str(out),
+                     "--model", model]) == 1
+    assert "disagrees with the one-point inversion on group 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decode_rejects_model_without_anchor(tmp_path):

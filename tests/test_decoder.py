@@ -310,6 +310,44 @@ def test_noise_power_holds_within_3_percent_at_any_trace_length(
     assert got == pytest.approx(want, rel=0.03), got / want
 
 
+class BlockedTrace:
+    """A trace in memory whose rows group_phases reads in blocks of `groups`
+    whole groups, as a file's chunks would give them."""
+
+    def __init__(self, trace, groups):
+        self.trace, self.groups = trace, groups
+        self.schemes, self.config = trace.schemes, trace.config
+
+    def blocks(self, group_size):
+        step = self.groups * group_size
+        return (self.trace.data[i:i + step] for i in range(0, len(self.trace.data), step))
+
+
+def test_a_decode_does_not_depend_on_how_the_trace_is_split_into_blocks():
+    # a 16-snapshot group (f_s = 1 / (16 T)) keeps 160 groups small; in one
+    # block their projections pass 256 KiB, past which numpy reuses a
+    # temporary operand as a product's output.  Every block split gives the
+    # same bytes in every figure
+    Ng, groups = 16, 160
+    scheme = make_scheme(1.0 / (Ng * WF.frame_period_s))
+    assert auto_group_size(WF, scheme) == Ng
+    timeline = TouchTimeline(entries=tuple(
+        (g * Ng, TouchEvent(1.0 + 0.04 * g, 40.0) if g % 3 else None)
+        for g in range(groups)))
+    trace = synthesize(replace(WF, n_snapshots=groups * Ng), scheme, timeline,
+                       MultipathProfile(paths=(Path(3.0 - 1.0j, 2.0),),
+                                        sensor_path=Path(0.4 + 0.3j, 1.0)),
+                       NoiseSpec(20.0, seed=9), GEOM, MECH)
+    assert (groups - 1) * 2 * trace.config.n_subcarriers * 16 >= 256 * 1024
+
+    def figures(series):
+        return [series.steps.tobytes(), series.phases.tobytes(),
+                series.signal.tobytes(), repr(series.sigma2)]
+    want = figures(group_phases(trace, scheme, Ng))
+    for size in (1, 2, 3, 7, 129, groups):
+        assert figures(group_phases(BlockedTrace(trace, size), scheme, Ng)) == want, size
+
+
 def test_decode_rejects_non_positive_group_size():
     trace = default_noisy_trace(20.0, 5)
     for size in (0, -NG):
