@@ -16,9 +16,10 @@ cycles of both read tones and of their difference, so static paths cancel,
 the tones are orthogonal over a group and the projected noise is
 independent across groups, tones and subcarriers, with variance sigma^2/N_g.
 Once per sweep call the closed form's projections are compared with
-project_groups' of one noiseless full-path trace, so a change to the
-reflection stage that the closed form does not follow fails the sweep
-instead of drifting from it; both paths take phases by decoder.phase_against.
+project_groups' of one noiseless full-path trace, whose group_phases decode
+must read its phases from them by decoder.phase_against, as the projection
+domain does, so a change to the reflection stage or the decode that the
+closed form does not follow fails the sweep instead of drifting from it.
 The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
 each trial's seeded noise draw and its press's port_phases stay per trial.
 A force sweep inverts each chunk with one calib.invert_many call, on either
@@ -148,7 +149,9 @@ class _ProjectionDomain:
     path: its projections of a quiet group and then HELD_PRESS must be
     project_groups' of that noiseless trace, entry by entry, to
     CLOSED_FORM_TOLERANCE times the trace's largest entry (a strong static
-    path scales the full path's rounding up), or ValueError.
+    path scales the full path's rounding up), and group_phases' decode of
+    the trace must read group 1's phases as phase_against of those
+    projections, bit for bit, or ValueError.
     """
 
     def __init__(self, cfg: ExperimentConfig, Ng: int):
@@ -157,13 +160,16 @@ class _ProjectionDomain:
         self.phasor = _subcarrier_phasor(cfg.waveform, cfg.multipath.sensor_path)
         P0, P1 = self.clean(None, (HELD_PRESS,))
         trace = _trial_trace(cfg, Ng, (None, HELD_PRESS), NoiseSpec())
-        gap = float(np.abs(np.stack([P0, P1[0]]) - project_groups(
-            trace.data, cfg.scheme.read_freqs, cfg.waveform.frame_period_s, Ng)).max())
+        full = project_groups(trace.data, cfg.scheme.read_freqs,
+                              cfg.waveform.frame_period_s, Ng)
+        gap = float(np.abs(np.stack([P0, P1[0]]) - full).max())
         tol = CLOSED_FORM_TOLERANCE * float(np.abs(trace.data).max())
-        if not gap <= tol:  # NaN fails too
-            raise ValueError(
+        decoded = group_phases(trace, cfg.scheme, Ng).phases[1]
+        if not (gap <= tol and (decoded == phase_against(full[1], full[0])).all()):
+            raise ValueError(  # a NaN gap fails too
                 "the projection domain disagrees with the full-path decode of a "
-                f"noiseless trial: projections by {gap:.3g}; at most {tol:.3g}")
+                f"noiseless trial: projections by {gap:.3g} (at most {tol:.3g}), "
+                f"decoded phases {decoded} against {phase_against(full[1], full[0])}")
 
     def clean(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +232,9 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     for a quantized config pressed_phases of touch_trace(cfg, F_i, l_i,
     seed_i), bit for bit; otherwise the projection domain's, the quiet
     group's and each press's clean projections plus seed_i's projected
-    noise.  Each chunk's phases are inverted in one
-    calib.invert_many call; trial 0 is inverted once more through
-    run_touch_trial, and a batch row that differs from it raises ValueError.
+    noise.  Each chunk's phases are inverted in one calib.invert_many call;
+    trial 0 is inverted once more through run_touch_trial, and a batch row
+    that differs from it raises ValueError.
     The median and p90 rows are np.median's and np.quantile's, bit for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
@@ -336,14 +342,6 @@ def snr_meeting_threshold(aggregates: list[dict], threshold_deg: float) -> float
     return None
 
 
-def _staircase_timeline(Ng: int, n_groups: int, location_mm: float,
-                        f_start: float, f_step: float) -> TouchTimeline:
-    entries = [(0, TouchEvent(f_start, location_mm))]
-    for g in range(1, n_groups):
-        entries.append((g * Ng, TouchEvent(f_start + g * f_step, location_mm)))
-    return TouchTimeline(entries=tuple(entries))
-
-
 def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
                   seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Two co-channel sensors; how much one's steps leak into the other.
@@ -367,7 +365,8 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
                  distance_m=cfg.multipath.sensor_path.distance_m + 0.7)
     held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
-    ramp = _staircase_timeline(Ng, n_groups, 30.0, 1.0, 0.5)
+    ramp = TouchTimeline(entries=tuple((g * Ng, TouchEvent(1.0 + g * 0.5, 30.0))
+                                       for g in range(n_groups)))
 
     sensors = ((cfg.scheme, held, cfg.multipath.sensor_path), (scheme2, ramp, path2))
     rows = []

@@ -530,6 +530,24 @@ def test_projection_domain_refuses_a_wrong_subcarrier_phasor(default_cfg, monkey
         sweeps._ProjectionDomain(default_cfg, 625)
 
 
+def test_projection_domain_refuses_a_decode_that_reads_other_phases(default_cfg,
+                                                                    monkeypatch):
+    # the check also decodes its trace: group_phases must read group 1's
+    # phases from the projections it compared, bit for bit, so a decode
+    # whose phases move by one ulp fails it
+    decode = sweeps.group_phases
+
+    def nudged(*args):
+        series = decode(*args)
+        phases = series.phases.copy()
+        phases[1, 0] = np.nextafter(phases[1, 0], np.inf)
+        return replace(series, phases=phases)
+    sweeps._ProjectionDomain(default_cfg, 625)
+    monkeypatch.setattr(sweeps, "group_phases", nudged)
+    with pytest.raises(ValueError, match="disagrees with the full-path decode"):
+        sweeps._ProjectionDomain(default_cfg, 625)
+
+
 @pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
 def test_projection_domain_matches_the_full_path_in_distribution(default_cfg, snr_db):
     # 20 000 held-press trials per path at K = 2, N_g = 625: on each port the
@@ -576,12 +594,10 @@ def test_run_snr_sweep_measures_its_grid_in_one_pass(default_cfg, monkeypatch):
     # every row and summary is that of one measure_step_errors call per
     # point, with each point's seeds drawn after the previous point's, bit
     # for bit on either path.  The projection domain (unquantized)
-    # synthesizes one noiseless trace per sweep, for its closed-form check,
-    # and decodes none; the full path (10-bit) makes and decodes one trace
-    # per trial
+    # synthesizes and decodes one noiseless trace per sweep, its closed-form
+    # check; the full path (10-bit) one trace per trial
     trials = 4
-    for bits, want_calls in ((None, ["synthesize"]),
-                             (10, ["synthesize", "group_phases"] * 3 * trials)):
+    for bits, traces in ((None, 1), (10, 3 * trials)):
         cfg = with_grid(default_cfg, 30.0, 5.0, 15.0)
         cfg = replace(cfg, noise=replace(cfg.noise, quantize_bits=bits))
         rng, want, want_aggs = np.random.default_rng(9), [], []
@@ -608,7 +624,7 @@ def test_run_snr_sweep_measures_its_grid_in_one_pass(default_cfg, monkeypatch):
             m.setattr(sweeps, "group_phases",
                       counted("group_phases", sweeps.group_phases))
             rows, aggs = run_snr_sweep(cfg, trials=trials, seed=9)
-        assert calls == want_calls
+        assert calls == ["synthesize", "group_phases"] * traces
         assert rows == want
         assert aggs == want_aggs
 
