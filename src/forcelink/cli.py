@@ -14,6 +14,9 @@ overrides the file's noise.seed (default 1).
 Exit status: 0 on success, 2 for configuration or usage errors, 1 for
 runtime failures (unreadable traces, I/O), 143 when stopped by SIGTERM.
 Diagnostics go to stderr.
+
+A command imports calib and sweeps where it uses them, so simulate, decode
+without --model and impedance start neither.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import replace
 
-from . import calib, sweeps, traceio
+from . import traceio
 from .chansim import synthesis_blocks
 from .config import ConfigError, ExperimentConfig, load_config
 from .decoder import MIN_GROUPS, anchor, group_phases, resolve_group_size
@@ -94,6 +97,7 @@ def cmd_decode(args) -> int:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
                                             trace.config.carrier_hz))
     if model is not None:  # every group in one batch, group 0 again alone
+        from . import calib
         ests = calib.invert_many(model, phases[:, 0], phases[:, 1])
         if ests[0] != (one := calib.invert(model, *map(float, phases[0]))):
             raise ValueError("the batched inversion disagrees with the one-point "
@@ -108,6 +112,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import calib, sweeps
+
     if args.from_dataset is not None:
         data = traceio.read_dataset(args.from_dataset)
     else:
@@ -125,6 +131,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweeps
+
     if args.mode == "crosstalk" and args.trials is not None:
         raise ConfigError("--mode crosstalk takes no --trials")
     cfg = _load_seeded(args.config, args.seed)
@@ -144,6 +152,9 @@ def cmd_impedance(args) -> int:
     # every failure here is a bad argument: a usage error, exit 2
     try:
         if args.target_ohm is not None:
+            if args.width_mm is not None:
+                raise ValueError("--target-ohm solves for the width; it takes "
+                                 "no --width-mm")
             ratio = solve_width_ratio(args.target_ohm)
             if args.height_mm is not None and not 0.0 < args.height_mm < math.inf:
                 raise ValueError("--height-mm must be positive and finite")
@@ -208,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     imp = sub.add_parser("impedance", help="microstrip impedance helper")
     imp.add_argument("--height-mm", type=float, default=None)
     imp.add_argument("--width-mm", type=float, default=None)
-    imp.add_argument("--target-ohm", type=float, default=None)
+    imp.add_argument("--target-ohm", type=float, default=None,
+                     help="solve for w/h, and the width given --height-mm; "
+                          "takes no --width-mm")
     imp.set_defaults(func=cmd_impedance)
     return p
 

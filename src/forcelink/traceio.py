@@ -34,16 +34,18 @@ import pathlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .calib import CalibrationDataset, SensorModel
 from .chansim import BLOCK_FLOATS, ChannelTrace, WaveformConfig
 from .clocks import ClockScheme
 from .config import parse_scheme, read_section, scheme_to_dict
 from .decoder import PhaseSeries
 from .transducer import SensorGeometry
+
+if TYPE_CHECKING:  # imported where read, so a decode without a model skips calib
+    from .calib import CalibrationDataset, SensorModel
 
 MAGIC = b"WFTRACE1"
 _PAYLOAD_DTYPE = np.dtype("<c8")  # pairs of little-endian float32
@@ -230,6 +232,8 @@ def write_model(model: SensorModel, path) -> None:
 
 
 def read_model(path) -> SensorModel:
+    from .calib import SensorModel
+
     with _json_object("model", path, pathlib.Path(path).read_bytes()) as doc:
         return read_section(SensorModel, doc, "model", {}, {"per_location": "fits"})
 
@@ -242,6 +246,8 @@ def write_dataset(data: CalibrationDataset, path) -> None:
 
 
 def read_dataset(path) -> CalibrationDataset:
+    from .calib import CalibrationDataset
+
     with _json_object("dataset", path, pathlib.Path(path).read_bytes()) as doc:
         return read_section(CalibrationDataset, doc, "dataset", {"source": "imported"},
                             {"phi1_rad": "phi1", "phi2_rad": "phi2"})

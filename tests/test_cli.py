@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,10 +84,13 @@ def test_decode_with_model_refuses_a_batch_that_disagrees_on_group_0(tmp_path,
     batch = calib.invert_many
 
     def perturbed(*args):
+        # calib.invert is invert_many's one-point case: nudging it as well
+        # would leave the two agreeing, so only a batch is nudged
         first, *rest = batch(*args)
+        if not rest:
+            return [first]
         return [replace(first, force_n=math.nextafter(first.force_n, math.inf)), *rest]
-    monkeypatch.setattr(cli, "calib", SimpleNamespace(**{**vars(calib),
-                                                         "invert_many": perturbed}))
+    monkeypatch.setattr(calib, "invert_many", perturbed)
     assert cli.main(["decode", "--trace", trace, "--out", str(out),
                      "--model", model]) == 1
     assert "disagrees with the one-point inversion on group 0" in capsys.readouterr().err
@@ -347,15 +349,19 @@ def test_impedance_needs_arguments():
 @pytest.mark.parametrize("argv", [
     ["--target-ohm", "0"], ["--target-ohm", "nan"], ["--target-ohm", "1e6"],
     ["--target-ohm", "50", "--height-mm", "-1"],
+    ["--target-ohm", "50", "--width-mm", "2.5"],
+    ["--target-ohm", "50", "--width-mm", "2.5", "--height-mm", "0.63"],
     ["--height-mm", "0", "--width-mm", "1"], ["--height-mm", "1", "--width-mm", "-1"],
     ["--height-mm", "inf", "--width-mm", "1"]],
     ids=["target-zero", "target-nan", "target-unrealizable", "target-height",
+         "target-width", "target-height-width",
          "height-zero", "width-negative", "ratio-inf"])
 def test_impedance_bad_argument_is_a_usage_error(argv, capsys):
     # a bad argument is a usage error (exit 2) that prints nothing to stdout
+    # and one error line to stderr
     assert cli.main(["impedance", *argv]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_force_mode(tmp_path):

@@ -1,0 +1,83 @@
+"""What `import forcelink` and each command load, and the package's public names."""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import forcelink
+from forcelink import cli, default_config_dict
+
+SRC = os.path.dirname(os.path.dirname(forcelink.__file__))
+HEAVY = {"forcelink.calib", "forcelink.sweeps"}
+
+# run in a fresh interpreter; prints, last, the forcelink modules it loaded
+REPORT = ("\nprint(json.dumps(sorted(m for m in sys.modules "
+          "if m.startswith('forcelink'))))")
+
+
+def loaded(code: str, *args: str) -> set[str]:
+    """The forcelink modules a fresh interpreter holds after running code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + REPORT,
+                          *args], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def loaded_by_command(*argv: str) -> set[str]:
+    return loaded("from forcelink import cli\n"
+                  "assert cli.main(sys.argv[1:]) == 0", *argv)
+
+
+def test_parsing_a_config_loads_no_io_calibration_sweep_or_cli():
+    mods = loaded("import forcelink\nforcelink.parse_config({})")
+    assert "forcelink.config" in mods
+    assert not mods & {"forcelink.calib", "forcelink.traceio", "forcelink.sweeps",
+                       "forcelink.cli"}
+
+
+def test_commands_load_calib_and_sweeps_only_where_they_use_them(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(default_config_dict()))
+    trace, model = str(tmp_path / "run.trace"), str(tmp_path / "model.json")
+    assert not loaded_by_command("--help") & HEAVY
+    assert not loaded_by_command("simulate", "--config", str(cfg),
+                                 "--out", trace) & HEAVY
+    assert not loaded_by_command("decode", "--trace", trace,
+                                 "--out", str(tmp_path / "phases.csv")) & HEAVY
+    assert cli.main(["calibrate", "--config", str(cfg), "--out", model]) == 0
+    mods = loaded_by_command("decode", "--trace", trace, "--model", model,
+                             "--out", str(tmp_path / "presses.csv"))
+    assert "forcelink.calib" in mods and "forcelink.sweeps" not in mods
+
+
+def test_every_public_name_is_its_owning_modules_object():
+    for name in forcelink.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(forcelink, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert value.__module__ == f"forcelink.{forcelink._OWNER[name]}", name
+    assert set(forcelink.__all__) <= set(dir(forcelink))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        forcelink.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from forcelink import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(forcelink.__all__)
+
+
+def test_from_import_of_a_submodule_imports_it():
+    mods = loaded("import forcelink\n"
+                  "assert 'forcelink.cli' not in sys.modules\n"
+                  "from forcelink import cli\n"
+                  "assert cli is sys.modules['forcelink.cli']")
+    assert "forcelink.cli" in mods
