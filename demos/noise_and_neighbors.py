@@ -28,7 +28,7 @@ print(f"both ports settle under 0.5 deg from "
 
 print("two sensors, 1.0 kHz and 1.4 kHz switching families, 30 dB SNR:")
 cfg30 = replace(cfg, noise=replace(cfg.noise, snr_db=30.0))
-rows, xaggs = run_crosstalk(cfg30, n_groups=9, seed=0)
+rows, xaggs = run_crosstalk(cfg30, seed=0)
 for a in xaggs:
     print(f"  sensor {a['victim_sensor']} while the other ramps: worst "
           f"per-group disturbance {a['max_crosstalk_deg']:.4f} deg "

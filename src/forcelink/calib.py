@@ -292,9 +292,8 @@ def _least(point: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[head], order[head]
 
 
-def invert_many(model: SensorModel, phi1: Sequence[float], phi2: Sequence[float],
-                residual_threshold_rad2: float = RESIDUAL_THRESHOLD_RAD2
-                ) -> list[Estimate]:
+def invert_many(model: SensorModel, phi1: Sequence[float],
+                phi2: Sequence[float]) -> list[Estimate]:
     """Recover (force, location) from each pair of measured phases (phi1[i],
     phi2[i]), the whole batch in one pass.
 
@@ -361,12 +360,11 @@ def invert_many(model: SensorModel, phi1: Sequence[float], phi2: Sequence[float]
         found, best = _least(point, res)
         out[:, fb[found]] = np.array([F, l, res])[:, best]
     return [Estimate(force_n=F, location_mm=l, residual_rad2=res, in_range=inside,
-                     reliable=bool(res <= residual_threshold_rad2))
+                     reliable=bool(res <= RESIDUAL_THRESHOLD_RAD2))
             for F, l, res, inside in zip(*out.tolist(), in_range.tolist())]
 
 
-def invert(model: SensorModel, phi1: float, phi2: float,
-           residual_threshold_rad2: float = RESIDUAL_THRESHOLD_RAD2) -> Estimate:
+def invert(model: SensorModel, phi1: float, phi2: float) -> Estimate:
     """Recover (force, location) from one pair of measured phases:
     invert_many's one-point case."""
-    return invert_many(model, (phi1,), (phi2,), residual_threshold_rad2)[0]
+    return invert_many(model, (phi1,), (phi2,))[0]

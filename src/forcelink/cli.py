@@ -30,8 +30,8 @@ from dataclasses import replace
 
 from . import traceio
 from .chansim import synthesis_blocks
-from .config import ConfigError, ExperimentConfig, load_config
-from .decoder import MIN_GROUPS, anchor, group_phases, resolve_group_size
+from .config import ConfigError, ExperimentConfig, _build, load_config
+from .decoder import anchor, decode_group_size, group_phases
 from .transducer import (ShortingState, impedance, port_phases,
                          solve_width_ratio)
 
@@ -56,12 +56,8 @@ def _info(msg: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_seeded(args.config, args.seed)
     wf = cfg.waveform
-    # a decode needs MIN_GROUPS groups at the auto size, the least any decode
-    # takes; sweep and calibrate size their own traces, so only simulate checks
-    Ng = resolve_group_size(wf, cfg.scheme)
-    if wf.n_snapshots < MIN_GROUPS * Ng:
-        raise ConfigError(f"waveform.n_snapshots {wf.n_snapshots} holds fewer than "
-                          f"the {MIN_GROUPS} groups of {Ng} snapshots a decode needs")
+    # only simulate checks: sweep and calibrate size their own traces
+    _build(decode_group_size, "waveform", wf, (cfg.scheme,))
     provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
                                           cfg.noise, cfg.geometry, cfg.mechanics)
     traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,
@@ -80,20 +76,18 @@ def cmd_decode(args) -> int:
             f"--scheme-index {args.scheme_index} out of range, trace has "
             f"{len(trace.schemes)} scheme(s)")
     scheme = trace.schemes[args.scheme_index]
-    if args.group_size is not None:
-        try:
-            resolve_group_size(trace.config, trace.schemes, args.group_size)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    anchored = trace.geometry is not None and not args.no_anchor
-    if args.model is not None and not anchored:
-        raise ConfigError(
-            "inversion needs anchored phases; the trace must carry sensor "
-            "geometry and --no-anchor must not be set")
+    try:
+        Ng = decode_group_size(trace.config, trace.schemes, args.group_size)
+    except ValueError as e:
+        if args.group_size is None:  # the trace's fault, not the command's
+            raise
+        raise ConfigError(str(e)) from e
+    if args.model is not None and trace.geometry is None:
+        raise ConfigError("--model needs a trace that carries sensor geometry")
     model = traceio.read_model(args.model) if args.model is not None else None
-    series = group_phases(trace, scheme, args.group_size)
+    series = group_phases(trace, scheme, Ng)
     phases = extra = None
-    if anchored:
+    if trace.geometry is not None:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
                                             trace.config.carrier_hz))
     if model is not None:  # every group in one batch, group 0 again alone
@@ -191,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--scheme-index", type=int, default=0)
     dec.add_argument("--model", default=None,
                      help="sensor model JSON; adds inversion columns")
-    dec.add_argument("--no-anchor", action="store_true",
-                     help="emit raw steps only, skip anchored phases")
     dec.set_defaults(func=cmd_decode)
 
     cal = sub.add_parser("calibrate", help="fit and write the sensor model")

@@ -73,26 +73,25 @@ class SwitchClock:
         # centers the window's own contribution
         return mag * cmath.exp(-1j * (2.0 * math.pi * p * self.phase_offset + theta))
 
-    def sampled_coefficient(self, p: int, samples_per_period: int = 256,
-                            periods: int = 1) -> complex:
+    def sampled_coefficient(self, p: int, samples_per_period: int = 256) -> complex:
         """Estimate a_p from point samples of is_on.
 
-        Takes the single-bin DFT over an integer number of periods and undoes
-        the discrete-sampling Dirichlet kernel: the raw bin equals the
-        continuous coefficient times (x / sin x) e^{+jx} with
+        Takes the single-bin DFT over one period and undoes the
+        discrete-sampling Dirichlet kernel: the raw bin equals the continuous
+        coefficient times (x / sin x) e^{+jx} with
         x = pi p / samples_per_period, so the estimate is multiplied by
         sin(x)/x e^{-jx}.  For windows aligned to the sample grid this
         reproduces the continuous coefficient to roughly float precision;
         without the correction the magnitude alone is biased by about
         (x^2)/6 relative.
         """
-        if samples_per_period < 2 or periods < 1:
-            raise ValueError("need at least 2 samples/period and 1 period")
-        m = samples_per_period * periods
+        if samples_per_period < 2:
+            raise ValueError("need at least 2 samples/period")
+        m = samples_per_period
         n = np.arange(m)
         t = n / (samples_per_period * self.frequency)
         s = self.is_on(t).astype(float)
-        dft = np.sum(s * np.exp(-2j * np.pi * p * periods * n / m)) / m
+        dft = np.sum(s * np.exp(-2j * np.pi * p * n / m)) / m
         if p == 0:
             return complex(dft)
         x = math.pi * p / samples_per_period

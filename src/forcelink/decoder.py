@@ -105,6 +105,16 @@ def resolve_group_size(config: WaveformConfig,
     return size or auto
 
 
+def decode_group_size(config: WaveformConfig, schemes: Iterable[ClockScheme],
+                      size: int | None = None) -> int:
+    """resolve_group_size's size, once config.n_snapshots holds MIN_GROUPS of it."""
+    Ng = resolve_group_size(config, schemes, size)
+    if config.n_snapshots < MIN_GROUPS * Ng:
+        raise ValueError(f"{config.n_snapshots} snapshots hold fewer than the "
+                         f"{MIN_GROUPS} groups of {Ng} a decode needs")
+    return Ng
+
+
 @dataclass(frozen=True)
 class PhaseSeries:
     """What one decode pass yields.
@@ -301,11 +311,7 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
             raise ValueError("trace carries no scheme; pass one explicitly")
         scheme = trace.schemes[0]
     config = trace.config
-    Ng = resolve_group_size(config, (*trace.schemes, scheme), group_size)
-    G = config.n_snapshots // Ng
-    if G < MIN_GROUPS:
-        raise ValueError(f"need at least {MIN_GROUPS} groups, trace holds {G} "
-                         f"at size {Ng}")
+    Ng = decode_group_size(config, (*trace.schemes, scheme), group_size)
     # P0: group 0's projections; last: the previous group's projections and
     # its rows, a view of the source block
     P0, last = None, None

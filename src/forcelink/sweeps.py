@@ -75,6 +75,8 @@ CLOSED_FORM_TOLERANCE = 1e-12
 # trials the projection domain makes in one vectorised pass: a force sweep
 # draws a chunk's presses, then runs them
 SWEEP_CHUNK = 128
+# groups of the crosstalk sweep's traces: 8 steps per port and victim
+CROSSTALK_GROUPS = 9
 
 
 def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
@@ -342,7 +344,7 @@ def snr_meeting_threshold(aggregates: list[dict], threshold_deg: float) -> float
     return None
 
 
-def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
+def run_crosstalk(cfg: ExperimentConfig,
                   seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Two co-channel sensors; how much one's steps leak into the other.
 
@@ -360,13 +362,13 @@ def run_crosstalk(cfg: ExperimentConfig, n_groups: int = 9,
     except ValueError as e:
         raise ConfigError(f"bad sweep.second_f_s_hz {cfg.sweep.second_f_s_hz}: "
                           f"{e}") from e
-    wf = replace(cfg.waveform, n_snapshots=n_groups * Ng)
+    wf = replace(cfg.waveform, n_snapshots=CROSSTALK_GROUPS * Ng)
     noise = cfg.noise if seed is None else replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
                  distance_m=cfg.multipath.sensor_path.distance_m + 0.7)
     held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
     ramp = TouchTimeline(entries=tuple((g * Ng, TouchEvent(1.0 + g * 0.5, 30.0))
-                                       for g in range(n_groups)))
+                                       for g in range(CROSSTALK_GROUPS)))
 
     sensors = ((cfg.scheme, held, cfg.multipath.sensor_path), (scheme2, ramp, path2))
     rows = []

@@ -205,6 +205,10 @@ def open_trace(path) -> TraceFile:
         geometry = header.get("geometry")
         if geometry is not None:
             geometry = read_section(SensorGeometry, geometry, "geometry", {})
+        provenance = header.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise TypeError("provenance: expected a JSON object, got "
+                            f"{type(provenance).__name__}")
     expected = cfg.n_subcarriers * cfg.n_snapshots * _PAYLOAD_DTYPE.itemsize
     if size < expected:
         raise ValueError(f"bad trace in {path}: truncated payload: {size} bytes, "
@@ -215,8 +219,7 @@ def open_trace(path) -> TraceFile:
         config=cfg,
         data=np.memmap(path, dtype=_PAYLOAD_DTYPE, mode="r", offset=offset,
                        shape=(cfg.n_snapshots, cfg.n_subcarriers)),
-        schemes=schemes, geometry=geometry,
-        provenance=header.get("provenance", {}))
+        schemes=schemes, geometry=geometry, provenance=provenance)
 
 
 def read_trace(path) -> ChannelTrace:

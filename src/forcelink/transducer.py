@@ -97,7 +97,6 @@ class PortPhases:
 
     phi1: float
     phi2: float
-    carrier_hz: float
 
     @property
     def phi1_wrapped(self) -> float:
@@ -198,11 +197,11 @@ def port_phases(state: ShortingState, geom: SensorGeometry,
     L_m = geom.length_mm * 1e-3
     if state.is_open:
         phi = -2.0 * beta * L_m
-        return PortPhases(phi1=phi, phi2=phi, carrier_hz=carrier_hz)
+        return PortPhases(phi1=phi, phi2=phi)
     a, b = state.segment
     phi1 = -2.0 * beta * (a * 1e-3) + math.pi
     phi2 = -2.0 * beta * ((geom.length_mm - b) * 1e-3) + math.pi
-    return PortPhases(phi1=phi1, phi2=phi2, carrier_hz=carrier_hz)
+    return PortPhases(phi1=phi1, phi2=phi2)
 
 
 def phase_per_mm(carrier_hz: float, eps_eff: float = 1.0) -> float:

@@ -210,7 +210,7 @@ def test_07_model_held_out_location():
 def test_08_two_sensor_isolation(default_cfg):
     t0 = time.perf_counter()
     cfg = replace(default_cfg, noise=replace(default_cfg.noise, snr_db=30.0))
-    rows, aggs = run_crosstalk(cfg, n_groups=9, seed=0)
+    rows, aggs = run_crosstalk(cfg, seed=0)
     worst = {a["victim_sensor"]: a["max_crosstalk_deg"] for a in aggs}
     dt = time.perf_counter() - t0
     ok = worst[1] < 0.1 and worst[2] < 0.1 and dt < 60.0

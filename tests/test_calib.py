@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcelink import calib
 from forcelink.calib import (RESIDUAL_THRESHOLD_RAD2, _WIDEN, CalibrationDataset,
                              Sample, _pairs, fit_model, generate_sweep, invert,
                              invert_many, model_forward)
@@ -363,14 +364,14 @@ def test_invert_many_checks_its_batch(model):
                 invert_many(model, p1, p2)
 
 
-def test_invert_reliable_flag_follows_threshold(model):
+def test_invert_reliable_flag_follows_threshold(model, monkeypatch):
     pp = exact_phases(5.0, 45.0)
     est = invert(model, pp.phi1, pp.phi2)
     assert est.reliable == (est.residual_rad2 <= RESIDUAL_THRESHOLD_RAD2)
-    strict = invert(model, pp.phi1, pp.phi2, residual_threshold_rad2=0.0)
-    assert not strict.reliable
-    loose = invert(model, pp.phi1, pp.phi2, residual_threshold_rad2=1e6)
-    assert loose.reliable
+    monkeypatch.setattr(calib, "RESIDUAL_THRESHOLD_RAD2", 0.0)
+    assert not invert(model, pp.phi1, pp.phi2).reliable
+    monkeypatch.setattr(calib, "RESIDUAL_THRESHOLD_RAD2", 1e6)
+    assert invert(model, pp.phi1, pp.phi2).reliable
 
 
 def test_invert_pins_overrange_force_to_edge(model):

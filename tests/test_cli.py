@@ -97,16 +97,33 @@ def test_decode_with_model_refuses_a_batch_that_disagrees_on_group_0(tmp_path,
     assert not out.exists()
 
 
-def test_decode_rejects_model_without_anchor(tmp_path):
+def test_decode_rejects_model_without_anchor(tmp_path, capsys):
+    # a trace without sensor geometry decodes unanchored, and cannot invert
     cfg = write_config(tmp_path)
-    trace_path = str(tmp_path / "run.trace")
+    trace_path = tmp_path / "run.trace"
     model_path = str(tmp_path / "model.json")
-    cli.main(["simulate", "--config", cfg, "--out", trace_path])
+    cli.main(["simulate", "--config", cfg, "--out", str(trace_path)])
     cli.main(["calibrate", "--config", cfg, "--out", model_path])
-    ret = cli.main(["decode", "--trace", trace_path,
-                    "--out", str(tmp_path / "x.csv"),
-                    "--model", model_path, "--no-anchor"])
-    assert ret == 2
+    write_trace(replace(read_trace(trace_path), geometry=None), trace_path)
+    out = tmp_path / "x.csv"
+    assert cli.main(["decode", "--trace", str(trace_path), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 3
+    assert all(r["phi1_deg"] == r["phi2_deg"] == "" for r in rows)
+    out.unlink()
+    capsys.readouterr()
+    assert cli.main(["decode", "--trace", str(trace_path), "--out", str(out),
+                     "--model", model_path]) == 2
+    assert "--model needs a trace that carries sensor geometry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_no_anchor_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["decode", "--trace", str(tmp_path / "run.trace"),
+                     "--out", str(out), "--no-anchor"]) == 2
+    assert "unrecognized arguments: --no-anchor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_writes_model_and_dataset(tmp_path):
@@ -267,8 +284,9 @@ def test_simulate_rejects_a_trace_too_short_to_decode(tmp_path, capsys):
     cfg = write_config(tmp_path, {"waveform": {"n_snapshots": 1249}})
     assert cli.main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "run.trace")]) == 2
-    assert ("waveform.n_snapshots 1249 holds fewer than the 2 groups of 625"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == ("error: bad waveform: 1249 snapshots hold "
+                                       "fewer than the 2 groups of 625 a decode "
+                                       "needs\n")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     cfg = write_config(tmp_path, {"waveform": {"n_snapshots": 1250}})
     trace = str(tmp_path / "run.trace")

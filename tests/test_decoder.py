@@ -280,7 +280,7 @@ def test_noise_power_from_the_shortest_decodable_trace():
             got = group_phases(trace, SCHEME, NG).sigma2
             assert got == pytest.approx(want, rel=0.25), (snr_db, seed)
     one = default_noisy_trace(20.0, 5, n_groups=1)
-    with pytest.raises(ValueError, match="need at least 2 groups, trace holds 1"):
+    with pytest.raises(ValueError, match="snapshots hold fewer than the 2 groups"):
         group_phases(one, SCHEME, NG)
 
 

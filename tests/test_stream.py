@@ -192,6 +192,11 @@ def infinite_carrier(header):
     return header
 
 
+def list_provenance(header):
+    header["provenance"] = [1, 2, 3]
+    return header
+
+
 @pytest.mark.parametrize("change, says", [
     (drop("schemes", "clock_b"),
      "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
@@ -201,8 +206,9 @@ def infinite_carrier(header):
     (extra_geometry_key, "unknown keys in 'geometry': ['width_mm']"),
     (lambda header: [header], "expected a JSON object, got list"),
     (infinite_carrier, "waveform.carrier_hz: expected a finite number, got inf"),
+    (list_provenance, "provenance: expected a JSON object, got list"),
 ], ids=["no-clock_b", "no-carrier", "clock_b-2nd-null", "extra-geometry-key",
-        "list-header", "infinite-carrier"])
+        "list-header", "infinite-carrier", "list-provenance"])
 def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, says):
     bad = damaged_copy(trace_path, tmp_path / "bad.trace", header_edit(change))
     out = tmp_path / "phases.csv"
@@ -317,6 +323,21 @@ def test_group_size_must_hold_whole_tone_cycles(trace_path, tmp_path, capsys, si
     stub.assert_not_called()
     assert not out.exists()
     assert "not a positive multiple of 625" in capsys.readouterr().err
+
+
+def test_group_size_leaving_fewer_than_two_groups_is_a_usage_error(
+        trace_path, tmp_path, capsys):
+    # 10 groups of 625 make one group of 6250, and a phase needs two
+    out = tmp_path / "phases.csv"
+    stub = mock.Mock(side_effect=AssertionError("decoded with a bad group size"))
+    with mock.patch.object(cli, "group_phases", stub):
+        assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
+                         "--group-size", str(10 * NG)]) == 2
+    stub.assert_not_called()
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {GROUPS * NG + TAIL} snapshots hold fewer than the 2 groups "
+        f"of {10 * NG} a decode needs\n")
 
 
 def test_group_size_may_be_any_multiple_of_the_auto_size(trace_path, tmp_path):

@@ -652,9 +652,9 @@ def test_snr_meeting_threshold_picks_lowest_passing():
 
 
 def test_run_crosstalk_isolation(default_cfg):
-    rows, aggregates = run_crosstalk(default_cfg, n_groups=5, seed=0)
-    # 2 victims x 4 steps x 2 ports
-    assert len(rows) == 16
+    rows, aggregates = run_crosstalk(default_cfg, seed=0)
+    # 2 victims x 8 steps x 2 ports
+    assert len(rows) == 32
     assert {r["victim_sensor"] for r in rows} == {1, 2}
     assert {r["port"] for r in rows} == {1, 2}
     assert all(r["crosstalk_deg"] >= 0.0 for r in rows)
