@@ -47,11 +47,10 @@ for g, F in enumerate(forces):
     truth = port_phases(shorting_segment(touch, cfg.mechanics, cfg.geometry),
                         cfg.geometry, wf.carrier_hz)
     p1, p2 = (wrap_phase(float(p)) for p in phases[g])
-    worst = max(worst, abs(wrap_phase(p1 - truth.phi1_wrapped)),
-                abs(wrap_phase(p2 - truth.phi2_wrapped)))
+    t1, t2 = wrap_phase(truth.phi1), wrap_phase(truth.phi2)
+    worst = max(worst, abs(wrap_phase(p1 - t1)), abs(wrap_phase(p2 - t2)))
     label = "open " if F is None else f"{F:.0f} N  "
-    print(f"  {g}    {label} {p1:9.4f} {p2:9.4f}        "
-          f"{truth.phi1_wrapped:9.4f} {truth.phi2_wrapped:9.4f}")
+    print(f"  {g}    {label} {p1:9.4f} {p2:9.4f}        {t1:9.4f} {t2:9.4f}")
 
 print(f"\nworst decoded phase error vs truth: {np.degrees(worst):.3f} deg")
 print("(noise plus a small deterministic residue of the sampled 0/1 gates)")

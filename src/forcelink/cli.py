@@ -85,6 +85,9 @@ def cmd_decode(args) -> int:
     if args.model is not None and trace.geometry is None:
         raise ConfigError("--model needs a trace that carries sensor geometry")
     model = traceio.read_model(args.model) if args.model is not None else None
+    if model is not None and model.carrier_hz != trace.config.carrier_hz:
+        raise ConfigError(f"--model {args.model} is calibrated at {model.carrier_hz} Hz,"
+                          f" the trace is at {trace.config.carrier_hz} Hz")
     series = group_phases(trace, scheme, Ng)
     phases = extra = None
     if trace.geometry is not None:
@@ -108,11 +111,11 @@ def cmd_decode(args) -> int:
 def cmd_calibrate(args) -> int:
     from . import calib, sweeps
 
+    if (args.config is None) == (args.from_dataset is None):
+        raise ConfigError("calibrate takes one source: --config or --from-dataset")
     if args.from_dataset is not None:
         data = traceio.read_dataset(args.from_dataset)
     else:
-        if args.config is None:
-            raise ConfigError("calibrate needs --config or --from-dataset")
         data = sweeps.calibration_data(load_config(args.config))
     if args.dataset is not None:
         traceio.write_dataset(data, args.dataset)
@@ -193,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--dataset", default=None,
                      help="also write the raw calibration samples here")
     cal.add_argument("--from-dataset", default=None,
-                     help="fit from an existing dataset JSON instead")
+                     help="fit from an existing dataset JSON instead of "
+                          "--config")
     cal.set_defaults(func=cmd_calibrate)
 
     sw = sub.add_parser("sweep", help="run a canned experiment to CSV")

@@ -35,11 +35,6 @@ class ConfigError(ValueError):
 
 _type_hints = functools.cache(typing.get_type_hints)  # once per dataclass
 
-# most forces a calibration.forces_n range spec may expand to (the default
-# grid has 15): each is a calibration point at every location, and a spec
-# such as {start 0, stop 1e12, step 1} must be refused before its list is built
-MAX_RANGE_FORCES = 10_000
-
 
 def _take(d, section: str, known: set[str]) -> None:
     if not isinstance(d, dict):
@@ -217,21 +212,6 @@ def _parse_timeline(rows) -> TouchTimeline:
     return _build(TouchTimeline, "timeline", entries=tuple(entries))
 
 
-def _force_range(spec) -> list[float]:
-    """The forces of a calibration.forces_n {start, stop, step} range spec."""
-    _take(spec, "calibration.forces_n", {"start", "stop", "step"})
-    start, stop, step = (_convert(float, spec.get(k), f"calibration.forces_n.{k}")
-                         for k in ("start", "stop", "step"))
-    if not (step > 0.0 and stop >= start):
-        raise ConfigError("calibration.forces_n needs step > 0 and stop >= start")
-    # clamped before round(), which an infinite count would overflow
-    count = round(min((stop - start) / step, MAX_RANGE_FORCES)) + 1
-    if count > MAX_RANGE_FORCES:
-        raise ConfigError(f"calibration.forces_n expands to more than "
-                          f"{MAX_RANGE_FORCES} forces")
-    return [start + i * step for i in range(count)]
-
-
 # the dataclass sections, each named as its ExperimentConfig field
 _SECTIONS = {"waveform": WaveformConfig, "geometry": SensorGeometry,
              "mechanics": MechanicalParams, "multipath": MultipathProfile,
@@ -251,10 +231,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     grouping = doc["grouping"]
     _take(grouping, "grouping", set(base["grouping"]))
     gs = {**base["grouping"], **grouping}["group_size"]
-    calibration = doc["calibration"]
-    if isinstance(calibration, dict) and isinstance(calibration.get("forces_n"), dict):
-        doc["calibration"] = {**calibration,
-                              "forces_n": _force_range(calibration["forces_n"])}
     cfg = ExperimentConfig(
         **{name: read_section(cls, doc[name], name, base[name])
            for name, cls in _SECTIONS.items()},

@@ -98,14 +98,6 @@ class PortPhases:
     phi1: float
     phi2: float
 
-    @property
-    def phi1_wrapped(self) -> float:
-        return wrap_phase(self.phi1)
-
-    @property
-    def phi2_wrapped(self) -> float:
-        return wrap_phase(self.phi2)
-
 
 def wrap_phase(x: float) -> float:
     """Wrap a phase to (-pi, pi]."""
@@ -188,8 +180,7 @@ def port_phases(state: ShortingState, geom: SensorGeometry,
 
     Open line: both ends see the full round trip, phi = -2 beta L.  Shorted
     segment [a, b]: port 1 sees the round trip to a plus the short's pi flip,
-    port 2 likewise to L - b.  Values are unwrapped; wrapped companions are
-    exposed on the result.
+    port 2 likewise to L - b.  Values are unwrapped; wrap_phase wraps them.
     """
     if not carrier_hz > 0.0:
         raise ValueError("carrier frequency must be positive")

@@ -97,6 +97,24 @@ def test_decode_with_model_refuses_a_batch_that_disagrees_on_group_0(tmp_path,
     assert not out.exists()
 
 
+def test_decode_refuses_a_model_calibrated_at_another_carrier(tmp_path, capsys):
+    # a 5.8 GHz model read against a 2.4 GHz trace is a usage error: exit 2,
+    # one error line naming both carriers, no CSV
+    trace, model = str(tmp_path / "run.trace"), str(tmp_path / "model.json")
+    assert cli.main(["simulate", "--config", write_config(tmp_path),
+                     "--out", trace]) == 0
+    other = write_config(tmp_path, {"waveform": {"carrier_hz": 5.8e9}}, "c58.json")
+    assert cli.main(["calibrate", "--config", other, "--out", model]) == 0
+    capsys.readouterr()
+    out = tmp_path / "presses.csv"
+    assert cli.main(["decode", "--trace", trace, "--out", str(out),
+                     "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --model {model} is calibrated at 5800000000.0 Hz, "
+                   "the trace is at 2400000000.0 Hz\n")
+    assert not out.exists()
+
+
 def test_decode_rejects_model_without_anchor(tmp_path, capsys):
     # a trace without sensor geometry decodes unanchored, and cannot invert
     cfg = write_config(tmp_path)
@@ -171,8 +189,20 @@ def test_malformed_dataset_fails_calibrate(tmp_path, capsys, dataset):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_calibrate_requires_a_source(tmp_path):
-    assert cli.main(["calibrate", "--out", str(tmp_path / "m.json")]) == 2
+def test_calibrate_requires_a_source(tmp_path, capsys):
+    # neither source, or both (one of which would be ignored), is a usage
+    # error: exit 2, one error line, no model
+    data = str(tmp_path / "cal.json")
+    assert cli.main(["calibrate", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "first.json"), "--dataset", data]) == 0
+    other = write_config(tmp_path, {"waveform": {"carrier_hz": 5.8e9}}, "c58.json")
+    out = tmp_path / "m.json"
+    for sources in ([], ["--config", other, "--from-dataset", data]):
+        capsys.readouterr()
+        assert cli.main(["calibrate", *sources, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: calibrate takes one source: "
+                                           "--config or --from-dataset\n")
+        assert not out.exists()
 
 
 def test_seed_precedence(tmp_path, capsys):

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from forcelink import cli
-from forcelink.config import (MAX_RANGE_FORCES, ConfigError, default_config_dict,
-                              load_config, parse_config)
+from forcelink.config import ConfigError, default_config_dict, load_config, parse_config
 
 from conftest import traced_peak
 
@@ -127,12 +126,23 @@ def test_lone_clock_rejected():
         parse_config({"clocks": {}})
 
 
-def test_calibration_forces_as_range_spec():
-    doc = {"calibration": {"forces_n": {"start": 1.0, "stop": 8.0, "step": 0.5}}}
-    cfg = parse_config(doc)
-    assert len(cfg.calibration.forces_n) == 15
-    assert cfg.calibration.forces_n[0] == 1.0
-    assert cfg.calibration.forces_n[-1] == 8.0
+def forces_range(start, stop, step):
+    return {"calibration": {"forces_n": {"start": start, "stop": stop,
+                                         "step": step}}}
+
+
+def test_calibration_forces_as_range_spec(tmp_path, capsys):
+    # forces_n is a list: a {start, stop, step} object is refused, by the
+    # loader and by calibrate (exit 2, no model)
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(forces_range(1.0, 8.0, 0.5)))
+    with pytest.raises(ConfigError, match=r"bad calibration\.forces_n: expected a "
+                                          r"list of values, got \{'start'"):
+        load_config(path)
+    out = tmp_path / "model.json"
+    assert cli.main(["calibrate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad calibration.forces_n")
+    assert not out.exists()
 
 
 def test_calibration_forces_as_list():
@@ -195,26 +205,15 @@ def test_load_config_file_errors(tmp_path):
     assert load_config(good).scheme.f_s == 1000.0
 
 
-def forces_range(start, stop, step):
-    return {"calibration": {"forces_n": {"start": start, "stop": stop,
-                                         "step": step}}}
-
-
 def test_a_range_spec_is_bounded_before_it_is_expanded():
-    # 10^12 forces (8 TB as a list), or an infinite count from finite ends,
-    # are refused from the spec alone: nothing near that size is ever
-    # allocated; an infinite end is refused as no finite number
-    forces = parse_config(forces_range(0.0, MAX_RANGE_FORCES - 1, 1.0)).calibration
-    assert len(forces.forces_n) == MAX_RANGE_FORCES
-
-    def refused(start, stop, says):
-        with pytest.raises(ConfigError, match=says):
-            parse_config(forces_range(start, stop, 1.0))
-    too_many = f"more than {MAX_RANGE_FORCES}"
-    for start, stop, says in ((0.0, MAX_RANGE_FORCES, too_many), (0.0, 1e12, too_many),
-                              (-1e308, 1e308, too_many),
-                              (0.0, math.inf, "expected a finite number")):
-        _, peak = traced_peak(lambda: refused(start, stop, says))
+    # a spec of 10^12 forces (8 TB as a list), or of an infinite count from
+    # finite ends, is refused as it stands: nothing near that size is ever
+    # allocated; an infinite end is refused the same way
+    for start, stop in ((0.0, 1e12), (-1e308, 1e308), (0.0, math.inf)):
+        def refused():
+            with pytest.raises(ConfigError, match="expected a list of values"):
+                parse_config(forces_range(start, stop, 1.0))
+        _, peak = traced_peak(refused)
         assert peak < 2 ** 20, stop
 
 

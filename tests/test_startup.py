@@ -1,4 +1,5 @@
 """What `import forcelink` and each command load, and the package's public names."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -81,3 +82,16 @@ def test_from_import_of_a_submodule_imports_it():
                   "from forcelink import cli\n"
                   "assert cli is sys.modules['forcelink.cli']")
     assert "forcelink.cli" in mods
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # benchmarks/tracer.py wraps forcelink functions by name; a rename or
+    # deletion there would break the traced benchmark run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "benchmarks", "tracer.py")
+    spec = importlib.util.spec_from_file_location("forcelink_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module, attr, *_ in tracer.FUNCTIONS:
+        owner, leaf = tracer._resolve(module, attr)
+        assert callable(getattr(owner, leaf)), f"{module}.{attr}"
