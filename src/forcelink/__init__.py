@@ -32,8 +32,8 @@ _EXPORTS = {
                 "write_trace", "write_trace_blocks"),
     "transducer": ("MechanicalParams", "PortPhases", "SensorGeometry",
                    "ShortingState", "TouchEvent", "impedance", "phase_per_mm",
-                   "port_phases", "propagation_constant", "shorting_segment",
-                   "solve_width_ratio", "wrap_phase"),
+                   "port_phases", "port_reflections", "propagation_constant",
+                   "shorting_segment", "solve_width_ratio", "wrap_phase"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,9 +3,9 @@
 Produces the complex channel estimate matrix H[n, k] a reader would observe,
 snapshot-major as a reader emits it: n indexes snapshots taken every frame
 period T, k OFDM subcarriers.  Static multipath contributes constant-in-n
-phasors; the sensor contributes its reflection gated by the two exact 0/1
-switch states sampled at t = n T, so every switching harmonic and its
-aliases are present, not a truncated approximation.
+phasors; the sensor contributes each port's reflection, formed only by
+transducer.port_reflections, gated by the two exact 0/1 switch states
+sampled at t = n T, so every switching harmonic and its aliases are present.
 
 Every trace comes from one pipeline over snapshot-major blocks of whole
 snapshots (BLOCK_FLOATS // 8 entries): the reflection stage (sensor phasor
@@ -24,7 +24,6 @@ Everything runs on the calling thread.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ import numpy as np
 
 from .clocks import ClockScheme
 from .transducer import (SPEED_OF_LIGHT, MechanicalParams, SensorGeometry,
-                         TouchEvent, port_phases, shorting_segment)
+                         TouchEvent, port_reflections)
 
 # entries per row block: 1 MiB of complex128, the working block every
 # streamed step is sized from (traceio.CHUNK_BYTES too)
@@ -136,14 +135,6 @@ class TouchTimeline:
     def constant(cls, touch: TouchEvent | None) -> "TouchTimeline":
         return cls(entries=((0, touch),))
 
-    def touch_at(self, n: int) -> TouchEvent | None:
-        current = self.entries[0][1]
-        for start, touch in self.entries:
-            if start > n:
-                break
-            current = touch
-        return current
-
 
 @dataclass(frozen=True)
 class ChannelTrace:
@@ -196,20 +187,13 @@ def _subcarrier_phasor(config: WaveformConfig, path: Path) -> np.ndarray:
 
 
 def _gate(config: WaveformConfig, scheme: ClockScheme, timeline: TouchTimeline,
-          geom: SensorGeometry, mech: MechanicalParams, rows: slice) -> np.ndarray:
-    """The sensor's gated reflection on snapshots rows: switch states x e^{j phi}."""
-    first, stop = rows.start, rows.stop
-    phi = np.empty((2, stop - first))  # per-snapshot port phases held by the timeline
-    starts = [s for s, _ in timeline.entries] + [config.n_snapshots]
-    for (start, touch), end in zip(timeline.entries, starts[1:]):
-        a, b = max(start, first), min(end, stop)
-        if a < b:
-            pp = port_phases(shorting_segment(touch, mech, geom), geom, config.carrier_hz)
-            phi[:, a - first:b - first] = ((pp.phi1,), (pp.phi2,))
-    s1, s2 = scheme.switch_states(np.arange(first, stop) * config.frame_period_s)
-    # reflection factor e^{+j phi}: phi is the phase OF the reflection
-    # coefficient (port_phases convention), already negative with distance
-    return s1 * np.exp(1j * phi[0]) + s2 * np.exp(1j * phi[1])
+          reflections: np.ndarray, rows: slice) -> np.ndarray:
+    """The sensor's gated reflection on snapshots rows: switch states x each
+    port's reflection, reflections[i] (port_reflections') under timeline entry i."""
+    n = np.arange(rows.start, rows.stop)
+    r = reflections[np.searchsorted([s for s, _ in timeline.entries], n, "right") - 1]
+    s1, s2 = scheme.switch_states(n * config.frame_period_s)
+    return s1 * r[:, 0] + s2 * r[:, 1]
 
 
 def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
@@ -220,16 +204,19 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
     of whole snapshots at a time in one reused buffer the next block overwrites.
 
     base is an (N, K) view: broadcast static multipath or an existing trace.
-    The gate is computed for spans of at most BLOCK_FLOATS // 8 snapshots
-    (128 KiB as complex128); its values depend only on the absolute snapshot
-    times, so the span never shows in the output.  The phasor goes first:
-    numpy's complex multiply is not bitwise symmetric.
+    port_reflections is taken once per timeline entry starting in the trace;
+    the gate is made from those for spans of at most BLOCK_FLOATS // 8
+    snapshots (128 KiB as complex128) and depends only on the absolute
+    snapshot times, so the span never shows in the output.  The phasor goes
+    first: numpy's complex multiply is not bitwise symmetric.
     """
     N, K = config.n_snapshots, config.n_subcarriers
     phasor = _subcarrier_phasor(config, sensor_path)
+    reflections = np.array([port_reflections(touch, mech, geom, config.carrier_hz)
+                            for start, touch in timeline.entries if start < N])
     buf = None
     for span in _row_blocks(N, 1, BLOCK_FLOATS // 8):
-        gate = _gate(config, scheme, timeline, geom, mech, span)
+        gate = _gate(config, scheme, timeline, reflections, span)
         rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
         if buf is None:  # the first block is the largest
             buf = np.empty((rows[0].stop, K), dtype=np.complex128)
@@ -337,6 +324,7 @@ def _provenance(config: WaveformConfig, scheme: ClockScheme,
                 noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
                 ) -> dict:
     """The seed and a digest of every input: synthesize's provenance."""
+    import hashlib  # here, not at the top: decode and calibrate never digest
     blob = json.dumps((config, scheme, multipath, noise, timeline, geom, mech),
                       sort_keys=True, default=repr).encode()
     return {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}

@@ -245,6 +245,9 @@ def validate(cfg: ExperimentConfig) -> None:
     _build(nyquist_check, "clocks", cfg.waveform, cfg.scheme)
     # the auto size too: clocks that no size holds whole cycles of cannot decode
     _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
+    if cfg.multipath.sensor_path.amplitude == 0:
+        raise ConfigError("multipath.sensor_path.amplitude must be nonzero: the "
+                          "reader cannot see a sensor whose path carries nothing")
     L = cfg.geometry.length_mm
     if cfg.mechanics.max_halfwidth_mm > 0.5 * L:
         raise ConfigError(f"mechanics.max_halfwidth_mm {cfg.mechanics.max_halfwidth_mm}"

@@ -8,20 +8,20 @@ sweep run from the library matches forcelink sweep on the same file.
 A force or SNR trial reads nothing of its trace but two groups' projections
 P[g, t, k] on the two read tones, so for an unquantized config the sweeps
 make those projections and not the trace (the projection domain): the clean
-part in closed form, a_k (G[g] e^{j phi(g)})_t with G decoder._gate_table
-and a_k the sensor path's subcarrier phasor, plus i.i.d. CN(0, sigma^2/N_g)
-noise, 2 x 2 x K complex normals drawn by chansim._draw from the trial's
-seed where the trace takes 2 N_g K.  That is exact: a group holds whole
-cycles of both read tones and of their difference, so static paths cancel,
-the tones are orthogonal over a group and the projected noise is
-independent across groups, tones and subcarriers, with variance sigma^2/N_g.
+part in closed form, a_k (G[g] r(g))_t with G decoder._gate_table, r(g) the
+ports' reflections (transducer.port_reflections) and a_k the sensor path's
+subcarrier phasor, plus i.i.d. CN(0, sigma^2/N_g) noise: 2 x 2 x K normals
+drawn by chansim._draw from the trial's seed where the trace takes 2 N_g K.
+That is exact: a group holds whole cycles of both read tones and of their
+difference, so static paths cancel, the tones are orthogonal over a group
+and the projected noise is independent across groups, tones and subcarriers.
 Once per sweep call the closed form's projections are compared with
 project_groups' of one noiseless full-path trace, whose group_phases decode
 must read its phases from them by decoder.phase_against, as the projection
 domain does, so a change to the reflection stage or the decode that the
 closed form does not follow fails the sweep instead of drifting from it.
 The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
-each trial's seeded noise draw and its press's port_phases stay per trial.
+each trial's noise draw and its press's port_reflections stay per trial.
 A force sweep inverts each chunk with one calib.invert_many call, on either
 path, and a trial's row is the same bytes in any chunk.
 
@@ -51,7 +51,7 @@ from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
                       group_phases, phase_against, project_groups,
                       resolve_group_size)
 from .transducer import (ShortingState, TouchEvent, port_phases,
-                         shorting_segment)
+                         port_reflections)
 
 
 # each sweep mode's CSV columns, in order; a row leaves blank what it lacks
@@ -176,13 +176,12 @@ class _ProjectionDomain:
     def clean(self, touch0: TouchEvent | None, touches1: Sequence[TouchEvent | None]
               ) -> tuple[np.ndarray, np.ndarray]:
         """Noiseless projections of group 0 under touch0, (2, K), and of group
-        1 under each of touches1, (n, 2, K) (None: open): one port_phases
+        1 under each of touches1, (n, 2, K) (None: open): one port_reflections
         per distinct touch, then one broadcast."""
         cfg = self.cfg
-        pp = {t: port_phases(shorting_segment(t, cfg.mechanics, cfg.geometry),
-                             cfg.geometry, cfg.waveform.carrier_hz)
-              for t in dict.fromkeys((touch0, *touches1))}
-        e = np.exp(1j * np.array([(pp[t].phi1, pp[t].phi2) for t in (touch0, *touches1)]))
+        r = {t: port_reflections(t, cfg.mechanics, cfg.geometry, cfg.waveform.carrier_hz)
+             for t in dict.fromkeys((touch0, *touches1))}
+        e = np.array([r[t] for t in (touch0, *touches1)])
         tones0 = (self.gate[0] * e[0]).sum(axis=-1)
         tones1 = (self.gate[1] * e[1:, None, :]).sum(axis=-1)
         return tones0[:, None] * self.phasor, tones1[..., None] * self.phasor

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
@@ -193,6 +195,14 @@ def port_phases(state: ShortingState, geom: SensorGeometry,
     phi1 = -2.0 * beta * (a * 1e-3) + math.pi
     phi2 = -2.0 * beta * ((geom.length_mm - b) * 1e-3) + math.pi
     return PortPhases(phi1=phi1, phi2=phi2)
+
+
+def port_reflections(touch: TouchEvent | None, mech: MechanicalParams,
+                     geom: SensorGeometry, carrier_hz: float) -> np.ndarray:
+    """Each port's reflection e^{j phi} for a touch (None: open), shape (2,),
+    phi port_phases' angle: the one place a port phase becomes a phasor."""
+    pp = port_phases(shorting_segment(touch, mech, geom), geom, carrier_hz)
+    return np.exp(1j * np.array((pp.phi1, pp.phi2)))
 
 
 def phase_per_mm(carrier_hz: float, eps_eff: float = 1.0) -> float:

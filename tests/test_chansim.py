@@ -20,7 +20,7 @@ from forcelink.clocks import make_scheme
 from forcelink.config import default_config_dict, parse_config
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
                                   SensorGeometry, TouchEvent, port_phases,
-                                  shorting_segment)
+                                  port_reflections, shorting_segment)
 
 from conftest import traced_peak
 
@@ -48,8 +48,8 @@ def loop_oracle(wf, scheme, timeline, mp, geom, mech):
             t = n * wf.frame_period_s
             s1 = scheme.clock_a.is_on(t)
             s2 = scheme.clock_b.is_on(t)
-            pp = port_phases(shorting_segment(timeline.touch_at(n), mech, geom),
-                             geom, wf.carrier_hz)
+            touch = [t for start, t in timeline.entries if start <= n][-1]
+            pp = port_phases(shorting_segment(touch, mech, geom), geom, wf.carrier_hz)
             gate = (float(s1) * np.exp(1j * pp.phi1)
                     + float(s2) * np.exp(1j * pp.phi2))
             H[n, k] += mp.sensor_path.amplitude * np.exp(
@@ -363,11 +363,41 @@ def test_timeline_validation_and_lookup():
         TouchTimeline(entries=((5, None),))
     with pytest.raises(ValueError):
         TouchTimeline(entries=((0, None), (10, None), (10, None)))
-    tl = TouchTimeline(entries=((0, None), (10, TouchEvent(4.0, 40.0))))
-    assert tl.touch_at(0) is None
-    assert tl.touch_at(9) is None
-    assert tl.touch_at(10).force_n == 4.0
-    assert tl.touch_at(10 ** 9).force_n == 4.0
+    # the gate holds each entry's reflection from its start to the next
+    # entry's; an entry starting past the trace's end is never looked up
+    tl = TouchTimeline(entries=((0, None), (10, TouchEvent(4.0, 40.0)),
+                                (10 ** 9, TouchEvent(4.0, 1e6))))
+    rows = slice(0, WF_SMALL.n_snapshots)
+    one = chansim._gate(WF_SMALL, SCHEME, TouchTimeline.constant(None),
+                        np.ones((1, 2), complex), rows)
+    got = chansim._gate(WF_SMALL, SCHEME, tl, np.array([[1, 1], [2, 2]], complex), rows)
+    assert got.tobytes() == (one * np.where(np.arange(rows.stop) < 10, 1, 2)).tobytes()
+    synthesize(WF_SMALL, SCHEME, tl, MP, QUIET, GEOM, MECH)  # 1e6 mm is past the end
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_gate_over_a_span_is_its_sub_spans_gates(data):
+    # the gate depends only on absolute snapshot times and each entry's
+    # port_reflections: any split of a span gives the same bytes, for random
+    # touches (some starting past the trace's end), lines and carriers
+    geom = SensorGeometry(length_mm=data.draw(st.floats(26.0, 400.0)),
+                          eps_eff=data.draw(st.floats(1.0, 12.0)))
+    wf = WaveformConfig(n_subcarriers=1, n_snapshots=data.draw(st.integers(2, 300)),
+                        carrier_hz=data.draw(st.floats(1e8, 6e9)))
+    N, L = wf.n_snapshots, geom.length_mm
+    starts = [0] + sorted(data.draw(st.sets(st.integers(1, N + 20), max_size=6)))
+    touches = [data.draw(st.none() | st.builds(
+        TouchEvent, st.floats(0.0, 20.0), st.floats(0.0, L))) for _ in starts]
+    timeline = TouchTimeline(entries=tuple(zip(starts, touches)))
+    reflections = np.array([port_reflections(t, MECH, geom, wf.carrier_hz)
+                            for s, t in timeline.entries if s < N])
+    a, b = sorted(data.draw(st.sets(st.integers(0, N), min_size=2, max_size=2)))
+    cuts = [a, *sorted(data.draw(st.sets(st.integers(a + 1, b), max_size=5)) - {b}), b]
+    whole = chansim._gate(wf, SCHEME, timeline, reflections, slice(a, b))
+    parts = [chansim._gate(wf, SCHEME, timeline, reflections, slice(x, y))
+             for x, y in zip(cuts, cuts[1:])]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_trace_is_frozen_and_validated():

@@ -183,6 +183,26 @@ def test_bad_path_amplitude_rejected():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("snr_db", [25.0, None])
+def test_an_invisible_sensor_is_refused(tmp_path, capsys, snr_db):
+    # a sensor path of amplitude 0 carries no reflection: noise has no level
+    # against it and a noiseless decode reads nothing, so the config is
+    # refused on load and no command writes a file (exit 2).  A library
+    # Path(0j, ...) stays legal
+    doc = {"multipath": {"sensor_path": {"amplitude": [0.0, -0.0], "distance_m": 1.0}},
+           "noise": {"snr_db": snr_db}}
+    with pytest.raises(ConfigError, match="sensor_path.amplitude"):
+        parse_config(doc)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["simulate"], ["calibrate"], ["sweep", "--mode", "force"],
+                 ["sweep", "--mode", "snr"], ["sweep", "--mode", "crosstalk"]):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2, argv
+        assert "sensor_path.amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_overrides():
     doc = {"sweep": {"trials": 12, "snr_grid_db": [0, 10, 20],
                      "test_locations_mm": [25, 45]}}

@@ -14,12 +14,14 @@ SRC = os.path.dirname(os.path.dirname(forcelink.__file__))
 HEAVY = {"forcelink.calib", "forcelink.sweeps"}
 
 # run in a fresh interpreter; prints, last, the forcelink modules it loaded
+# and hashlib, if it did
 REPORT = ("\nprint(json.dumps(sorted(m for m in sys.modules "
-          "if m.startswith('forcelink'))))")
+          "if m.startswith('forcelink') or m == 'hashlib')))")
 
 
 def loaded(code: str, *args: str) -> set[str]:
-    """The forcelink modules a fresh interpreter holds after running code."""
+    """The forcelink modules (and hashlib) a fresh interpreter holds after
+    running code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code + REPORT,
@@ -37,7 +39,7 @@ def test_parsing_a_config_loads_no_io_calibration_sweep_or_cli():
     mods = loaded("import forcelink\nforcelink.parse_config({})")
     assert "forcelink.config" in mods
     assert not mods & {"forcelink.calib", "forcelink.traceio", "forcelink.sweeps",
-                       "forcelink.cli"}
+                       "forcelink.cli", "hashlib"}
 
 
 def test_commands_load_calib_and_sweeps_only_where_they_use_them(tmp_path):
@@ -47,8 +49,9 @@ def test_commands_load_calib_and_sweeps_only_where_they_use_them(tmp_path):
     assert not loaded_by_command("--help") & HEAVY
     assert not loaded_by_command("simulate", "--config", str(cfg),
                                  "--out", trace) & HEAVY
-    assert not loaded_by_command("decode", "--trace", trace,
-                                 "--out", str(tmp_path / "phases.csv")) & HEAVY
+    # only simulate digests its inputs: decode never loads hashlib
+    assert not loaded_by_command("decode", "--trace", trace, "--out",
+                                 str(tmp_path / "phases.csv")) & {*HEAVY, "hashlib"}
     assert cli.main(["calibrate", "--config", str(cfg), "--out", model]) == 0
     mods = loaded_by_command("decode", "--trace", trace, "--model", model,
                              "--out", str(tmp_path / "presses.csv"))

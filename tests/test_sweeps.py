@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from forcelink import calib, chansim, sweeps
+from forcelink import calib, chansim, sweeps, transducer
 from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                                noise_scale, synthesize)
 from forcelink.clocks import make_scheme
@@ -27,7 +27,7 @@ from forcelink.sweeps import (HELD_PRESS, calibrate, measure_step_errors,
                               no_touch_phase, pressed_phases, run_crosstalk,
                               run_force_sweep, run_snr_sweep, run_touch_trial,
                               snr_meeting_threshold, touch_trace)
-from forcelink.transducer import ShortingState, TouchEvent, port_phases
+from forcelink.transducer import ShortingState, TouchEvent, port_phases, wrap_phase
 
 from conftest import traced_peak
 
@@ -528,6 +528,35 @@ def test_projection_domain_refuses_a_wrong_subcarrier_phasor(default_cfg, monkey
     monkeypatch.setattr(sweeps, "_subcarrier_phasor", lambda *args: wrong(phasor(*args)))
     with pytest.raises(ValueError, match="disagrees with the full-path decode"):
         sweeps._ProjectionDomain(default_cfg, 625)
+
+
+def test_both_paths_take_the_one_sensor_response(default_cfg, monkeypatch):
+    # transducer.port_reflections is the one place a port phase becomes a
+    # phasor.  Bend a press's port 2 there by a constant angle, in every
+    # module that holds the function: the projection domain still builds,
+    # since its closed form and the full path both follow it, and both the
+    # noiseless full-path decode and the projection domain read port 2's
+    # pressed phase moved by that angle against the open line
+    bend, Ng, real = 0.3, 625, transducer.port_reflections
+    trace = sweeps._trial_trace(default_cfg, Ng, (None, HELD_PRESS), NoiseSpec())
+    full = pressed_phases(default_cfg, trace)
+    closed = sweeps._ProjectionDomain(default_cfg, Ng).phases(
+        None, [HELD_PRESS], [None], [0])[0]
+
+    def bent(touch, *args):
+        r = real(touch, *args)
+        return r if touch is None else r * np.array([1.0, np.exp(1j * bend)])
+    for module in [m for name, m in sys.modules.items() if name.startswith("forcelink")]:
+        if getattr(module, "port_reflections", None) is real:
+            monkeypatch.setattr(module, "port_reflections", bent)
+    domain = sweeps._ProjectionDomain(default_cfg, Ng)
+    trace = sweeps._trial_trace(default_cfg, Ng, (None, HELD_PRESS), NoiseSpec())
+    moved = [pressed_phases(default_cfg, trace) - full,
+             domain.phases(None, [HELD_PRESS], [None], [0])[0] - closed]
+    for d1, d2 in moved:
+        assert abs(wrap_phase(float(d1))) <= 1e-3  # port 2's leak into port 1
+        assert abs(wrap_phase(float(d2) - bend)) <= 1e-3
+    assert np.abs(moved[0] - moved[1]).max() <= 1e-9
 
 
 def test_projection_domain_refuses_a_decode_that_reads_other_phases(default_cfg,

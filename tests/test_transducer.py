@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
                                   ShortingState, TouchEvent, impedance,
-                                  phase_per_mm, port_phases,
+                                  phase_per_mm, port_phases, port_reflections,
                                   propagation_constant, shorting_segment,
                                   solve_width_ratio, wrap_phase)
 
@@ -190,3 +192,21 @@ def test_geometry_validation():
         MechanicalParams(max_halfwidth_mm=0.0)
     with pytest.raises(ValueError, match="asymmetry_exponent"):
         MechanicalParams(asymmetry_exponent=-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pressed=st.booleans(), force=st.floats(0.0, 20.0), where=st.floats(0.0, 1.0),
+       eps_eff=st.floats(1.0, 12.0), length_mm=st.floats(26.0, 400.0),
+       carrier_hz=st.floats(1e8, 6e9))
+def test_port_reflections_are_unit_phasors_at_the_port_phases(
+        pressed, force, where, eps_eff, length_mm, carrier_hz):
+    # each port's reflection is e^{j phi}: unit magnitude, at port_phases'
+    # angle modulo 2 pi, for the open line and for any press
+    geom = SensorGeometry(length_mm=length_mm, eps_eff=eps_eff)
+    touch = TouchEvent(force, where * length_mm) if pressed else None
+    r = port_reflections(touch, MECH, geom, carrier_hz)
+    pp = port_phases(shorting_segment(touch, MECH, geom), geom, carrier_hz)
+    assert r.shape == (2,) and r.dtype == complex
+    assert np.abs(np.abs(r) - 1.0).max() <= 1e-15
+    for angle, phi in zip(np.angle(r), (pp.phi1, pp.phi2)):
+        assert abs(wrap_phase(float(angle) - phi)) <= 1e-12
