@@ -20,11 +20,13 @@ and quantizes that array in place over its own row blocks, so each stage
 runs once; add_second_sensor collects the reflection stage's blocks over an
 existing trace.  _draw is the one standard_normal call, for the block
 pipeline and the noise the sweeps draw in the projection domain alike.
+Every timeline entry must start within the trace: a press past its end is
+refused before any row is made, never dropped.  A trace held in memory
+records its seed as provenance; cli simulate writes the header's digest.
 Everything runs on the calling thread.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -204,28 +206,36 @@ def _reflection_blocks(base: np.ndarray, config: WaveformConfig,
     of whole snapshots at a time in one reused buffer the next block overwrites.
 
     base is an (N, K) view: broadcast static multipath or an existing trace.
-    port_reflections is taken once per timeline entry starting in the trace;
-    the gate is made from those for spans of at most BLOCK_FLOATS // 8
-    snapshots (128 KiB as complex128) and depends only on the absolute
-    snapshot times, so the span never shows in the output.  The phasor goes
-    first: numpy's complex multiply is not bitwise symmetric.
+    Every timeline entry must start within the trace, or ValueError naming
+    the first that does not, before this returns.  port_reflections is taken
+    once per entry; the gate is made from those for spans of at most
+    BLOCK_FLOATS // 8 snapshots (128 KiB as complex128) and depends only on
+    the absolute snapshot times, so the span never shows in the output.  The
+    phasor goes first: numpy's complex multiply is not bitwise symmetric.
     """
     N, K = config.n_snapshots, config.n_subcarriers
+    for i, (start, _) in enumerate(timeline.entries):
+        if start >= N:
+            raise ValueError(f"timeline[{i}] starts at snapshot {start}, past the "
+                             f"trace's {N} snapshots")
     phasor = _subcarrier_phasor(config, sensor_path)
     reflections = np.array([port_reflections(touch, mech, geom, config.carrier_hz)
-                            for start, touch in timeline.entries if start < N])
-    buf = None
-    for span in _row_blocks(N, 1, BLOCK_FLOATS // 8):
-        gate = _gate(config, scheme, timeline, reflections, span)
-        rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
-        if buf is None:  # the first block is the largest
-            buf = np.empty((rows[0].stop, K), dtype=np.complex128)
-        for b in rows:
-            H = buf[:b.stop - b.start]
-            np.multiply(phasor, gate[b, None], out=H)
-            H += base[span.start + b.start:span.start + b.stop]
-            yield H
-        del gate  # before the next chunk's gate and its temporaries exist
+                            for _, touch in timeline.entries])
+
+    def blocks() -> Iterator[np.ndarray]:
+        buf = None
+        for span in _row_blocks(N, 1, BLOCK_FLOATS // 8):
+            gate = _gate(config, scheme, timeline, reflections, span)
+            rows = _row_blocks(span.stop - span.start, K, BLOCK_FLOATS // 8)
+            if buf is None:  # the first block is the largest
+                buf = np.empty((rows[0].stop, K), dtype=np.complex128)
+            for b in rows:
+                H = buf[:b.stop - b.start]
+                np.multiply(phasor, gate[b, None], out=H)
+                H += base[span.start + b.start:span.start + b.stop]
+                yield H
+            del gate  # before the next chunk's gate and its temporaries exist
+    return blocks()
 
 
 def _draw(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
@@ -319,22 +329,11 @@ def noiseless_blocks(config: WaveformConfig, scheme: ClockScheme,
                               timeline, multipath.sensor_path, geom, mech)
 
 
-def _provenance(config: WaveformConfig, scheme: ClockScheme,
-                timeline: TouchTimeline, multipath: MultipathProfile,
-                noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-                ) -> dict:
-    """The seed and a digest of every input: synthesize's provenance."""
-    import hashlib  # here, not at the top: decode and calibrate never digest
-    blob = json.dumps((config, scheme, multipath, noise, timeline, geom, mech),
-                      sort_keys=True, default=repr).encode()
-    return {"seed": noise.seed, "config_digest": hashlib.sha256(blob).hexdigest()[:16]}
-
-
 def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
                      timeline: TouchTimeline, multipath: MultipathProfile,
                      noise: NoiseSpec, geom: SensorGeometry, mech: MechanicalParams
-                     ) -> tuple[dict, Iterator[np.ndarray]]:
-    """synthesize's trace as its provenance and its rows, streamed.
+                     ) -> Iterator[np.ndarray]:
+    """synthesize's trace rows, streamed.
 
     The rows come as consecutive (n, K) complex128 blocks of whole snapshots,
     each overwritten by the next, so a pass holds one block, not the trace:
@@ -344,8 +343,7 @@ def synthesis_blocks(config: WaveformConfig, scheme: ClockScheme,
     def unquantized() -> Iterator[np.ndarray]:
         return _noisy(noiseless_blocks(config, scheme, timeline, multipath, geom, mech),
                       noise, multipath.sensor_path)
-    return (_provenance(config, scheme, timeline, multipath, noise, geom, mech),
-            _quantized(unquantized, noise.quantize_bits))
+    return _quantized(unquantized, noise.quantize_bits)
 
 
 def synthesize(config: WaveformConfig, scheme: ClockScheme,
@@ -358,7 +356,8 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
     plus circular complex AWGN whose per-entry power sits snr_db below the
     sensor path amplitude squared.  Deterministic given noise.seed: the rows
     of synthesis_blocks, whose noisy blocks are collected into H once and
-    quantized in place over H's row blocks, so the trace is made once.
+    quantized in place over H's row blocks, so the trace is made once.  Its
+    provenance is the seed.
     """
     H = _collected(_noisy(noiseless_blocks(config, scheme, timeline, multipath,
                                            geom, mech), noise, multipath.sensor_path),
@@ -367,8 +366,7 @@ def synthesize(config: WaveformConfig, scheme: ClockScheme,
                         noise.quantize_bits):
         pass
     return ChannelTrace(config=config, data=H, schemes=(scheme,), geometry=geom,
-                        provenance=_provenance(config, scheme, timeline, multipath,
-                                               noise, geom, mech))
+                        provenance={"seed": noise.seed})
 
 
 def check_added_scheme(config: WaveformConfig, schemes: Iterable[ClockScheme],
@@ -392,11 +390,9 @@ def add_second_sensor(trace: ChannelTrace, scheme2: ClockScheme,
     check_added_scheme(trace.config, trace.schemes, scheme2)
     data = _collected(_reflection_blocks(trace.data, trace.config, scheme2, timeline2,
                                          sensor_path2, geom2, mech2), trace.data.shape)
-    prov = dict(trace.provenance)
-    prov["sensors"] = len(trace.schemes) + 1
     return ChannelTrace(config=trace.config, data=data,
                         schemes=trace.schemes + (scheme2,),
-                        geometry=trace.geometry, provenance=prov)
+                        geometry=trace.geometry, provenance=dict(trace.provenance))
 
 
 def equivalent_doppler_velocity(f_s: float, carrier_hz: float) -> float:

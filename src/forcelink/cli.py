@@ -15,12 +15,18 @@ Exit status: 0 on success, 2 for configuration or usage errors, 1 for
 runtime failures (unreadable traces, I/O), 143 when stopped by SIGTERM.
 Diagnostics go to stderr.
 
+decode reads a trace's first scheme at decoder.auto_group_size; a trace it
+cannot decode so (no scheme, fewer than two groups) is a runtime failure.
+simulate writes the trace header's provenance: the seed and a digest of the
+config's synthesis inputs.
+
 A command imports calib and sweeps where it uses them, so simulate, decode
 without --model and impedance start neither.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import signal
 import sys
@@ -53,15 +59,28 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _provenance(cfg: ExperimentConfig) -> dict:
+    """A trace header's provenance: the seed and a digest of every input to
+    the synthesis."""
+    import hashlib  # here, not at the top: only simulate digests
+    blob = json.dumps((cfg.waveform, cfg.scheme, cfg.multipath, cfg.noise, cfg.timeline,
+                       cfg.geometry, cfg.mechanics), sort_keys=True, default=repr)
+    return {"seed": cfg.noise.seed,
+            "config_digest": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_seeded(args.config, args.seed)
     wf = cfg.waveform
     # only simulate checks: sweep and calibrate size their own traces
     _build(decode_group_size, "waveform", wf, (cfg.scheme,))
-    provenance, blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
-                                          cfg.noise, cfg.geometry, cfg.mechanics)
+    try:  # synthesis_blocks checks its inputs (the timeline fits) before any row
+        blocks = synthesis_blocks(wf, cfg.scheme, cfg.timeline, cfg.multipath,
+                                  cfg.noise, cfg.geometry, cfg.mechanics)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     traceio.write_trace_blocks(args.out, blocks, wf, (cfg.scheme,), cfg.geometry,
-                               provenance)
+                               _provenance(cfg))
     _info(f"wrote {args.out}: {wf.n_subcarriers} subcarriers x "
           f"{wf.n_snapshots} snapshots, seed {cfg.noise.seed}")
     return 0
@@ -69,26 +88,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_decode(args) -> int:
     trace = traceio.open_trace(args.trace)
-    if not trace.schemes:
-        raise ValueError(f"{args.trace} lists no modulation schemes")
-    if not 0 <= args.scheme_index < len(trace.schemes):
-        raise ConfigError(
-            f"--scheme-index {args.scheme_index} out of range, trace has "
-            f"{len(trace.schemes)} scheme(s)")
-    scheme = trace.schemes[args.scheme_index]
-    try:
-        Ng = decode_group_size(trace.config, trace.schemes, args.group_size)
-    except ValueError as e:
-        if args.group_size is None:  # the trace's fault, not the command's
-            raise
-        raise ConfigError(str(e)) from e
     if args.model is not None and trace.geometry is None:
         raise ConfigError("--model needs a trace that carries sensor geometry")
     model = traceio.read_model(args.model) if args.model is not None else None
     if model is not None and model.carrier_hz != trace.config.carrier_hz:
         raise ConfigError(f"--model {args.model} is calibrated at {model.carrier_hz} Hz,"
                           f" the trace is at {trace.config.carrier_hz} Hz")
-    series = group_phases(trace, scheme, Ng)
+    series = group_phases(trace)  # its first scheme, at the auto group size
     phases = extra = None
     if trace.geometry is not None:
         phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
@@ -184,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="trace -> per-group phase CSV")
     dec.add_argument("--trace", required=True)
     dec.add_argument("--out", required=True)
-    dec.add_argument("--group-size", type=int, default=None)
-    dec.add_argument("--scheme-index", type=int, default=0)
     dec.add_argument("--model", default=None,
                      help="sensor model JSON; adds inversion columns")
     dec.set_defaults(func=cmd_decode)

@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON document describing a whole run.
 
 Sections: waveform, clocks, geometry, mechanics, multipath, noise, timeline,
-grouping, calibration and sweep, each listed in default_config_dict().  A
+calibration and sweep, each listed in default_config_dict().  A
 section's keys are the fields of the dataclass it builds (clocks use
 freq/duty/offset, the layout scheme_to_dict writes) and keys it omits take
 that document's values.  read_section is the one JSON -> dataclass step:
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
 from .clocks import ClockScheme, SwitchClock, make_scheme
-from .decoder import resolve_group_size
+from .decoder import auto_group_size
 from .transducer import MechanicalParams, SensorGeometry, TouchEvent
 
 
@@ -143,7 +143,6 @@ class ExperimentConfig:
     multipath: MultipathProfile
     noise: NoiseSpec
     timeline: TouchTimeline
-    group_size: int | None  # None means auto
     calibration: CalibrationSettings
     sweep: SweepSettings
 
@@ -166,7 +165,6 @@ def default_config_dict() -> dict:
         "timeline": [{"start_snapshot": 0, "touch": None},
                      {"start_snapshot": 625,
                       "touch": {"force_n": 4.0, "location_mm": 40.0}}],
-        "grouping": {"group_size": "auto"},
         "calibration": asdict(CalibrationSettings()),
         "sweep": asdict(SweepSettings()),
     }
@@ -222,29 +220,25 @@ _SECTIONS = {"waveform": WaveformConfig, "geometry": SensorGeometry,
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document and build the typed experiment description.
 
-    A dataclass section (or grouping) merges key by key over its section of
+    A dataclass section merges key by key over its section of
     default_config_dict(); clocks and timeline replace theirs whole.
     """
     base = default_config_dict()
     _take(doc, "config", set(base))
     doc = {**base, **doc}
-    grouping = doc["grouping"]
-    _take(grouping, "grouping", set(base["grouping"]))
-    gs = {**base["grouping"], **grouping}["group_size"]
     cfg = ExperimentConfig(
         **{name: read_section(cls, doc[name], name, base[name])
            for name, cls in _SECTIONS.items()},
         scheme=parse_scheme(doc["clocks"]),
-        timeline=_parse_timeline(doc["timeline"]),
-        group_size=None if gs == "auto" else _convert(int, gs, "grouping.group_size"))
+        timeline=_parse_timeline(doc["timeline"]))
     validate(cfg)
     return cfg
 
 
 def validate(cfg: ExperimentConfig) -> None:
     _build(nyquist_check, "clocks", cfg.waveform, cfg.scheme)
-    # the auto size too: clocks that no size holds whole cycles of cannot decode
-    _build(resolve_group_size, "grouping", cfg.waveform, cfg.scheme, cfg.group_size)
+    # clocks that no group size holds whole cycles of cannot decode
+    _build(auto_group_size, "clocks", cfg.waveform, cfg.scheme)
     if cfg.multipath.sensor_path.amplitude == 0:
         raise ConfigError("multipath.sensor_path.amplitude must be nonzero: the "
                           "reader cannot see a sensor whose path carries nothing")

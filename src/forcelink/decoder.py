@@ -20,17 +20,17 @@ view of the block) to the next, so memory follows the block size, not the
 trace length: a trace file streams through it a chunk of about 1 MiB at a
 time, an in-memory trace goes through as one block.
 
-A group size is a plain int from config to decode, held to one rule,
-resolve_group_size: a positive multiple of auto_group_size, the smallest
-size holding whole cycles of every read tone.  Setup that depends only on
-such small keys is worked out once and shared by every decode: the auto
-size per (frame period, read tones), one group's tone weights per (frame
-period, read tones, group size), and the switch states' projection table
-the sweeps' projection domain builds its trials from.  The projection sums
-each group with numpy's own loops, not BLAS, and every phase is
-phase_against's, whose products keep named operands, so decoded bytes
-depend neither on how the trace was split into blocks nor on the BLAS
-thread count.
+Every config and command decodes at auto_group_size, the smallest size
+holding whole cycles of every read tone; a library caller may pass a size,
+which decode_group_size holds to a positive multiple of it.  Setup that
+depends only on such small keys is worked out once and shared by every
+decode: the auto size per (frame period, read tones), one group's tone
+weights per (frame period, read tones, group size), and the switch states'
+projection table the sweeps' projection domain builds its trials from.
+The projection sums each group with numpy's own loops, not BLAS, and every
+phase is phase_against's, whose products keep named operands, so decoded
+bytes depend neither on how the trace was split into blocks nor on the
+BLAS thread count.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def auto_group_size(config: WaveformConfig,
     """Smallest group size giving an integer cycle count at every read tone.
 
     Rationalizes T * f for each read frequency and takes the lcm of the
-    denominators; errors out if no integral grouping exists below
+    denominators; errors out if no integral group size exists below
     GROUP_SIZE_CAP.  Only T and the read tones matter, so the size is
     worked out once per (T, tones) and remembered; a failure is not, and
     raises every call.
@@ -93,22 +93,16 @@ def _whole_cycle_size(T: float, freqs: tuple[float, ...]) -> int:
     return size
 
 
-def resolve_group_size(config: WaveformConfig,
-                       schemes: Iterable[ClockScheme] | ClockScheme,
-                       size: int | None = None) -> int:
-    """size, or the auto size for None; ValueError unless size is a positive
-    multiple of the auto size, i.e. holds whole cycles of every read tone."""
+def decode_group_size(config: WaveformConfig, schemes: Iterable[ClockScheme],
+                      size: int | None = None) -> int:
+    """size, or the auto size for None, once it is a positive multiple of the
+    auto size, i.e. holds whole cycles of every read tone, and
+    config.n_snapshots holds MIN_GROUPS of it; ValueError otherwise."""
     auto = auto_group_size(config, schemes)
     if size is not None and (size < 1 or size % auto):
         raise ValueError(f"group size {size} is not a positive multiple of {auto}, "
                          "the smallest holding whole cycles of every read tone")
-    return size or auto
-
-
-def decode_group_size(config: WaveformConfig, schemes: Iterable[ClockScheme],
-                      size: int | None = None) -> int:
-    """resolve_group_size's size, once config.n_snapshots holds MIN_GROUPS of it."""
-    Ng = resolve_group_size(config, schemes, size)
+    Ng = size or auto
     if config.n_snapshots < MIN_GROUPS * Ng:
         raise ValueError(f"{config.n_snapshots} snapshots hold fewer than the "
                          f"{MIN_GROUPS} groups of {Ng} a decode needs")
@@ -308,7 +302,7 @@ def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = N
     """
     if scheme is None:
         if not trace.schemes:
-            raise ValueError("trace carries no scheme; pass one explicitly")
+            raise ValueError("trace lists no modulation schemes")
         scheme = trace.schemes[0]
     config = trace.config
     Ng = decode_group_size(config, (*trace.schemes, scheme), group_size)

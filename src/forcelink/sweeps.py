@@ -48,8 +48,7 @@ from .chansim import (ChannelTrace, MultipathProfile, NoiseSpec, Path,
 from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
-                      group_phases, phase_against, project_groups,
-                      resolve_group_size)
+                      group_phases, phase_against, project_groups)
 from .transducer import (ShortingState, TouchEvent, port_phases,
                          port_reflections)
 
@@ -110,12 +109,12 @@ def _trial_trace(cfg: ExperimentConfig, Ng: int,
 def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
                 seed: int) -> ChannelTrace:
     """The full-path trace of one closed-loop trial, synthesized with noise
-    seed seed: two groups of cfg.group_size (auto for None) snapshots, a
-    quiet group 0 and the press landing exactly on the group boundary.  The
-    noise is drawn row-major, so these are the first two groups of a longer
-    trace with the same seed, bit for bit (unquantized; a quantizer's full
-    scale spans the whole trace)."""
-    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    seed seed: two groups of the auto size, a quiet group 0 and the press
+    landing exactly on the group boundary.  The noise is drawn row-major,
+    so these are the first two groups of a longer trace with the same seed,
+    bit for bit (unquantized; a quantizer's full scale spans the whole
+    trace)."""
+    Ng = auto_group_size(cfg.waveform, cfg.scheme)
     return _trial_trace(cfg, Ng, (None, TouchEvent(force_n, location_mm)),
                         replace(cfg.noise, seed=int(seed)))
 
@@ -123,8 +122,7 @@ def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
 def pressed_phases(cfg: ExperimentConfig, trace: ChannelTrace) -> np.ndarray:
     """A trial trace's (touch_trace's) anchored group-1 phases (phi1, phi2):
     the pressed group against the quiet group 0, plus the open-line phase."""
-    return anchor(group_phases(trace, cfg.scheme, cfg.group_size),
-                  no_touch_phase(cfg))[1]
+    return anchor(group_phases(trace, cfg.scheme), no_touch_phase(cfg))[1]
 
 
 def run_touch_trial(model: calib.SensorModel, force_n: float, location_mm: float,
@@ -245,7 +243,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
-    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    Ng = auto_group_size(cfg.waveform, cfg.scheme)
     phases, open_phase = _chunk_phases(cfg, Ng), no_touch_phase(cfg)
     rows = []
     for start in range(0, trials, SWEEP_CHUNK):
@@ -283,17 +281,17 @@ def measure_step_errors(cfg: ExperimentConfig,
     one column per port; an empty seeds gives a (0, 2) array.
 
     snr_db is one SNR for every seed, or one per seed.  A trial holds two
-    groups of cfg.group_size (auto for None) snapshots, both pressed by
-    HELD_PRESS; a chunk of SWEEP_CHUNK rows is one _chunk_phases call.  For
-    a quantized config row i is bit for bit the decode of synthesize's trace
-    with NoiseSpec(snr_db (or its i-th entry), seeds[i], quantize_bits);
-    otherwise the projection domain's, the held press's clean projections
-    plus each seed's projected noise.  The config is checked even for no seeds.
+    groups of the auto size, both pressed by HELD_PRESS; a chunk of
+    SWEEP_CHUNK rows is one _chunk_phases call.  For a quantized config row
+    i is bit for bit the decode of synthesize's trace with NoiseSpec(snr_db
+    (or its i-th entry), seeds[i], quantize_bits); otherwise the projection
+    domain's, the held press's clean projections plus each seed's projected
+    noise.  The config is checked even for no seeds.
     """
     snrs = [snr_db] * len(seeds) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(seeds):
         raise ValueError(f"{len(snrs)} SNRs for {len(seeds)} seeds")
-    Ng = resolve_group_size(cfg.waveform, cfg.scheme, cfg.group_size)
+    Ng = auto_group_size(cfg.waveform, cfg.scheme)
     phases, errs = _chunk_phases(cfg, Ng), np.empty((len(seeds), 2))
     for start in range(0, len(seeds), SWEEP_CHUNK):
         chunk = slice(start, start + SWEEP_CHUNK)

@@ -18,6 +18,7 @@ from forcelink.chansim import (BLOCK_FLOATS, ChannelTrace, MultipathProfile,
                                synthesis_blocks, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.config import default_config_dict, parse_config
+from forcelink.traceio import read_trace
 from forcelink.transducer import (SPEED_OF_LIGHT, MechanicalParams,
                                   SensorGeometry, TouchEvent, port_phases,
                                   port_reflections, shorting_segment)
@@ -87,17 +88,28 @@ def test_same_seed_reproduces_different_seed_differs():
                    NoiseSpec(snr_db=20.0, seed=8), GEOM, MECH)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
-    assert a.provenance["seed"] == 7
-    assert a.provenance["config_digest"] == b.provenance["config_digest"]
+    assert a.provenance == b.provenance == {"seed": 7}
+    assert c.provenance == {"seed": 8}
 
 
-def test_digest_tracks_scenario_changes():
-    t1 = TouchTimeline.constant(TouchEvent(4.0, 40.0))
-    t2 = TouchTimeline.constant(TouchEvent(4.0, 41.0))
-    noise = NoiseSpec(snr_db=None)
-    a = synthesize(WF_SMALL, SCHEME, t1, MP, noise, GEOM, MECH)
-    b = synthesize(WF_SMALL, SCHEME, t2, MP, noise, GEOM, MECH)
-    assert a.provenance["config_digest"] != b.provenance["config_digest"]
+def test_digest_tracks_scenario_changes(tmp_path):
+    # simulate's trace header digests every synthesis input: the same config
+    # gives the same digest, one changed input (the press 1 mm over, or the
+    # seed) another
+    def provenance(name, location_mm=40.0, seed=()):
+        doc = default_config_dict()
+        doc["waveform"].update(n_subcarriers=4, n_snapshots=1250)
+        doc["timeline"][1]["touch"]["location_mm"] = location_mm
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.trace"
+        cfg.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), *seed]
+        assert cli.main(argv) == 0
+        return read_trace(out).provenance
+    a, b = provenance("a"), provenance("b")
+    assert a == b and set(a) == {"seed", "config_digest"} and a["seed"] == 1
+    assert provenance("moved", location_mm=41.0)["config_digest"] != a["config_digest"]
+    reseeded = provenance("reseeded", seed=("--seed", "2"))
+    assert reseeded["seed"] == 2 and reseeded["config_digest"] != a["config_digest"]
 
 
 def test_modulation_above_snapshot_nyquist_is_rejected():
@@ -156,11 +168,12 @@ def test_noiseless_blocks_match_synthesize_and_check_nyquist():
     # noiseless trace synthesize makes, and refuse a scheme over Nyquist
     # before any row is made
     mp = MultipathProfile(paths=(Path(0.3 + 0.1j, 2.0),), sensor_path=MP.sensor_path)
-    rows = noiseless_blocks(WF_SMALL, SCHEME, LAYOUT_TIMELINE, mp, GEOM, MECH)
-    want = synthesize(WF_SMALL, SCHEME, LAYOUT_TIMELINE, mp, QUIET, GEOM, MECH)
+    timeline = layout_timeline(WF_SMALL.n_snapshots)
+    rows = noiseless_blocks(WF_SMALL, SCHEME, timeline, mp, GEOM, MECH)
+    want = synthesize(WF_SMALL, SCHEME, timeline, mp, QUIET, GEOM, MECH)
     assert b"".join(b.tobytes() for b in rows) == want.data.tobytes()
     with pytest.raises(NyquistError):
-        noiseless_blocks(WF_SMALL, make_scheme(2500.0), LAYOUT_TIMELINE, mp, GEOM, MECH)
+        noiseless_blocks(WF_SMALL, make_scheme(2500.0), timeline, mp, GEOM, MECH)
 
 
 def test_quantized_synthesize_makes_the_trace_once():
@@ -176,8 +189,8 @@ def test_quantized_synthesize_makes_the_trace_once():
     with mock.patch.object(chansim, "_reflection_blocks", counted):
         trace = synthesize(WF_SMALL, SCHEME, timeline, MP, noise, GEOM, MECH)
     assert len(calls) == 1
-    _, blocks = chansim.synthesis_blocks(WF_SMALL, SCHEME, timeline, MP, noise,
-                                         GEOM, MECH)
+    blocks = chansim.synthesis_blocks(WF_SMALL, SCHEME, timeline, MP, noise,
+                                      GEOM, MECH)
     assert np.array_equal(np.concatenate([b.copy() for b in blocks]), trace.data)
 
 
@@ -188,7 +201,13 @@ def test_quantized_synthesize_makes_the_trace_once():
 LAYOUT_SHAPES = {"": (300, 8),
                  "-uneven_blocks": (12, BLOCK_FLOATS // 5),
                  "-row_blocks": (3, BLOCK_FLOATS + 1)}
-LAYOUT_TIMELINE = TouchTimeline(entries=((0, None), (100, TouchEvent(4.0, 40.0))))
+
+
+def layout_timeline(n_snapshots):
+    """Quiet, then a press from snapshot 100, or from the middle of a
+    shorter trace, whose timeline must end within it."""
+    return TouchTimeline(entries=((0, None), (min(100, n_snapshots // 2),
+                                              TouchEvent(4.0, 40.0))))
 
 
 def layout_waveform(shape):
@@ -204,8 +223,9 @@ def test_noise_layout_is_two_seeded_draws(bits, shape):
     # entry innermost, scaled by sqrt(sigma^2 / 2)
     wf = layout_waveform(shape)
     snr_db, seed = 17.0, 12345
-    quiet = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP, QUIET, GEOM, MECH)
-    noisy = synthesize(wf, SCHEME, LAYOUT_TIMELINE, MP,
+    timeline = layout_timeline(wf.n_snapshots)
+    quiet = synthesize(wf, SCHEME, timeline, MP, QUIET, GEOM, MECH)
+    noisy = synthesize(wf, SCHEME, timeline, MP,
                        NoiseSpec(snr_db=snr_db, seed=seed, quantize_bits=bits),
                        GEOM, MECH)
     d = np.random.default_rng(seed).standard_normal(shape + (2,))
@@ -222,11 +242,12 @@ def block_size_traces():
     wf = layout_waveform(LAYOUT_SHAPES[""])
     noises = [NoiseSpec(snr_db=17.0, seed=12345, quantize_bits=bits)
               for bits in (None, 10)]
-    args = [(wf, SCHEME, LAYOUT_TIMELINE, MP, noise, GEOM, MECH) for noise in noises]
+    timeline = layout_timeline(wf.n_snapshots)
+    args = [(wf, SCHEME, timeline, MP, noise, GEOM, MECH) for noise in noises]
     noisy, quantized = (synthesize(*a) for a in args)
-    pair = add_second_sensor(noisy, make_scheme(1400.0), LAYOUT_TIMELINE,
+    pair = add_second_sensor(noisy, make_scheme(1400.0), timeline,
                              Path(0.5 - 0.3j, 1.7), GEOM, MECH)
-    streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a)[1])
+    streamed = [b"".join(block.tobytes() for block in synthesis_blocks(*a))
                 for a in args]
     return [t.data.tobytes() for t in (noisy, quantized, pair)] + streamed
 
@@ -262,7 +283,7 @@ def test_chansim_starts_no_thread(monkeypatch):
         trace = synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH)
         add_second_sensor(trace, make_scheme(1400.0), HELD, Path(0.5 - 0.3j, 1.7),
                           GEOM, MECH)
-        for _ in synthesis_blocks(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH)[1]:
+        for _ in synthesis_blocks(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH):
             pass
     assert threading.active_count() == baseline
 
@@ -283,7 +304,7 @@ def test_a_draw_failing_on_the_calling_thread_raises_there(monkeypatch):
     cfg = parse_config({"noise": {"snr_db": 20.0}})
     for make in (lambda: synthesize(WF_SMALL, SCHEME, HELD, MP, noise, GEOM, MECH),
                  lambda: list(synthesis_blocks(WF_SMALL, SCHEME, HELD, MP, noise,
-                                               GEOM, MECH)[1]),
+                                               GEOM, MECH)),
                  lambda: sweeps.run_force_sweep(cfg, trials=3, seed=1),
                  lambda: sweeps.measure_step_errors(cfg, 20.0, [1, 2])):
         with pytest.raises(FloatingPointError, match="draw failed"):
@@ -340,7 +361,7 @@ def test_add_second_sensor_superposes_exactly():
                        QUIET, GEOM, MECH)
     assert np.array_equal(pair.data, base.data + solo2.data)
     assert len(pair.schemes) == 2
-    assert pair.provenance["sensors"] == 2
+    assert pair.provenance == base.provenance == {"seed": 0}
 
 
 def test_add_second_sensor_rejects_collisions():
@@ -372,7 +393,20 @@ def test_timeline_validation_and_lookup():
                         np.ones((1, 2), complex), rows)
     got = chansim._gate(WF_SMALL, SCHEME, tl, np.array([[1, 1], [2, 2]], complex), rows)
     assert got.tobytes() == (one * np.where(np.arange(rows.stop) < 10, 1, 2)).tobytes()
-    synthesize(WF_SMALL, SCHEME, tl, MP, QUIET, GEOM, MECH)  # 1e6 mm is past the end
+    # but a trace refuses such an entry before making any row, naming it
+    # and the trace length: a press the timeline asks for must happen
+    says = r"^timeline\[2\] starts at snapshot 1000000000, past the trace's 50 snapshots$"
+    base = synthesize(WF_SMALL, SCHEME, TouchTimeline.constant(None), MP, QUIET,
+                      GEOM, MECH)
+    for make in (lambda: synthesize(WF_SMALL, SCHEME, tl, MP, QUIET, GEOM, MECH),
+                 lambda: synthesis_blocks(WF_SMALL, SCHEME, tl, MP, QUIET, GEOM, MECH),
+                 lambda: add_second_sensor(base, make_scheme(1400.0), tl,
+                                           MP.sensor_path, GEOM, MECH)):
+        with pytest.raises(ValueError, match=says):
+            make()
+    # the last snapshot is still within the trace
+    synthesize(WF_SMALL, SCHEME, TouchTimeline(entries=((0, None), (49, None))), MP,
+               QUIET, GEOM, MECH)
 
 
 @settings(max_examples=60, deadline=None)

@@ -331,13 +331,34 @@ def test_simulate_rejects_a_trace_too_short_to_decode(tmp_path, capsys):
                      "--out", str(tmp_path / "model.json")]) == 0
 
 
-def test_decode_scheme_index_out_of_range(tmp_path):
+@pytest.mark.parametrize("flag", [["--group-size", "625"], ["--scheme-index", "0"]],
+                         ids=["group-size", "scheme-index"])
+def test_decode_takes_no_group_size_or_scheme_index(tmp_path, capsys, flag):
+    # decode reads the trace's first scheme at the auto group size: a size
+    # or a scheme, even the ones it would take, is a usage error
     cfg = write_config(tmp_path)
-    trace_path = str(tmp_path / "run.trace")
-    cli.main(["simulate", "--config", cfg, "--out", trace_path])
-    ret = cli.main(["decode", "--trace", trace_path,
-                    "--out", str(tmp_path / "x.csv"), "--scheme-index", "3"])
-    assert ret == 2
+    trace_path = tmp_path / "run.trace"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["decode", "--trace", str(trace_path),
+                     "--out", str(tmp_path / "x.csv"), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.trace"]
+
+
+@pytest.mark.parametrize("bits", [None, 10], ids=["float", "10bit"])
+def test_simulate_refuses_a_press_past_the_trace_end(tmp_path, capsys, bits):
+    # a press the config asks for must happen: one starting at snapshot 5000
+    # of 1875 is refused before any write, not dropped
+    doc = default_config_dict()
+    doc["noise"]["quantize_bits"] = bits
+    doc["timeline"][1]["start_snapshot"] = 5000
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "run.trace")]) == 2
+    assert capsys.readouterr().err == ("error: timeline[1] starts at snapshot 5000, "
+                                       "past the trace's 1875 snapshots\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_decode_of_a_trace_without_schemes_fails(tmp_path, capsys):
@@ -346,7 +367,7 @@ def test_decode_of_a_trace_without_schemes_fails(tmp_path, capsys):
     write_trace(ChannelTrace(config=wf, data=np.ones((1250, 2))), trace_path)
     out = tmp_path / "x.csv"
     assert cli.main(["decode", "--trace", str(trace_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {trace_path} lists no modulation schemes\n"
+    assert capsys.readouterr().err == "error: trace lists no modulation schemes\n"
     assert list(tmp_path.iterdir()) == [trace_path]
 
 

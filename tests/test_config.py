@@ -6,6 +6,7 @@ import pytest
 
 from forcelink import cli
 from forcelink.config import ConfigError, default_config_dict, load_config, parse_config
+from forcelink.decoder import auto_group_size
 
 from conftest import traced_peak
 
@@ -18,7 +19,6 @@ def test_default_document_parses():
     assert cfg.noise.snr_db == 25.0
     assert cfg.noise.seed == 1
     assert len(cfg.timeline.entries) == 2
-    assert cfg.group_size is None  # auto
     assert cfg.calibration.locations_mm == (20.0, 30.0, 40.0, 50.0, 60.0)
     assert cfg.sweep.trials == 500
     assert len(cfg.multipath.paths) == 3
@@ -152,21 +152,35 @@ def test_calibration_forces_as_list():
     assert cfg.calibration.locations_mm == (20.0, 60.0)
 
 
-def test_grouping_explicit_and_auto():
-    assert parse_config({"grouping": {"group_size": 1250}}).group_size == 1250
-    assert parse_config({"grouping": {"group_size": "auto"}}).group_size is None
-    with pytest.raises(ConfigError):
-        parse_config({"grouping": {"group_size": 0}})
-    # a size must hold whole cycles of every read tone: a multiple of 625
-    # for the 1 kHz scheme, of 3125 for a 1.4 kHz one
-    assert parse_config({"grouping": {"group_size": 3 * 625}}).group_size == 1875
-    fast = {"clocks": {"f_s_hz": 1400.0}}
-    assert parse_config({"grouping": {"group_size": 3125}, **fast}).group_size == 3125
-    for doc in ({"grouping": {"group_size": 600}},
-                {"grouping": {"group_size": -625}},
-                {"grouping": {"group_size": 625}, **fast}):
-        with pytest.raises(ConfigError, match="not a positive multiple of"):
+def test_a_grouping_section_is_refused(tmp_path, capsys):
+    # the group size follows from the frame period and the clocks: a config
+    # sets no size, not even the auto one, and every command refuses one
+    # that tries before it writes anything
+    path, out = tmp_path / "config.json", str(tmp_path / "out")
+    for group_size in (1250, "auto"):
+        doc = {"grouping": {"group_size": group_size}}
+        with pytest.raises(ConfigError,
+                           match=r"^unknown keys in 'config': \['grouping'\]$"):
             parse_config(doc)
+        path.write_text(json.dumps(doc))
+        for argv in (["simulate"], ["calibrate"], ["sweep", "--mode", "force"],
+                     ["sweep", "--mode", "snr"], ["sweep", "--mode", "crosstalk"]):
+            assert cli.main([*argv, "--config", str(path), "--out", out]) == 2
+            assert capsys.readouterr().err == ("error: unknown keys in 'config': "
+                                               "['grouping']\n")
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_clocks_fix_the_group_size():
+    # the size holds whole cycles of every read tone: 625 snapshots for the
+    # 1 kHz scheme, 3125 for a 1.4 kHz one; clocks that no size below the
+    # cap holds whole cycles of are refused
+    for f_s, size in ((1000.0, 625), (1400.0, 3125)):
+        cfg = parse_config({"clocks": {"f_s_hz": f_s}})
+        assert auto_group_size(cfg.waveform, cfg.scheme) == size
+    with pytest.raises(ConfigError, match="^bad clocks: no integer-cycle group size "
+                                          "below 100000"):
+        parse_config({"clocks": {"f_s_hz": 1001.3}})
 
 
 def test_noiseless_and_quantized_noise_settings():
@@ -322,7 +336,6 @@ def test_default_document_bytes_are_pinned():
         '"noise": {"snr_db": 25.0, "seed": 1, "quantize_bits": null}, '
         '"timeline": [{"start_snapshot": 0, "touch": null}, '
         '{"start_snapshot": 625, "touch": {"force_n": 4.0, "location_mm": 40.0}}], '
-        '"grouping": {"group_size": "auto"}, '
         '"calibration": {"locations_mm": [20.0, 30.0, 40.0, 50.0, 60.0], '
         '"forces_n": [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, '
         '7.0, 7.5, 8.0]}, '

@@ -279,7 +279,8 @@ def test_noise_power_from_the_shortest_decodable_trace():
                                mp, NoiseSpec(snr_db, seed=seed), GEOM, MECH)
             got = group_phases(trace, SCHEME, NG).sigma2
             assert got == pytest.approx(want, rel=0.25), (snr_db, seed)
-    one = default_noisy_trace(20.0, 5, n_groups=1)
+    one = synthesize(WaveformConfig(n_snapshots=NG), SCHEME, held, mp,
+                     NoiseSpec(20.0, seed=5), GEOM, MECH)
     with pytest.raises(ValueError, match="snapshots hold fewer than the 2 groups"):
         group_phases(one, SCHEME, NG)
 
@@ -299,10 +300,10 @@ def test_noise_power_holds_within_3_percent_at_any_trace_length(
     # file and back, as a 400-group one would take 256 MB in memory.
     path = tmp_path_factory.mktemp("sigma2") / "held.trace"
     wf = replace(default_cfg.waveform, n_snapshots=groups * NG)
-    provenance, blocks = synthesis_blocks(
+    blocks = synthesis_blocks(
         wf, SCHEME, TouchTimeline.constant(TouchEvent(4.0, 40.0)),
         default_cfg.multipath, NoiseSpec(snr_db, seed=seed), GEOM, MECH)
-    write_trace_blocks(path, blocks, wf, (SCHEME,), GEOM, provenance)
+    write_trace_blocks(path, blocks, wf, (SCHEME,), GEOM)
     got = group_phases(open_trace(path), SCHEME, NG).sigma2
     path.unlink()
     alpha2 = abs(default_cfg.multipath.sensor_path.amplitude) ** 2

@@ -58,6 +58,24 @@ def test_commands_load_calib_and_sweeps_only_where_they_use_them(tmp_path):
     assert "forcelink.calib" in mods and "forcelink.sweeps" not in mods
 
 
+def test_sweeps_make_no_digest():
+    # only simulate digests its inputs: a sweep's trial traces carry no
+    # digest, in the projection domain and on the 10-bit full path alike.
+    # hashlib itself loads with numpy.random (secrets imports hmac), so the
+    # check is that no digest is made, not that the module stays unloaded
+    assert "hashlib" in loaded("import numpy.random")
+    mods = loaded("import hashlib\n"
+                  "def refuse(*args, **kwargs):\n"
+                  "    raise AssertionError('a sweep made a digest')\n"
+                  "hashlib.new = hashlib.sha256 = refuse\n"
+                  "from forcelink import config, sweeps\n"
+                  "for bits in (None, 10):\n"
+                  "    cfg = config.parse_config({'noise': {'quantize_bits': bits}})\n"
+                  "    sweeps.run_force_sweep(cfg, trials=2, seed=1)\n"
+                  "    sweeps.run_snr_sweep(cfg, trials=2, seed=1)")
+    assert "forcelink.sweeps" in mods
+
+
 def test_every_public_name_is_its_owning_modules_object():
     for name in forcelink.__all__:
         if name == "__version__":

@@ -311,39 +311,27 @@ def test_model_is_read_before_the_trace_streams(trace_path, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("size", ["0", "-625", "600"])
-def test_group_size_must_hold_whole_tone_cycles(trace_path, tmp_path, capsys, size):
+@pytest.mark.parametrize("size", [0, -625, 600])
+def test_group_size_must_hold_whole_tone_cycles(trace_path, size):
     # 625 snapshots hold whole cycles of both read tones; 600 holds 34.56
-    # cycles of the 1 kHz tone, so static multipath would not cancel
-    out = tmp_path / "phases.csv"
-    stub = mock.Mock(side_effect=AssertionError("decoded with a bad group size"))
-    with mock.patch.object(cli, "group_phases", stub):
-        assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
-                         "--group-size", size]) == 2
-    stub.assert_not_called()
-    assert not out.exists()
-    assert "not a positive multiple of 625" in capsys.readouterr().err
+    # cycles of the 1 kHz tone, so static multipath would not cancel.  Only
+    # a library caller passes a size: decode takes the auto one
+    with pytest.raises(ValueError, match="^group size -?[0-9]+ is not a positive "
+                                         "multiple of 625, the smallest holding "
+                                         "whole cycles of every read tone$"):
+        group_phases(open_trace(trace_path), None, size)
 
 
-def test_group_size_leaving_fewer_than_two_groups_is_a_usage_error(
-        trace_path, tmp_path, capsys):
+def test_group_size_leaving_fewer_than_two_groups_is_refused(trace_path):
     # 10 groups of 625 make one group of 6250, and a phase needs two
-    out = tmp_path / "phases.csv"
-    stub = mock.Mock(side_effect=AssertionError("decoded with a bad group size"))
-    with mock.patch.object(cli, "group_phases", stub):
-        assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
-                         "--group-size", str(10 * NG)]) == 2
-    stub.assert_not_called()
-    assert not out.exists()
-    assert capsys.readouterr().err == (
-        f"error: {GROUPS * NG + TAIL} snapshots hold fewer than the 2 groups "
-        f"of {10 * NG} a decode needs\n")
+    with pytest.raises(ValueError) as e:
+        group_phases(open_trace(trace_path), None, 10 * NG)
+    assert str(e.value) == (f"{GROUPS * NG + TAIL} snapshots hold fewer than the 2 "
+                            f"groups of {10 * NG} a decode needs")
 
 
-def test_group_size_may_be_any_multiple_of_the_auto_size(trace_path, tmp_path):
-    out = tmp_path / "phases.csv"
-    assert cli.main(["decode", "--trace", trace_path, "--out", str(out),
-                     "--group-size", str(2 * NG)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == (GROUPS * NG + TAIL) // (2 * NG)
-    assert float(rows[1].split(",")[1]) == pytest.approx(2 * NG * 720.0 / 12.5e6)
+def test_group_size_may_be_any_multiple_of_the_auto_size(trace_path):
+    series = group_phases(open_trace(trace_path), None, 2 * NG)
+    assert series.group_size == 2 * NG
+    assert series.n_groups == (GROUPS * NG + TAIL) // (2 * NG)
+    assert series.group_times()[1] == pytest.approx(2 * NG * 720.0 / 12.5e6)

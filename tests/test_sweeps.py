@@ -116,6 +116,9 @@ def test_run_force_sweep_leaves_numpy_ma_unimported():
     assert out.stdout.strip() == "[]"
 
 
+# clocks whose auto group size is 1250: f_s T = 73/1250 and 4 f_s T = 146/625
+F_S_1250 = 73 / (1250 * parse_config({}).waveform.frame_period_s)
+
 GRID = [pytest.mark.parametrize("K", [1, 64]),
         pytest.mark.parametrize("group_size", [None, 1250], ids=["auto", "1250"]),
         pytest.mark.parametrize("bits", [None, 10], ids=["float", "10bit"]),
@@ -131,9 +134,14 @@ def on_grid(test):
 
 
 def grid_cfg(cfg, snr_db, bits, group_size, K):
-    return replace(cfg, group_size=group_size,
-                   noise=replace(cfg.noise, snr_db=snr_db, quantize_bits=bits),
-                   waveform=replace(cfg.waveform, n_subcarriers=K))
+    """cfg on K subcarriers with the given noise, its clocks the default
+    (group_size None, an auto size of 625) or F_S_1250's."""
+    cfg = replace(cfg, noise=replace(cfg.noise, snr_db=snr_db, quantize_bits=bits),
+                  waveform=replace(cfg.waveform, n_subcarriers=K))
+    if group_size is not None:
+        cfg = replace(cfg, scheme=make_scheme(F_S_1250))
+    assert auto_group_size(cfg.waveform, cfg.scheme) == (group_size or 625)
+    return cfg
 
 
 def projection_oracle(cfg, Ng, touches, snr_db, seed):
@@ -179,7 +187,7 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
     # match the full path's in distribution (noiseless: to 1e-9)
     cfg = grid_cfg(default_cfg, snr_db, bits, group_size, K)
     model = calibrate(cfg)
-    Ng = group_size or 625
+    Ng = auto_group_size(cfg.waveform, cfg.scheme)
     noisy_float = bits is None and snr_db is not None
     trials = GRID_TRIALS if noisy_float else 3
     rows, _ = run_force_sweep(cfg, trials=trials, seed=5)
@@ -329,14 +337,13 @@ def test_measure_step_errors_noiseless_is_zero(default_cfg):
 
 
 def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_cfg):
-    # 600 snapshots hold 34.56 cycles of the 1 kHz tone, so static multipath
-    # would not cancel: the decode must refuse, not return steps of garbage;
-    # 0 is a size like any other, not a stand-in for auto
-    for size in (600, 0, -625):
-        with pytest.raises(ValueError, match="not a positive multiple of 625"):
-            measure_step_errors(replace(default_cfg, group_size=size),
-                                snr_db=None, seeds=[0])
-    e1, e2 = measure_step_errors(replace(default_cfg, group_size=1250),
+    # a trial's groups take the auto size, whole cycles of both read tones;
+    # clocks with no such size below the cap must be refused, not decoded
+    # into steps of garbage, and clocks whose size is 1250 decode exactly
+    with pytest.raises(ValueError, match="no integer-cycle group size below 100000"):
+        measure_step_errors(replace(default_cfg, scheme=make_scheme(1001.3)),
+                            snr_db=None, seeds=[0])
+    e1, e2 = measure_step_errors(replace(default_cfg, scheme=make_scheme(F_S_1250)),
                                  snr_db=None, seeds=[0])[0]
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
 
@@ -375,7 +382,7 @@ def test_measure_step_errors_rows_match_one_synthesis_per_seed(default_cfg, snr_
     seeds = [11, 2 ** 62 - 1, 11]
     got = measure_step_errors(cfg, snr_db, seeds)
     assert got.shape == (3, 2) and got.dtype == np.float64
-    Ng = group_size or 625
+    Ng = auto_group_size(cfg.waveform, cfg.scheme)
     if bits is not None:
         assert got.tobytes() == full_path_steps(cfg, Ng, snr_db, seeds).tobytes()
         return
@@ -398,9 +405,10 @@ def phasors(magnitude):
 
 @st.composite
 def closed_form_cases(draw):
-    """A config and two groups' touches: f_s = c / (N T) for whole c cycles
-    in N snapshots with 4 f_s under Nyquist, the group size a multiple of
-    the auto size, K in 1..8, up to three static paths as strong as the
+    """A config, a group size and two groups' touches: f_s = c / (N T) for
+    whole c cycles in N snapshots with 4 f_s under Nyquist, the group size
+    a multiple of the auto size, passed to the projection domain as a
+    library caller may, K in 1..8, up to three static paths as strong as the
     default's direct path, a press or none in each group."""
     cfg = draw(st.sampled_from([parse_config({})]))
     T = cfg.waveform.frame_period_s
@@ -417,8 +425,8 @@ def closed_form_cases(draw):
     touches = draw(st.lists(st.none() | st.builds(
         TouchEvent, st.floats(0.0, 9.0), st.floats(0.0, 80.0)),
         min_size=2, max_size=2))
-    return replace(cfg, waveform=wf, scheme=scheme, group_size=Ng,
-                   multipath=MultipathProfile(tuple(paths), sensor)), touches
+    return replace(cfg, waveform=wf, scheme=scheme,
+                   multipath=MultipathProfile(tuple(paths), sensor)), Ng, touches
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,8 +438,8 @@ def test_closed_form_projections_match_project_groups(case):
     # largest entry, the scale of project_groups' rounding (a static path
     # 100 times the sensor's leaves it at about 1e-13).  Over one group the
     # read tones are orthogonal, their Gram matrix N_g I
-    cfg, touches = case
-    Ng, wf = cfg.group_size, cfg.waveform
+    cfg, Ng, touches = case
+    wf = cfg.waveform
     P0, P1 = sweeps._ProjectionDomain(cfg, Ng).clean(touches[0], touches[1:])
     P = np.stack([P0, P1[0]])
     timeline = TouchTimeline(entries=((0, touches[0]), (Ng, touches[1])))
@@ -460,12 +468,12 @@ def projected_noise(freqs, T, K, Ng, n, batch=250):
 
 def chunk_case(cfg, name):
     """The default config, or one config of closed_form_cases' kind: whole
-    cycles of f_s = 7 / (125 T), K = 5, group size 1250 (ten auto groups),
-    two strong static paths and a rotated sensor path."""
+    cycles of f_s = 7 / (125 T), so an auto group size of 125, K = 5, two
+    strong static paths and a rotated sensor path."""
     if name == "default":
         return cfg
     return replace(cfg, scheme=make_scheme(7 / (125 * cfg.waveform.frame_period_s)),
-                   waveform=replace(cfg.waveform, n_subcarriers=5), group_size=1250,
+                   waveform=replace(cfg.waveform, n_subcarriers=5),
                    multipath=MultipathProfile(
                        (Path(60 - 40j, 2.5), Path(-8 + 3j, 9.0)), Path(0.6 + 0.9j, 3.7)))
 
@@ -605,8 +613,8 @@ def test_measure_step_errors_of_no_seeds_is_empty_but_checked(default_cfg):
     # no seeds, no rows; the config is still checked as for any other call
     got = measure_step_errors(default_cfg, 10.0, [])
     assert got.shape == (0, 2) and got.dtype == np.float64
-    with pytest.raises(ValueError, match="not a positive multiple of 625"):
-        measure_step_errors(replace(default_cfg, group_size=600), 10.0, [])
+    with pytest.raises(ValueError, match="no integer-cycle group size below 100000"):
+        measure_step_errors(replace(default_cfg, scheme=make_scheme(1001.3)), 10.0, [])
 
 
 def test_measure_step_errors_takes_one_snr_per_seed(default_cfg):

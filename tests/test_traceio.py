@@ -144,9 +144,8 @@ def test_streamed_trace_file_equals_the_written_synthesis(tmp_path, case):
                              sensor_path=Path(0.8 + 0.1j, 1.0)),
             noise, SensorGeometry(), MechanicalParams())
     write_trace(synthesize(*args), tmp_path / "memory.trace")
-    provenance, blocks = synthesis_blocks(*args)
-    write_trace_blocks(tmp_path / "streamed.trace", blocks, wf, (scheme,),
-                       SensorGeometry(), provenance)
+    write_trace_blocks(tmp_path / "streamed.trace", synthesis_blocks(*args), wf,
+                       (scheme,), SensorGeometry(), {"seed": noise.seed})
     assert (header_and_payload(tmp_path / "streamed.trace")
             == header_and_payload(tmp_path / "memory.trace"))
 
