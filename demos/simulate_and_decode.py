@@ -3,8 +3,8 @@
 Synthesizes the wideband channel a reader would measure while a finger
 presses the line progressively harder, then recovers the per-group port
 phases using only the trace: project each snapshot group onto the read
-tones, difference each group against the first, anchor to the known
-no-touch phase.
+tones, difference each group against the first, anchor to the open
+line's phase.
 
 Run: python3 demos/simulate_and_decode.py
 """
@@ -15,7 +15,6 @@ import numpy as np
 from forcelink.chansim import TouchTimeline, synthesize
 from forcelink.config import default_config_dict, parse_config
 from forcelink.decoder import anchor, auto_group_size, group_phases
-from forcelink.sweeps import no_touch_phase
 from forcelink.transducer import (TouchEvent, port_phases, shorting_segment,
                                   wrap_phase)
 
@@ -36,7 +35,7 @@ print(f"trace: {trace.data.shape[0]} snapshots x {trace.data.shape[1]} "
       f"{trace.provenance['seed']}")
 
 series = group_phases(trace, cfg.scheme, Ng)
-phases = anchor(series, no_touch_phase(cfg))
+phases = anchor(series.phases, cfg.geometry, wf.carrier_hz)
 snr1, snr2 = series.snr_db
 print(f"estimated SNR from the trace itself: {snr1:.1f} / {snr2:.1f} dB\n")
 

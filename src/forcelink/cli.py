@@ -38,8 +38,7 @@ from . import traceio
 from .chansim import synthesis_blocks
 from .config import ConfigError, ExperimentConfig, _build, load_config
 from .decoder import anchor, decode_group_size, group_phases
-from .transducer import (ShortingState, impedance, port_phases,
-                         solve_width_ratio)
+from .transducer import impedance, solve_width_ratio
 
 SEED_HELP = "overrides the config's noise.seed; must be >= 0"
 
@@ -97,8 +96,7 @@ def cmd_decode(args) -> int:
     series = group_phases(trace)  # its first scheme, at the auto group size
     phases = extra = None
     if trace.geometry is not None:
-        phases = anchor(series, port_phases(ShortingState.open(), trace.geometry,
-                                            trace.config.carrier_hz))
+        phases = anchor(series.phases, trace.geometry, trace.config.carrier_hz)
     if model is not None:  # every group in one batch, group 0 again alone
         from . import calib
         ests = calib.invert_many(model, phases[:, 0], phases[:, 1])

@@ -132,6 +132,8 @@ class CalibrationSettings:
         if len(set(self.locations_mm)) < 2 or len(set(self.forces_n)) < 4:
             raise ValueError("needs at least 2 distinct locations_mm and 4 distinct "
                              f"forces_n for a cubic fit, got {self}")
+        if min(self.forces_n) < 0.0:
+            raise ValueError(f"forces_n must be >= 0, got {self.forces_n}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +183,22 @@ def scheme_to_dict(scheme: ClockScheme) -> dict:
 
 
 def parse_scheme(d, section: str = "clocks") -> ClockScheme:
-    """A clock scheme from f_s_hz alone or from explicit clock_a and clock_b."""
+    """A clock scheme from f_s_hz alone or from explicit clock_a and clock_b,
+    beside which an f_s_hz must be clock_a's freq."""
     _take(d, section, {"f_s_hz", "clock_a", "clock_b"})
     if "clock_a" in d or "clock_b" in d:
         if not ("clock_a" in d and "clock_b" in d):
             raise ConfigError(
                 f"{section} needs both clock_a and clock_b, or just f_s_hz")
-        return _build(ClockScheme, section, *(
+        scheme = _build(ClockScheme, section, *(
             read_section(SwitchClock, d[name], f"{section}.{name}", {"offset": 0.0},
                          _CLOCK_KEYS)
             for name in ("clock_a", "clock_b")))
+        f_a = scheme.clock_a.frequency
+        if _convert(float, d.get("f_s_hz", f_a), f"{section}.f_s_hz") != f_a:
+            raise ConfigError(f"bad {section}.f_s_hz: {d['f_s_hz']} is not "
+                              f"clock_a's freq {f_a}")
+        return scheme
     if "f_s_hz" not in d:
         raise ConfigError(f"{section} needs f_s_hz or explicit clock_a/clock_b")
     return _build(make_scheme, section,

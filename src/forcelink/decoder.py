@@ -7,8 +7,8 @@ frequency isolates one port; conjugate-multiplying two groups' projections
 and averaging across subcarriers yields the phase change between them, with
 static multipath cancelled exactly when groups hold an integer number of
 modulation cycles.  Steps pair consecutive groups; phases pair each group
-with group 0, so anchoring them to the no-touch phase adds no error along
-the trace.
+with group 0, so anchoring them adds no error along the trace; anchor, the
+one place phases are anchored, forms the open line's phase itself.
 
 group_phases is the one decode, of a trace in memory (chansim.ChannelTrace)
 or opened from a file (traceio.TraceFile); both yield their rows through
@@ -44,7 +44,7 @@ import numpy as np
 
 from .chansim import ChannelTrace, WaveformConfig
 from .clocks import ClockScheme
-from .transducer import PortPhases
+from .transducer import SensorGeometry, ShortingState, port_phases
 
 if TYPE_CHECKING:
     from .traceio import TraceFile
@@ -155,14 +155,13 @@ class PhaseSeries:
         return tuple(float(x) for x in np.clip(db, SNR_FLOOR_DB, SNR_CAP_DB))
 
 
-def anchor(series: PhaseSeries, no_touch: PortPhases) -> np.ndarray:
-    """Absolute (n_groups, 2) port phases, taking group 0 as untouched.
-
-    Each group's phase relative to group 0 plus the known open-line phase,
-    so a group's error is its own and group 0's, however far it lies from
-    group 0; anchored phases are exact modulo 2 pi.
-    """
-    return series.phases + (no_touch.phi1, no_touch.phi2)
+def anchor(phases: np.ndarray, geometry: SensorGeometry, carrier_hz: float) -> np.ndarray:
+    """Absolute (..., 2) port phases from phases against an untouched group
+    0: each plus the open line's port_phases at geometry and carrier_hz, so
+    a group's error is its own and group 0's, however far it lies from group
+    0; exact modulo 2 pi.  The one place the open line's phase is added."""
+    open_line = port_phases(ShortingState.open(), geometry, carrier_hz)
+    return phases + (open_line.phi1, open_line.phi2)
 
 
 @functools.lru_cache(maxsize=16)

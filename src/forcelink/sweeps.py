@@ -22,8 +22,9 @@ domain does, so a change to the reflection stage or the decode that the
 closed form does not follow fails the sweep instead of drifting from it.
 The projection domain makes SWEEP_CHUNK trials in one vectorised pass; only
 each trial's noise draw and its press's port_reflections stay per trial.
-A force sweep inverts each chunk with one calib.invert_many call, on either
-path, and a trial's row is the same bytes in any chunk.
+A force sweep anchors each chunk's phases with decoder.anchor, as decode
+and pressed_phases do, inverts them with one calib.invert_many call, on
+either path, and a trial's row is the same bytes in any chunk.
 
 A quantized config keeps the full path, whose quantizer's full scale spans
 the whole trace: each trial's trace is _trial_trace's, decoded by
@@ -49,8 +50,7 @@ from .clocks import make_scheme
 from .config import ConfigError, ExperimentConfig
 from .decoder import (_gate_table, _median, _quantile, anchor, auto_group_size,
                       group_phases, phase_against, project_groups)
-from .transducer import (ShortingState, TouchEvent, port_phases,
-                         port_reflections)
+from .transducer import TouchEvent, port_reflections
 
 
 # each sweep mode's CSV columns, in order; a row leaves blank what it lacks
@@ -91,10 +91,6 @@ def calibrate(cfg: ExperimentConfig) -> calib.SensorModel:
     return calib.fit_model(calibration_data(cfg))
 
 
-def no_touch_phase(cfg: ExperimentConfig):
-    return port_phases(ShortingState.open(), cfg.geometry, cfg.waveform.carrier_hz)
-
-
 def _trial_trace(cfg: ExperimentConfig, Ng: int,
                  touches: tuple[TouchEvent | None, TouchEvent | None],
                  noise: NoiseSpec) -> ChannelTrace:
@@ -122,7 +118,8 @@ def touch_trace(cfg: ExperimentConfig, force_n: float, location_mm: float,
 def pressed_phases(cfg: ExperimentConfig, trace: ChannelTrace) -> np.ndarray:
     """A trial trace's (touch_trace's) anchored group-1 phases (phi1, phi2):
     the pressed group against the quiet group 0, plus the open-line phase."""
-    return anchor(group_phases(trace, cfg.scheme), no_touch_phase(cfg))[1]
+    return anchor(group_phases(trace, cfg.scheme).phases[1], cfg.geometry,
+                  cfg.waveform.carrier_hz)
 
 
 def run_touch_trial(model: calib.SensorModel, force_n: float, location_mm: float,
@@ -244,7 +241,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     f_lo, f_hi = cfg.sweep.force_range_n
     locations = cfg.sweep.test_locations_mm
     Ng = auto_group_size(cfg.waveform, cfg.scheme)
-    phases, open_phase = _chunk_phases(cfg, Ng), no_touch_phase(cfg)
+    phases = _chunk_phases(cfg, Ng)
     rows = []
     for start in range(0, trials, SWEEP_CHUNK):
         # locations[integers(n)] is rng.choice(locations)'s stream, at a fifth the cost
@@ -254,7 +251,7 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                    for _ in range(min(SWEEP_CHUNK, trials - start))]
         p = phases(None, [TouchEvent(F, loc) for F, loc, _ in presses],
                    [cfg.noise.snr_db] * len(presses), [s for _, _, s in presses])
-        p += (open_phase.phi1, open_phase.phi2)
+        p = anchor(p, cfg.geometry, cfg.waveform.carrier_hz)
         chunk = [_trial_row(F, loc, est) for (F, loc, _), est in
                  zip(presses, calib.invert_many(model, p[:, 0], p[:, 1]))]
         if start == 0:  # trial 0 again, by run_touch_trial's one-point invert

@@ -200,8 +200,10 @@ def open_trace(path) -> TraceFile:
         size = os.fstat(f.fileno()).st_size - offset
     with _json_object("trace header", path, line) as header:
         cfg = read_section(WaveformConfig, header.get("waveform"), "waveform", {})
-        schemes = tuple(parse_scheme(d, f"schemes[{i}]")
-                        for i, d in enumerate(header.get("schemes", [])))
+        schemes = header.get("schemes", [])
+        if not isinstance(schemes, list):
+            raise TypeError(f"schemes: expected a JSON list, got {type(schemes).__name__}")
+        schemes = tuple(parse_scheme(d, f"schemes[{i}]") for i, d in enumerate(schemes))
         geometry = header.get("geometry")
         if geometry is not None:
             geometry = read_section(SensorGeometry, geometry, "geometry", {})

@@ -145,6 +145,43 @@ def test_calibration_forces_as_range_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_calibration_force_is_a_config_error(tmp_path, capsys):
+    # a press cannot pull: the loader refuses a negative calibration force,
+    # naming the section and key, so calibrate and the force sweep exit 2
+    # and write nothing
+    doc = {"calibration": {"forces_n": [-1, 1, 2, 3, 4]}}
+    says = "bad calibration: forces_n must be >= 0, got (-1.0, 1.0, 2.0, 3.0, 4.0)"
+    with pytest.raises(ConfigError) as e:
+        parse_config(doc)
+    assert str(e.value) == says
+    path, out = tmp_path / "config.json", str(tmp_path / "out")
+    path.write_text(json.dumps(doc))
+    for argv in (["calibrate"], ["sweep", "--mode", "force"]):
+        assert cli.main([*argv, "--config", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_an_f_s_hz_beside_explicit_clocks_must_be_clock_a_freq(tmp_path, capsys):
+    # f_s_hz beside clock_a and clock_b restates clock_a's freq: an equal one
+    # reads the same scheme, another contradicts the clocks and is refused
+    # (exit 2, no trace) rather than dropped
+    clocks = {"clock_a": {"freq": 1000.0, "duty": 0.25},
+              "clock_b": {"freq": 2000.0, "duty": 0.25, "offset": 0.5}}
+    scheme = parse_config({"clocks": clocks}).scheme
+    assert parse_config({"clocks": {"f_s_hz": 1000, **clocks}}).scheme == scheme
+    doc = {"clocks": {"f_s_hz": 1400, **clocks}}
+    says = "bad clocks.f_s_hz: 1400 is not clock_a's freq 1000.0"
+    with pytest.raises(ConfigError) as e:
+        parse_config(doc)
+    assert str(e.value) == says
+    path, out = tmp_path / "config.json", str(tmp_path / "out")
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_calibration_forces_as_list():
     doc = {"calibration": {"forces_n": [1, 2, 3, 4], "locations_mm": [20, 60]}}
     cfg = parse_config(doc)

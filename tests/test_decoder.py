@@ -192,7 +192,7 @@ def test_anchor_reproduces_absolute_phases_mod_two_pi():
     p2 = np.concatenate([np.full(NG, quiet.phi2), np.full(NG, touched.phi2),
                          np.full(NG, harder.phi2)])
     trace = tone_trace(wf, SCHEME, p1, p2)
-    phases = anchor(group_phases(trace, SCHEME, NG), quiet)
+    phases = anchor(group_phases(trace, SCHEME, NG).phases, GEOM, wf.carrier_hz)
     assert phases.shape == (3, 2)
     assert phases[0, 0] == quiet.phi1
     for g, pp in enumerate((quiet, touched, harder)):
@@ -383,7 +383,7 @@ def test_anchored_error_does_not_grow_along_the_trace(default_cfg):
     for seed in range(30):
         trace = synthesize(wf, SCHEME, held, default_cfg.multipath,
                            NoiseSpec(0.0, seed=seed), GEOM, MECH)
-        phases = anchor(group_phases(trace, SCHEME, NG), quiet)
+        phases = anchor(group_phases(trace, SCHEME, NG).phases, GEOM, wf.carrier_hz)
         errs.append([[wrap_phase(phases[g, 0] - quiet.phi1),
                       wrap_phase(phases[g, 1] - quiet.phi2)]
                      for g in (1, groups - 1)])

@@ -14,7 +14,6 @@ from forcelink import cli, traceio
 from forcelink.config import default_config_dict, parse_config
 from forcelink.decoder import anchor, group_phases
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
-from forcelink.transducer import ShortingState, port_phases
 
 from conftest import traced_peak
 
@@ -47,10 +46,9 @@ def in_memory_csv(trace_path, tmp_path_factory):
     trace = read_trace(trace_path)
     scheme = trace.schemes[0]
     series = group_phases(trace, scheme, NG)
-    quiet = port_phases(ShortingState.open(), trace.geometry,
-                        trace.config.carrier_hz)
     out = tmp_path_factory.mktemp("mem") / "phases.csv"
-    write_phase_csv(series, out, anchor(series, quiet))
+    write_phase_csv(series, out, anchor(series.phases, trace.geometry,
+                                        trace.config.carrier_hz))
     return out.read_bytes()
 
 
@@ -197,6 +195,18 @@ def list_provenance(header):
     return header
 
 
+def contradicting_f_s_hz(header):
+    header["schemes"][0]["f_s_hz"] = 1400.0
+    return header
+
+
+def schemes_as(value):
+    def change(header):
+        header["schemes"] = value(header["schemes"])
+        return header
+    return change
+
+
 @pytest.mark.parametrize("change, says", [
     (drop("schemes", "clock_b"),
      "schemes[0] needs both clock_a and clock_b, or just f_s_hz"),
@@ -207,8 +217,13 @@ def list_provenance(header):
     (lambda header: [header], "expected a JSON object, got list"),
     (infinite_carrier, "waveform.carrier_hz: expected a finite number, got inf"),
     (list_provenance, "provenance: expected a JSON object, got list"),
+    (contradicting_f_s_hz, "schemes[0].f_s_hz: 1400.0 is not clock_a's freq 1000.0"),
+    (schemes_as(lambda schemes: None), "schemes: expected a JSON list, got NoneType"),
+    (schemes_as(lambda schemes: 5), "schemes: expected a JSON list, got int"),
+    (schemes_as(lambda schemes: schemes[0]), "schemes: expected a JSON list, got dict"),
 ], ids=["no-clock_b", "no-carrier", "clock_b-2nd-null", "extra-geometry-key",
-        "list-header", "infinite-carrier", "list-provenance"])
+        "list-header", "infinite-carrier", "list-provenance", "contradicting-f_s_hz",
+        "null-schemes", "number-schemes", "object-schemes"])
 def test_malformed_header_fails_decode(trace_path, tmp_path, capsys, change, says):
     bad = damaged_copy(trace_path, tmp_path / "bad.trace", header_edit(change))
     out = tmp_path / "phases.csv"

@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from forcelink import calib, chansim, sweeps, transducer
+from forcelink import calib, chansim, cli, decoder, sweeps, transducer
 from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                                noise_scale, synthesize)
 from forcelink.clocks import make_scheme
 from forcelink.config import parse_config
-from forcelink.decoder import (_tone_table, auto_group_size, group_phases,
+from forcelink.decoder import (_tone_table, anchor, auto_group_size, group_phases,
                               project_groups)
 from forcelink.sweeps import (HELD_PRESS, calibrate, measure_step_errors,
-                              no_touch_phase, pressed_phases, run_crosstalk,
-                              run_force_sweep, run_snr_sweep, run_touch_trial,
+                              pressed_phases, run_crosstalk, run_force_sweep,
+                              run_snr_sweep, run_touch_trial,
                               snr_meeting_threshold, touch_trace)
 from forcelink.transducer import ShortingState, TouchEvent, port_phases, wrap_phase
 
@@ -48,10 +48,11 @@ def test_calibrate_uses_config_grid(default_cfg, model):
 
 
 def test_no_touch_phase_matches_transducer(default_cfg):
+    # anchor adds the open line's unwrapped port_phases, bit for bit
     want = port_phases(ShortingState.open(), default_cfg.geometry,
                        default_cfg.waveform.carrier_hz)
-    got = no_touch_phase(default_cfg)
-    assert got.phi1 == want.phi1 and got.phi2 == want.phi2
+    got = anchor(np.zeros(2), default_cfg.geometry, default_cfg.waveform.carrier_hz)
+    assert got[0] == want.phi1 and got[1] == want.phi2
 
 
 def test_run_touch_trial_is_deterministic(default_cfg, model):
@@ -192,7 +193,6 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
     trials = GRID_TRIALS if noisy_float else 3
     rows, _ = run_force_sweep(cfg, trials=trials, seed=5)
     presses = drawn_presses(cfg, trials, 5)
-    open_phase = no_touch_phase(cfg)
     for i, (row, (F, loc, seed)) in enumerate(zip(rows, presses)):
         assert (row["kind"], row["trial"], row["true_force_n"],
                 row["true_location_mm"]) == ("trial", i, F, loc)
@@ -201,8 +201,9 @@ def test_run_force_sweep_rows_match_one_synthesis_per_trial(default_cfg, snr_db,
             assert row == {**run_touch_trial(model, F, loc, pressed_phases(cfg, trace)),
                            "kind": "trial", "trial": i}
         elif i < 3:
-            phases = projection_oracle(cfg, Ng, (None, TouchEvent(F, loc)), snr_db,
-                                       seed) + (open_phase.phi1, open_phase.phi2)
+            phases = anchor(projection_oracle(cfg, Ng, (None, TouchEvent(F, loc)),
+                                              snr_db, seed),
+                            cfg.geometry, cfg.waveform.carrier_hz)
             want = run_touch_trial(model, F, loc, phases)
             assert row["reliable"] == want["reliable"]
             for key in ("est_force_n", "est_location_mm", "residual_rad2"):
@@ -565,6 +566,54 @@ def test_both_paths_take_the_one_sensor_response(default_cfg, monkeypatch):
         assert abs(wrap_phase(float(d1))) <= 1e-3  # port 2's leak into port 1
         assert abs(wrap_phase(float(d2) - bend)) <= 1e-3
     assert np.abs(moved[0] - moved[1]).max() <= 1e-9
+
+
+def test_every_anchored_phase_takes_the_one_anchor(default_cfg, tmp_path, monkeypatch):
+    # decoder.anchor is the one place the open line's phase is formed and
+    # added.  Bend that phase there by a known amount per port: decode's
+    # anchored columns, a 10-bit trial's pressed_phases and the phases an
+    # unquantized force sweep inverts all move by it, and nothing else does
+    bend = np.array([0.3, -0.7])
+    config, trace = tmp_path / "config.json", tmp_path / "run.trace"
+    config.write_text("{}")
+    assert cli.main(["simulate", "--config", str(config), "--out", str(trace)]) == 0
+    bits10 = replace(default_cfg, noise=replace(default_cfg.noise, quantize_bits=10))
+    trial = touch_trace(bits10, 4.0, 40.0, seed=3)
+
+    def run(tag):
+        out, inverted, invert_many = tmp_path / f"{tag}.csv", [], calib.invert_many
+        assert cli.main(["decode", "--trace", str(trace), "--out", str(out)]) == 0
+
+        def recording(model, phi1, phi2):
+            inverted.append(np.stack([phi1, phi2], axis=-1))
+            return invert_many(model, phi1, phi2)
+        with monkeypatch.context() as m:
+            m.setattr(calib, "invert_many", recording)
+            rows, _ = run_force_sweep(default_cfg, trials=3, seed=5)
+        return (np.genfromtxt(out, delimiter=",", names=True),
+                pressed_phases(bits10, trial), np.concatenate(inverted),
+                [(r["true_force_n"], r["true_location_mm"]) for r in rows])
+
+    csv, pressed, inverted, truth = run("straight")
+    real = decoder.port_phases
+
+    def bent(*args):
+        pp = real(*args)
+        return transducer.PortPhases(pp.phi1 + bend[0], pp.phi2 + bend[1])
+    monkeypatch.setattr(decoder, "port_phases", bent)
+    bent_csv, bent_pressed, bent_inverted, bent_truth = run("bent")
+    for name in csv.dtype.names:
+        moved = bent_csv[name] - csv[name]
+        if name in ("phi1_deg", "phi2_deg"):
+            want = math.degrees(bend[int(name[3]) - 1])
+            np.testing.assert_allclose(moved, want, rtol=0, atol=1e-9)
+        else:
+            assert (moved == 0).all(), name
+    np.testing.assert_allclose(bent_pressed - pressed, bend, rtol=0, atol=1e-12)
+    # the chunk's three trials, then trial 0 again through calib.invert
+    assert inverted.shape == (4, 2) and bent_truth == truth
+    np.testing.assert_allclose(bent_inverted - inverted, np.broadcast_to(bend, (4, 2)),
+                               rtol=0, atol=1e-12)
 
 
 def test_projection_domain_refuses_a_decode_that_reads_other_phases(default_cfg,
