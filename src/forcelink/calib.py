@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CalibrationSettings
 from .transducer import (MechanicalParams, SensorGeometry, TouchEvent,
                          port_phases, shorting_segment)
 
@@ -44,12 +45,9 @@ class Sample:
 
 @dataclass(frozen=True)
 class CalibrationDataset:
-    """Phase samples over a (force, location) grid.
-
-    Needs a positive carrier_hz, finite samples, at least two distinct
-    locations and at least four distinct forces per location (a cubic has
-    four coefficients), so that fit_model makes a valid SensorModel.
-    """
+    """Phase samples over a (force, location) grid, valid for fit_model: a
+    positive carrier_hz, finite samples and the grid rule a config's
+    calibration keeps, config.CalibrationSettings.check_grid."""
 
     samples: tuple[Sample, ...]
     carrier_hz: float
@@ -63,15 +61,9 @@ class CalibrationDataset:
         if not all(math.isfinite(v) for s in self.samples
                    for v in (s.force_n, s.location_mm, s.phi1, s.phi2)):
             raise ValueError("samples must all be finite")
-        locs = {s.location_mm for s in self.samples}
-        if len(locs) < 2:
-            raise ValueError("calibration needs at least 2 distinct locations")
-        for loc in locs:
-            forces = {s.force_n for s in self.samples if s.location_mm == loc}
-            if len(forces) < 4:
-                raise ValueError(
-                    f"location {loc} mm has {len(forces)} distinct forces; "
-                    "a cubic fit needs at least 4")
+        CalibrationSettings.check_grid({loc: [s.force_n for s in self.samples if
+                                              s.location_mm == loc]
+                                        for loc in self.locations()})
 
     def locations(self) -> list[float]:
         return sorted({s.location_mm for s in self.samples})

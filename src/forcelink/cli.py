@@ -16,9 +16,9 @@ runtime failures (unreadable traces, I/O), 143 when stopped by SIGTERM.
 Diagnostics go to stderr.
 
 decode reads a trace's first scheme at decoder.auto_group_size; a trace it
-cannot decode so (no scheme, fewer than two groups) is a runtime failure.
-simulate writes the trace header's provenance: the seed and a digest of the
-config's synthesis inputs.
+cannot decode so (no scheme, too few groups, a non-finite entry) is a runtime
+failure naming the file.  simulate writes the trace header's provenance (the
+seed, a digest of the config's synthesis inputs) and no write time.
 
 A command imports calib and sweeps where it uses them, so simulate, decode
 without --model and impedance start neither.
@@ -93,7 +93,10 @@ def cmd_decode(args) -> int:
     if model is not None and model.carrier_hz != trace.config.carrier_hz:
         raise ConfigError(f"--model {args.model} is calibrated at {model.carrier_hz} Hz,"
                           f" the trace is at {trace.config.carrier_hz} Hz")
-    series = group_phases(trace)  # its first scheme, at the auto group size
+    try:  # its first scheme, at the auto group size
+        series = group_phases(trace)
+    except ValueError as e:
+        raise ValueError(f"bad trace in {args.trace}: {e}") from None
     phases = extra = None
     if trace.geometry is not None:
         phases = anchor(series.phases, trace.geometry, trace.config.carrier_hz)

@@ -107,7 +107,6 @@ def read_section(cls, doc, section: str, defaults: dict, keys: dict | None = Non
 @dataclass(frozen=True)
 class SweepSettings:
     test_locations_mm: tuple[float, ...] = (20.0, 40.0, 55.0, 60.0)
-    force_range_n: tuple[float, float] = (1.0, 8.0)
     trials: int = 500
     snr_grid_db: tuple[float, ...] = tuple(float(s) for s in range(0, 41, 5))
     second_f_s_hz: float = 1400.0
@@ -115,9 +114,6 @@ class SweepSettings:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        lo, hi = self.force_range_n
-        if not 0.0 <= lo <= hi:
-            raise ValueError(f"force_range_n needs 0 <= lo <= hi, got {self.force_range_n}")
         for key in ("test_locations_mm", "snr_grid_db"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must not be empty")
@@ -128,12 +124,22 @@ class CalibrationSettings:
     locations_mm: tuple[float, ...] = (20.0, 30.0, 40.0, 50.0, 60.0)
     forces_n: tuple[float, ...] = tuple(1.0 + 0.5 * i for i in range(15))
 
-    def __post_init__(self):  # calib.CalibrationDataset's needs, checked on load
-        if len(set(self.locations_mm)) < 2 or len(set(self.forces_n)) < 4:
-            raise ValueError("needs at least 2 distinct locations_mm and 4 distinct "
-                             f"forces_n for a cubic fit, got {self}")
-        if min(self.forces_n) < 0.0:
-            raise ValueError(f"forces_n must be >= 0, got {self.forces_n}")
+    def __post_init__(self):
+        self.check_grid(dict.fromkeys(self.locations_mm, self.forces_n))
+
+    @staticmethod
+    def check_grid(forces_at: dict) -> None:
+        """The calibration grid rule, calib.CalibrationDataset's too: a cubic fit
+        per location needs 2 locations of 4 distinct forces each, none negative
+        (a press cannot pull); forces_at maps each location to its forces."""
+        if len(forces_at) < 2:
+            raise ValueError(f"needs at least 2 locations, got {list(forces_at)}")
+        for loc, forces in forces_at.items():
+            if len(set(forces)) < 4:
+                raise ValueError(f"location {loc} mm has {len(set(forces))} distinct "
+                                 "forces; a cubic fit needs at least 4")
+            if min(forces) < 0.0:
+                raise ValueError(f"forces_n must be >= 0, got {tuple(forces)}")
 
 
 @dataclass(frozen=True)

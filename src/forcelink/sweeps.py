@@ -64,7 +64,7 @@ CSV_COLUMNS = {
                   "max_crosstalk_deg", "median_crosstalk_deg"),
 }
 
-# the SNR trials' held press, and the press the projection domain is checked on
+# the held press of SNR trials and crosstalk's sensor 1; the projection domain's check
 HELD_PRESS = TouchEvent(4.0, 40.0)
 # largest gap between the projection domain's clean projections and
 # project_groups' of the same noiseless trace, entry by entry, per unit of
@@ -80,10 +80,8 @@ CROSSTALK_GROUPS = 9
 
 def calibration_data(cfg: ExperimentConfig) -> calib.CalibrationDataset:
     """The config's calibration grid, simulated: the data calibrate fits."""
-    return calib.generate_sweep(cfg.calibration.locations_mm,
-                                cfg.calibration.forces_n,
-                                cfg.geometry, cfg.mechanics,
-                                cfg.waveform.carrier_hz)
+    return calib.generate_sweep(cfg.calibration.locations_mm, cfg.calibration.forces_n,
+                                cfg.geometry, cfg.mechanics, cfg.waveform.carrier_hz)
 
 
 def calibrate(cfg: ExperimentConfig) -> calib.SensorModel:
@@ -220,25 +218,27 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
                     seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
-    Presses and trial seeds are drawn from seed, cfg.noise.seed for None, a
-    chunk of SWEEP_CHUNK trials at a time and in a serial loop's order (each
-    trial's force, location, then seed), so a long sweep starts at once and
-    holds only its rows and one chunk.  Trial i's row is run_touch_trial's
-    for its anchored pressed-group phases, one _chunk_phases call a chunk:
-    for a quantized config pressed_phases of touch_trace(cfg, F_i, l_i,
-    seed_i), bit for bit; otherwise the projection domain's, the quiet
-    group's and each press's clean projections plus seed_i's projected
-    noise.  Each chunk's phases are inverted in one calib.invert_many call;
-    trial 0 is inverted once more through run_touch_trial, and a batch row
-    that differs from it raises ValueError.
-    The median and p90 rows are np.median's and np.quantile's, bit for bit.
+    Presses (forces over the model's calibrated range, locations from
+    cfg.sweep.test_locations_mm) and trial seeds are drawn from seed,
+    cfg.noise.seed for None, a chunk of SWEEP_CHUNK trials at a time and in
+    a serial loop's order (each trial's force, location, then seed), so a
+    long sweep starts at once and holds only its rows and one chunk.  Trial
+    i's row is run_touch_trial's for its anchored pressed-group phases, one
+    _chunk_phases call a chunk: for a quantized config pressed_phases of
+    touch_trace(cfg, F_i, l_i, seed_i), bit for bit; otherwise the
+    projection domain's, the quiet group's and each press's clean
+    projections plus seed_i's projected noise.  Each chunk's phases are
+    inverted in one calib.invert_many call; trial 0 is inverted once more
+    through run_touch_trial, and a batch row that differs from it raises
+    ValueError.  The median and p90 rows are np.median's and np.quantile's,
+    bit for bit.
     """
     trials = trials if trials is not None else cfg.sweep.trials
     if trials < 1:
         raise ConfigError(f"a force sweep needs at least 1 trial, got {trials}")
     model = calibrate(cfg)
     rng = np.random.default_rng(cfg.noise.seed if seed is None else seed)
-    f_lo, f_hi = cfg.sweep.force_range_n
+    f_lo, f_hi = model.force_range_n
     locations = cfg.sweep.test_locations_mm
     Ng = auto_group_size(cfg.waveform, cfg.scheme)
     phases = _chunk_phases(cfg, Ng)
@@ -342,7 +342,7 @@ def run_crosstalk(cfg: ExperimentConfig,
                   seed: int | None = None) -> tuple[list[dict], list[dict]]:
     """Two co-channel sensors; how much one's steps leak into the other.
 
-    Sensor 1 holds a press; sensor 2, 0.7 m further, runs at second_f_s_hz
+    Sensor 1 holds HELD_PRESS; sensor 2, 0.7 m further, runs at second_f_s_hz
     with a force staircase (a realistic slew, about half a newton per group).
     Each is the victim in turn: crosstalk is the difference between its
     decode with and without the other present, computed on traces sharing
@@ -360,7 +360,7 @@ def run_crosstalk(cfg: ExperimentConfig,
     noise = cfg.noise if seed is None else replace(cfg.noise, seed=seed)
     path2 = Path(amplitude=cfg.multipath.sensor_path.amplitude,
                  distance_m=cfg.multipath.sensor_path.distance_m + 0.7)
-    held = TouchTimeline.constant(TouchEvent(4.0, 40.0))
+    held = TouchTimeline.constant(HELD_PRESS)
     ramp = TouchTimeline(entries=tuple((g * Ng, TouchEvent(1.0 + g * 0.5, 30.0))
                                        for g in range(CROSSTALK_GROUPS)))
 

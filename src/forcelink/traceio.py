@@ -33,7 +33,6 @@ import os
 import pathlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -132,7 +131,6 @@ def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfi
         "schemes": [scheme_to_dict(s) for s in schemes],
         "geometry": asdict(geometry) if geometry else None,
         "provenance": provenance or {},
-        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     with _replacing(path, binary=True) as f:
         f.write(MAGIC)
@@ -179,7 +177,8 @@ class TraceFile:
         for start in range(0, len(self.data), step):
             block = self.data[start:start + step]
             if not np.isfinite(block.view(np.float32)).all():
-                raise ValueError("trace entries must all be finite")
+                raise ValueError("trace entries must all be finite (snapshots "
+                                 f"{start} to {start + len(block) - 1})")
             yield block
             if hasattr(mmap, "MADV_DONTNEED"):  # unmap the pages read so far
                 self.data._mmap.madvise(mmap.MADV_DONTNEED)

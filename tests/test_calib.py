@@ -57,6 +57,26 @@ def test_dataset_requires_four_forces_per_location():
         CalibrationDataset(samples=samples, carrier_hz=CARRIER)
 
 
+@pytest.mark.parametrize("field", ["force_n", "location_mm", "phi1", "phi2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_requires_finite_samples(field, bad):
+    # a dataset file cannot hold these (its reader refuses a non-finite
+    # number first); a library caller's samples are checked here
+    samples = make_samples([20.0, 40.0], [1.0, 2.0, 3.0, 4.0])
+    samples = (replace(samples[0], **{field: bad}),) + samples[1:]
+    with pytest.raises(ValueError, match="^samples must all be finite$"):
+        CalibrationDataset(samples=samples, carrier_hz=CARRIER)
+
+
+def test_dataset_refuses_a_negative_force():
+    # the grid rule a config's calibration grid keeps: a press cannot pull
+    samples = make_samples([20.0, 40.0], [1.0, 2.0, 3.0, 4.0])
+    samples = (replace(samples[0], force_n=-1.0),) + samples[1:]
+    with pytest.raises(ValueError, match=r"^forces_n must be >= 0, got "
+                                         r"\(-1\.0, 2\.0, 3\.0, 4\.0\)$"):
+        CalibrationDataset(samples=samples, carrier_hz=CARRIER)
+
+
 def test_dataset_source_validation():
     samples = make_samples([20.0, 40.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):

@@ -178,8 +178,10 @@ GRID_SAMPLES = [{"force_n": F, "location_mm": loc, "phi1_rad": 0.1 * F, "phi2_ra
     {"carrier_hz": -2.4e9, "samples": GRID_SAMPLES},
     {"carrier_hz": 2.4e9,
      "samples": [dict(GRID_SAMPLES[0], phi1_rad=math.nan)] + GRID_SAMPLES[1:]},
+    {"carrier_hz": 2.4e9,
+     "samples": [dict(GRID_SAMPLES[0], force_n=-1.0)] + GRID_SAMPLES[1:]},
 ], ids=["no-samples", "string-root", "sample-no-phi2", "string-force",
-        "negative-carrier", "nan-phase"])
+        "negative-carrier", "nan-phase", "negative-force"])
 def test_malformed_dataset_fails_calibrate(tmp_path, capsys, dataset):
     path = tmp_path / "cal.json"
     path.write_text(json.dumps(dataset))
@@ -264,6 +266,15 @@ def test_simulate_writes_the_trace_the_library_makes(tmp_path, doc):
     got = read_trace(out)
     assert got.provenance["seed"] == cfg.noise.seed == 1
     assert got.data.astype("<c8").tobytes() == want.data.astype("<c8").tobytes()
+
+
+def test_simulate_writes_the_same_bytes_for_one_config_and_seed(tmp_path):
+    # the header holds no write time: a rerun is byte-identical
+    path = write_config(tmp_path, {"waveform": {"n_subcarriers": 4}})
+    outs = [tmp_path / name for name in ("a.trace", "b.trace")]
+    for out in outs:
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_simulate_float32_overflow_fails_and_keeps_the_old_trace(tmp_path, capsys):
@@ -367,7 +378,8 @@ def test_decode_of_a_trace_without_schemes_fails(tmp_path, capsys):
     write_trace(ChannelTrace(config=wf, data=np.ones((1250, 2))), trace_path)
     out = tmp_path / "x.csv"
     assert cli.main(["decode", "--trace", str(trace_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: trace lists no modulation schemes\n"
+    assert capsys.readouterr().err == (f"error: bad trace in {trace_path}: "
+                                       "trace lists no modulation schemes\n")
     assert list(tmp_path.iterdir()) == [trace_path]
 
 

@@ -300,7 +300,7 @@ def test_a_range_spec_is_bounded_before_it_is_expanded():
     {"calibration": {"forces_n": {"start": 1.0, "stop": 8.0}}},
     {"sweep": {"trials": "x"}},
     {"sweep": {"trials": 2.5}},
-    {"sweep": {"force_range_n": [1]}},
+    {"sweep": {"force_range_n": [1]}},  # an unknown key: the range is the model's
     {"grouping": {"group_size": "x"}},
     {"grouping": {"group_size": None}},
     {"clocks": {"f_s_hz": -1000.0}},
@@ -324,7 +324,7 @@ def test_a_range_spec_is_bounded_before_it_is_expanded():
     {"waveform": {"subcarrier_spacing_hz": math.inf}},
     {"timeline": [{"start_snapshot": 0,
                    "touch": {"force_n": math.nan, "location_mm": 40.0}}]},
-    {"sweep": {"force_range_n": [-1.0, 8.0]}},
+    {"sweep": {"force_range_n": [-1.0, 8.0]}},  # an unknown key, as above
 ], ids=["null-float", "section-list", "section-string", "row-no-start",
         "timeline-object", "step-zero", "step-negative", "stop-below-start",
         "range-no-step", "trials-string", "trials-fraction", "range-one-value",
@@ -343,6 +343,22 @@ def test_malformed_config_is_a_config_error(doc, tmp_path, capsys):
                      "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["calibrate"],
+                                  *(["sweep", "--mode", m] for m in ("force", "snr",
+                                                                     "crosstalk"))],
+                         ids=["simulate", "calibrate", "sweep-force", "sweep-snr",
+                              "sweep-crosstalk"])
+def test_every_command_refuses_a_sweep_force_range(tmp_path, capsys, argv):
+    # the force sweep draws over the calibrated model's range: the sweep
+    # section sets none, so the key is unknown
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"sweep": {"force_range_n": [1.0, 8.0]}}))
+    assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: unknown keys in 'sweep': "
+                                       "['force_range_n']\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_section_errors_name_the_section():
@@ -377,6 +393,6 @@ def test_default_document_bytes_are_pinned():
         '"forces_n": [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, '
         '7.0, 7.5, 8.0]}, '
         '"sweep": {"test_locations_mm": [20.0, 40.0, 55.0, 60.0], '
-        '"force_range_n": [1.0, 8.0], "trials": 500, '
+        '"trials": 500, '
         '"snr_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0], '
         '"second_f_s_hz": 1400.0}}')

@@ -143,20 +143,6 @@ def nan_at(snapshot):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    nan_at(GROUPS * NG - 1),      # last whole group, in the last chunk
-    nan_at(GROUPS * NG + TAIL - 1),  # the ignored tail is checked too
-    lambda raw: raw[:-4],         # truncated payload
-    lambda raw: raw + b"\0",      # trailing bytes
-], ids=["nan-last-group", "nan-tail", "truncated", "trailing"])
-def test_damaged_trace_fails_decode(trace_path, tmp_path, edit):
-    bad = damaged_copy(trace_path, tmp_path / "bad.trace", edit)
-    out = tmp_path / "phases.csv"
-    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(2)):
-        assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
-    assert not out.exists()
-
-
 def header_edit(change):
     """An edit replacing the trace's JSON header line with change(header)."""
     def edit(raw):
@@ -165,6 +151,45 @@ def header_edit(change):
         header = change(json.loads(raw[start:end]))
         return raw[:start] + json.dumps(header).encode() + raw[end:]
     return edit
+
+
+def schemes_as(value):
+    def change(header):
+        header["schemes"] = value(header["schemes"])
+        return header
+    return change
+
+
+def without(key):
+    def change(header):
+        del header[key]
+        return header
+    return change
+
+
+PAYLOAD_BYTES = (GROUPS * NG + TAIL) * K * 8
+# decode reads 2-group chunks: the last one holds snapshots 6250 to 6974
+LAST_CHUNK_NAN = "trace entries must all be finite (snapshots 6250 to 6974)"
+
+
+@pytest.mark.parametrize("edit, says", [
+    (nan_at(GROUPS * NG - 1), LAST_CHUNK_NAN),  # last whole group, in the last chunk
+    (nan_at(GROUPS * NG + TAIL - 1), LAST_CHUNK_NAN),  # the ignored tail is checked too
+    (lambda raw: raw[:-4],
+     f"truncated payload: {PAYLOAD_BYTES - 4} bytes, expected {PAYLOAD_BYTES}"),
+    (lambda raw: raw + b"\0", "trailing bytes after payload"),
+    (header_edit(schemes_as(lambda schemes: [])), "trace lists no modulation schemes"),
+    (header_edit(without("schemes")), "trace lists no modulation schemes"),
+], ids=["nan-last-group", "nan-tail", "truncated", "trailing", "empty-schemes",
+        "missing-schemes"])
+def test_damaged_trace_fails_decode(trace_path, tmp_path, capsys, edit, says):
+    # every fault names the file once, as open_trace's own faults do
+    bad = damaged_copy(trace_path, tmp_path / "bad.trace", edit)
+    out = tmp_path / "phases.csv"
+    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(2)):
+        assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: bad trace in {bad}: {says}\n"
+    assert not out.exists()
 
 
 def drop(section, key):
@@ -198,13 +223,6 @@ def list_provenance(header):
 def contradicting_f_s_hz(header):
     header["schemes"][0]["f_s_hz"] = 1400.0
     return header
-
-
-def schemes_as(value):
-    def change(header):
-        header["schemes"] = value(header["schemes"])
-        return header
-    return change
 
 
 @pytest.mark.parametrize("change, says", [
@@ -249,6 +267,22 @@ def test_header_schemes_hold_only_their_clocks(trace_path, tmp_path):
     # a trace whose header still carries f_s_hz decodes to the same bytes
     old = damaged_copy(trace_path, tmp_path / "old.trace", header_edit(with_f_s_hz))
     assert open_trace(old).schemes == (scheme,)
+    for name, path in (("new.csv", trace_path), ("old.csv", old)):
+        assert cli.main(["decode", "--trace", path, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
+def with_created_utc(header):
+    """The header as it was written when it carried a write time."""
+    header["created_utc"] = "2026-01-01T00:00:00.000000+00:00"
+    return header
+
+
+def test_a_header_holding_created_utc_decodes_the_same(trace_path, tmp_path):
+    raw = Path(trace_path).read_bytes()
+    assert "created_utc" not in json.loads(raw[len(traceio.MAGIC):raw.index(b"\n")])
+    old = damaged_copy(trace_path, tmp_path / "old.trace", header_edit(with_created_utc))
+    assert open_trace(old).provenance == open_trace(trace_path).provenance
     for name, path in (("new.csv", trace_path), ("old.csv", old)):
         assert cli.main(["decode", "--trace", path, "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()

@@ -164,9 +164,9 @@ def projection_oracle(cfg, Ng, touches, snr_db, seed):
 
 def drawn_presses(cfg, trials, seed):
     """The (force, location, seed) of each trial, drawn as a force sweep
-    draws them."""
-    rng = np.random.default_rng(seed)
-    return [(float(rng.uniform(*cfg.sweep.force_range_n)),
+    draws them: forces over the calibrated model's range."""
+    rng, force_range = np.random.default_rng(seed), calibrate(cfg).force_range_n
+    return [(float(rng.uniform(*force_range)),
              float(rng.choice(cfg.sweep.test_locations_mm)),
              int(rng.integers(0, 2 ** 62))) for _ in range(trials)]
 

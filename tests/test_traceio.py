@@ -118,9 +118,7 @@ def test_read_trace_rejects_wrong_payload_size(tmp_path):
 def header_and_payload(path):
     raw = path.read_bytes()
     end = raw.index(b"\n", len(MAGIC))
-    header = json.loads(raw[len(MAGIC):end])
-    del header["created_utc"]
-    return header, raw[end + 1:]
+    return json.loads(raw[len(MAGIC):end]), raw[end + 1:]
 
 
 # (n_snapshots, n_subcarriers, noise): 2000 x 16 streams as 4 blocks; one
