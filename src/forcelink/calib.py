@@ -47,11 +47,14 @@ class Sample:
 class CalibrationDataset:
     """Phase samples over a (force, location) grid, valid for fit_model: a
     positive carrier_hz, finite samples and the grid rule a config's
-    calibration keeps, config.CalibrationSettings.check_grid."""
+    calibration keeps, config.CalibrationSettings.check_grid.  geometry is
+    the line the samples were taken on; None (an imported dataset) leaves
+    it unknown."""
 
     samples: tuple[Sample, ...]
     carrier_hz: float
     source: str = "simulated"
+    geometry: SensorGeometry | None = None
 
     def __post_init__(self):
         if self.source not in ("simulated", "imported"):
@@ -83,11 +86,14 @@ class LocationFit:
 class SensorModel:
     """Per-location fits, interpolated between locations: a positive
     carrier_hz; at least 2 fits, their locations and coefficients finite and
-    the locations strictly increasing; a finite, increasing force_range_n."""
+    the locations strictly increasing; a finite, increasing force_range_n.
+    geometry is the line it was calibrated on, its dataset's; None leaves
+    it unknown, and then only the carrier says which traces it reads."""
 
     carrier_hz: float
     fits: tuple[LocationFit, ...]
     force_range_n: tuple[float, float]
+    geometry: SensorGeometry | None = None
 
     def __post_init__(self):
         if not self.carrier_hz > 0.0:
@@ -170,18 +176,20 @@ class Estimate:
 def generate_sweep(locations_mm: Sequence[float], forces_n: Sequence[float],
                    geom: SensorGeometry, mech: MechanicalParams,
                    carrier_hz: float) -> CalibrationDataset:
-    """Evaluate the transducer model over a calibration grid."""
+    """Evaluate the transducer model over a calibration grid on geom's line."""
     samples = []
     for loc in locations_mm:
         for F in forces_n:
             pp = port_phases(shorting_segment(TouchEvent(F, loc), mech, geom),
                              geom, carrier_hz)
             samples.append(Sample(float(F), float(loc), pp.phi1, pp.phi2))
-    return CalibrationDataset(samples=tuple(samples), carrier_hz=carrier_hz)
+    return CalibrationDataset(samples=tuple(samples), carrier_hz=carrier_hz,
+                              geometry=geom)
 
 
 def fit_model(data: CalibrationDataset) -> SensorModel:
-    """Least-squares cubic per location and port, on unwrapped phases."""
+    """Least-squares cubic per location and port, on unwrapped phases; the
+    model keeps the dataset's carrier and geometry."""
     fits = []
     for loc in data.locations():
         rows = [s for s in data.samples if s.location_mm == loc]
@@ -193,7 +201,7 @@ def fit_model(data: CalibrationDataset) -> SensorModel:
                                 rms_rad=math.sqrt(float(np.mean(err ** 2)))))
     forces = [s.force_n for s in data.samples]
     return SensorModel(carrier_hz=data.carrier_hz, fits=tuple(fits),
-                       force_range_n=(min(forces), max(forces)))
+                       force_range_n=(min(forces), max(forces)), geometry=data.geometry)
 
 
 def model_forward(model: SensorModel, force_n: float,

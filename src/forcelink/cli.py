@@ -17,8 +17,11 @@ Diagnostics go to stderr.
 
 decode reads a trace's first scheme at decoder.auto_group_size; a trace it
 cannot decode so (no scheme, too few groups, a non-finite entry) is a runtime
-failure naming the file.  simulate writes the trace header's provenance (the
-seed, a digest of the config's synthesis inputs) and no write time.
+failure naming the file.  decode --model refuses, as a usage error, a model
+calibrated at another carrier or on another line than the trace's geometry;
+a model that names no line is checked on its carrier alone.  simulate writes
+the trace header's provenance (the seed, a digest of the config's synthesis
+inputs) and no write time.
 
 A command imports calib and sweeps where it uses them, so simulate, decode
 without --model and impedance start neither.
@@ -93,6 +96,11 @@ def cmd_decode(args) -> int:
     if model is not None and model.carrier_hz != trace.config.carrier_hz:
         raise ConfigError(f"--model {args.model} is calibrated at {model.carrier_hz} Hz,"
                           f" the trace is at {trace.config.carrier_hz} Hz")
+    if model is not None and model.geometry not in (None, trace.geometry):
+        diff = ", ".join(f"{k} {v} (the trace's {getattr(trace.geometry, k)})"
+                         for k, v in vars(model.geometry).items()
+                         if v != getattr(trace.geometry, k))
+        raise ConfigError(f"--model {args.model} is calibrated on another line: {diff}")
     try:  # its first scheme, at the auto group size
         series = group_phases(trace)
     except ValueError as e:

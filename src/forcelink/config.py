@@ -1,14 +1,14 @@
 """Experiment configuration: one JSON document describing a whole run.
 
 Sections: waveform, clocks, geometry, mechanics, multipath, noise, timeline,
-calibration and sweep, each listed in default_config_dict().  A
-section's keys are the fields of the dataclass it builds (clocks use
-freq/duty/offset, the layout scheme_to_dict writes) and keys it omits take
-that document's values.  read_section is the one JSON -> dataclass step:
-unknown keys and missing or malformed values are ConfigErrors naming the
-section (CLI exit 2).  traceio reads trace headers, datasets and sensor
-models with it too and re-raises its errors as ValueErrors naming the file
-(exit 1).
+calibration and sweep, each listed in default_config_dict().  A section's keys
+are the fields of the dataclass it builds (clocks use freq/duty/offset, the
+layout scheme_to_dict writes) and keys it omits take that document's values.
+read_section is the one JSON -> dataclass step: unknown keys and missing or
+malformed values are ConfigErrors naming the section (CLI exit 2).  traceio
+reads trace headers, datasets and sensor models with it too and re-raises its
+errors as ValueErrors naming the file (exit 1).
+validate holds presses to transducer.check_line, sweeps to the calibrated span.
 load_config is the one loader of a config file, for the CLI and the library
 alike, so one file gives one run: the same seed, the same trace.
 """
@@ -26,7 +26,7 @@ from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
 from .clocks import ClockScheme, SwitchClock, make_scheme
 from .decoder import auto_group_size
-from .transducer import MechanicalParams, SensorGeometry, TouchEvent
+from .transducer import MechanicalParams, SensorGeometry, TouchEvent, check_line
 
 
 class ConfigError(ValueError):
@@ -194,8 +194,7 @@ def parse_scheme(d, section: str = "clocks") -> ClockScheme:
     _take(d, section, {"f_s_hz", "clock_a", "clock_b"})
     if "clock_a" in d or "clock_b" in d:
         if not ("clock_a" in d and "clock_b" in d):
-            raise ConfigError(
-                f"{section} needs both clock_a and clock_b, or just f_s_hz")
+            raise ConfigError(f"{section} needs both clock_a and clock_b, or just f_s_hz")
         scheme = _build(ClockScheme, section, *(
             read_section(SwitchClock, d[name], f"{section}.{name}", {"offset": 0.0},
                          _CLOCK_KEYS)
@@ -207,8 +206,7 @@ def parse_scheme(d, section: str = "clocks") -> ClockScheme:
         return scheme
     if "f_s_hz" not in d:
         raise ConfigError(f"{section} needs f_s_hz or explicit clock_a/clock_b")
-    return _build(make_scheme, section,
-                  _convert(float, d["f_s_hz"], f"{section}.f_s_hz"))
+    return _build(make_scheme, section, _convert(float, d["f_s_hz"], f"{section}.f_s_hz"))
 
 
 def _parse_timeline(rows) -> TouchTimeline:
@@ -256,18 +254,15 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.multipath.sensor_path.amplitude == 0:
         raise ConfigError("multipath.sensor_path.amplitude must be nonzero: the "
                           "reader cannot see a sensor whose path carries nothing")
-    L = cfg.geometry.length_mm
-    if cfg.mechanics.max_halfwidth_mm > 0.5 * L:
-        raise ConfigError(f"mechanics.max_halfwidth_mm {cfg.mechanics.max_halfwidth_mm}"
-                          f" mm exceeds half of the {L} mm line")
+    cal = cfg.calibration.locations_mm
     presses = [t.location_mm for _, t in cfg.timeline.entries if t is not None]
-    for name, locations in (("timeline", presses),
-                            ("calibration.locations_mm", cfg.calibration.locations_mm),
-                            ("sweep.test_locations_mm", cfg.sweep.test_locations_mm)):
-        for loc in locations:
-            if not 0.0 <= loc <= L:
-                raise ConfigError(
-                    f"{name}: touch location {loc} mm outside line [0, {L}] mm")
+    for name, locations in (("mechanics", ()), ("timeline", presses),
+                            ("calibration.locations_mm", cal)):
+        _build(check_line, name, cfg.mechanics, cfg.geometry, *locations)
+    for loc in cfg.sweep.test_locations_mm:  # the calibrated span lies on the line
+        if not min(cal) <= loc <= max(cal):
+            raise ConfigError(f"sweep.test_locations_mm: touch location {loc} mm outside "
+                              f"the calibrated span [{min(cal)}, {max(cal)}] mm")
 
 
 def load_config(path) -> ExperimentConfig:

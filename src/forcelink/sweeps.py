@@ -219,7 +219,8 @@ def run_force_sweep(cfg: ExperimentConfig, trials: int | None = None,
     """Monte-Carlo closed loop over random presses; per-trial and summary rows.
 
     Presses (forces over the model's calibrated range, locations from
-    cfg.sweep.test_locations_mm) and trial seeds are drawn from seed,
+    cfg.sweep.test_locations_mm, which config.validate holds to the
+    calibrated span) and trial seeds are drawn from seed,
     cfg.noise.seed for None, a chunk of SWEEP_CHUNK trials at a time and in
     a serial loop's order (each trial's force, location, then seed), so a
     long sweep starts at once and holds only its rows and one chunk.  Trial

@@ -21,8 +21,11 @@ The JSON a trace header, a model or a dataset holds is read with
 config.read_section, as a config is: its keys are its dataclasses' fields, so
 a model file is asdict(SensorModel) with fits under the key per_location,
 and a header's schemes are config.scheme_to_dict's clock_a/clock_b.  A
-malformed header, model or dataset is a ValueError naming its file once,
-then the section or field at fault.
+header, a model and a dataset hold the sensor's line as geometry, in one
+form, asdict(SensorGeometry) or null; a model or dataset file written
+before it had the key loads with its line unknown (None).  A malformed
+header, model or dataset is a ValueError naming its file once, then the
+section or field at fault.
 """
 from __future__ import annotations
 
@@ -239,21 +242,24 @@ def read_model(path) -> SensorModel:
     from .calib import SensorModel
 
     with _json_object("model", path, pathlib.Path(path).read_bytes()) as doc:
-        return read_section(SensorModel, doc, "model", {}, {"per_location": "fits"})
+        return read_section(SensorModel, doc, "model", {"geometry": None},
+                            {"per_location": "fits"})
 
 
 def write_dataset(data: CalibrationDataset, path) -> None:
     _write_json(path, {"carrier_hz": data.carrier_hz, "source": data.source,
                        "samples": [{"force_n": s.force_n, "location_mm": s.location_mm,
                                     "phi1_rad": s.phi1, "phi2_rad": s.phi2}
-                                   for s in data.samples]})
+                                   for s in data.samples],
+                       "geometry": asdict(data.geometry) if data.geometry else None})
 
 
 def read_dataset(path) -> CalibrationDataset:
     from .calib import CalibrationDataset
 
     with _json_object("dataset", path, pathlib.Path(path).read_bytes()) as doc:
-        return read_section(CalibrationDataset, doc, "dataset", {"source": "imported"},
+        return read_section(CalibrationDataset, doc, "dataset",
+                            {"source": "imported", "geometry": None},
                             {"phi1_rad": "phi1", "phi2_rad": "phi2"})
 
 

@@ -64,11 +64,9 @@ class MechanicalParams:
 
 @dataclass(frozen=True)
 class TouchEvent:
-    """A press of force_n newtons centered at location_mm from port 1.
-
-    The absence of touch is represented by None wherever a TouchEvent is
-    accepted.
-    """
+    """A press of force_n newtons centered at location_mm from port 1, where
+    check_line lets it land; None stands for no touch wherever a TouchEvent
+    is accepted."""
 
     force_n: float
     location_mm: float
@@ -144,6 +142,19 @@ def solve_width_ratio(z_target: float) -> float:
     return ratio
 
 
+def check_line(mech: MechanicalParams, geom: SensorGeometry, *locs: float) -> None:
+    """The line rule, the one statement of where a press may land: the widest
+    contact patch, 2 max_halfwidth_mm, fits the line and each location in
+    locs lies on it, [0, L] mm; ValueError otherwise.  shorting_segment holds
+    every press it shorts to it, and config.validate every config."""
+    L, w = geom.length_mm, mech.max_halfwidth_mm
+    if w > 0.5 * L:
+        raise ValueError(f"max_halfwidth_mm {w} mm exceeds half of the {L} mm line")
+    for loc in locs:
+        if not 0.0 <= loc <= L:
+            raise ValueError(f"touch location {loc} mm outside line [0, {L}] mm")
+
+
 def shorting_segment(touch: TouchEvent | None, mech: MechanicalParams,
                      geom: SensorGeometry) -> ShortingState:
     """Map a touch to the shorted segment [a, b].
@@ -155,20 +166,14 @@ def shorting_segment(touch: TouchEvent | None, mech: MechanicalParams,
     """
     if touch is None or touch.force_n <= mech.contact_threshold_n:
         return ShortingState.open()
-    L = geom.length_mm
-    lc = touch.location_mm
-    if not 0.0 <= lc <= L:
-        raise ValueError(f"touch location {lc} mm outside line [0, {L}] mm")
-    if mech.max_halfwidth_mm > 0.5 * L:
-        raise ValueError("max_halfwidth_mm must not exceed half the line length")
+    L, lc = geom.length_mm, touch.location_mm
+    check_line(mech, geom, lc)
     w = mech.max_halfwidth_mm * (
         1.0 - math.exp(-(touch.force_n - mech.contact_threshold_n) / mech.force_scale_n))
     kappa = mech.asymmetry_exponent
     a = lc - 2.0 * w * (1.0 - lc / L) ** kappa
     b = lc + 2.0 * w * (lc / L) ** kappa
-    a = min(max(a, 0.0), lc)
-    b = min(max(b, lc), L)
-    return ShortingState(segment=(a, b))
+    return ShortingState(segment=(min(max(a, 0.0), lc), min(max(b, lc), L)))
 
 
 def propagation_constant(carrier_hz: float, eps_eff: float) -> float:

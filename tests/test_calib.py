@@ -94,6 +94,17 @@ def test_sweep_covers_grid():
     assert s.phi1 == want.phi1 and s.phi2 == want.phi2
 
 
+def test_a_model_names_the_line_its_dataset_was_taken_on(model):
+    # generate_sweep records the line it evaluates, and fit_model keeps it;
+    # a dataset that names none (an imported one) leaves the model's unknown
+    line = SensorGeometry(eps_eff=1.2)
+    data = generate_sweep(LOCATIONS, FORCES, line, MECH, CARRIER)
+    assert data.geometry == fit_model(data).geometry == line
+    assert model.geometry == GEOM
+    imported = replace(data, source="imported", geometry=None)
+    assert fit_model(imported) == replace(fit_model(data), geometry=None)
+
+
 def test_fit_reproduces_calibration_grid(model):
     assert model.locations() == sorted(LOCATIONS)
     assert model.force_range_n == (min(FORCES), max(FORCES))

@@ -115,6 +115,74 @@ def test_decode_refuses_a_model_calibrated_at_another_carrier(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("geometry, says", [
+    ({"eps_eff": 1.2}, "eps_eff 1.2 (the trace's 1.0)"),
+    ({"length_mm": 82.0}, "length_mm 82.0 (the trace's 80.0)"),
+], ids=["eps_eff", "length"])
+def test_decode_refuses_a_model_calibrated_on_another_line(tmp_path, capsys, geometry,
+                                                            says):
+    # a model names the line it was calibrated on: read against a trace of
+    # another line it is a usage error, exit 2, one error line, no CSV, as
+    # for another carrier (an eps_eff 1.2 model read the default 4 N press
+    # as 6.97 N, an 82 mm one as 4.81 N at 41 mm, both reliable)
+    trace, model = str(tmp_path / "run.trace"), str(tmp_path / "model.json")
+    assert cli.main(["simulate", "--config", write_config(tmp_path),
+                     "--out", trace]) == 0
+    other = write_config(tmp_path, {"geometry": geometry}, "other.json")
+    assert cli.main(["calibrate", "--config", other, "--out", model]) == 0
+    assert read_model(model).geometry == load_config(other).geometry
+    capsys.readouterr()
+    out = tmp_path / "presses.csv"
+    assert cli.main(["decode", "--trace", trace, "--out", str(out),
+                     "--model", model]) == 2
+    assert capsys.readouterr().err == (f"error: --model {model} is calibrated on "
+                                       f"another line: {says}\n")
+    assert not out.exists()
+
+
+def test_a_model_file_without_a_line_is_checked_on_its_carrier_alone(tmp_path):
+    # a model.json written before models named their line has no geometry
+    # key: it loads with the line unknown and inverts as the full file does
+    cfg, trace = write_config(tmp_path), str(tmp_path / "run.trace")
+    full, old = tmp_path / "model.json", tmp_path / "old_model.json"
+    assert cli.main(["simulate", "--config", cfg, "--out", trace]) == 0
+    assert cli.main(["calibrate", "--config", cfg, "--out", str(full)]) == 0
+    doc = json.loads(full.read_text())
+    assert doc.pop("geometry") == dict(vars(load_config(cfg).geometry))
+    old.write_text(json.dumps(doc, indent=2) + "\n")
+    assert read_model(old) == replace(read_model(full), geometry=None)
+    for name, model in (("full.csv", full), ("old.csv", old)):
+        assert cli.main(["decode", "--trace", trace, "--out", str(tmp_path / name),
+                         "--model", str(model)]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    # a model of another line without the key is not refused: nothing names it
+    other = write_config(tmp_path, {"geometry": {"eps_eff": 1.2}}, "eps.json")
+    other_model = tmp_path / "eps_model.json"
+    assert cli.main(["calibrate", "--config", other, "--out", str(other_model)]) == 0
+    doc = json.loads(other_model.read_text())
+    del doc["geometry"]
+    other_model.write_text(json.dumps(doc))
+    assert cli.main(["decode", "--trace", trace, "--out", str(tmp_path / "eps.csv"),
+                     "--model", str(other_model)]) == 0
+
+
+def test_an_imported_dataset_leaves_the_line_unknown(tmp_path):
+    # a dataset without a geometry key (measured, not simulated) loads with
+    # the line unknown, and so does the model fitted from it, which then
+    # writes geometry null and is checked on its carrier alone
+    path, model = tmp_path / "cal.json", tmp_path / "model.json"
+    path.write_text(json.dumps({"carrier_hz": 2.4e9, "samples": GRID_SAMPLES}))
+    data = read_dataset(path)
+    assert (data.source, data.geometry) == ("imported", None)
+    assert cli.main(["calibrate", "--from-dataset", str(path), "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["geometry"] is None
+    assert read_model(model).geometry is None
+    trace = str(tmp_path / "run.trace")
+    assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", trace]) == 0
+    assert cli.main(["decode", "--trace", trace, "--out", str(tmp_path / "x.csv"),
+                     "--model", str(model)]) == 0
+
+
 def test_decode_rejects_model_without_anchor(tmp_path, capsys):
     # a trace without sensor geometry decodes unanchored, and cannot invert
     cfg = write_config(tmp_path)
@@ -155,12 +223,14 @@ def test_calibrate_writes_model_and_dataset(tmp_path):
     data = read_dataset(data_path)
     assert len(data.samples) == 5 * 15
     assert data.source == "simulated"
+    # both files name the line they were calibrated on, the config's
+    assert model.geometry == data.geometry == load_config(cfg).geometry
 
     # refitting from the saved dataset reproduces the model exactly
     model2_path = str(tmp_path / "model2.json")
     assert cli.main(["calibrate", "--from-dataset", data_path,
                      "--out", model2_path]) == 0
-    assert read_model(model2_path).fits == model.fits
+    assert read_model(model2_path) == model
 
 
 # two locations of four forces: the least a dataset may hold

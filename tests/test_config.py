@@ -1,12 +1,14 @@
 """Config document parsing, validation, and error mapping."""
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from forcelink import cli
 from forcelink.config import ConfigError, default_config_dict, load_config, parse_config
 from forcelink.decoder import auto_group_size
+from forcelink.transducer import TouchEvent, shorting_segment
 
 from conftest import traced_peak
 
@@ -99,6 +101,45 @@ def test_touch_location_outside_line_rejected():
                          "touch": {"force_n": 2.0, "location_mm": 90.0}}]}
     with pytest.raises(ConfigError, match="outside"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("doc, says", [
+    ({"mechanics": {"max_halfwidth_mm": 40.5}},
+     "bad mechanics: max_halfwidth_mm 40.5 mm exceeds half of the 80.0 mm line"),
+    ({"timeline": [{"start_snapshot": 0,
+                    "touch": {"force_n": 2.0, "location_mm": -0.5}}]},
+     "bad timeline: touch location -0.5 mm outside line [0, 80.0] mm"),
+    ({"calibration": {"locations_mm": [20.0, 120.0]}},
+     "bad calibration.locations_mm: touch location 120.0 mm outside line [0, 80.0] mm"),
+    ({"geometry": {"length_mm": 50.0}},
+     "bad calibration.locations_mm: touch location 60.0 mm outside line [0, 50.0] mm"),
+], ids=["wide-patch", "timeline", "calibration", "short-line"])
+def test_the_line_rule_names_what_breaks_it(doc, says):
+    with pytest.raises(ConfigError) as e:
+        parse_config(doc)
+    assert str(e.value) == says
+
+
+@pytest.mark.parametrize("halfwidth", [13.0, 40.0, 40.0 + 1e-9])
+@pytest.mark.parametrize("loc", [-1e-9, 0.0, 40.0, 80.0, 80.0 + 1e-9])
+def test_a_config_press_is_refused_where_shorting_segment_refuses_it(halfwidth, loc):
+    # transducer.check_line is the one line rule: a timeline press parses
+    # exactly where shorting_segment shorts it, boundaries included
+    def refused(error, fn, *args):
+        try:
+            fn(*args)
+        except error:
+            return True
+        return False
+    cfg = parse_config({})
+    mech = replace(cfg.mechanics, max_halfwidth_mm=halfwidth)
+    doc = {"mechanics": {"max_halfwidth_mm": halfwidth},
+           "timeline": [{"start_snapshot": 0,
+                         "touch": {"force_n": 2.0, "location_mm": loc}}]}
+    assert (refused(ConfigError, parse_config, doc)
+            == refused(ValueError, shorting_segment, TouchEvent(2.0, loc), mech,
+                       cfg.geometry)
+            == (halfwidth > 40.0 or not 0.0 <= loc <= 80.0))
 
 
 def test_explicit_clock_pair():
@@ -262,6 +303,45 @@ def test_sweep_overrides():
     assert cfg.sweep.snr_grid_db == (0.0, 10.0, 20.0)
     assert cfg.sweep.test_locations_mm == (25.0, 45.0)
     assert cfg.sweep.second_f_s_hz == 1400.0
+
+
+@pytest.mark.parametrize("sweep, ok", [
+    ([30.0, 40.0, 50.0], True),  # the span's ends are in it
+    ([29.0, 40.0], False),
+    ([40.0, 50.5], False),
+    ([20.0, 40.0, 55.0, 60.0], False),  # the default list
+])
+def test_sweep_locations_lie_in_the_calibrated_span(sweep, ok):
+    # the model answers only within [min, max] of calibration.locations_mm,
+    # so the force sweep presses only there, not anywhere on the line
+    doc = {"calibration": {"locations_mm": [30.0, 50.0, 40.0]},
+           "sweep": {"test_locations_mm": sweep}}
+    if ok:
+        assert parse_config(doc).sweep.test_locations_mm == tuple(sweep)
+        return
+    bad = next(loc for loc in sweep if not 30.0 <= loc <= 50.0)
+    with pytest.raises(ConfigError) as e:
+        parse_config(doc)
+    assert str(e.value) == (f"sweep.test_locations_mm: touch location {bad} mm "
+                            "outside the calibrated span [30.0, 50.0] mm")
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["calibrate"],
+                                  *(["sweep", "--mode", m] for m in ("force", "snr",
+                                                                     "crosstalk"))],
+                         ids=["simulate", "calibrate", "sweep-force", "sweep-snr",
+                              "sweep-crosstalk"])
+def test_every_command_refuses_sweep_locations_past_the_calibrated_span(
+        tmp_path, capsys, argv):
+    # a 30-50 mm calibration beside the default sweep list (20, 40, 55, 60):
+    # the force sweep would press where the model does not answer
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"calibration": {"locations_mm": [30.0, 50.0]}}))
+    assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep.test_locations_mm: touch location 20.0 mm outside the "
+        "calibrated span [30.0, 50.0] mm\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_config_file_errors(tmp_path):

@@ -19,7 +19,7 @@ from scipy.stats import ks_2samp
 from forcelink import calib, chansim, cli, decoder, sweeps, transducer
 from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                                noise_scale, synthesize)
-from forcelink.clocks import make_scheme
+from forcelink.clocks import ClockScheme, make_scheme
 from forcelink.config import parse_config
 from forcelink.decoder import (_tone_table, anchor, auto_group_size, group_phases,
                               project_groups)
@@ -27,7 +27,8 @@ from forcelink.sweeps import (HELD_PRESS, calibrate, measure_step_errors,
                               pressed_phases, run_crosstalk, run_force_sweep,
                               run_snr_sweep, run_touch_trial,
                               snr_meeting_threshold, touch_trace)
-from forcelink.transducer import ShortingState, TouchEvent, port_phases, wrap_phase
+from forcelink.transducer import (ShortingState, TouchEvent, port_phases,
+                                  shorting_segment, wrap_phase)
 
 from conftest import traced_peak
 
@@ -566,6 +567,33 @@ def test_both_paths_take_the_one_sensor_response(default_cfg, monkeypatch):
         assert abs(wrap_phase(float(d1))) <= 1e-3  # port 2's leak into port 1
         assert abs(wrap_phase(float(d2) - bend)) <= 1e-3
     assert np.abs(moved[0] - moved[1]).max() <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the gates are sampled, and "
+                   "the samples leak each port onto the other's read tone, so a "
+                   "noiseless gated decode is off by up to about 1.2e-2 rad")
+def test_noiseless_gated_trials_decode_exactly_at_any_clock_phase(default_cfg):
+    # noiseless two-group trials, gated and with the static multipath kept,
+    # at random presses: their anchored pressed phases are the presses'
+    # port_phases to 1e-9 rad, at the default clock phase and with both
+    # clocks shifted by a random fraction of clock_a's period.  Unmixing each
+    # group's projections by the inverse gate table lands within 1.1e-12
+    cfg = replace(default_cfg, noise=replace(default_cfg.noise, snr_db=None))
+    a, b = cfg.scheme.clock_a, cfg.scheme.clock_b
+    rng, worst = np.random.default_rng(2), 0.0
+    for shift in (0.0, *rng.uniform(0.0, 1.0, 4)):
+        offsets = ((c.phase_offset + shift * c.frequency / a.frequency) % 1.0
+                   for c in (a, b))
+        shifted = replace(cfg, scheme=ClockScheme(
+            *(replace(c, phase_offset=o) for c, o in zip((a, b), offsets))))
+        for F, loc in zip(rng.uniform(1.0, 8.0, 3), rng.uniform(20.0, 60.0, 3)):
+            got = pressed_phases(shifted, touch_trace(shifted, F, loc, seed=0))
+            want = port_phases(shorting_segment(TouchEvent(F, loc), cfg.mechanics,
+                                                cfg.geometry),
+                               cfg.geometry, cfg.waveform.carrier_hz)
+            worst = max(worst, *(abs(wrap_phase(float(g) - w))
+                                 for g, w in zip(got, (want.phi1, want.phi2))))
+    assert worst <= 1e-9
 
 
 def test_every_anchored_phase_takes_the_one_anchor(default_cfg, tmp_path, monkeypatch):

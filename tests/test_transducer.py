@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcelink.transducer import (MechanicalParams, SensorGeometry,
-                                  ShortingState, TouchEvent, impedance,
+                                  ShortingState, TouchEvent, check_line, impedance,
                                   phase_per_mm, port_phases, port_reflections,
                                   propagation_constant, shorting_segment,
                                   solve_width_ratio, wrap_phase)
@@ -128,6 +128,27 @@ def test_shorting_segment_validation():
         shorting_segment(TouchEvent(1.0, 40.0), wide, GEOM)
     with pytest.raises(ValueError):
         TouchEvent(-1.0, 40.0)
+
+
+def test_check_line_is_where_a_press_may_land():
+    # both ends of the line, and a patch of exactly the line's length, pass;
+    # with no location the patch alone is checked
+    check_line(MECH, GEOM)
+    check_line(MechanicalParams(max_halfwidth_mm=40.0), GEOM, 0.0, 40.0, 80.0)
+    for mech, locs, says in (
+            (MECH, (0.0, 80.5), "touch location 80.5 mm outside line [0, 80.0] mm"),
+            (MECH, (-0.5,), "touch location -0.5 mm outside line [0, 80.0] mm"),
+            (MechanicalParams(max_halfwidth_mm=40.5), (40.0,),
+             "max_halfwidth_mm 40.5 mm exceeds half of the 80.0 mm line")):
+        with pytest.raises(ValueError) as e:
+            check_line(mech, GEOM, *locs)
+        assert str(e.value) == says
+        # shorting_segment refuses the same press with the same words
+        with pytest.raises(ValueError) as e:
+            shorting_segment(TouchEvent(1.0, locs[-1]), mech, GEOM)
+        assert str(e.value) == says
+    # below the contact threshold the line stays open, wherever the press is
+    assert shorting_segment(TouchEvent(0.2, 90.0), MECH, GEOM).is_open
 
 
 def test_open_line_phase_frozen():
