@@ -23,11 +23,15 @@ pipeline and the noise the sweeps draw in the projection domain alike.
 Every timeline entry must start within the trace: a press past its end is
 refused before any row is made, never dropped.  A trace held in memory
 records its seed as provenance; cli simulate writes the header's digest.
+ChannelTrace is the one trace type, in memory (checked finite when built)
+or a trace file's map (traceio.open_trace; each chunk checked as it is
+read), and decoder.group_phases reads either through its blocks.
 Everything runs on the calling thread.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -38,8 +42,10 @@ from .transducer import (SPEED_OF_LIGHT, MechanicalParams, SensorGeometry,
                          TouchEvent, port_reflections)
 
 # entries per row block: 1 MiB of complex128, the working block every
-# streamed step is sized from (traceio.CHUNK_BYTES too)
+# streamed step is sized from
 BLOCK_FLOATS = 2 ** 16
+# bytes per ChannelTrace.blocks chunk and per traceio trace write
+CHUNK_BYTES = BLOCK_FLOATS * np.dtype(np.complex128).itemsize
 
 
 def _row_blocks(n_rows: int, n_cols: int, size: int | None = None) -> list[slice]:
@@ -140,32 +146,45 @@ class TouchTimeline:
 
 @dataclass(frozen=True)
 class ChannelTrace:
-    """A synthesized (or loaded) channel matrix with its describing metadata."""
+    """A channel matrix H[n, k] with the header fields that describe it: in
+    memory (synthesize's) or a trace file's payload (traceio.open_trace's)."""
 
     config: WaveformConfig
-    data: np.ndarray  # complex, shape (N, K): one row per snapshot
+    # read-only (N, K), one row per snapshot: a frozen complex128 view of
+    # the caller's array, or the file's '<c8' memmap, never copied whole
+    data: np.ndarray
     schemes: tuple[ClockScheme, ...] = ()
     geometry: SensorGeometry | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        shape = (self.config.n_snapshots, self.config.n_subcarriers)
+        if np.shape(self.data) != shape:
+            raise ValueError(f"data shape {np.shape(self.data)} does not match "
+                             f"config {shape}")
+        if isinstance(self.data, np.memmap):  # a file's, checked as blocks reads it
+            return
         # a view, so freezing it leaves the caller's array writeable
         arr = np.ascontiguousarray(self.data, dtype=np.complex128).view()
-        if arr.shape != (self.config.n_snapshots, self.config.n_subcarriers):
-            raise ValueError(
-                f"data shape {arr.shape} does not match config "
-                f"({self.config.n_snapshots}, {self.config.n_subcarriers})")
-        for b in _row_blocks(*arr.shape):
-            # re and im as floats: half the time of numpy's complex isfinite
-            if not np.isfinite(arr[b].view(float)).all():
-                raise ValueError("trace entries must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+        for _ in self.blocks(1):  # every entry checked finite now
+            pass
 
     def blocks(self, group_size: int) -> Iterator[np.ndarray]:
-        """The rows for decoder.group_phases, as traceio.TraceFile.blocks
-        gives a file's: here the whole array in one block."""
-        yield self.data
+        """The rows for decoder.group_phases in whole-group chunks of about
+        CHUNK_BYTES, each checked finite as it is read."""
+        per_group = group_size * self.config.n_subcarriers * self.data.itemsize
+        step = group_size * max(1, CHUNK_BYTES // per_group)
+        for start in range(0, len(self.data), step):
+            block = self.data[start:start + step]
+            # re and im as floats: half the time of numpy's complex isfinite
+            if not np.isfinite(block.view(block.real.dtype)).all():
+                raise ValueError("trace entries must all be finite (snapshots "
+                                 f"{start} to {start + len(block) - 1})")
+            yield block
+            if isinstance(self.data, np.memmap) and hasattr(mmap, "MADV_DONTNEED"):
+                self.data._mmap.madvise(mmap.MADV_DONTNEED)  # unmap the pages read
 
 
 class NyquistError(ValueError):

@@ -8,7 +8,9 @@ read_section is the one JSON -> dataclass step: unknown keys and missing or
 malformed values are ConfigErrors naming the section (CLI exit 2).  traceio
 reads trace headers, datasets and sensor models with it too and re-raises its
 errors as ValueErrors naming the file (exit 1).
-validate holds presses to transducer.check_line, sweeps to the calibrated span.
+A config validates itself when it is built, parsed, made with
+dataclasses.replace or by hand alike: validate keeps the clocks disjoint,
+presses on transducer.check_line's line and sweeps in the calibrated span.
 load_config is the one loader of a config file, for the CLI and the library
 alike, so one file gives one run: the same seed, the same trace.
 """
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                       WaveformConfig, nyquist_check)
-from .clocks import ClockScheme, SwitchClock, make_scheme
+from .clocks import ClockScheme, SwitchClock, make_scheme, verify_disjoint
 from .decoder import auto_group_size
 from .transducer import MechanicalParams, SensorGeometry, TouchEvent, check_line
 
@@ -154,6 +156,9 @@ class ExperimentConfig:
     calibration: CalibrationSettings
     sweep: SweepSettings
 
+    def __post_init__(self):
+        validate(self)
+
 
 def default_config_dict() -> dict:
     """The reference desk-scale setup, serializable and editable: every
@@ -238,16 +243,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     base = default_config_dict()
     _take(doc, "config", set(base))
     doc = {**base, **doc}
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         **{name: read_section(cls, doc[name], name, base[name])
            for name, cls in _SECTIONS.items()},
         scheme=parse_scheme(doc["clocks"]),
         timeline=_parse_timeline(doc["timeline"]))
-    validate(cfg)
-    return cfg
 
 
 def validate(cfg: ExperimentConfig) -> None:
+    overlap = verify_disjoint(cfg.scheme).overlap_fraction
+    if overlap:
+        raise ConfigError(f"bad clocks: both switches are closed for {overlap} of "
+                          "each period; clock_a and clock_b must not overlap")
     _build(nyquist_check, "clocks", cfg.waveform, cfg.scheme)
     # clocks that no group size holds whole cycles of cannot decode
     _build(auto_group_size, "clocks", cfg.waveform, cfg.scheme)

@@ -10,15 +10,14 @@ modulation cycles.  Steps pair consecutive groups; phases pair each group
 with group 0, so anchoring them adds no error along the trace; anchor, the
 one place phases are anchored, forms the open line's phase itself.
 
-group_phases is the one decode, of a trace in memory (chansim.ChannelTrace)
-or opened from a file (traceio.TraceFile); both yield their rows through
-blocks(group_size).  Given the scheme whose read tones it projects on, it
-computes every figure (steps, phases, tone energies, noise power) in one
-pass over snapshot-major blocks of whole groups, carrying only group 0's
+group_phases is the one decode, of the one trace type, chansim.ChannelTrace,
+held in memory or opened from a file (traceio.open_trace); it reads the rows
+through blocks(group_size).  Given the scheme whose read tones it projects
+on, it computes every figure (steps, phases, tone energies, noise power) in
+one pass over snapshot-major blocks of whole groups, carrying only group 0's
 projections and a block's last group (its projections, and its rows as a
 view of the block) to the next, so memory follows the block size, not the
-trace length: a trace file streams through it a chunk of about 1 MiB at a
-time, an in-memory trace goes through as one block.
+trace length: any trace streams through it a chunk of about 1 MiB at a time.
 
 Every config and command decodes at auto_group_size, the smallest size
 holding whole cycles of every read tone; a library caller may pass a size,
@@ -38,16 +37,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chansim import ChannelTrace, WaveformConfig
 from .clocks import ClockScheme
 from .transducer import SensorGeometry, ShortingState, port_phases
-
-if TYPE_CHECKING:
-    from .traceio import TraceFile
 
 GROUP_SIZE_CAP = 100_000
 # a phase pairs a group with group 0, so a decode needs two groups
@@ -281,7 +277,7 @@ def _sum_squares(z: np.ndarray) -> float:
     return float(x.sum())
 
 
-def group_phases(trace: ChannelTrace | TraceFile, scheme: ClockScheme | None = None,
+def group_phases(trace: ChannelTrace, scheme: ClockScheme | None = None,
                  group_size: int | None = None) -> PhaseSeries:
     """Decode both ports of a trace, in memory or opened with traceio.open_trace,
     in one pass over its blocks; defaults: first scheme, auto group size.

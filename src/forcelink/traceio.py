@@ -12,10 +12,10 @@ outer, k inner) as ChannelTrace stores them, so a group of snapshots is one
 contiguous byte range.  write_trace_blocks is the one trace writer: it takes
 the header fields and the rows as an iterator of blocks and converts and
 checks each block as it comes, so cli simulate streams a trace straight from
-synthesis and write_trace passes an in-memory trace in chunks of about
-CHUNK_BYTES (1 MiB).
-open_trace maps the payload unread and TraceFile.blocks streams it in chunks
-of whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
+synthesis and write_trace passes a trace in chunks of about CHUNK_BYTES
+(1 MiB).  open_trace returns the one trace type, chansim.ChannelTrace, with
+the payload mapped unread as its data, whose blocks stream it in chunks of
+whole groups (three 625 x 64 groups at 1 MiB), so a decode holds about
 CHUNK_BYTES of any trace, and its complex128 copy, whatever the length.
 The JSON a trace header, a model or a dataset holds is read with
 config.read_section, as a config is: its keys are its dataclasses' fields, so
@@ -31,16 +31,15 @@ from __future__ import annotations
 
 import csv
 import json
-import mmap
 import os
 import pathlib
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, replace
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .chansim import BLOCK_FLOATS, ChannelTrace, WaveformConfig
+from .chansim import CHUNK_BYTES, ChannelTrace, WaveformConfig
 from .clocks import ClockScheme
 from .config import parse_scheme, read_section, scheme_to_dict
 from .decoder import PhaseSeries
@@ -51,8 +50,6 @@ if TYPE_CHECKING:  # imported where read, so a decode without a model skips cali
 
 MAGIC = b"WFTRACE1"
 _PAYLOAD_DTYPE = np.dtype("<c8")  # pairs of little-endian float32
-# payload bytes per streamed write or decode step: 1 MiB, chansim's block size
-CHUNK_BYTES = BLOCK_FLOATS * np.dtype(np.complex128).itemsize
 
 PHASE_CSV_COLUMNS = ("group_index", "t_seconds", "dphi1_deg", "dphi2_deg",
                      "phi1_deg", "phi2_deg", "snr1_db", "snr2_db")
@@ -156,39 +153,16 @@ def write_trace_blocks(path, blocks: Iterable[np.ndarray], config: WaveformConfi
 
 
 def write_trace(trace: ChannelTrace, path) -> None:
-    """Write an in-memory trace, converted to float32 about CHUNK_BYTES at a time."""
+    """Write a trace, converted to float32 about CHUNK_BYTES at a time."""
     N, K = trace.data.shape
     step = max(1, CHUNK_BYTES // (K * _PAYLOAD_DTYPE.itemsize))
     write_trace_blocks(path, (trace.data[a:a + step] for a in range(0, N, step)),
                        trace.config, trace.schemes, trace.geometry, trace.provenance)
 
 
-@dataclass(frozen=True)
-class TraceFile:
-    """A trace file opened for streaming: its header fields and payload."""
-
-    config: WaveformConfig
-    data: np.memmap  # read-only (N, K) '<c8', snapshot-major
-    schemes: tuple[ClockScheme, ...] = ()
-    geometry: SensorGeometry | None = None
-    provenance: dict = field(default_factory=dict)
-
-    def blocks(self, group_size: int) -> Iterator[np.ndarray]:
-        """The payload in whole-group chunks of about CHUNK_BYTES, checked finite."""
-        per_group = group_size * self.config.n_subcarriers * self.data.itemsize
-        step = group_size * max(1, CHUNK_BYTES // per_group)
-        for start in range(0, len(self.data), step):
-            block = self.data[start:start + step]
-            if not np.isfinite(block.view(np.float32)).all():
-                raise ValueError("trace entries must all be finite (snapshots "
-                                 f"{start} to {start + len(block) - 1})")
-            yield block
-            if hasattr(mmap, "MADV_DONTNEED"):  # unmap the pages read so far
-                self.data._mmap.madvise(mmap.MADV_DONTNEED)
-
-
-def open_trace(path) -> TraceFile:
-    """Check a trace file's magic, header and payload size; map the payload.
+def open_trace(path) -> ChannelTrace:
+    """Check a trace file's magic, header and payload size; map the payload,
+    unread, as the trace's data.
     Every check that fails names the file: "bad trace in {path}: ..." (or
     "bad trace header in {path}: ..." for the header's JSON)."""
     with open(path, "rb") as f:
@@ -219,7 +193,7 @@ def open_trace(path) -> TraceFile:
                          f"expected {expected}")
     if size > expected:
         raise ValueError(f"bad trace in {path}: trailing bytes after payload")
-    return TraceFile(
+    return ChannelTrace(
         config=cfg,
         data=np.memmap(path, dtype=_PAYLOAD_DTYPE, mode="r", offset=offset,
                        shape=(cfg.n_snapshots, cfg.n_subcarriers)),
@@ -227,10 +201,9 @@ def open_trace(path) -> TraceFile:
 
 
 def read_trace(path) -> ChannelTrace:
-    """Load a whole trace file (every entry checked finite)."""
-    tf = open_trace(path)
-    return ChannelTrace(config=tf.config, data=tf.data, schemes=tf.schemes,
-                        geometry=tf.geometry, provenance=tf.provenance)
+    """open_trace's trace copied into memory as complex128, checked finite."""
+    trace = open_trace(path)
+    return replace(trace, data=np.asarray(trace.data, np.complex128))
 
 
 def write_model(model: SensorModel, path) -> None:

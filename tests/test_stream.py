@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forcelink import cli, traceio
+from forcelink import chansim, cli, traceio
 from forcelink.config import default_config_dict, parse_config
 from forcelink.decoder import anchor, group_phases
 from forcelink.traceio import open_trace, read_trace, write_phase_csv
@@ -64,17 +64,27 @@ def chunk_bytes(groups):
 def test_streamed_csv_matches_in_memory_bytes(trace_path, in_memory_csv,
                                               tmp_path_factory, groups):
     out = tmp_path_factory.mktemp("streamed") / "phases.csv"
-    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(groups)):
+    with mock.patch.object(chansim, "CHUNK_BYTES", chunk_bytes(groups)):
         assert cli.main(["decode", "--trace", trace_path,
                          "--out", str(out)]) == 0
     assert out.read_bytes() == in_memory_csv
 
 
-def test_group_phases_decodes_a_trace_file_as_its_in_memory_copy(trace_path):
-    # the one decode takes either kind of trace; the file streams in chunks
-    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(4)):
-        streamed = group_phases(open_trace(trace_path))
-    whole = group_phases(read_trace(trace_path))
+def test_group_phases_decodes_a_trace_file_as_its_in_memory_copy(trace_path,
+                                                                 default_cfg):
+    # one trace type, a file's map or an array in memory, and one decode of
+    # it; the file streams in chunks
+    opened, copied = open_trace(trace_path), read_trace(trace_path)
+    cfg = default_cfg
+    synthesized = chansim.synthesize(cfg.waveform, cfg.scheme, cfg.timeline,
+                                     cfg.multipath, cfg.noise, cfg.geometry,
+                                     cfg.mechanics)
+    assert type(opened) is type(copied) is type(synthesized) is chansim.ChannelTrace
+    assert isinstance(opened.data, np.memmap)
+    assert not isinstance(copied.data, np.memmap)
+    with mock.patch.object(chansim, "CHUNK_BYTES", chunk_bytes(4)):
+        streamed = group_phases(opened)
+    whole = group_phases(copied)
     assert streamed.group_size == whole.group_size == NG
     for name in ("steps", "phases", "signal", "sigma2"):
         np.testing.assert_array_equal(getattr(streamed, name), getattr(whole, name))
@@ -86,7 +96,7 @@ def test_blocks_hold_whole_groups_within_the_chunk_size(trace_path):
     assert tf.data.shape == (GROUPS * NG + TAIL, K)
     assert tf.data.dtype == np.dtype("<c8")
     assert not tf.data.flags.writeable
-    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(3)):
+    with mock.patch.object(chansim, "CHUNK_BYTES", chunk_bytes(3)):
         sizes = [len(b) for b in tf.blocks(NG)]
     assert sizes == [3 * NG] * 3 + [2 * NG + TAIL]
     assert read_trace(trace_path).data.tobytes() == tf.data.astype(
@@ -186,7 +196,7 @@ def test_damaged_trace_fails_decode(trace_path, tmp_path, capsys, edit, says):
     # every fault names the file once, as open_trace's own faults do
     bad = damaged_copy(trace_path, tmp_path / "bad.trace", edit)
     out = tmp_path / "phases.csv"
-    with mock.patch.object(traceio, "CHUNK_BYTES", chunk_bytes(2)):
+    with mock.patch.object(chansim, "CHUNK_BYTES", chunk_bytes(2)):
         assert cli.main(["decode", "--trace", bad, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: bad trace in {bad}: {says}\n"
     assert not out.exists()

@@ -20,7 +20,7 @@ from forcelink import calib, chansim, cli, decoder, sweeps, transducer
 from forcelink.chansim import (MultipathProfile, NoiseSpec, Path, TouchTimeline,
                                noise_scale, synthesize)
 from forcelink.clocks import ClockScheme, make_scheme
-from forcelink.config import parse_config
+from forcelink.config import ConfigError, parse_config
 from forcelink.decoder import (_tone_table, anchor, auto_group_size, group_phases,
                               project_groups)
 from forcelink.sweeps import (HELD_PRESS, calibrate, measure_step_errors,
@@ -341,10 +341,10 @@ def test_measure_step_errors_noiseless_is_zero(default_cfg):
 def test_measure_step_errors_rejects_a_group_size_without_whole_cycles(default_cfg):
     # a trial's groups take the auto size, whole cycles of both read tones;
     # clocks with no such size below the cap must be refused, not decoded
-    # into steps of garbage, and clocks whose size is 1250 decode exactly
-    with pytest.raises(ValueError, match="no integer-cycle group size below 100000"):
-        measure_step_errors(replace(default_cfg, scheme=make_scheme(1001.3)),
-                            snr_db=None, seeds=[0])
+    # into steps of garbage: the config refuses them when it is built, so
+    # no such config reaches a sweep.  Clocks whose size is 1250 decode exactly
+    with pytest.raises(ConfigError, match="no integer-cycle group size below 100000"):
+        replace(default_cfg, scheme=make_scheme(1001.3))
     e1, e2 = measure_step_errors(replace(default_cfg, scheme=make_scheme(F_S_1250)),
                                  snr_db=None, seeds=[0])[0]
     assert abs(e1) < 1e-9 and abs(e2) < 1e-9
@@ -687,11 +687,12 @@ def test_projection_domain_matches_the_full_path_in_distribution(default_cfg, sn
 
 
 def test_measure_step_errors_of_no_seeds_is_empty_but_checked(default_cfg):
-    # no seeds, no rows; the config is still checked as for any other call
+    # no seeds, no rows; the config is still checked as for any other call,
+    # when it is built, so an ungroupable one never reaches the call
     got = measure_step_errors(default_cfg, 10.0, [])
     assert got.shape == (0, 2) and got.dtype == np.float64
-    with pytest.raises(ValueError, match="no integer-cycle group size below 100000"):
-        measure_step_errors(replace(default_cfg, scheme=make_scheme(1001.3)), 10.0, [])
+    with pytest.raises(ConfigError, match="no integer-cycle group size below 100000"):
+        replace(default_cfg, scheme=make_scheme(1001.3))
 
 
 def test_measure_step_errors_takes_one_snr_per_seed(default_cfg):
